@@ -1,14 +1,9 @@
-"""PERF -- greedy heuristic vs the exact backends (MILP, CP-SAT).
+"""PERF -- greedy heuristic vs the exact MILP backend.
 
 Quantifies both sides of the trade the backend registry makes
-selectable: the greedy solver's speed and the exact backends'
-optimality.  For each instance size it reports greedy runtime, MILP
-runtime, and the greedy *optimality gap* measured against the true
-integer optimum (tighter than the divisible LP bound used by
-``bench_placement_solver``).  When or-tools is installed the CP-SAT
-backend joins the table (runtime plus its agreement with the MILP
-optimum); without the wheel those columns print ``n/a`` and the
-comparison silently degrades to greedy-vs-MILP.
+selectable: the greedy solver's speed and the MILP's optimality.  For
+each instance size it reports greedy runtime, MILP runtime, and the
+greedy *optimality gap* measured against the true integer optimum.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_solver_backends.py -s``
 or standalone ``PYTHONPATH=src python benchmarks/bench_solver_backends.py``.
@@ -23,16 +18,10 @@ from repro.config import SolverConfig
 from repro.core import (
     AppRequest,
     JobRequest,
-    MilpPlacementSolver,
     PlacementSolver,
+    make_oracle,
+    optimality_gap,
 )
-
-try:  # optional dependency; the table degrades gracefully without it
-    from repro.core.cpsat_solver import CpSatPlacementSolver, cp_model
-except ImportError:  # pragma: no cover - cpsat_solver itself never raises
-    cp_model = None
-
-HAVE_CPSAT = cp_model is not None
 
 #: name -> (nodes, jobs).  Sized so HiGHS branch-and-bound stays in
 #: seconds; the greedy handles 200x2000 (see bench_placement_solver).
@@ -90,23 +79,12 @@ def _timed_solve(solver, nodes, apps, jobs, lr_target):
 
 
 def compare_backends() -> list[dict]:
-    """Run every backend over every size; return one row per size."""
-    # min_job_rate=0 on all sides: the greedy's eviction path can admit
+    """Run both backends over every size; return one row per size."""
+    # min_job_rate=0 on both sides: the greedy's eviction path can admit
     # below the floor, which the exact admission-floor constraint
     # forbids -- exact dominance (asserted below) needs the floor off.
     greedy = PlacementSolver(SolverConfig(min_job_rate=0.0))
-    milp = MilpPlacementSolver(
-        SolverConfig(backend="milp", change_penalty_mhz=0.0, min_job_rate=0.0)
-    )
-    cpsat = (
-        CpSatPlacementSolver(
-            SolverConfig(
-                backend="cpsat", change_penalty_mhz=0.0, min_job_rate=0.0
-            )
-        )
-        if HAVE_CPSAT
-        else None
-    )
+    milp = make_oracle(SolverConfig(), "milp")
     rows = []
     for name, (num_nodes, num_jobs) in SIZES.items():
         nodes, apps, jobs, lr_target = build_problem(num_nodes, num_jobs)
@@ -118,14 +96,8 @@ def compare_backends() -> list[dict]:
             "milp_s": milp_s,
             "greedy_mhz": g,
             "milp_mhz": m,
-            "gap": max(0.0, 1.0 - g / m) if m > 0 else 0.0,
-            "cpsat_s": None,
-            "cpsat_mhz": None,
+            "gap": optimality_gap(g, m),
         }
-        if cpsat is not None:
-            row["cpsat_s"], row["cpsat_mhz"] = _timed_solve(
-                cpsat, nodes, apps, jobs, lr_target
-            )
         rows.append(row)
     return rows
 
@@ -133,24 +105,15 @@ def compare_backends() -> list[dict]:
 def render_table(rows: list[dict]) -> str:
     header = (
         f"{'size':>16} {'greedy [ms]':>12} {'milp [ms]':>10} "
-        f"{'cpsat [ms]':>11} {'greedy MHz':>12} {'milp MHz':>12} "
-        f"{'cpsat MHz':>12} {'gap':>7}"
+        f"{'greedy MHz':>12} {'milp MHz':>12} {'gap':>7}"
     )
     lines = [header, "-" * len(header)]
     for row in rows:
-        cpsat_ms = (
-            f"{row['cpsat_s'] * 1e3:.1f}" if row["cpsat_s"] is not None
-            else "n/a"
-        )
-        cpsat_mhz = (
-            f"{row['cpsat_mhz']:.0f}" if row["cpsat_mhz"] is not None
-            else "n/a"
-        )
         lines.append(
             f"{row['size']:>16} {row['greedy_s'] * 1e3:>12.1f} "
-            f"{row['milp_s'] * 1e3:>10.1f} {cpsat_ms:>11} "
+            f"{row['milp_s'] * 1e3:>10.1f} "
             f"{row['greedy_mhz']:>12.0f} {row['milp_mhz']:>12.0f} "
-            f"{cpsat_mhz:>12} {row['gap']:>7.2%}"
+            f"{row['gap']:>7.2%}"
         )
     return "\n".join(lines)
 
@@ -164,13 +127,6 @@ def test_backend_comparison_table():
         # heuristic should stay within a few percent of it.
         assert row["milp_mhz"] >= row["greedy_mhz"] * (1 - 1e-6)
         assert row["gap"] < 0.08, f"{row['size']}: gap {row['gap']:.2%}"
-        if row["cpsat_mhz"] is not None:
-            # Both exact backends find the same optimum up to CP-SAT's
-            # micro-MHz quantization and the MILP's relative MIP gap.
-            assert row["cpsat_mhz"] >= row["greedy_mhz"] * (1 - 1e-6)
-            assert abs(row["cpsat_mhz"] - row["milp_mhz"]) <= (
-                1e-3 * max(row["milp_mhz"], 1.0)
-            ), f"{row['size']}: exact backends disagree"
 
 
 if __name__ == "__main__":

@@ -261,7 +261,7 @@ def _add_spec_arguments(
     parser.add_argument(
         "--exact-oracle", default=None, metavar="BACKEND",
         help="record optimality-gap telemetry against an exact backend "
-             "(milp or cpsat; shorthand for "
+             "(milp; shorthand for "
              "--set controller.exact_oracle=BACKEND)",
     )
     parser.add_argument(

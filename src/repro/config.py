@@ -207,13 +207,13 @@ class ControllerConfig:
         value against the response-time goal; intermediate values
         discount it.
     exact_oracle:
-        Name of a registered solver backend (``"milp"`` | ``"cpsat"``)
-        to run as a *background optimality oracle*: after the production
+        Name of a registered exact solver backend (``"milp"``) to run
+        as a *background optimality oracle*: after the production
         solver decides a cycle, the oracle re-solves the same instance
-        exactly (with ``min_job_rate=0`` and no change penalty, the
-        differential-harness relaxation) and the relative shortfall is
-        reported as the ``optimality_gap`` diagnostic, with the oracle's
-        wall-time as ``exact_ms``.  The oracle runs off the critical
+        exactly (with ``min_job_rate=0`` and no change penalty, see
+        :func:`repro.core.controller.make_oracle`) and the relative
+        shortfall is reported as the ``optimality_gap`` diagnostic, with
+        the oracle's wall-time as ``exact_ms``.  The oracle runs off the critical
         path -- its answer never changes the decision, and an oracle
         failure only suppresses that cycle's gap sample.  ``None`` (the
         default) disables the telemetry entirely.

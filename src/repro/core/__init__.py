@@ -9,8 +9,8 @@ implementation from the backend registry (:mod:`repro.core.backends`) --
 ``"greedy"`` for the paper's fast incremental heuristic
 (:class:`PlacementSolver`), ``"milp"`` for the optimal mixed-integer
 oracle (:class:`MilpPlacementSolver`) used in differential testing and
-optimality-gap measurement.  Custom formulations plug in through
-:func:`register_backend`.
+optimality-gap measurement (:func:`make_oracle`, :func:`optimality_gap`).
+Custom formulations plug in through :func:`register_backend`.
 """
 
 from .actions_planner import plan_actions
@@ -24,7 +24,13 @@ from .backends import (
 from .milp_solver import MilpPlacementSolver
 from .arbiter import Arbiter, ArbiterResult, BisectionArbiter, StealingArbiter, make_arbiter
 from .control_state import ControlState, CycleFingerprint, CycleTelemetry
-from .controller import ControlDecision, ControlDiagnostics, UtilityDrivenController
+from .controller import (
+    ControlDecision,
+    ControlDiagnostics,
+    UtilityDrivenController,
+    make_oracle,
+    optimality_gap,
+)
 from .demand import (
     LongRunningCurve,
     TransactionalAggregateCurve,
@@ -56,7 +62,6 @@ from .placement_solver import (
     placement_efficiency,
     water_fill,
 )
-from .relaxation import RelaxationBound, divisible_upper_bound, optimality_gap
 from .shard_arbiter import (
     RoundRobinShardPlanner,
     ShardArbiter,
@@ -107,8 +112,7 @@ __all__ = [
     "register_backend",
     "water_fill",
     "placement_efficiency",
-    "RelaxationBound",
-    "divisible_upper_bound",
+    "make_oracle",
     "optimality_gap",
     "JobRequest",
     "AppRequest",

@@ -2,9 +2,9 @@
 
 The controller (and every baseline built on it) asks this module for a
 solver instead of hard-coding one, so alternative placement
-formulations -- the paper's greedy incremental heuristic, the optimal
-MILP oracle, future CP-SAT/or-tools backends -- are interchangeable
-behind ``SolverConfig.backend``:
+formulations -- the paper's greedy incremental heuristic and the
+optimal MILP oracle -- are interchangeable behind
+``SolverConfig.backend``:
 
     >>> from repro.config import SolverConfig
     >>> from repro.core.backends import make_solver
@@ -93,18 +93,5 @@ def make_solver(config: SolverConfig | None = None) -> SolverBackend:
     return get_backend(config.backend)(config)
 
 
-def _cpsat_factory(config: SolverConfig) -> SolverBackend:
-    """Instantiate the CP-SAT backend.
-
-    The import is deferred so the registry (and ``backend="cpsat"`` in
-    specs) exists even without or-tools installed; construction raises
-    :class:`ConfigurationError` with an install hint in that case.
-    """
-    from .cpsat_solver import CpSatPlacementSolver
-
-    return CpSatPlacementSolver(config)
-
-
 register_backend("greedy", PlacementSolver)
 register_backend("milp", MilpPlacementSolver)
-register_backend("cpsat", _cpsat_factory)

@@ -164,7 +164,6 @@ class ControlState:
         "seed_depth",
         "_fingerprint",
         "_lr_level",
-        "_tx_fraction",
         "_pending_reason",
         "cycles",
         "warm_cycles",
@@ -186,7 +185,6 @@ class ControlState:
         self.seed_depth = seed_depth
         self._fingerprint: Optional[CycleFingerprint] = None
         self._lr_level: Optional[float] = None
-        self._tx_fraction: Optional[float] = None
         self._pending_reason: Optional[str] = None
         #: Lifetime counters (telemetry; the recorder aggregates per run).
         self.cycles = 0
@@ -200,17 +198,6 @@ class ControlState:
     def lr_level(self) -> Optional[float]:
         """Previous cycle's converged hypothetical-utility level."""
         return self._lr_level
-
-    @property
-    def tx_fraction(self) -> Optional[float]:
-        """Previous cycle's transactional share of capacity.
-
-        Recorded for downstream warm starts (the ROADMAP's MILP
-        warm-start item); the bisection arbiter itself stays hint-free so
-        its trajectory -- and therefore the placement -- is identical
-        warm or cold.
-        """
-        return self._tx_fraction
 
     @property
     def fingerprint(self) -> Optional[CycleFingerprint]:
@@ -262,22 +249,13 @@ class ControlState:
         scale = max(abs(new), abs(old))
         return scale > 0 and abs(new - old) > self.demand_rtol * scale
 
-    def complete_cycle(
-        self,
-        fingerprint: CycleFingerprint,
-        lr_level: float,
-        tx_allocation: Mhz,
-    ) -> None:
+    def complete_cycle(self, fingerprint: CycleFingerprint, lr_level: float) -> None:
         """Store the cycle's converged results as the next cycle's hints."""
         self._fingerprint = fingerprint
         self._lr_level = lr_level
-        self._tx_fraction = (
-            tx_allocation / fingerprint.capacity if fingerprint.capacity > 0 else None
-        )
 
     def invalidate(self, reason: str = "external") -> None:
         """Drop every hint; the next cycle runs cold (``invalidated:<reason>``)."""
         self._fingerprint = None
         self._lr_level = None
-        self._tx_fraction = None
         self._pending_reason = reason

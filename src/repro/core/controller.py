@@ -43,7 +43,7 @@ from ..cluster.actions import PlacementAction
 from ..cluster.node import NodeSpec
 from ..cluster.placement import Placement
 from ..cluster.vm import VmState
-from ..config import ControllerConfig
+from ..config import ControllerConfig, SolverConfig
 from ..errors import UnknownEntityError
 from ..netmodel.context import NetworkContext
 from ..perf.estimator import ParameterTracker, with_network_delay
@@ -66,7 +66,7 @@ from .hypothetical import (
     HypotheticalAllocation,
     longrunning_max_utility_demand,
 )
-from .backends import make_solver
+from .backends import SolverBackend, make_solver
 from .job_scheduler import AppRequest, JobRequest
 from .placement_solver import PlacementSolution
 
@@ -120,6 +120,28 @@ def _solution_value(solution: PlacementSolution) -> float:
     return sum(solution.job_rates.values()) + sum(
         solution.app_allocations.values()
     )
+
+
+def make_oracle(config: SolverConfig, backend: str) -> SolverBackend:
+    """The exact solver ``backend`` relaxed into an optimality bound.
+
+    The relaxation is the differential harness's -- ``min_job_rate=0``
+    and no change penalty -- so every solution a production solver
+    built from ``config`` can emit is feasible for the oracle, and the
+    oracle's satisfied demand upper-bounds it.
+    """
+    return make_solver(
+        dataclasses.replace(
+            config, backend=backend, min_job_rate=0.0, change_penalty_mhz=0.0
+        )
+    )
+
+
+def optimality_gap(achieved: Mhz, bound: Mhz) -> float:
+    """Relative shortfall of ``achieved`` below ``bound``, clamped at 0."""
+    if bound <= 0.0:
+        return 0.0
+    return max(0.0, (bound - achieved) / bound)
 
 
 @dataclass(frozen=True)
@@ -212,23 +234,13 @@ class UtilityDrivenController:
     def _build_oracle(self):
         """The background optimality oracle, or None when disabled.
 
-        Built eagerly so a bad backend name (or a missing optional
-        dependency, e.g. or-tools for ``"cpsat"``) fails at construction
-        rather than mid-run.  The oracle gets the differential-harness
-        relaxation -- ``min_job_rate=0`` and no change penalty -- so its
-        objective upper-bounds every solution the production solver can
-        emit and the reported gap is a true optimality gap (>= 0).
+        Built eagerly so a bad backend name fails at construction rather
+        than mid-run.  See :func:`make_oracle` for why the reported gap
+        is a true optimality gap (>= 0).
         """
         if self.config.exact_oracle is None:
             return None
-        return make_solver(
-            dataclasses.replace(
-                self.config.solver,
-                backend=self.config.exact_oracle,
-                min_job_rate=0.0,
-                change_penalty_mhz=0.0,
-            )
-        )
+        return make_oracle(self.config.solver, self.config.exact_oracle)
 
     # ------------------------------------------------------------------
     # Observation feed
@@ -326,12 +338,6 @@ class UtilityDrivenController:
         job_requests = self._job_requests(included, population, hypothetical)
         t4 = perf_counter()
 
-        # Exact backends take a warm-start hint: the previous cycle's
-        # transactional capacity share (the incumbent placement itself
-        # travels in the requests).  The greedy solver has no such hook.
-        warm_hint = getattr(self._solver, "warm_start", None)
-        if warm_hint is not None:
-            warm_hint(state.tx_fraction)
         solution = self._solver.solve(
             nodes, app_requests, job_requests, lr_target=split.lr_allocation
         )
@@ -342,11 +348,11 @@ class UtilityDrivenController:
         # Background optimality oracle -- after the decision is final,
         # so its wall-time never pollutes the stage timings above and
         # its answer never changes the cycle's outcome.
-        optimality_gap, exact_ms = self._run_oracle(
+        gap, exact_ms = self._run_oracle(
             nodes, app_requests, job_requests, split.lr_allocation, solution
         )
 
-        state.complete_cycle(fingerprint, hypothetical.utility_level, split.tx_allocation)
+        state.complete_cycle(fingerprint, hypothetical.utility_level)
         eq_stats = lr_curve.equalizer.stats
         telemetry = CycleTelemetry(
             mode="warm" if warm else "cold",
@@ -381,7 +387,7 @@ class UtilityDrivenController:
             population_size=len(population),
             app_targets=dict(app_targets),
             telemetry=telemetry,
-            optimality_gap=optimality_gap,
+            optimality_gap=gap,
             exact_ms=exact_ms,
         )
         return ControlDecision(
@@ -417,20 +423,16 @@ class UtilityDrivenController:
             return math.nan, math.nan
         start = perf_counter()
         try:
-            warm_hint = getattr(self._oracle, "warm_start", None)
-            if warm_hint is not None:
-                warm_hint(self.control_state.tx_fraction)
             exact = self._oracle.solve(
                 nodes, app_requests, job_requests, lr_target=lr_target
             )
         except Exception:
             return math.nan, (perf_counter() - start) * 1e3
         exact_ms = (perf_counter() - start) * 1e3
-        best = _solution_value(exact)
-        if best <= 0.0:
-            return 0.0, exact_ms
-        achieved = _solution_value(solution)
-        return max(0.0, (best - achieved) / best), exact_ms
+        return (
+            optimality_gap(_solution_value(solution), _solution_value(exact)),
+            exact_ms,
+        )
 
     def _tx_curves(
         self, app_nodes: Optional[Mapping[str, frozenset[str]]] = None

@@ -72,7 +72,6 @@ Select it with ``SolverConfig(backend="milp")``.
 
 from __future__ import annotations
 
-import inspect
 from typing import Optional, Sequence
 
 import numpy as np
@@ -106,19 +105,6 @@ class MilpPlacementSolver:
 
     def __init__(self, config: SolverConfig | None = None) -> None:
         self.config = config or SolverConfig()
-        self._tx_fraction: Optional[float] = None
-
-    # ------------------------------------------------------------------
-    def warm_start(self, tx_fraction: Optional[float]) -> None:
-        """Record a warm-start hint from the previous control cycle.
-
-        ``scipy.optimize.milp`` exposes no incumbent or basis interface
-        (checked against the signature at import time), so today the
-        hint is stored for parity with the CP-SAT backend and dropped.
-        If a future scipy release grows an ``x0``-style parameter,
-        :func:`_solve_model` picks it up automatically.
-        """
-        self._tx_fraction = tx_fraction
 
     # ------------------------------------------------------------------
     def solve(
@@ -174,23 +160,19 @@ class MilpPlacementSolver:
             lr_target,
             self.config,
         )
-        values = _solve_model(
-            model, hint=_incumbent_vector(model, self._tx_fraction)
-        )
-        extract_solution(solution, model, values)
+        _extract_solution(solution, model, _solve_model(model))
         return solution
 
 
-def extract_solution(
+def _extract_solution(
     solution: PlacementSolution,
     model: "_Model",
     values: np.ndarray,
 ) -> None:
     """Translate a flat MIP solution vector into a PlacementSolution.
 
-    Shared by the MILP and CP-SAT backends: both lay their variables out
-    as ``x`` (J*N), ``r`` (J*N), ``y`` (A*N), ``w`` (A*N) blocks, so one
-    extraction covers both (see :class:`_Model` for the layout fields).
+    ``values`` follows the ``x`` (J*N), ``r`` (J*N), ``y`` (A*N), ``w``
+    (A*N) block layout of :func:`_build_model`.
     """
     jobs, apps, nodes = model.jobs, model.apps, model.nodes
     num_nodes = len(nodes)
@@ -280,7 +262,6 @@ class _Model:
         "jobs",
         "running",
         "rate_caps",
-        "lr_envelope",
         "num_x",
         "num_y",
         "y_off",
@@ -328,7 +309,6 @@ def _build_model(
     model.jobs = jobs
     model.running = running
     model.rate_caps = rate_caps
-    model.lr_envelope = lr_envelope
     model.num_x = num_jobs * num_nodes
     model.num_y = num_apps * num_nodes
     model.y_off = 2 * model.num_x
@@ -527,52 +507,7 @@ def _build_model(
     return model
 
 
-#: Name of ``scipy.optimize.milp``'s warm-start parameter, if the
-#: installed scipy exposes one (none does as of 1.17 -- HiGHS accepts
-#: incumbents but scipy does not thread them through yet).
-_MILP_HINT_PARAM: Optional[str] = next(
-    (
-        name
-        for name in ("x0", "hint")
-        if name in inspect.signature(optimize.milp).parameters
-    ),
-    None,
-)
-
-
-def _incumbent_vector(
-    model: _Model, tx_fraction: Optional[float] = None
-) -> np.ndarray:
-    """Flat variable vector describing the incumbent placement.
-
-    Used as a warm-start hint: ``x`` is 1 at each running job's current
-    node, ``y`` is 1 at each app's current instances, and ``w`` guesses
-    each current instance's grant from ``tx_fraction`` (the previous
-    cycle's transactional share of capacity, via
-    ``ControlState.tx_fraction``).  Hints need not be feasible -- both
-    backends treat them as a search starting point, not a constraint.
-    """
-    num_nodes = len(model.nodes)
-    vec = np.zeros(model.w_off + model.num_y)
-    node_index = {n.node_id: i for i, n in enumerate(model.nodes)}
-    for j, request in enumerate(model.running):
-        vec[j * num_nodes + node_index[request.current_node]] = 1.0
-    share = min(max(tx_fraction or 0.0, 0.0), 1.0)
-    for a, app in enumerate(model.apps):
-        for node_id in app.current_nodes:
-            n = node_index.get(node_id)
-            if n is None:
-                continue
-            vec[model.y_off + a * num_nodes + n] = 1.0
-            vec[model.w_off + a * num_nodes + n] = share * float(
-                model.nodes[n].cpu_capacity
-            )
-    return vec
-
-
-def _solve_model(
-    model: _Model, hint: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _solve_model(model: _Model) -> np.ndarray:
     """Run HiGHS branch-and-bound; raise :class:`ModelError` on failure.
 
     HiGHS presolve occasionally reports "Status 4: Solve error" on
@@ -581,11 +516,6 @@ def _solve_model(
     error surfaces.  The retry only runs where the single attempt used
     to raise, so successful solves stay bit-identical.
     """
-    extra = (
-        {_MILP_HINT_PARAM: hint}
-        if _MILP_HINT_PARAM is not None and hint is not None
-        else {}
-    )
     result = None
     for options in (
         {"mip_rel_gap": 1e-6},
@@ -597,7 +527,6 @@ def _solve_model(
             integrality=model.integrality,
             bounds=optimize.Bounds(model.lower, model.upper),
             options=options,
-            **extra,
         )
         if result.status == 0 and result.x is not None:
             return np.asarray(result.x, dtype=float)

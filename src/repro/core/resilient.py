@@ -103,7 +103,7 @@ class ResilientController:
             )
         except ModelError:
             # An exact backend failed to solve the cycle's instance
-            # (e.g. a HiGHS or CP-SAT solver error).  Same last-known-
+            # (e.g. a HiGHS solver error).  Same last-known-
             # good fallback, but its own counter -- a solver-health
             # signal, distinct from arbitrary policy exceptions.
             return self._degrade(

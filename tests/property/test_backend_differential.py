@@ -1,26 +1,21 @@
-"""Differential validation: greedy heuristic vs the exact backends.
+"""Differential validation: greedy heuristic vs the exact MILP backend.
 
-On randomized small instances every backend must produce feasible
+On randomized small instances both backends must produce feasible
 solutions (the shared :func:`assert_solution_feasible` contract), and
-the exact objectives must dominate the greedy one: every greedy solution
-is feasible for the exact models (their constraint set is the
+the MILP objective must dominate the greedy one: every greedy solution
+is feasible for the exact model (its constraint set is the
 work-conserving envelope of the heuristic's reachable states), so an
-optimal answer below the greedy objective is a formulation bug -- in
-either backend.
+optimal answer below the greedy objective is a formulation bug.
 
-The exact backends run with ``change_penalty_mhz=0`` so the objectives
-compare pure satisfied demand; HiGHS's relative MIP gap (1e-6), CP-SAT's
-micro-MHz quantization and extraction rounding motivate the small
-epsilon.
+The MILP runs with ``change_penalty_mhz=0`` so the objectives compare
+pure satisfied demand; HiGHS's relative MIP gap (1e-6) and extraction
+rounding motivate the small epsilon.
 
 Every generated instance carries at least one zero-demand job
 (``target_rate=0.0``): those degenerate columns historically crashed the
 MILP backend via a HiGHS presolve bug, so the strategy pins them into
 the search space rather than waiting for :func:`solver_inputs` to
 stumble on one.
-
-The CP-SAT tests skip cleanly when or-tools is absent (it is an optional
-dependency); the greedy-vs-MILP tests always run.
 """
 
 import pytest
@@ -28,27 +23,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import SolverConfig
-from repro.core import (
-    AppRequest,
-    JobRequest,
-    MilpPlacementSolver,
-    PlacementSolver,
-)
+from repro.core import JobRequest, make_oracle
 from repro.core.backends import make_solver
 
 from ..helpers import assert_solution_feasible, solution_objective
 
 from .test_placement_invariants import solver_inputs
-
-
-@pytest.fixture(scope="module")
-def cpsat_available():
-    """Skip CP-SAT differential tests when or-tools is not installed.
-
-    Module-scoped so it composes with ``@given`` (hypothesis rejects
-    function-scoped fixtures on property tests).
-    """
-    pytest.importorskip("ortools.sat.python.cp_model")
 
 
 @st.composite
@@ -88,63 +68,36 @@ def small_instances(draw, max_nodes: int = 4, max_jobs: int = 8):
     return nodes, apps, jobs, lr_target, budget
 
 
-def _objective(backend, nodes, apps, jobs, lr_target, budget):
-    # min_job_rate=0 on all sides: the greedy's eviction path may admit
-    # below the floor (it inherits the freed node's residual), so the
-    # floor must be off for the dominance relation to be exact.  The
-    # floor semantics themselves are unit-tested in
-    # tests/unit/test_core_milp_solver.py.  The exact backends also drop
-    # the change penalty so objectives compare pure satisfied demand.
-    if backend == "greedy":
-        config = SolverConfig(change_budget=budget, min_job_rate=0.0)
-    else:
-        config = SolverConfig(
-            backend=backend, change_budget=budget, change_penalty_mhz=0.0,
-            min_job_rate=0.0,
+def _objectives(nodes, apps, jobs, lr_target, budget):
+    """(greedy, milp) satisfied demand, each solution checked feasible.
+
+    min_job_rate=0 on both sides: the greedy's eviction path may admit
+    below the floor (it inherits the freed node's residual), so the
+    floor must be off for the dominance relation to be exact.  The
+    floor semantics themselves are unit-tested in
+    tests/unit/test_core_milp_solver.py.  The MILP is the controller's
+    optimality oracle (:func:`make_oracle`), which also drops the change
+    penalty so objectives compare pure satisfied demand.
+    """
+    greedy = SolverConfig(change_budget=budget, min_job_rate=0.0)
+    objectives = []
+    for solver in (make_solver(greedy), make_oracle(greedy, "milp")):
+        solution = solver.solve(nodes, apps, jobs, lr_target=lr_target)
+        assert_solution_feasible(
+            solution, nodes, jobs=jobs, apps=apps, budget=budget
         )
-    solution = make_solver(config).solve(nodes, apps, jobs, lr_target=lr_target)
-    assert_solution_feasible(
-        solution, nodes, jobs=jobs, apps=apps, budget=budget
-    )
-    return solution_objective(solution)
+        objectives.append(solution_objective(solution))
+    return objectives
 
 
 @given(small_instances())
 @settings(max_examples=40, deadline=None)
 def test_milp_dominates_greedy_on_small_instances(inputs):
-    nodes, apps, jobs, lr_target, budget = inputs
-    greedy_obj = _objective("greedy", nodes, apps, jobs, lr_target, budget)
-    milp_obj = _objective("milp", nodes, apps, jobs, lr_target, budget)
+    greedy_obj, milp_obj = _objectives(*inputs)
     eps = 1e-4 * max(greedy_obj, 1.0)
     assert milp_obj >= greedy_obj - eps, (
         f"optimal backend below heuristic: milp={milp_obj:.3f} "
         f"greedy={greedy_obj:.3f}"
-    )
-
-
-@given(small_instances())
-@settings(max_examples=25, deadline=None)
-def test_cpsat_dominates_greedy_on_small_instances(cpsat_available, inputs):
-    nodes, apps, jobs, lr_target, budget = inputs
-    greedy_obj = _objective("greedy", nodes, apps, jobs, lr_target, budget)
-    cpsat_obj = _objective("cpsat", nodes, apps, jobs, lr_target, budget)
-    eps = 1e-4 * max(greedy_obj, 1.0)
-    assert cpsat_obj >= greedy_obj - eps, (
-        f"optimal backend below heuristic: cpsat={cpsat_obj:.3f} "
-        f"greedy={greedy_obj:.3f}"
-    )
-
-
-@given(small_instances())
-@settings(max_examples=15, deadline=None)
-def test_cpsat_matches_milp_on_small_instances(cpsat_available, inputs):
-    """The two exact backends agree up to quantization + MIP gap."""
-    nodes, apps, jobs, lr_target, budget = inputs
-    milp_obj = _objective("milp", nodes, apps, jobs, lr_target, budget)
-    cpsat_obj = _objective("cpsat", nodes, apps, jobs, lr_target, budget)
-    eps = 1e-3 * max(milp_obj, cpsat_obj, 1.0)
-    assert abs(cpsat_obj - milp_obj) <= eps, (
-        f"exact backends disagree: cpsat={cpsat_obj:.3f} milp={milp_obj:.3f}"
     )
 
 
@@ -155,7 +108,6 @@ def test_milp_dominates_greedy_full_size(inputs):
     """The heavier sweep: up to 6 nodes and the full job range."""
     nodes, apps, jobs, lr_target, budget = inputs
     jobs = jobs[:12]  # keep branch-and-bound tractable per example
-    greedy_obj = _objective("greedy", nodes, apps, jobs, lr_target, budget)
-    milp_obj = _objective("milp", nodes, apps, jobs, lr_target, budget)
+    greedy_obj, milp_obj = _objectives(nodes, apps, jobs, lr_target, budget)
     eps = 1e-4 * max(greedy_obj, 1.0)
     assert milp_obj >= greedy_obj - eps

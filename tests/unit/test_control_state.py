@@ -44,16 +44,15 @@ class TestControlStateLifecycle:
     def test_second_compatible_cycle_is_warm(self):
         state = ControlState()
         state.begin_cycle(_fp())
-        state.complete_cycle(_fp(), lr_level=0.4, tx_allocation=4000.0)
+        state.complete_cycle(_fp(), lr_level=0.4)
         warm, reason = state.begin_cycle(_fp())
         assert warm and reason == ""
         assert state.lr_level == 0.4
-        assert state.tx_fraction == pytest.approx(4000.0 / 9000.0)
 
     def test_disabled_state_never_warms(self):
         state = ControlState(warm=False)
         state.begin_cycle(_fp())
-        state.complete_cycle(_fp(), lr_level=0.4, tx_allocation=4000.0)
+        state.complete_cycle(_fp(), lr_level=0.4)
         warm, reason = state.begin_cycle(_fp())
         assert not warm and reason == "disabled"
 
@@ -71,7 +70,7 @@ class TestControlStateLifecycle:
     def test_invalidation_rules(self, changed, reason):
         state = ControlState(demand_rtol=0.35)
         state.begin_cycle(_fp())
-        state.complete_cycle(_fp(), lr_level=0.4, tx_allocation=4000.0)
+        state.complete_cycle(_fp(), lr_level=0.4)
         warm, got = state.begin_cycle(_fp(**changed))
         assert not warm and got == reason
         assert state.invalidations[reason] == 1
@@ -79,27 +78,27 @@ class TestControlStateLifecycle:
     def test_demand_shift_within_tolerance_stays_warm(self):
         state = ControlState(demand_rtol=0.35)
         state.begin_cycle(_fp())
-        state.complete_cycle(_fp(), lr_level=0.4, tx_allocation=4000.0)
+        state.complete_cycle(_fp(), lr_level=0.4)
         warm, _ = state.begin_cycle(_fp(tx=4000.0 * 1.2, lr=5000.0 * 0.8))
         assert warm
 
     def test_explicit_invalidate_forces_one_cold_cycle(self):
         state = ControlState()
         state.begin_cycle(_fp())
-        state.complete_cycle(_fp(), lr_level=0.4, tx_allocation=4000.0)
+        state.complete_cycle(_fp(), lr_level=0.4)
         state.invalidate("operator")
         warm, reason = state.begin_cycle(_fp())
         assert not warm and reason == "invalidated:operator"
         assert state.lr_level is None
         # The next completed cycle restores warm operation.
-        state.complete_cycle(_fp(), lr_level=0.5, tx_allocation=4000.0)
+        state.complete_cycle(_fp(), lr_level=0.5)
         warm, _ = state.begin_cycle(_fp())
         assert warm
 
     def test_lifetime_counters(self):
         state = ControlState()
         state.begin_cycle(_fp())
-        state.complete_cycle(_fp(), lr_level=0.4, tx_allocation=4000.0)
+        state.complete_cycle(_fp(), lr_level=0.4)
         state.begin_cycle(_fp())
         assert state.cycles == 2 and state.warm_cycles == 1
 

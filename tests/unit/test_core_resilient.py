@@ -150,7 +150,7 @@ class TestExceptionFallback:
         # Exact-solver failures (ModelError) are expected operational
         # events, not programming bugs: they fall back like any other
         # exception but under their own counter so dashboards can tell
-        # "the MILP/CP-SAT didn't converge" apart from crashes.
+        # "the MILP didn't converge" apart from crashes.
         from repro.errors import ModelError
 
         nodes = [_node()]
