@@ -8,8 +8,9 @@ scaled scenario.
 
 import os
 
+from repro.api import scenario_spec
 from repro.config import ControllerConfig
-from repro.experiments import run_scenario, scaled_paper_scenario
+from repro.experiments import run_scenario
 from repro.experiments.sweeps import default_metrics, run_sweep, sweep_table
 
 CYCLES = (150.0, 300.0, 600.0, 1200.0)
@@ -20,8 +21,8 @@ _WORKERS = min(len(CYCLES), os.cpu_count() or 1)
 
 
 def scenario_for(cycle: float):
-    return scaled_paper_scenario(
-        scale=0.2, seed=42, controller=ControllerConfig(control_cycle=float(cycle))
+    return scenario_spec("paper", scale=0.2, seed=42).materialize().with_controller(
+        ControllerConfig(control_cycle=float(cycle))
     )
 
 

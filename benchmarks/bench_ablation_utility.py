@@ -9,21 +9,20 @@ and reports how the equalization behaviour shifts.
 
 import pytest
 
+from repro.api import scenario_spec
 from repro.config import ControllerConfig
 from repro.core import UtilityDrivenController
-from repro.experiments import run_scenario, scaled_paper_scenario
+from repro.experiments import run_scenario
 from repro.experiments.report import format_table
 from repro.utility import SigmoidUtility
 
 
 def run_variant(name: str):
-    scenario = scaled_paper_scenario(scale=0.2, seed=42)
+    scenario = scenario_spec("paper", scale=0.2, seed=42).materialize()
     if name == "linear-mean":
         factory = None
     elif name == "linear-level":
-        scenario = scaled_paper_scenario(
-            scale=0.2, seed=42, controller=ControllerConfig(lr_metric="level")
-        )
+        scenario = scenario.with_controller(ControllerConfig(lr_metric="level"))
         factory = None
     elif name == "sigmoid-mean":
         def factory(s):

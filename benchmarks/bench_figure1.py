@@ -8,20 +8,16 @@ series plus the automated shape validation.
 """
 
 from repro.analysis import validate_paper_run
-from repro.experiments import (
-    figure1_series,
-    paper_scenario,
-    render_figure1,
-    run_scenario,
-)
+from repro.api import scenario_spec
+from repro.experiments import figure1_series, render_figure1, run_scenario
 
-from .conftest import condensed_rows
+from conftest import condensed_rows
 
 
 def test_figure1_full_experiment(benchmark):
     """Benchmark the full paper experiment; validate Figure 1's shape."""
     result = benchmark.pedantic(
-        lambda: run_scenario(paper_scenario(seed=42)),
+        lambda: run_scenario(scenario_spec("paper", seed=42).materialize()),
         rounds=2,
         iterations=1,
         warmup_rounds=0,

@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.experiments import figure2_series, render_figure2
 
-from .conftest import condensed_rows
+from conftest import condensed_rows
 
 
 def test_figure2_series_and_shape(benchmark, paper_result):

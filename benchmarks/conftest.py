@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import paper_scenario, run_scenario
+from repro.api import scenario_spec
+from repro.experiments import run_scenario
 
 
 @pytest.fixture(scope="session")
 def paper_result():
     """One full-scale (25-node) paper-scenario run, shared across benches."""
-    return run_scenario(paper_scenario(seed=42))
+    return run_scenario(scenario_spec("paper", seed=42).materialize())
 
 
 def condensed_rows(data: dict, every: int = 10, fmt: str = "{:>12.3f}") -> str:

@@ -38,12 +38,7 @@ from .experiments.figures import (
     run_paper_experiment,
 )
 from .experiments.runner import ExperimentResult, ExperimentRunner, run_scenario
-from .experiments.scenario import (
-    Scenario,
-    paper_scenario,
-    scaled_paper_scenario,
-    smoke_scenario,
-)
+from .experiments.scenario import Scenario
 
 __all__ = [
     "__version__",
@@ -55,9 +50,6 @@ __all__ = [
     "NoiseConfig",
     "UtilityDrivenController",
     "Scenario",
-    "paper_scenario",
-    "scaled_paper_scenario",
-    "smoke_scenario",
     "ExperimentRunner",
     "ExperimentResult",
     "run_scenario",

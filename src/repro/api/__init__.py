@@ -69,14 +69,19 @@ from .spec import (
     SCENARIO_SCHEMA,
     AppSpec,
     ConstantProfileSpec,
+    DifferentiatedTraceSpec,
     DiurnalProfileSpec,
     JobTraceSpec,
     NoisyProfileSpec,
+    NoJobsSpec,
+    PaperTraceSpec,
     ProfileSpec,
     ScenarioSpec,
     SpecValidationError,
     StepProfileSpec,
     TopologySpec,
+    UniformTraceSpec,
+    WeightedTemplate,
     dumps_toml,
 )
 
@@ -86,6 +91,11 @@ __all__ = [
     "TopologySpec",
     "AppSpec",
     "JobTraceSpec",
+    "PaperTraceSpec",
+    "UniformTraceSpec",
+    "DifferentiatedTraceSpec",
+    "NoJobsSpec",
+    "WeightedTemplate",
     "ProfileSpec",
     "ConstantProfileSpec",
     "StepProfileSpec",

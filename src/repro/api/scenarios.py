@@ -17,10 +17,27 @@ from a name alone:
 
 Builders accept keyword parameters (``seed`` everywhere, ``scale`` where
 meaningful) and the resulting spec can be further adjusted with
-:meth:`ScenarioSpec.with_overrides`.  The numeric constants mirror the
-imperative builders in :mod:`repro.experiments.scenario`, which remain
-the source of truth for the paper's parameters (parity is enforced by
-``tests/unit/test_api_spec.py``).
+:meth:`ScenarioSpec.with_overrides`.  To run a scenario as a
+:class:`~repro.experiments.scenario.Scenario`, materialize its spec:
+``scenario_spec("paper", scale=0.2).materialize()``.
+
+This registry is the one source of the paper's parameters.  The
+``paper`` scenario reproduces them:
+
+* 25 nodes x 4 processors (3000 MHz each -> 300 GHz cluster), memory
+  sized so only three jobs fit per node;
+* 800 identical jobs, each capped at one processor, submitted with
+  exponential inter-arrival times of mean 260 s; the submission rate
+  drops near the end of the run;
+* a constant transactional workload (closed session population) whose
+  max-utility demand is about 70% of cluster capacity;
+* placement recomputed every 600 s; horizon 70 000 s (the span of the
+  paper's Figures 1-2).
+
+``paper`` with ``scale < 1`` shrinks nodes, session population and job
+arrival rate together, so the contention dynamics (ramp, crossover,
+equalization, recovery) are preserved at a fraction of the simulation
+cost; the horizon stays at 70 000 s because job durations do not scale.
 """
 
 from __future__ import annotations
@@ -30,13 +47,7 @@ from typing import Callable
 from ..cluster.topology import NodeClass
 from ..config import ControllerConfig, NoiseConfig
 from ..errors import ConfigurationError
-from ..experiments.scenario import (
-    PAPER_RT_GOAL,
-    PAPER_SERVICE_CYCLES,
-    PAPER_SESSIONS,
-    PAPER_THINK_TIME,
-    NodeFailure,
-)
+from ..experiments.scenario import NodeFailure
 from ..faults import (
     BrownoutFaultSpec,
     CrashFaultSpec,
@@ -45,16 +56,18 @@ from ..faults import (
     ZoneOutageSpec,
 )
 from ..netmodel import NetworkSpec, ZoneSpec
-from ..workloads.tracegen import PAPER_JOB_TEMPLATE, JobTemplate
+from ..workloads.tracegen import JobTemplate
 from .spec import (
     AppSpec,
     ConstantProfileSpec,
+    DifferentiatedTraceSpec,
     DiurnalProfileSpec,
-    JobTraceSpec,
     NoisyProfileSpec,
+    PaperTraceSpec,
     ProfileSpec,
     ScenarioSpec,
     TopologySpec,
+    WeightedTemplate,
 )
 
 #: Builds a scenario spec; keyword parameters tune the family.
@@ -107,6 +120,15 @@ def scenario_spec(name: str, **params) -> ScenarioSpec:
 # ----------------------------------------------------------------------
 # Shared pieces
 # ----------------------------------------------------------------------
+#: Transactional parameters tuned so the app's utility plateau is 0.75
+#: (matching Figure 1's uncontended level) and its max-utility demand is
+#: ~210 GHz on the 300 GHz cluster (matching Figure 2's demand band).
+PAPER_SESSIONS = 210.0
+PAPER_THINK_TIME = 0.2
+PAPER_SERVICE_CYCLES = 300.0
+PAPER_RT_GOAL = 0.4
+
+
 def _paper_app(
     sessions: float = PAPER_SESSIONS,
     noise_rel_std: float = 0.04,
@@ -116,11 +138,15 @@ def _paper_app(
     rt_goal: float = PAPER_RT_GOAL,
     profile: ProfileSpec | None = None,
 ) -> AppSpec:
-    """Spec mirror of :func:`repro.experiments.scenario.paper_tx_app`.
+    """The paper's transactional workload.
 
-    ``profile`` replaces the constant paper intensity (noise still wraps
-    it when ``noise_rel_std`` > 0); ``app_id``/``rt_goal`` support the
-    multi-app differentiation scenarios.
+    A closed population of ``sessions`` clients with small think time;
+    the session count is modulated by low-amplitude lognormal noise per
+    control-cycle window, producing the wiggle visible in the paper's
+    transactional demand curve.  ``profile`` replaces the constant paper
+    intensity (noise still wraps it when ``noise_rel_std`` > 0);
+    ``app_id``/``rt_goal`` support the multi-app differentiation
+    scenarios.
     """
     if profile is None:
         profile = ConstantProfileSpec(sessions)
@@ -142,14 +168,13 @@ def _paper_app(
     )
 
 
-def _scaled_paper_parts(scale: float) -> tuple[int, float, JobTraceSpec]:
+def _scaled_paper_parts(scale: float) -> tuple[int, float, PaperTraceSpec]:
     """(num_nodes, node_ratio, job trace) of the scaled paper scenario."""
     if not 0 < scale <= 1:
         raise ConfigurationError("scale must be in (0, 1]")
     num_nodes = max(int(round(25 * scale)), 2)
     node_ratio = num_nodes / 25.0
-    jobs = JobTraceSpec(
-        kind="paper",
+    jobs = PaperTraceSpec(
         count=max(int(round(800 * node_ratio)), 10),
         mean_interarrival=260.0 / node_ratio,
         rate_drop_time=60_000.0,
@@ -157,55 +182,43 @@ def _scaled_paper_parts(scale: float) -> tuple[int, float, JobTraceSpec]:
     return num_nodes, node_ratio, jobs
 
 
+def _scaled_paper(
+    name: str, seed: int, horizon: float, scale: float = 0.2, **parts
+) -> ScenarioSpec:
+    """The paper scenario scaled by ``scale``; ``parts`` replace its
+    topology, apps or jobs, or add fields such as ``failures``."""
+    num_nodes, node_ratio, jobs = _scaled_paper_parts(scale)
+    app = _paper_app(sessions=PAPER_SESSIONS * node_ratio, max_instances=num_nodes)
+    spec_parts = dict(
+        topology=TopologySpec(num_nodes=num_nodes), apps=(app,), jobs=jobs
+    )
+    spec_parts.update(parts)
+    return ScenarioSpec(name=name, seed=seed, horizon=horizon, **spec_parts)
+
+
 # ----------------------------------------------------------------------
 # Registered scenarios
 # ----------------------------------------------------------------------
 def paper(seed: int = 42, scale: float = 1.0) -> ScenarioSpec:
     """The paper's evaluation scenario (Figures 1-2), optionally scaled."""
-    if scale >= 1.0:
-        return ScenarioSpec(
-            name="paper-fig1-fig2",
-            seed=seed,
-            horizon=70_000.0,
-            topology=TopologySpec(num_nodes=25),
-            apps=(_paper_app(max_instances=25),),
-            jobs=JobTraceSpec(
-                kind="paper",
-                count=800,
-                mean_interarrival=260.0,
-                rate_drop_time=60_000.0,
-            ),
-        )
-    num_nodes, node_ratio, jobs = _scaled_paper_parts(scale)
-    return ScenarioSpec(
-        name=f"paper-scaled-{scale:g}",
-        seed=seed,
-        horizon=70_000.0,
-        topology=TopologySpec(num_nodes=num_nodes),
-        apps=(
-            _paper_app(
-                sessions=PAPER_SESSIONS * node_ratio, max_instances=num_nodes
-            ),
-        ),
-        jobs=jobs,
-    )
+    name = "paper-fig1-fig2" if scale >= 1.0 else f"paper-scaled-{scale:g}"
+    return _scaled_paper(name, seed, 70_000.0, min(scale, 1.0))
 
 
 def smoke(seed: int = 7) -> ScenarioSpec:
-    """Spec mirror of :func:`repro.experiments.scenario.smoke_scenario`."""
+    """A minutes-long toy scenario used by fast integration tests."""
     return ScenarioSpec(
         name="smoke",
         seed=seed,
         horizon=6_000.0,
         topology=TopologySpec(num_nodes=4),
         apps=(_paper_app(sessions=40.0, noise_rel_std=0.0, max_instances=4),),
-        jobs=JobTraceSpec(
-            kind="paper",
+        jobs=PaperTraceSpec(
             count=20,
             mean_interarrival=300.0,
             rate_drop_time=4_000.0,
             template=JobTemplate(
-                total_work=1_200.0 * 3000.0,
+                total_work=1_200.0 * 3000.0,  # 20 minutes at one processor
                 speed_cap_mhz=3000.0,
                 memory_mb=1200.0,
                 goal_factor=4.0,
@@ -218,18 +231,10 @@ def smoke(seed: int = 7) -> ScenarioSpec:
 
 def failure_recovery(seed: int = 3) -> ScenarioSpec:
     """Two of five nodes fail mid-run; one later recovers."""
-    num_nodes, node_ratio, jobs = _scaled_paper_parts(0.2)
-    return ScenarioSpec(
-        name="failure-recovery",
-        seed=seed,
-        horizon=40_000.0,
-        topology=TopologySpec(num_nodes=num_nodes),
-        apps=(
-            _paper_app(
-                sessions=PAPER_SESSIONS * node_ratio, max_instances=num_nodes
-            ),
-        ),
-        jobs=jobs,
+    return _scaled_paper(
+        "failure-recovery",
+        seed,
+        40_000.0,
         failures=(
             NodeFailure(at=12_000.0, node_id="node001", restore_at=26_000.0),
             NodeFailure(at=18_000.0, node_id="node003"),  # permanent loss
@@ -258,22 +263,17 @@ SILVER_TEMPLATE = JobTemplate(
 
 def service_differentiation(seed: int = 11) -> ScenarioSpec:
     """Two job classes with different completion-time goals, one cluster."""
-    num_nodes, node_ratio, _ = _scaled_paper_parts(0.2)
-    return ScenarioSpec(
-        name="service-differentiation",
-        seed=seed,
-        horizon=70_000.0,
-        topology=TopologySpec(num_nodes=num_nodes),
-        apps=(
-            _paper_app(
-                sessions=PAPER_SESSIONS * node_ratio, max_instances=num_nodes
-            ),
-        ),
-        jobs=JobTraceSpec(
-            kind="differentiated",
+    return _scaled_paper(
+        "service-differentiation",
+        seed,
+        70_000.0,
+        jobs=DifferentiatedTraceSpec(
             count=60,
             mean_interarrival=520.0,
-            templates=((GOLD_TEMPLATE, 0.5), (SILVER_TEMPLATE, 0.5)),
+            templates=(
+                WeightedTemplate(0.5, GOLD_TEMPLATE),
+                WeightedTemplate(0.5, SILVER_TEMPLATE),
+            ),
             stream="diff-jobs",
         ),
     )
@@ -282,19 +282,7 @@ def service_differentiation(seed: int = 11) -> ScenarioSpec:
 def consolidation(seed: int = 42, scale: float = 0.2) -> ScenarioSpec:
     """The policy-comparison bed: the scaled paper scenario, run once per
     registered policy (utility-driven vs the static/one-sided baselines)."""
-    num_nodes, node_ratio, jobs = _scaled_paper_parts(scale)
-    return ScenarioSpec(
-        name="consolidation",
-        seed=seed,
-        horizon=70_000.0,
-        topology=TopologySpec(num_nodes=num_nodes),
-        apps=(
-            _paper_app(
-                sessions=PAPER_SESSIONS * node_ratio, max_instances=num_nodes
-            ),
-        ),
-        jobs=jobs,
-    )
+    return _scaled_paper("consolidation", seed, 70_000.0, scale)
 
 
 def heterogeneous_cluster(seed: int = 21) -> ScenarioSpec:
@@ -328,8 +316,7 @@ def heterogeneous_cluster(seed: int = 21) -> ScenarioSpec:
                 max_instances=sum(cls.count for cls in classes),
             ),
         ),
-        jobs=JobTraceSpec(
-            kind="paper",
+        jobs=PaperTraceSpec(
             count=30,
             mean_interarrival=1_600.0,
             rate_drop_time=30_000.0,
@@ -403,8 +390,7 @@ def diurnal(seed: int = 17) -> ScenarioSpec:
                 ),
             ),
         ),
-        jobs=JobTraceSpec(
-            kind="paper",
+        jobs=PaperTraceSpec(
             count=90,
             mean_interarrival=900.0,
             rate_drop_time=72_000.0,
@@ -420,19 +406,11 @@ def overload(seed: int = 5) -> ScenarioSpec:
     far exceeds the 60 GHz cluster; exercises eviction churn bounds,
     completion protection and starvation avoidance.
     """
-    num_nodes, node_ratio, _ = _scaled_paper_parts(0.2)
-    return ScenarioSpec(
-        name="overload",
-        seed=seed,
-        horizon=30_000.0,
-        topology=TopologySpec(num_nodes=num_nodes),
-        apps=(
-            _paper_app(
-                sessions=PAPER_SESSIONS * node_ratio, max_instances=num_nodes
-            ),
-        ),
-        jobs=JobTraceSpec(
-            kind="paper",
+    return _scaled_paper(
+        "overload",
+        seed,
+        30_000.0,
+        jobs=PaperTraceSpec(
             count=80,
             mean_interarrival=650.0,
             rate_drop_time=24_000.0,
@@ -451,18 +429,10 @@ def chaos_soak(seed: int = 23) -> ScenarioSpec:
     graceful-degradation control plane (pair with the ``chaos-utility``
     policy to also inject controller-level decide() failures).
     """
-    num_nodes, node_ratio, jobs = _scaled_paper_parts(0.2)
-    return ScenarioSpec(
-        name="chaos-soak",
-        seed=seed,
-        horizon=40_000.0,
-        topology=TopologySpec(num_nodes=num_nodes),
-        apps=(
-            _paper_app(
-                sessions=PAPER_SESSIONS * node_ratio, max_instances=num_nodes
-            ),
-        ),
-        jobs=jobs,
+    return _scaled_paper(
+        "chaos-soak",
+        seed,
+        40_000.0,
         faults=FaultPlanSpec(
             crashes=(CrashFaultSpec(mtbf=25_000.0, mttr=4_000.0),),
             zone_outages=(ZoneOutageSpec(zones=2, mtbf=60_000.0, mttr=2_500.0),),
@@ -540,8 +510,7 @@ def edge_cloud_continuum(seed: int = 19) -> ScenarioSpec:
                 rt_goal=PAPER_RT_GOAL * 0.5,
             ),
         ),
-        jobs=JobTraceSpec(
-            kind="paper",
+        jobs=PaperTraceSpec(
             count=30,
             mean_interarrival=1_600.0,
             rate_drop_time=30_000.0,
@@ -573,8 +542,7 @@ def cross_zone_failover(seed: int = 29) -> ScenarioSpec:
                 rt_goal=PAPER_RT_GOAL * 0.5,
             ),
         ),
-        jobs=JobTraceSpec(
-            kind="paper",
+        jobs=PaperTraceSpec(
             count=30,
             mean_interarrival=1_600.0,
             rate_drop_time=30_000.0,

@@ -14,7 +14,22 @@ Specs are the unit the scenario registry (:mod:`repro.api.scenarios`),
 the :class:`~repro.api.experiment.Experiment` facade and the
 ``python -m repro`` CLI trade in; validation failures raise
 :class:`SpecValidationError` naming the offending field by its dotted
-path (``apps[0].rt_goal``, ``topology.classes[1].count`` ...).
+path (``scenario.apps[0].rt_goal``, ``scenario.topology.classes[1].count``
+...).
+
+One codec, :func:`encode` / :func:`decode`, serializes every spec class
+and the config, fault and network dataclasses a spec holds, driven by
+dataclass fields and their type hints.  Its three rules:
+
+* **Fields map to keys**, in field order; tuples are lists.  Decoding
+  checks each value against its type hint and rejects unknown keys,
+  both by dotted path; a missing key takes the field's default.
+* **Unions are tagged by** ``kind``: each member of a union of spec
+  classes (intensity profiles, job traces) has a ``kind`` class
+  attribute, written as its table's first key.
+* **None and empty tuples are omitted** (a failure without
+  ``restore_at``, an unlimited ``change_budget``), because TOML has no
+  null.
 
 Serialized layout (schema tag ``repro.scenario/v1``)::
 
@@ -27,10 +42,6 @@ Serialized layout (schema tag ``repro.scenario/v1``)::
       "jobs": {"kind": "paper" | "uniform" | "differentiated" | "none", ...},
       "controller": {..., "solver": {...}},
       "costs": {...}, "noise": {...},
-      "network": {                                  # zoned latency model
-        "rtt_ms": [[0.0, 20.0], [20.0, 0.0]],
-        "zones": [{"name": "edge", "users": 70.0}, ...]
-      },
       "failures": [{"at", "node_id", "restore_at"?}, ...],
       "faults": {                                   # stochastic fault models
         "crashes":      [{"mtbf", "mttr", "node_class"?, "start"?}, ...],
@@ -39,9 +50,24 @@ Serialized layout (schema tag ``repro.scenario/v1``)::
                           "node_class"?, "start"?}, ...],
         "flaps":        [{"mtbf", "flaps", "down", "up",
                           "node_class"?, "start"?}, ...],
-        "stream"?: "faults"
+        "stream": "faults"
+      },
+      "network": {                                  # zoned latency model
+        "zones": [{"name": "edge", "users": 70.0}, ...],
+        "rtt_ms": [[0.0, 20.0], [20.0, 0.0]]
       }
     }
+
+The ``jobs`` table is one of four per-kind trace specs, each with only
+the fields its generator uses.  ``paper``, ``uniform`` and
+``differentiated`` share ``count``, ``mean_interarrival`` and
+``stream``; ``paper`` (:class:`PaperTraceSpec`) adds
+``rate_drop_time``, ``rate_drop_ratio``, ``initial_jobs`` and an
+optional ``template``; ``uniform`` (:class:`UniformTraceSpec`) adds
+``start`` and a required ``template``; ``differentiated``
+(:class:`DifferentiatedTraceSpec`) adds ``start`` and ``templates``, a
+list of ``{weight, template}`` tables; ``none`` (:class:`NoJobsSpec`)
+has no other keys.
 
 ``failures`` lists *scheduled* events at fixed instants; ``faults``
 declares *stochastic* processes (MTBF/MTTR renewal models) that
@@ -60,34 +86,26 @@ user populations.  It requires a class-based topology (each
 its ``zone`` field, defaulting to the class name) and is purely
 schema-additive -- specs without it parse, materialize and simulate
 exactly as before the network subsystem existed.
-
-Optional fields holding ``None`` (e.g. a failure without ``restore_at``,
-an unlimited ``change_budget``) are omitted on serialization so the same
-canonical form is expressible in TOML, which has no null.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import ClassVar, Literal, Mapping, Optional, Sequence, Union
 
 from ..cluster.actions import ActionCosts
 from ..cluster.topology import NodeClass, zone_map_from_classes
-from ..config import ControllerConfig, NoiseConfig, SolverConfig
+from ..config import ControllerConfig, NoiseConfig
 from ..errors import ConfigurationError
 from ..experiments.scenario import AppWorkload, NodeFailure, Scenario
-from ..faults.models import (
-    BrownoutFaultSpec,
-    CrashFaultSpec,
-    FaultPlanSpec,
-    FlapFaultSpec,
-    ZoneOutageSpec,
-)
+from ..faults.models import FaultPlanSpec
 from ..faults.plan import compile_faults, validate_failure_schedule
-from ..netmodel.spec import NetworkSpec, ZoneSpec
+from ..netmodel.spec import NetworkSpec
 from ..sim.rng import RngRegistry
 from ..workloads.jobs import JobSpec
 from ..workloads.profiles import (
@@ -115,102 +133,143 @@ class SpecValidationError(ConfigurationError):
 
 
 # ----------------------------------------------------------------------
-# Validation helpers: every failure names the offending field path.
+# The codec: dataclasses <-> plain JSON/TOML data, driven by type hints.
 # ----------------------------------------------------------------------
-_MISSING = object()
+_SCALARS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
 
-def _expect_mapping(value: object, path: str) -> dict:
-    if not isinstance(value, Mapping):
-        raise SpecValidationError(
-            f"{path}: expected a table/object, got {type(value).__name__}"
-        )
-    return dict(value)
+def encode(value: object) -> object:
+    """``value`` as plain data: tables, lists and scalars.
 
-
-def _pop(data: dict, key: str, path: str, default: object = _MISSING) -> object:
-    if key in data:
-        return data.pop(key)
-    if default is _MISSING:
-        raise SpecValidationError(f"{path}.{key}: required field is missing")
-    return default
-
-
-def _no_unknown(data: dict, path: str) -> None:
-    if data:
-        raise SpecValidationError(
-            f"{path}: unknown field(s): {', '.join(sorted(data))}"
-        )
-
-
-def _as_float(value: object, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecValidationError(
-            f"{path}: expected a number, got {type(value).__name__}"
-        )
-    return float(value)
-
-
-def _as_int(value: object, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SpecValidationError(
-            f"{path}: expected an integer, got {type(value).__name__}"
-        )
-    return int(value)
-
-
-def _as_str(value: object, path: str) -> str:
-    if not isinstance(value, str):
-        raise SpecValidationError(
-            f"{path}: expected a string, got {type(value).__name__}"
-        )
+    A dataclass becomes a table of its fields (a union member's ``kind``
+    first), leaving out ``None`` and empty tuples; tuples become lists.
+    """
+    if dataclasses.is_dataclass(value):
+        kind = getattr(type(value), "kind", None)  # a union member's tag
+        data: dict = {} if kind is None else {"kind": kind}
+        for f in dataclasses.fields(value):
+            item = encode(getattr(value, f.name))
+            if item is not None and item != []:
+                data[f.name] = item
+        return data
+    if isinstance(value, (tuple, list)):
+        return [encode(item) for item in value]
     return value
 
 
-def _as_list(value: object, path: str) -> list:
-    if isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Sequence):
-        raise SpecValidationError(
-            f"{path}: expected a list, got {type(value).__name__}"
+def decode(tp: object, data: object, path: str) -> object:
+    """Build a value of type ``tp`` from plain ``data``.
+
+    Wrong types, unknown keys and missing required fields raise
+    :class:`SpecValidationError` naming the value's dotted ``path``; a
+    dataclass's own ``ConfigurationError`` gets its table's path
+    prepended (``scenario.controller.solver: change_penalty_mhz ...``).
+    """
+    origin = typing.get_origin(tp)
+    if origin is Union:
+        return _decode_union(typing.get_args(tp), data, path)
+    if origin is Literal:
+        options = typing.get_args(tp)
+        if data not in options:
+            raise SpecValidationError(
+                f"{path}: expected one of {', '.join(map(repr, options))}, "
+                f"got {data!r}"
+            )
+        return data
+    if origin is tuple:
+        if isinstance(data, (str, bytes, Mapping)) or not isinstance(data, Sequence):
+            raise SpecValidationError(
+                f"{path}: expected a list, got {type(data).__name__}"
+            )
+        items, args = data, typing.get_args(tp)
+        if len(args) == 2 and args[1] is Ellipsis:
+            args = (args[0],) * len(items)
+        elif len(items) != len(args):
+            raise SpecValidationError(
+                f"{path}: expected a list of {len(args)} items, got {len(items)}"
+            )
+        return tuple(
+            decode(arg, item, f"{path}[{i}]")
+            for i, (arg, item) in enumerate(zip(args, items))
         )
-    return list(value)
+    if dataclasses.is_dataclass(tp):
+        return _decode_dataclass(tp, data, path)
+    if tp in _SCALARS:
+        # bool is an int subclass: a bool is only ever a bool.
+        is_bool = isinstance(data, bool)
+        allowed = (int, float) if tp is float else tp
+        if is_bool is not (tp is bool) or not isinstance(data, allowed):
+            raise SpecValidationError(
+                f"{path}: expected {_SCALARS[tp]}, got {type(data).__name__}"
+            )
+        return float(data) if tp is float else data
+    raise TypeError(f"{path}: no codec for type {tp!r}")
 
 
-def _strip_nones(data: object) -> object:
-    """Recursively drop ``None`` values (TOML has no null)."""
-    if isinstance(data, dict):
-        return {k: _strip_nones(v) for k, v in data.items() if v is not None}
-    if isinstance(data, (list, tuple)):
-        return [_strip_nones(v) for v in data]
+@functools.lru_cache(maxsize=None)
+def _field_types(cls: type) -> dict:
+    """``field name -> (type hint, required)`` of a dataclass."""
+    hints, missing = typing.get_type_hints(cls), dataclasses.MISSING
+    return {
+        f.name: (hints[f.name], f.default is missing and f.default_factory is missing)
+        for f in dataclasses.fields(cls)
+    }
+
+
+def _as_table(data: object, path: str) -> Mapping:
+    if not isinstance(data, Mapping):
+        raise SpecValidationError(
+            f"{path}: expected a table/object, got {type(data).__name__}"
+        )
     return data
 
 
-def _build_config(cls, data: object, path: str, *, defaults: Optional[dict] = None):
-    """Build a frozen config dataclass from a mapping, with field errors.
-
-    Unknown keys are rejected by name; ``__post_init__`` validation
-    failures are re-raised with the spec path prepended, so errors read
-    ``controller.solver: change_penalty_mhz must be non-negative``.
-    """
-    data = _expect_mapping(data, path)
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - allowed
+def _decode_dataclass(cls: type, data: object, path: str) -> object:
+    table = _as_table(data, path)
+    fields = _field_types(cls)
+    unknown = sorted(key for key in table if key not in fields)
     if unknown:
         raise SpecValidationError(
-            f"{path}: unknown field(s): {', '.join(sorted(unknown))}"
+            f"{path}.{unknown[0]}: unknown field "
+            f"(known: {', '.join(fields) or 'none'})"
         )
-    kwargs = dict(defaults or {})
-    kwargs.update(data)
+    kwargs = {}
+    for name, (tp, required) in fields.items():
+        if name in table:
+            kwargs[name] = decode(tp, table[name], f"{path}.{name}")
+        elif required:
+            raise SpecValidationError(f"{path}.{name}: required field is missing")
     try:
         return cls(**kwargs)
+    except SpecValidationError:
+        raise  # spec classes name their own fields
     except ConfigurationError as exc:
         raise SpecValidationError(f"{path}: {exc}") from None
-    except TypeError as exc:
-        raise SpecValidationError(f"{path}: {exc}") from None
 
 
-def _config_to_dict(config) -> dict:
-    """Frozen config dataclass -> plain dict, ``None`` values omitted."""
-    return _strip_nones(dataclasses.asdict(config))
+def _decode_union(options: tuple, data: object, path: str) -> object:
+    if data is None and type(None) in options:
+        return None
+    options = tuple(option for option in options if option is not type(None))
+    if len(options) == 1:
+        return decode(options[0], data, path)
+    kinds = {getattr(option, "kind", None): option for option in options}
+    if None not in kinds:
+        table = _as_table(data, path)
+        if "kind" not in table:
+            raise SpecValidationError(f"{path}.kind: required field is missing")
+        kind = table["kind"]
+        if not isinstance(kind, str) or kind not in kinds:
+            raise SpecValidationError(
+                f"{path}.kind: unknown kind {kind!r} "
+                f"(known: {', '.join(sorted(kinds))})"
+            )
+        fields = {key: value for key, value in table.items() if key != "kind"}
+        return _decode_dataclass(kinds[kind], fields, path)
+    # An untagged union of a scalar and a list: the data's shape decides.
+    is_list = isinstance(data, (list, tuple))
+    shaped = [o for o in options if (typing.get_origin(o) is tuple) is is_list]
+    return decode((shaped or options)[0], data, path)
 
 
 # ----------------------------------------------------------------------
@@ -220,32 +279,29 @@ def _config_to_dict(config) -> dict:
 class ConstantProfileSpec:
     """Time-invariant intensity (the paper's transactional shape)."""
 
+    kind: ClassVar[str] = "constant"
     value: float
 
     def build(self) -> IntensityProfile:
         return ConstantProfile(self.value)
-
-    def to_dict(self) -> dict:
-        return {"kind": "constant", "value": self.value}
 
 
 @dataclass(frozen=True)
 class StepProfileSpec:
     """Piecewise-constant intensity: ``(start_time, rate)`` breakpoints."""
 
+    kind: ClassVar[str] = "step"
     steps: tuple[tuple[float, float], ...]
 
     def build(self) -> IntensityProfile:
         return StepProfile(list(self.steps))
-
-    def to_dict(self) -> dict:
-        return {"kind": "step", "steps": [[t, r] for t, r in self.steps]}
 
 
 @dataclass(frozen=True)
 class DiurnalProfileSpec:
     """Sinusoidal day/night intensity pattern."""
 
+    kind: ClassVar[str] = "diurnal"
     base: float
     amplitude: float
     period: float = 86_400.0
@@ -254,21 +310,13 @@ class DiurnalProfileSpec:
     def build(self) -> IntensityProfile:
         return DiurnalProfile(self.base, self.amplitude, self.period, self.phase)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "diurnal",
-            "base": self.base,
-            "amplitude": self.amplitude,
-            "period": self.period,
-            "phase": self.phase,
-        }
-
 
 @dataclass(frozen=True)
 class NoisyProfileSpec:
     """Multiplicative lognormal noise over an inner profile."""
 
-    base: "ProfileSpec"
+    kind: ClassVar[str] = "noisy"
+    base: ProfileSpec
     rel_std: float
     interval: float = 600.0
     seed: int = 0
@@ -279,100 +327,58 @@ class NoisyProfileSpec:
             seed=self.seed,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "noisy",
-            "base": self.base.to_dict(),
-            "rel_std": self.rel_std,
-            "interval": self.interval,
-            "seed": self.seed,
-        }
-
 
 #: Any serializable intensity-profile description.
 ProfileSpec = Union[
     ConstantProfileSpec, StepProfileSpec, DiurnalProfileSpec, NoisyProfileSpec
 ]
 
-_PROFILE_KINDS = ("constant", "diurnal", "noisy", "step")
-
-
-def profile_spec_from_dict(data: object, path: str) -> ProfileSpec:
-    """Dispatch on ``kind`` and build the matching profile spec."""
-    data = _expect_mapping(data, path)
-    kind = _as_str(_pop(data, "kind", path), f"{path}.kind")
-    if kind == "constant":
-        value = _as_float(_pop(data, "value", path), f"{path}.value")
-        _no_unknown(data, path)
-        return ConstantProfileSpec(value)
-    if kind == "step":
-        raw = _as_list(_pop(data, "steps", path), f"{path}.steps")
-        steps = []
-        for i, pair in enumerate(raw):
-            pair = _as_list(pair, f"{path}.steps[{i}]")
-            if len(pair) != 2:
-                raise SpecValidationError(
-                    f"{path}.steps[{i}]: expected a [time, rate] pair"
-                )
-            steps.append(
-                (
-                    _as_float(pair[0], f"{path}.steps[{i}][0]"),
-                    _as_float(pair[1], f"{path}.steps[{i}][1]"),
-                )
-            )
-        _no_unknown(data, path)
-        return StepProfileSpec(tuple(steps))
-    if kind == "diurnal":
-        base = _as_float(_pop(data, "base", path), f"{path}.base")
-        amplitude = _as_float(_pop(data, "amplitude", path), f"{path}.amplitude")
-        period = _as_float(_pop(data, "period", path, 86_400.0), f"{path}.period")
-        phase = _as_float(_pop(data, "phase", path, 0.0), f"{path}.phase")
-        _no_unknown(data, path)
-        return DiurnalProfileSpec(base, amplitude, period, phase)
-    if kind == "noisy":
-        inner = profile_spec_from_dict(_pop(data, "base", path), f"{path}.base")
-        rel_std = _as_float(_pop(data, "rel_std", path), f"{path}.rel_std")
-        interval = _as_float(_pop(data, "interval", path, 600.0), f"{path}.interval")
-        seed = _as_int(_pop(data, "seed", path, 0), f"{path}.seed")
-        _no_unknown(data, path)
-        return NoisyProfileSpec(inner, rel_std, interval, seed)
-    raise SpecValidationError(
-        f"{path}.kind: unknown profile kind {kind!r} "
-        f"(known: {', '.join(_PROFILE_KINDS)})"
-    )
-
 
 # ----------------------------------------------------------------------
 # Topology
 # ----------------------------------------------------------------------
+#: Node shape of a homogeneous topology when a field is left unset.
+_HOMOGENEOUS_DEFAULTS = {
+    "processors": 4,
+    "mhz_per_processor": 3000.0,
+    "memory_mb": 4000.0,
+}
+
+
 @dataclass(frozen=True)
 class TopologySpec:
     """Cluster topology: homogeneous node count or heterogeneous classes.
 
     Exactly one form applies: either ``num_nodes`` identical nodes
     described by the ``processors``/``mhz_per_processor``/``memory_mb``
-    fields, or a non-empty ``classes`` list of
-    :class:`~repro.cluster.topology.NodeClass` entries.
+    fields (4 x 3000 MHz and 4000 MB when unset), or a non-empty
+    ``classes`` list of :class:`~repro.cluster.topology.NodeClass`
+    entries, which leaves the homogeneous fields unset.
     """
 
     num_nodes: Optional[int] = None
-    processors: int = 4
-    mhz_per_processor: float = 3000.0
-    memory_mb: float = 4000.0
+    processors: Optional[int] = None
+    mhz_per_processor: Optional[float] = None
+    memory_mb: Optional[float] = None
     classes: tuple[NodeClass, ...] = ()
 
     def __post_init__(self) -> None:
         if self.classes:
-            if self.num_nodes is not None:
-                raise SpecValidationError(
-                    "topology: num_nodes and classes are mutually exclusive"
-                )
+            for name in ("num_nodes", *_HOMOGENEOUS_DEFAULTS):
+                if getattr(self, name) is not None:
+                    raise SpecValidationError(
+                        f"topology: {name} and classes are mutually exclusive"
+                    )
         elif self.num_nodes is None:
             raise SpecValidationError(
                 "topology: one of num_nodes or classes is required"
             )
         elif self.num_nodes < 1:
             raise SpecValidationError("topology.num_nodes: must be >= 1")
+        else:
+            for name, default in _HOMOGENEOUS_DEFAULTS.items():
+                if getattr(self, name) is None:
+                    object.__setattr__(self, name, default)
 
     @property
     def total_nodes(self) -> int:
@@ -381,96 +387,21 @@ class TopologySpec:
             return sum(cls.count for cls in self.classes)
         return int(self.num_nodes)  # type: ignore[arg-type]
 
-    @property
-    def cpu_capacity(self) -> float:
-        """Aggregate cluster CPU capacity in MHz."""
-        if self.classes:
-            return sum(cls.cpu_capacity for cls in self.classes)
-        return self.total_nodes * self.processors * self.mhz_per_processor
-
     def node_ids(self) -> list[str]:
         """Node identifiers in registration order, matching the scenario's
         cluster build (``node000`` ... for homogeneous topologies,
         ``<class>-000`` ... per class otherwise)."""
-        if self.classes:
-            return [
-                f"{cls.name}-{i:03d}"
-                for cls in self.classes
-                for i in range(cls.count)
-            ]
-        return [f"node{i:03d}" for i in range(self.total_nodes)]
+        return list(self.node_class_of()) or [
+            f"node{i:03d}" for i in range(self.total_nodes)
+        ]
 
     def node_class_of(self) -> dict[str, str]:
         """``node_id -> class name`` map (empty for homogeneous topologies)."""
-        if not self.classes:
-            return {}
         return {
             f"{cls.name}-{i:03d}": cls.name
             for cls in self.classes
             for i in range(cls.count)
         }
-
-    def node_zone_of(self) -> dict[str, str]:
-        """``node_id -> zone`` map (empty for homogeneous topologies).
-
-        A class without an explicit ``zone`` contributes its own name as
-        the zone, matching
-        :func:`repro.cluster.topology.zone_map_from_classes`.
-        """
-        if not self.classes:
-            return {}
-        return zone_map_from_classes(self.classes)
-
-    def to_dict(self) -> dict:
-        if self.classes:
-            # _strip_nones: ``zone`` is optional and TOML has no null.
-            return {
-                "classes": [
-                    _strip_nones(dataclasses.asdict(cls)) for cls in self.classes
-                ]
-            }
-        return {
-            "num_nodes": self.num_nodes,
-            "processors": self.processors,
-            "mhz_per_processor": self.mhz_per_processor,
-            "memory_mb": self.memory_mb,
-        }
-
-    @classmethod
-    def from_dict(cls, data: object, path: str = "topology") -> "TopologySpec":
-        data = _expect_mapping(data, path)
-        if "classes" in data:
-            if "num_nodes" in data:
-                raise SpecValidationError(
-                    f"{path}: num_nodes and classes are mutually exclusive"
-                )
-            raw = _as_list(data.pop("classes"), f"{path}.classes")
-            if not raw:
-                raise SpecValidationError(f"{path}.classes: must be non-empty")
-            classes = tuple(
-                _build_config(NodeClass, item, f"{path}.classes[{i}]")
-                for i, item in enumerate(raw)
-            )
-            _no_unknown(data, path)
-            return cls(classes=classes)
-        num_nodes = _as_int(_pop(data, "num_nodes", path), f"{path}.num_nodes")
-        processors = _as_int(
-            _pop(data, "processors", path, 4), f"{path}.processors"
-        )
-        mhz = _as_float(
-            _pop(data, "mhz_per_processor", path, 3000.0),
-            f"{path}.mhz_per_processor",
-        )
-        memory = _as_float(
-            _pop(data, "memory_mb", path, 4000.0), f"{path}.memory_mb"
-        )
-        _no_unknown(data, path)
-        return cls(
-            num_nodes=num_nodes,
-            processors=processors,
-            mhz_per_processor=mhz,
-            memory_mb=memory,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -497,297 +428,134 @@ class AppSpec:
         self._tx_spec()
 
     def _tx_spec(self) -> TransactionalAppSpec:
+        # Every TransactionalAppSpec field is an AppSpec field of the same name.
         return TransactionalAppSpec(
-            app_id=self.app_id,
-            rt_goal=self.rt_goal,
-            mean_service_cycles=self.mean_service_cycles,
-            request_cap_mhz=self.request_cap_mhz,
-            instance_memory_mb=self.instance_memory_mb,
-            min_instances=self.min_instances,
-            max_instances=self.max_instances,
-            model_kind=self.model_kind,  # type: ignore[arg-type]
-            think_time=self.think_time,
+            **{
+                f.name: getattr(self, f.name)
+                for f in dataclasses.fields(TransactionalAppSpec)
+            }
         )
 
     def materialize(self) -> AppWorkload:
         return AppWorkload(spec=self._tx_spec(), profile=self.profile.build())
 
-    def to_dict(self) -> dict:
-        return {
-            "app_id": self.app_id,
-            "rt_goal": self.rt_goal,
-            "mean_service_cycles": self.mean_service_cycles,
-            "request_cap_mhz": self.request_cap_mhz,
-            "instance_memory_mb": self.instance_memory_mb,
-            "min_instances": self.min_instances,
-            "max_instances": self.max_instances,
-            "model_kind": self.model_kind,
-            "think_time": self.think_time,
-            "profile": self.profile.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: object, path: str = "apps[]") -> "AppSpec":
-        data = _expect_mapping(data, path)
-        profile = profile_spec_from_dict(
-            _pop(data, "profile", path), f"{path}.profile"
-        )
-        try:
-            return _build_config(cls, data, path, defaults={"profile": profile})
-        except SpecValidationError:
-            raise
-        except ConfigurationError as exc:
-            raise SpecValidationError(f"{path}: {exc}") from None
-
 
 # ----------------------------------------------------------------------
 # Job traces
 # ----------------------------------------------------------------------
-_TRACE_KINDS = ("differentiated", "none", "paper", "uniform")
-
-#: Fields each trace kind may set away from its default (plus ``kind``);
-#: mirrors what :meth:`JobTraceSpec.to_dict` serializes per kind.
-_TRACE_KIND_FIELDS = {
-    "none": {"kind"},
-    "paper": {
-        "kind", "count", "mean_interarrival", "template",
-        "rate_drop_time", "rate_drop_ratio", "initial_jobs", "stream",
-    },
-    "uniform": {"kind", "count", "mean_interarrival", "template", "start", "stream"},
-    "differentiated": {
-        "kind", "count", "mean_interarrival", "templates", "start", "stream",
-    },
-}
-
-
-@dataclass(frozen=True)
-class JobTraceSpec:
-    """Declarative job-submission trace, generated at materialization.
-
-    ``kind`` selects the generator from :mod:`repro.workloads.tracegen`:
-
-    * ``"paper"`` -- the paper's trace (exponential inter-arrivals whose
-      rate drops at ``rate_drop_time``; ``template`` defaults to the
-      paper's job);
-    * ``"uniform"`` -- identical jobs, exponential inter-arrivals;
-    * ``"differentiated"`` -- mixed job classes drawn from weighted
-      ``templates`` (service-differentiation experiments);
-    * ``"none"`` -- no long-running jobs.
+@dataclass(frozen=True, kw_only=True)
+class _TraceSpec:
+    """Fields every job-trace generator shares.
 
     Traces are deterministic given the scenario seed: the generator
     consumes the named ``stream`` of the scenario's
     :class:`~repro.sim.rng.RngRegistry`.
     """
 
-    kind: str = "none"
-    count: int = 0
+    count: int
     mean_interarrival: float = 260.0
-    template: Optional[JobTemplate] = None
-    templates: tuple[tuple[JobTemplate, float], ...] = ()
-    rate_drop_time: float = 60_000.0
-    rate_drop_ratio: float = 4.0
-    initial_jobs: int = 2
-    start: float = 0.0
     stream: str = "job-arrivals"
 
     def __post_init__(self) -> None:
-        if self.kind not in _TRACE_KINDS:
-            raise SpecValidationError(
-                f"jobs.kind: unknown trace kind {self.kind!r} "
-                f"(known: {', '.join(_TRACE_KINDS)})"
-            )
-        if self.kind == "uniform" and self.template is None:
-            raise SpecValidationError("jobs.template: required for kind 'uniform'")
-        if self.kind == "differentiated" and not self.templates:
-            raise SpecValidationError(
-                "jobs.templates: required for kind 'differentiated'"
-            )
-        if self.kind != "none" and self.count < 1:
+        if self.count < 1:
             raise SpecValidationError("jobs.count: must be >= 1")
-        # Kind-irrelevant fields must stay at their defaults; otherwise
-        # :meth:`to_dict` (which serializes only kind-relevant fields)
-        # could not round-trip losslessly.
-        allowed = _TRACE_KIND_FIELDS[self.kind]
-        for field_info in dataclasses.fields(self):
-            if field_info.name in allowed:
-                continue
-            if getattr(self, field_info.name) != field_info.default:
-                raise SpecValidationError(
-                    f"jobs.{field_info.name}: not applicable to trace kind "
-                    f"{self.kind!r}"
-                )
+
+
+@dataclass(frozen=True, kw_only=True)
+class PaperTraceSpec(_TraceSpec):
+    """The paper's trace: exponential inter-arrivals whose rate drops by
+    ``rate_drop_ratio`` at ``rate_drop_time``; ``template`` defaults to
+    the paper's job."""
+
+    kind: ClassVar[str] = "paper"
+    rate_drop_time: float = 60_000.0
+    rate_drop_ratio: float = 4.0
+    initial_jobs: int = 2
+    template: Optional[JobTemplate] = None
 
     def materialize(self, rngs: RngRegistry) -> tuple[JobSpec, ...]:
-        if self.kind == "none":
-            return ()
-        rng = rngs.stream(self.stream)
-        if self.kind == "paper":
-            return tuple(
-                paper_job_trace(
-                    rng,
-                    count=self.count,
-                    mean_interarrival=self.mean_interarrival,
-                    rate_drop_time=self.rate_drop_time,
-                    rate_drop_ratio=self.rate_drop_ratio,
-                    template=self.template or PAPER_JOB_TEMPLATE,
-                    initial_jobs=self.initial_jobs,
-                )
-            )
-        if self.kind == "uniform":
-            return tuple(
-                uniform_job_trace(
-                    rng,
-                    template=self.template,
-                    count=self.count,
-                    mean_interarrival=self.mean_interarrival,
-                    start=self.start,
-                )
-            )
         return tuple(
-            differentiated_job_trace(
-                rng,
-                templates=list(self.templates),
+            paper_job_trace(
+                rngs.stream(self.stream),
+                count=self.count,
+                mean_interarrival=self.mean_interarrival,
+                rate_drop_time=self.rate_drop_time,
+                rate_drop_ratio=self.rate_drop_ratio,
+                template=self.template or PAPER_JOB_TEMPLATE,
+                initial_jobs=self.initial_jobs,
+            )
+        )
+
+
+@dataclass(frozen=True, kw_only=True)
+class UniformTraceSpec(_TraceSpec):
+    """Identical jobs with exponential inter-arrivals from ``start``."""
+
+    kind: ClassVar[str] = "uniform"
+    start: float = 0.0
+    template: JobTemplate
+
+    def materialize(self, rngs: RngRegistry) -> tuple[JobSpec, ...]:
+        return tuple(
+            uniform_job_trace(
+                rngs.stream(self.stream),
+                template=self.template,
                 count=self.count,
                 mean_interarrival=self.mean_interarrival,
                 start=self.start,
             )
         )
 
-    def to_dict(self) -> dict:
-        if self.kind == "none":
-            return {"kind": "none"}
-        data: dict = {
-            "kind": self.kind,
-            "count": self.count,
-            "mean_interarrival": self.mean_interarrival,
-            "stream": self.stream,
-        }
-        if self.kind == "paper":
-            data.update(
-                rate_drop_time=self.rate_drop_time,
-                rate_drop_ratio=self.rate_drop_ratio,
-                initial_jobs=self.initial_jobs,
+
+@dataclass(frozen=True)
+class WeightedTemplate:
+    """One job class of a differentiated trace and its draw probability."""
+
+    weight: float
+    template: JobTemplate
+
+
+@dataclass(frozen=True, kw_only=True)
+class DifferentiatedTraceSpec(_TraceSpec):
+    """Mixed job classes drawn from weighted ``templates`` (the
+    service-differentiation experiments)."""
+
+    kind: ClassVar[str] = "differentiated"
+    start: float = 0.0
+    templates: tuple[WeightedTemplate, ...]
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not self.templates:
+            raise SpecValidationError("jobs.templates: must be non-empty")
+
+    def materialize(self, rngs: RngRegistry) -> tuple[JobSpec, ...]:
+        return tuple(
+            differentiated_job_trace(
+                rngs.stream(self.stream),
+                templates=[(item.template, item.weight) for item in self.templates],
+                count=self.count,
+                mean_interarrival=self.mean_interarrival,
+                start=self.start,
             )
-            if self.template is not None:
-                data["template"] = dataclasses.asdict(self.template)
-        elif self.kind == "uniform":
-            data["start"] = self.start
-            data["template"] = dataclasses.asdict(self.template)
-        else:  # differentiated
-            data["start"] = self.start
-            data["templates"] = [
-                {"weight": weight, "template": dataclasses.asdict(template)}
-                for template, weight in self.templates
-            ]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: object, path: str = "jobs") -> "JobTraceSpec":
-        data = _expect_mapping(data, path)
-        kwargs: dict = {}
-        if "template" in data:
-            kwargs["template"] = _build_config(
-                JobTemplate, data.pop("template"), f"{path}.template"
-            )
-        if "templates" in data:
-            raw = _as_list(data.pop("templates"), f"{path}.templates")
-            templates = []
-            for i, item in enumerate(raw):
-                item = _expect_mapping(item, f"{path}.templates[{i}]")
-                weight = _as_float(
-                    _pop(item, "weight", f"{path}.templates[{i}]"),
-                    f"{path}.templates[{i}].weight",
-                )
-                template = _build_config(
-                    JobTemplate,
-                    _pop(item, "template", f"{path}.templates[{i}]"),
-                    f"{path}.templates[{i}].template",
-                )
-                _no_unknown(item, f"{path}.templates[{i}]")
-                templates.append((template, weight))
-            kwargs["templates"] = tuple(templates)
-        return _build_config(cls, data, path, defaults=kwargs)
-
-
-# ----------------------------------------------------------------------
-# Stochastic fault plans
-# ----------------------------------------------------------------------
-#: Fault-plan list fields, their item spec classes, serialization order.
-_FAULT_FIELDS = (
-    ("crashes", CrashFaultSpec),
-    ("zone_outages", ZoneOutageSpec),
-    ("brownouts", BrownoutFaultSpec),
-    ("flaps", FlapFaultSpec),
-)
-
-
-def _faults_to_dict(plan: FaultPlanSpec) -> dict:
-    """Serialize a fault plan; empty lists and default stream omitted."""
-    data: dict = {}
-    for fname, _cls in _FAULT_FIELDS:
-        items = getattr(plan, fname)
-        if items:
-            data[fname] = [
-                _strip_nones(dataclasses.asdict(item)) for item in items
-            ]
-    if plan.stream != "faults":
-        data["stream"] = plan.stream
-    return data
-
-
-def _faults_from_dict(data: object, path: str) -> FaultPlanSpec:
-    data = _expect_mapping(data, path)
-    kwargs: dict = {}
-    for fname, item_cls in _FAULT_FIELDS:
-        if fname not in data:
-            continue
-        raw = _as_list(data.pop(fname), f"{path}.{fname}")
-        kwargs[fname] = tuple(
-            _build_config(item_cls, item, f"{path}.{fname}[{i}]")
-            for i, item in enumerate(raw)
         )
-    if "stream" in data:
-        kwargs["stream"] = _as_str(data.pop("stream"), f"{path}.stream")
-    _no_unknown(data, path)
-    try:
-        return FaultPlanSpec(**kwargs)
-    except ConfigurationError as exc:
-        raise SpecValidationError(f"{path}: {exc}") from None
 
 
-# ----------------------------------------------------------------------
-# Network model
-# ----------------------------------------------------------------------
-def _network_to_dict(network: NetworkSpec) -> dict:
-    """Serialize the ``network`` block (rtt_ms matrix + zone tables)."""
-    return {
-        "rtt_ms": [list(row) for row in network.rtt_ms],
-        "zones": [
-            {"name": zone.name, "users": zone.users} for zone in network.zones
-        ],
-    }
+@dataclass(frozen=True)
+class NoJobsSpec:
+    """No long-running jobs."""
+
+    kind: ClassVar[str] = "none"
+
+    def materialize(self, rngs: RngRegistry) -> tuple[JobSpec, ...]:
+        return ()
 
 
-def _network_from_dict(data: object, path: str) -> NetworkSpec:
-    data = _expect_mapping(data, path)
-    raw_zones = _as_list(_pop(data, "zones", path), f"{path}.zones")
-    zones = tuple(
-        _build_config(ZoneSpec, item, f"{path}.zones[{i}]")
-        for i, item in enumerate(raw_zones)
-    )
-    raw_rtt = _as_list(_pop(data, "rtt_ms", path), f"{path}.rtt_ms")
-    rtt_ms = tuple(
-        tuple(
-            _as_float(value, f"{path}.rtt_ms[{i}][{j}]")
-            for j, value in enumerate(_as_list(row, f"{path}.rtt_ms[{i}]"))
-        )
-        for i, row in enumerate(raw_rtt)
-    )
-    _no_unknown(data, path)
-    try:
-        return NetworkSpec(zones=zones, rtt_ms=rtt_ms)
-    except ConfigurationError as exc:
-        raise SpecValidationError(f"{path}: {exc}") from None
+#: Declarative job-submission trace, generated at materialization; the
+#: ``kind`` selects the generator from :mod:`repro.workloads.tracegen`.
+JobTraceSpec = Union[
+    PaperTraceSpec, UniformTraceSpec, DifferentiatedTraceSpec, NoJobsSpec
+]
 
 
 # ----------------------------------------------------------------------
@@ -802,7 +570,7 @@ class ScenarioSpec:
     horizon: float
     topology: TopologySpec
     apps: tuple[AppSpec, ...] = ()
-    jobs: JobTraceSpec = field(default_factory=JobTraceSpec)
+    jobs: JobTraceSpec = field(default_factory=NoJobsSpec)
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     costs: ActionCosts = field(default_factory=ActionCosts)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
@@ -869,7 +637,7 @@ class ScenarioSpec:
                     rng=rngs.stream(self.faults.stream),
                     horizon=self.horizon,
                     existing_failures=self.failures,
-                    node_zone_of=topology.node_zone_of(),
+                    node_zone_of=zone_map_from_classes(topology.classes),
                 )
             except ConfigurationError as exc:
                 raise SpecValidationError(f"faults: {exc}") from None
@@ -880,24 +648,15 @@ class ScenarioSpec:
                 )
             )
             brownouts = compiled.brownouts
-        if topology.classes:
-            first = topology.classes[0]
-            node_kwargs = dict(
-                num_nodes=topology.total_nodes,
-                node_processors=first.processors,
-                node_mhz=first.mhz_per_processor,
-                node_memory_mb=first.memory_mb,
-                node_classes=topology.classes,
-            )
-        else:
-            node_kwargs = dict(
-                num_nodes=topology.total_nodes,
-                node_processors=topology.processors,
-                node_mhz=topology.mhz_per_processor,
-                node_memory_mb=topology.memory_mb,
-            )
+        # A class-based topology's node_* fields describe its first class.
+        shape = topology.classes[0] if topology.classes else topology
         return Scenario(
             name=self.name,
+            num_nodes=topology.total_nodes,
+            node_processors=shape.processors,
+            node_mhz=shape.mhz_per_processor,
+            node_memory_mb=shape.memory_mb,
+            node_classes=topology.classes,
             apps=apps,
             job_specs=job_specs,
             controller=self.controller,
@@ -908,113 +667,24 @@ class ScenarioSpec:
             failures=failures,
             brownouts=brownouts,
             network=None if self.network is None else self.network.build(),
-            **node_kwargs,
         )
 
     # -- dict / JSON / TOML -------------------------------------------
     def to_dict(self) -> dict:
-        """Canonical serializable form (``None`` and empty lists omitted)."""
-        data: dict = {
-            "schema": SCENARIO_SCHEMA,
-            "name": self.name,
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "topology": self.topology.to_dict(),
-            "jobs": self.jobs.to_dict(),
-            "controller": _config_to_dict(self.controller),
-            "costs": _config_to_dict(self.costs),
-            "noise": _config_to_dict(self.noise),
-        }
-        if self.apps:
-            data["apps"] = [app.to_dict() for app in self.apps]
-        if self.failures:
-            data["failures"] = [
-                _strip_nones(dataclasses.asdict(failure))
-                for failure in self.failures
-            ]
-        if self.faults is not None:
-            data["faults"] = _faults_to_dict(self.faults)
-        if self.network is not None:
-            data["network"] = _network_to_dict(self.network)
-        return data
+        """Canonical serializable form: the schema tag plus :func:`encode`."""
+        return {"schema": SCENARIO_SCHEMA, **encode(self)}
 
     @classmethod
     def from_dict(cls, data: object, path: str = "scenario") -> "ScenarioSpec":
-        data = _expect_mapping(data, path)
-        schema = data.pop("schema", SCENARIO_SCHEMA)
+        """Check the schema tag, then :func:`decode` the rest."""
+        table = dict(_as_table(data, path))
+        schema = table.pop("schema", SCENARIO_SCHEMA)
         if schema != SCENARIO_SCHEMA:
             raise SpecValidationError(
                 f"{path}.schema: unsupported schema {schema!r} "
                 f"(expected {SCENARIO_SCHEMA!r})"
             )
-        name = _as_str(_pop(data, "name", path), f"{path}.name")
-        seed = _as_int(_pop(data, "seed", path), f"{path}.seed")
-        horizon = _as_float(_pop(data, "horizon", path), f"{path}.horizon")
-        topology = TopologySpec.from_dict(
-            _pop(data, "topology", path), f"{path}.topology"
-        )
-        apps = tuple(
-            AppSpec.from_dict(item, f"{path}.apps[{i}]")
-            for i, item in enumerate(
-                _as_list(_pop(data, "apps", path, []), f"{path}.apps")
-            )
-        )
-        jobs = JobTraceSpec.from_dict(
-            _pop(data, "jobs", path, {"kind": "none"}), f"{path}.jobs"
-        )
-        controller_data = _expect_mapping(
-            _pop(data, "controller", path, {}), f"{path}.controller"
-        )
-        solver = _build_config(
-            SolverConfig,
-            controller_data.pop("solver", {}),
-            f"{path}.controller.solver",
-        )
-        controller = _build_config(
-            ControllerConfig,
-            controller_data,
-            f"{path}.controller",
-            defaults={"solver": solver},
-        )
-        costs = _build_config(
-            ActionCosts, _pop(data, "costs", path, {}), f"{path}.costs"
-        )
-        noise = _build_config(
-            NoiseConfig, _pop(data, "noise", path, {}), f"{path}.noise"
-        )
-        failures = tuple(
-            _build_config(NodeFailure, item, f"{path}.failures[{i}]")
-            for i, item in enumerate(
-                _as_list(_pop(data, "failures", path, []), f"{path}.failures")
-            )
-        )
-        faults_data = _pop(data, "faults", path, None)
-        faults = (
-            None
-            if faults_data is None
-            else _faults_from_dict(faults_data, f"{path}.faults")
-        )
-        network_data = _pop(data, "network", path, None)
-        network = (
-            None
-            if network_data is None
-            else _network_from_dict(network_data, f"{path}.network")
-        )
-        _no_unknown(data, path)
-        return cls(
-            name=name,
-            seed=seed,
-            horizon=horizon,
-            topology=topology,
-            apps=apps,
-            jobs=jobs,
-            controller=controller,
-            costs=costs,
-            noise=noise,
-            failures=failures,
-            faults=faults,
-            network=network,
-        )
+        return decode(cls, table, path)
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         """The spec as a JSON document."""
@@ -1134,9 +804,7 @@ def _apply_override(data: dict, key: str, value: object) -> None:
 def _toml_scalar(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return repr(value)
-    if isinstance(value, float):
+    if isinstance(value, (int, float)):
         return repr(value)
     if isinstance(value, str):
         # JSON string escaping is a subset of TOML basic-string escaping.

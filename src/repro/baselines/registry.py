@@ -7,8 +7,8 @@ sweeps pick policies declaratively instead of importing classes and
 hand-wiring constructors:
 
     >>> from repro.baselines.registry import get_policy
-    >>> from repro.experiments import smoke_scenario
-    >>> policy = get_policy("fcfs")(smoke_scenario())
+    >>> from repro.api import scenario_spec
+    >>> policy = get_policy("fcfs")(scenario_spec("smoke").materialize())
 
 Every entry is a module-level ``factory(scenario) -> PlacementPolicy``
 (module-level so factories stay picklable for ``run_sweep(workers=N)``

@@ -31,15 +31,7 @@ from .runner import (
     default_policy_factory,
     run_scenario,
 )
-from .scenario import (
-    AppWorkload,
-    NodeFailure,
-    Scenario,
-    paper_scenario,
-    paper_tx_app,
-    scaled_paper_scenario,
-    smoke_scenario,
-)
+from .scenario import AppWorkload, NodeFailure, Scenario
 from .sweeps import (
     SweepPoint,
     SweepPointError,
@@ -53,10 +45,6 @@ __all__ = [
     "Scenario",
     "AppWorkload",
     "NodeFailure",
-    "paper_scenario",
-    "scaled_paper_scenario",
-    "smoke_scenario",
-    "paper_tx_app",
     "ExperimentRunner",
     "ExperimentResult",
     "PlacementPolicy",

@@ -24,8 +24,9 @@ import numpy as np
 
 from ..analysis.ascii_plot import ascii_plot
 from ..analysis.validate import ValidationReport, validate_paper_run
+from ..api.scenarios import scenario_spec
 from .runner import ExperimentResult, PolicyFactory, run_scenario
-from .scenario import Scenario, paper_scenario, scaled_paper_scenario
+from .scenario import Scenario
 
 
 def figure1_series(result: ExperimentResult) -> Mapping[str, np.ndarray]:
@@ -97,11 +98,7 @@ def run_paper_experiment(
 ) -> tuple[ExperimentResult, ValidationReport]:
     """Run the paper scenario (optionally scaled) and validate its shape."""
     if scenario is None:
-        scenario = (
-            paper_scenario(seed=seed)
-            if scale >= 1.0
-            else scaled_paper_scenario(scale=scale, seed=seed)
-        )
+        scenario = scenario_spec("paper", seed=seed, scale=scale).materialize()
     result = run_scenario(scenario, policy_factory)
     report = validate_paper_run(result)
     return result, report

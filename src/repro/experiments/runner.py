@@ -14,6 +14,7 @@ every baseline run under identical conditions.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -501,8 +502,7 @@ class ExperimentRunner:
             app_nodes=self._app_nodes(),
         )
         decision.placement.validate(self._cluster)
-        for action in decision.actions:
-            self._apply(action, t)
+        self._enact(decision.actions, t)
         self._action_log.count(list(decision.actions))
         self._placement = decision.placement.copy()
         self._reschedule_completions(t)
@@ -530,6 +530,19 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
     # Action enactment
     # ------------------------------------------------------------------
+    def _enact(self, actions: Sequence[PlacementAction], t: Seconds) -> None:
+        """Apply one cycle's actions in plan order.
+
+        Each app's instance bounds are checked on the instance set the
+        cycle leaves, not after every action: the plan stops a moved
+        instance before starting its replacement.
+        """
+        with contextlib.ExitStack() as cycle:
+            for app in self._apps.values():
+                cycle.enter_context(app.instance_changes())
+            for action in actions:
+                self._apply(action, t)
+
     def _apply(self, action: PlacementAction, t: Seconds) -> None:
         costs = self.scenario.costs
         if isinstance(action, StartVm):

@@ -3,21 +3,12 @@
 A :class:`Scenario` is a fully materialized experiment description:
 cluster topology, transactional applications with their intensity
 profiles, the job-submission trace, controller configuration, action
-costs, measurement noise, horizon and seed.  Builders construct the
-paper's evaluation scenario (:func:`paper_scenario`) and scaled-down
-variants for tests and ablations.
+costs, measurement noise, horizon and seed.  Scenarios are described by
+the spec registry (:mod:`repro.api.scenarios`, which also holds the
+paper's parameters) and built with
+:meth:`~repro.api.spec.ScenarioSpec.materialize`::
 
-Paper parameters reproduced by :func:`paper_scenario`:
-
-* 25 nodes x 4 processors (3000 MHz each -> 300 GHz cluster), memory
-  sized so only three jobs fit per node;
-* 800 identical jobs, each capped at one processor, submitted with
-  exponential inter-arrival times of mean 260 s; the submission rate is
-  halved near the end of the run;
-* a constant transactional workload (closed session population) whose
-  max-utility demand is about 70% of cluster capacity;
-* placement recomputed every 600 s; horizon 70 000 s (the span of the
-  paper's Figures 1-2).
+    scenario = scenario_spec("paper", scale=0.2).materialize()
 """
 
 from __future__ import annotations
@@ -36,11 +27,9 @@ from ..cluster.topology import (
 from ..config import ControllerConfig, NoiseConfig
 from ..errors import ConfigurationError
 from ..netmodel.topology import ZoneTopology
-from ..sim.rng import RngRegistry
 from ..types import Seconds
 from ..workloads.jobs import JobSpec
-from ..workloads.profiles import ConstantProfile, IntensityProfile, NoisyProfile
-from ..workloads.tracegen import JobTemplate, paper_job_trace
+from ..workloads.profiles import IntensityProfile
 from ..workloads.transactional import TransactionalAppSpec
 
 
@@ -182,156 +171,3 @@ class Scenario:
     def with_brownouts(self, brownouts: Sequence[NodeBrownout]) -> "Scenario":
         """Copy of the scenario with scheduled capacity brownouts."""
         return replace(self, brownouts=tuple(brownouts))
-
-
-#: Transactional parameters tuned so the app's utility plateau is 0.75
-#: (matching Figure 1's uncontended level) and its max-utility demand is
-#: ~210 GHz on the 300 GHz cluster (matching Figure 2's demand band).
-PAPER_SESSIONS = 210.0
-PAPER_THINK_TIME = 0.2
-PAPER_SERVICE_CYCLES = 300.0
-PAPER_RT_GOAL = 0.4
-
-
-def paper_tx_app(
-    sessions: float = PAPER_SESSIONS,
-    noise_rel_std: float = 0.04,
-    seed: int = 104729,
-    max_instances: int = 25,
-) -> AppWorkload:
-    """The paper's constant transactional workload.
-
-    A closed population of ``sessions`` clients with small think time; the
-    session count is modulated by low-amplitude lognormal noise per
-    control-cycle window, producing the wiggle visible in the paper's
-    transactional demand curve.
-    """
-    spec = TransactionalAppSpec(
-        app_id="webapp",
-        rt_goal=PAPER_RT_GOAL,
-        mean_service_cycles=PAPER_SERVICE_CYCLES,
-        request_cap_mhz=3000.0,
-        instance_memory_mb=400.0,
-        min_instances=1,
-        max_instances=max_instances,
-        model_kind="closed",
-        think_time=PAPER_THINK_TIME,
-    )
-    base: IntensityProfile = ConstantProfile(sessions)
-    profile: IntensityProfile = (
-        NoisyProfile(base, rel_std=noise_rel_std, interval=600.0, seed=seed)
-        if noise_rel_std > 0
-        else base
-    )
-    return AppWorkload(spec=spec, profile=profile)
-
-
-def paper_scenario(
-    seed: int = 42,
-    num_nodes: int = 25,
-    horizon: Seconds = 70_000.0,
-    job_count: int = 800,
-    mean_interarrival: Seconds = 260.0,
-    rate_drop_time: Seconds = 60_000.0,
-    controller: Optional[ControllerConfig] = None,
-    tx_noise_rel_std: float = 0.04,
-    measurement_noise: Optional[NoiseConfig] = None,
-) -> Scenario:
-    """The paper's evaluation scenario (Figures 1 and 2)."""
-    rngs = RngRegistry(seed)
-    jobs = paper_job_trace(
-        rngs.stream("job-arrivals"),
-        count=job_count,
-        mean_interarrival=mean_interarrival,
-        rate_drop_time=rate_drop_time,
-    )
-    return Scenario(
-        name="paper-fig1-fig2",
-        num_nodes=num_nodes,
-        node_processors=4,
-        node_mhz=3000.0,
-        node_memory_mb=4000.0,
-        apps=(paper_tx_app(noise_rel_std=tx_noise_rel_std, max_instances=num_nodes),),
-        job_specs=tuple(jobs),
-        controller=controller or ControllerConfig(),
-        costs=ActionCosts(),
-        noise=measurement_noise or NoiseConfig(),
-        horizon=horizon,
-        seed=seed,
-    )
-
-
-def scaled_paper_scenario(
-    scale: float = 0.2,
-    seed: int = 42,
-    controller: Optional[ControllerConfig] = None,
-) -> Scenario:
-    """A proportionally scaled paper scenario for tests and ablations.
-
-    Nodes, session population and job arrival rate shrink together so the
-    contention dynamics (ramp, crossover, equalization, recovery) are
-    preserved at a fraction of the simulation cost.  The horizon is kept
-    at the paper's 70 000 s because job durations do not scale.
-    """
-    if not 0 < scale <= 1:
-        raise ConfigurationError("scale must be in (0, 1]")
-    num_nodes = max(int(round(25 * scale)), 2)
-    node_ratio = num_nodes / 25.0
-    rngs = RngRegistry(seed)
-    jobs = paper_job_trace(
-        rngs.stream("job-arrivals"),
-        count=max(int(round(800 * node_ratio)), 10),
-        mean_interarrival=260.0 / node_ratio,
-        rate_drop_time=60_000.0,
-    )
-    return Scenario(
-        name=f"paper-scaled-{scale:g}",
-        num_nodes=num_nodes,
-        node_processors=4,
-        node_mhz=3000.0,
-        node_memory_mb=4000.0,
-        apps=(
-            paper_tx_app(
-                sessions=PAPER_SESSIONS * node_ratio, max_instances=num_nodes
-            ),
-        ),
-        job_specs=tuple(jobs),
-        controller=controller or ControllerConfig(),
-        costs=ActionCosts(),
-        noise=NoiseConfig(),
-        horizon=70_000.0,
-        seed=seed,
-    )
-
-
-def smoke_scenario(seed: int = 7) -> Scenario:
-    """A minutes-long toy scenario used by fast integration tests."""
-    rngs = RngRegistry(seed)
-    template = JobTemplate(
-        total_work=1_200.0 * 3000.0,  # 20 minutes at one processor
-        speed_cap_mhz=3000.0,
-        memory_mb=1200.0,
-        goal_factor=4.0,
-    )
-    jobs = paper_job_trace(
-        rngs.stream("job-arrivals"),
-        count=20,
-        mean_interarrival=300.0,
-        rate_drop_time=4_000.0,
-        template=template,
-        initial_jobs=2,
-    )
-    return Scenario(
-        name="smoke",
-        num_nodes=4,
-        node_processors=4,
-        node_mhz=3000.0,
-        node_memory_mb=4000.0,
-        apps=(paper_tx_app(sessions=40.0, noise_rel_std=0.0, max_instances=4),),
-        job_specs=tuple(jobs),
-        controller=ControllerConfig(control_cycle=300.0),
-        costs=ActionCosts(),
-        noise=NoiseConfig(0.0, 0.0, 0.0),
-        horizon=6_000.0,
-        seed=seed,
-    )

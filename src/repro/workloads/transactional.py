@@ -14,8 +14,9 @@ CPU power allocated to the application comes from the queueing model in
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Iterator, Literal, Optional
 
 from ..cluster.vm import VirtualMachine, VmState
 from ..errors import ConfigurationError, LifecycleError
@@ -132,6 +133,8 @@ class TransactionalApp:
         self.profile = profile
         self._instances: dict[str, VirtualMachine] = {}  # node_id -> VM
         self._instance_seq = 0
+        #: Instance count when :meth:`instance_changes` was entered.
+        self._batch_start: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Workload intensity
@@ -179,8 +182,8 @@ class TransactionalApp:
             raise LifecycleError(
                 f"app {self.app_id}: instance already running on {node_id}"
             )
-        if len(self._instances) >= self.spec.max_instances:
-            raise LifecycleError(f"app {self.app_id}: max_instances reached")
+        if self._batch_start is None:
+            self._check_bounds(len(self._instances), len(self._instances) + 1)
         self._instance_seq += 1
         vm = VirtualMachine(
             vm_id=f"vm-{self.app_id}-{self._instance_seq:04d}",
@@ -203,13 +206,42 @@ class TransactionalApp:
         """
         if node_id not in self._instances:
             raise LifecycleError(f"app {self.app_id}: no instance on {node_id}")
-        if len(self._instances) <= self.spec.min_instances:
-            raise LifecycleError(
-                f"app {self.app_id}: stopping would violate min_instances"
-            )
+        if self._batch_start is None:
+            self._check_bounds(len(self._instances), len(self._instances) - 1)
         vm = self._instances.pop(node_id)
         vm.stop()
         return vm
+
+    @contextmanager
+    def instance_changes(self) -> Iterator[None]:
+        """Enact several instance starts and stops as one change.
+
+        Inside the block :meth:`start_instance` and :meth:`stop_instance`
+        skip the ``min_instances``/``max_instances`` checks; on leaving
+        it, the bounds are checked against the instance set the block
+        left.  Moving an app's only instance stops it before its
+        replacement starts, which a per-call check would reject.
+
+        Raises
+        ------
+        LifecycleError
+            If the block shrank the instance set below ``min_instances``
+            or grew it beyond ``max_instances``.
+        """
+        self._batch_start = len(self._instances)
+        try:
+            yield
+        finally:
+            before, self._batch_start = self._batch_start, None
+        self._check_bounds(before, len(self._instances))
+
+    def _check_bounds(self, before: int, after: int) -> None:
+        if after < before and after < self.spec.min_instances:
+            raise LifecycleError(
+                f"app {self.app_id}: stopping would violate min_instances"
+            )
+        if after > before and after > self.spec.max_instances:
+            raise LifecycleError(f"app {self.app_id}: max_instances reached")
 
     def evacuate_node(self, node_id: str) -> Optional[VirtualMachine]:
         """Forcefully drop the instance on a failed node (no minimum check).

@@ -8,13 +8,13 @@ cycle, jobs completing.
 
 import pytest
 
-from repro import run_scenario, smoke_scenario
+from repro import run_scenario, scenario_spec
 from repro.config import ControllerConfig, SolverConfig
 
 
 @pytest.fixture(scope="module")
 def milp_result():
-    scenario = smoke_scenario(seed=7).with_controller(
+    scenario = scenario_spec("smoke", seed=7).materialize().with_controller(
         ControllerConfig(
             control_cycle=300.0, solver=SolverConfig(backend="milp")
         )
@@ -44,9 +44,9 @@ def test_milp_backend_serves_both_workloads(milp_result):
 
 def test_milp_matches_greedy_on_aggregate_outcome():
     """The optimal backend should do at least as well on completions."""
-    greedy = run_scenario(smoke_scenario(seed=7))
+    greedy = run_scenario(scenario_spec("smoke", seed=7).materialize())
     milp = run_scenario(
-        smoke_scenario(seed=7).with_controller(
+        scenario_spec("smoke", seed=7).materialize().with_controller(
             ControllerConfig(
                 control_cycle=300.0, solver=SolverConfig(backend="milp")
             )

@@ -3,18 +3,19 @@ minimum workload utility (the BASE experiment)."""
 
 import pytest
 
+from repro.api import scenario_spec
 from repro.baselines import (
     EdfSharedPolicy,
     FcfsSharedPolicy,
     StaticPartitionPolicy,
     TxPriorityPolicy,
 )
-from repro.experiments import run_scenario, scaled_paper_scenario
+from repro.experiments import run_scenario
 
 
 @pytest.fixture(scope="module")
 def runs():
-    scenario = scaled_paper_scenario(scale=0.2, seed=42)
+    scenario = scenario_spec("paper", scale=0.2, seed=42).materialize()
     results = {"utility": run_scenario(scenario)}
     for cls in (StaticPartitionPolicy, FcfsSharedPolicy, EdfSharedPolicy,
                 TxPriorityPolicy):

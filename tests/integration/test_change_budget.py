@@ -8,17 +8,17 @@ defers admissions -- and total churn must respect the per-cycle bound.
 
 import pytest
 
+from repro.api import scenario_spec
 from repro.config import ControllerConfig, SolverConfig
-from repro.experiments import run_scenario, scaled_paper_scenario
+from repro.experiments import run_scenario
 
 
 @pytest.fixture(scope="module")
 def runs():
-    budgeted = scaled_paper_scenario(
-        scale=0.2, seed=42,
-        controller=ControllerConfig(solver=SolverConfig(change_budget=3)),
+    unlimited = scenario_spec("paper", scale=0.2, seed=42).materialize()
+    budgeted = unlimited.with_controller(
+        ControllerConfig(solver=SolverConfig(change_budget=3))
     )
-    unlimited = scaled_paper_scenario(scale=0.2, seed=42)
     return {
         "budget-3": run_scenario(budgeted),
         "unlimited": run_scenario(unlimited),

@@ -5,7 +5,8 @@ import dataclasses
 import pytest
 
 from repro.analysis import job_outcomes_by_class
-from repro.experiments import run_scenario, scaled_paper_scenario
+from repro.api import scenario_spec
+from repro.experiments import run_scenario
 from repro.sim import RngRegistry
 from repro.workloads import JobTemplate, differentiated_job_trace
 
@@ -21,7 +22,7 @@ SILVER = JobTemplate(
 
 @pytest.fixture(scope="module")
 def result():
-    base = scaled_paper_scenario(scale=0.2, seed=11)
+    base = scenario_spec("paper", scale=0.2, seed=11).materialize()
     trace = differentiated_job_trace(
         RngRegistry(11).stream("diff-jobs"),
         templates=[(GOLD, 0.5), (SILVER, 0.5)],

@@ -4,7 +4,8 @@ import dataclasses
 
 import pytest
 
-from repro.experiments import run_scenario, scaled_paper_scenario
+from repro.api import scenario_spec
+from repro.experiments import run_scenario
 from repro.experiments.scenario import NodeFailure
 from repro.workloads import JobPhase
 
@@ -16,7 +17,7 @@ def result():
     # parks nearly-finished jobs (their distant goals are safe at a
     # trickle) and prioritizes urgent ones, so completions cluster toward
     # the goals rather than "as soon as possible".
-    base = scaled_paper_scenario(scale=0.2, seed=3)
+    base = scenario_spec("paper", scale=0.2, seed=3).materialize()
     scenario = dataclasses.replace(
         base,
         horizon=62_000.0,
@@ -63,3 +64,13 @@ class TestFailureInjection:
         cluster = result.scenario.build_cluster()
         cluster.fail_node("node003")
         result.final_placement.validate(cluster)
+
+
+def test_moving_the_only_instance_completes():
+    """Chaos-soak seed 23000083 moves the app's only instance (the app is
+    at ``min_instances``).  The plan stops it before its replacement
+    starts; the run must still complete every cycle."""
+    spec = scenario_spec("chaos-soak", seed=23000083)
+    result = run_scenario(spec.materialize())
+    assert result.cycles == int(spec.horizon // spec.controller.control_cycle) + 1
+    assert result.action_log.stops > 0

@@ -14,8 +14,9 @@ import signal
 
 import pytest
 
+from repro.api import scenario_spec
 from repro.config import ControllerConfig
-from repro.experiments import run_scenario, smoke_scenario
+from repro.experiments import run_scenario
 from repro.experiments.runner import _mean_time_to_recover, default_policy_factory
 from repro.experiments.scenario import NodeBrownout
 from repro.sim.recorder import Recorder
@@ -90,7 +91,7 @@ def _scrubbed_payload(result):
 
 class TestInjectedControllerException:
     def test_run_completes_and_records_fallback_telemetry(self):
-        result = run_scenario(smoke_scenario(), _flaky_factory)
+        result = run_scenario(scenario_spec("smoke").materialize(), _flaky_factory)
         rec = result.recorder
         assert rec.counter("degraded_cycles") == 2.0
         assert rec.counter("fallback:exception:RuntimeError") == 2.0
@@ -101,7 +102,7 @@ class TestInjectedControllerException:
     def test_fault_free_stream_identical_to_unwrapped(self):
         # resilient=True (the default) wraps the policy; with no fault the
         # wrapper must be invisible in the serialized result.
-        scenario = smoke_scenario()
+        scenario = scenario_spec("smoke").materialize()
         wrapped = run_scenario(scenario)
         bare = run_scenario(
             dataclasses.replace(
@@ -117,7 +118,7 @@ class TestInjectedControllerException:
 class TestKilledShardWorker:
     @pytest.fixture(scope="class")
     def sharded_scenario(self):
-        return smoke_scenario().with_controller(
+        return scenario_spec("smoke").materialize().with_controller(
             ControllerConfig(control_cycle=300.0, shards=2, shard_workers=2)
         )
 
@@ -144,7 +145,7 @@ class TestKilledShardWorker:
 
 class TestBrownoutTelemetry:
     def test_brownout_fraction_series_tracks_the_event(self):
-        scenario = smoke_scenario().with_brownouts(
+        scenario = scenario_spec("smoke").materialize().with_brownouts(
             (
                 NodeBrownout(
                     at=900.0, node_id="node000", fraction=0.5, restore_at=2100.0
@@ -163,7 +164,7 @@ class TestBrownoutTelemetry:
     def test_degraded_run_keeps_placement_within_browned_capacity(self):
         # A brownout plus an injected exception: the degraded cycle must
         # clamp the last-known-good placement to the derated node.
-        scenario = smoke_scenario().with_brownouts(
+        scenario = scenario_spec("smoke").materialize().with_brownouts(
             (NodeBrownout(at=900.0, node_id="node000", fraction=0.3),)
         )
         result = run_scenario(scenario, _flaky_factory)

@@ -9,7 +9,8 @@ import dataclasses
 
 import pytest
 
-from repro.experiments import run_scenario, scaled_paper_scenario
+from repro.api import scenario_spec
+from repro.experiments import run_scenario
 from repro.experiments.scenario import AppWorkload, Scenario
 from repro.sim import RngRegistry
 from repro.workloads import (
@@ -61,7 +62,7 @@ class TestHeterogeneousCluster:
 
 @pytest.fixture(scope="module")
 def open_model_result():
-    base = scaled_paper_scenario(scale=0.2, seed=31)
+    base = scenario_spec("paper", scale=0.2, seed=31).materialize()
     spec = TransactionalAppSpec(
         app_id="openweb", rt_goal=0.4, mean_service_cycles=300.0,
         request_cap_mhz=3000.0, instance_memory_mb=400.0,

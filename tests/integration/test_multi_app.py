@@ -10,13 +10,14 @@ import dataclasses
 
 import pytest
 
-from repro.experiments import run_scenario, scaled_paper_scenario
+from repro.api import scenario_spec
+from repro.experiments import run_scenario
 from repro.experiments.scenario import AppWorkload
 from repro.workloads import ConstantProfile, TransactionalAppSpec
 
 
 def two_app_scenario():
-    base = scaled_paper_scenario(scale=0.2, seed=21)
+    base = scenario_spec("paper", scale=0.2, seed=21).materialize()
     strict = TransactionalAppSpec(
         app_id="strict-app", rt_goal=0.3, mean_service_cycles=300.0,
         request_cap_mhz=3000.0, instance_memory_mb=200.0,

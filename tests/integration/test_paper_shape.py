@@ -9,17 +9,13 @@ import numpy as np
 import pytest
 
 from repro.analysis import validate_paper_run
-from repro.experiments import (
-    figure1_series,
-    figure2_series,
-    run_scenario,
-    scaled_paper_scenario,
-)
+from repro.api import scenario_spec
+from repro.experiments import figure1_series, figure2_series, run_scenario
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run_scenario(scaled_paper_scenario(scale=0.2, seed=42))
+    return run_scenario(scenario_spec("paper", scale=0.2, seed=42).materialize())
 
 
 class TestPaperShape:
@@ -71,7 +67,7 @@ class TestPaperShape:
         statistically under-powered against Poisson clumping; they are
         asserted on the fixed seed here and at full scale by the FIG1
         bench."""
-        other = run_scenario(scaled_paper_scenario(scale=0.2, seed=seed))
+        other = run_scenario(scenario_spec("paper", scale=0.2, seed=seed).materialize())
         report = validate_paper_run(other)
         core = {"a-initial-plateau", "c-equalization",
                 "e-uneven-alloc-even-utility", "f-feasibility"}

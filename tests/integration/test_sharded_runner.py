@@ -12,15 +12,16 @@ import math
 
 import pytest
 
+from repro.api import scenario_spec
 from repro.config import ControllerConfig
 from repro.experiments.runner import run_scenario
-from repro.experiments.scenario import NodeFailure, smoke_scenario
+from repro.experiments.scenario import NodeFailure
 
 CYCLE = 300.0
 
 
 def _sharded_smoke(shards, **controller_overrides):
-    scenario = smoke_scenario()
+    scenario = scenario_spec("smoke").materialize()
     controller = ControllerConfig(
         control_cycle=CYCLE, shards=shards, **controller_overrides
     )
@@ -29,7 +30,7 @@ def _sharded_smoke(shards, **controller_overrides):
 
 class TestShardLocalInvalidation:
     def test_failure_invalidates_only_the_owning_shard(self):
-        # smoke_scenario's homogeneous cluster names nodes node000..node003;
+        # The smoke scenario's homogeneous cluster names nodes node000..node003;
         # the round-robin planner maps node000/node002 -> shard 0 and
         # node001/node003 -> shard 1.  Failing node000 mid-run must
         # re-fingerprint shard 0 only.
@@ -79,7 +80,7 @@ class TestShardLocalInvalidation:
             assert all(v >= 0.0 or math.isnan(v) for v in series.values)
 
     def test_monolithic_run_records_no_shard_series(self):
-        result = run_scenario(smoke_scenario())
+        result = run_scenario(scenario_spec("smoke").materialize())
         names = result.recorder.series_names()
         assert not [n for n in names if n.startswith("shard_")]
         assert "shard_imbalance" not in names
@@ -92,7 +93,7 @@ class TestShardedRunEquivalence:
         Not a bit-identity claim (shards solve independently); the run
         must still deliver comparable throughput on the smoke scenario.
         """
-        mono = run_scenario(smoke_scenario())
+        mono = run_scenario(scenario_spec("smoke").materialize())
         sharded = run_scenario(_sharded_smoke(2))
         assert sharded.cycles == mono.cycles
         mono_done = mono.job_outcomes()["completed"]

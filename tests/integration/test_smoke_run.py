@@ -3,13 +3,14 @@
 import pytest
 
 from repro.analysis import job_outcome_stats
-from repro.experiments import run_scenario, smoke_scenario
+from repro.api import scenario_spec
+from repro.experiments import run_scenario
 from repro.workloads import JobPhase
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run_scenario(smoke_scenario(seed=7))
+    return run_scenario(scenario_spec("smoke", seed=7).materialize())
 
 
 class TestSmokeRun:
@@ -58,16 +59,16 @@ class TestSmokeRun:
             assert len(result.recorder.series(name)) == result.cycles
 
     def test_deterministic_replay(self):
-        a = run_scenario(smoke_scenario(seed=7))
-        b = run_scenario(smoke_scenario(seed=7))
+        a = run_scenario(scenario_spec("smoke", seed=7).materialize())
+        b = run_scenario(scenario_spec("smoke", seed=7).materialize())
         assert list(a.recorder.series("tx_utility").values) == list(
             b.recorder.series("tx_utility").values
         )
         assert a.action_log.disruptive_total == b.action_log.disruptive_total
 
     def test_different_seed_differs(self):
-        a = run_scenario(smoke_scenario(seed=7))
-        b = run_scenario(smoke_scenario(seed=8))
+        a = run_scenario(scenario_spec("smoke", seed=7).materialize())
+        b = run_scenario(scenario_spec("smoke", seed=8).materialize())
         assert list(a.recorder.series("lr_demand").values) != list(
             b.recorder.series("lr_demand").values
         )

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from repro.analysis import validate_paper_run
+from repro.api import scenario_spec
 from repro.cluster import ActionLog, Placement
 from repro.errors import ShapeValidationError
 from repro.experiments.runner import ExperimentResult
-from repro.experiments.scenario import smoke_scenario
 from repro.sim import Recorder
 
 HORIZON = 70_000.0
@@ -23,7 +23,7 @@ def synthetic_result(good: bool = True) -> ExperimentResult:
     """A run that (when ``good``) exhibits all six figure features."""
     import dataclasses
 
-    scenario = dataclasses.replace(smoke_scenario(), horizon=HORIZON)
+    scenario = dataclasses.replace(scenario_spec("smoke").materialize(), horizon=HORIZON)
     rec = Recorder()
     times = np.arange(0.0, HORIZON, 600.0)
     drop = 60_000.0

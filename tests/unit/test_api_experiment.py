@@ -15,7 +15,7 @@ from repro.api import (
 )
 from repro.baselines import FcfsSharedPolicy
 from repro.errors import ConfigurationError
-from repro.experiments import run_scenario, smoke_scenario
+from repro.experiments import run_scenario
 from repro.experiments.runner import RESULT_SCHEMA
 from repro.sim.recorder import Recorder
 
@@ -33,7 +33,7 @@ class TestExperiment:
         metric, so it is compared for presence rather than value.
         """
         direct = run_scenario(
-            dataclasses.replace(smoke_scenario(seed=7), horizon=1800.0)
+            dataclasses.replace(scenario_spec("smoke", seed=7).materialize(), horizon=1800.0)
         )
         facade = run_experiment("smoke", seed=7, overrides={"horizon": 1800.0})
         a, b = facade.summary_metrics(), direct.summary_metrics()

@@ -6,6 +6,7 @@ Scenario) including NodeFailure lists, noisy profiles and heterogeneous
 node classes, plus validation errors that name the offending field.
 """
 
+import copy
 import dataclasses
 import json
 from pathlib import Path
@@ -15,7 +16,6 @@ import pytest
 from repro.api import (
     AppSpec,
     ConstantProfileSpec,
-    JobTraceSpec,
     NoisyProfileSpec,
     ScenarioSpec,
     SpecValidationError,
@@ -25,10 +25,40 @@ from repro.api import (
 )
 from repro.cluster import NodeClass
 from repro.errors import ConfigurationError
-from repro.experiments import paper_scenario, scaled_paper_scenario, smoke_scenario
-from repro.experiments.scenario import NodeFailure, Scenario
+from repro.experiments.scenario import Scenario
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
+def walk(data, path="scenario"):
+    """Yield ``(dotted path, key path, value)`` for every table and leaf
+    of a :meth:`ScenarioSpec.to_dict` tree, tables before their items."""
+    yield path, (), data
+    if isinstance(data, (dict, list)):
+        items = data.items() if isinstance(data, dict) else enumerate(data)
+        for key, value in items:
+            name = f"{path}.{key}" if isinstance(data, dict) else f"{path}[{key}]"
+            for sub_path, keys, sub in walk(value, name):
+                yield sub_path, (key, *keys), sub
+
+
+def replaced(data: dict, keys: tuple, value) -> dict:
+    """Deep copy of ``data`` with the value at ``keys`` replaced."""
+    data = copy.deepcopy(data)
+    cursor = data
+    for key in keys[:-1]:
+        cursor = cursor[key]
+    cursor[keys[-1]] = value
+    return data
+
+
+def wrong_type(value):
+    """A value of the wrong type for leaf ``value``."""
+    if isinstance(value, bool):
+        return "yes"
+    if isinstance(value, (int, float)):
+        return str(value)
+    return 1
 
 
 def assert_scenarios_identical(a: Scenario, b: Scenario) -> None:
@@ -79,27 +109,6 @@ class TestRoundTrip:
             spec.save(tmp_path / "spec.yaml")
 
 
-class TestBuilderParity:
-    """Registry specs materialize to the imperative builders' scenarios."""
-
-    def test_smoke_matches_smoke_scenario(self):
-        assert_scenarios_identical(
-            scenario_spec("smoke", seed=7).materialize(), smoke_scenario(seed=7)
-        )
-
-    def test_paper_matches_paper_scenario(self):
-        assert_scenarios_identical(
-            scenario_spec("paper", seed=42).materialize(), paper_scenario(seed=42)
-        )
-
-    def test_scaled_paper_matches_consolidation(self):
-        a = scenario_spec("consolidation", seed=5, scale=0.2).materialize()
-        b = scaled_paper_scenario(scale=0.2, seed=5)
-        # Names differ (the registry names the comparison bed); all
-        # physics-relevant fields must agree.
-        assert_scenarios_identical(a, b)
-
-
 class TestHeterogeneousTopology:
     def test_classes_round_trip_and_materialize(self):
         spec = scenario_spec("heterogeneous-cluster")
@@ -131,7 +140,7 @@ class TestHeterogeneousTopology:
             )
 
     def test_scenario_rejects_inconsistent_node_classes(self):
-        base = smoke_scenario()
+        base = scenario_spec("smoke").materialize()
         with pytest.raises(ConfigurationError, match="num_nodes"):
             dataclasses.replace(
                 base,
@@ -226,8 +235,10 @@ class TestValidationErrors:
             ScenarioSpec.from_dict(data)
 
     def test_uniform_trace_requires_template(self):
+        data = scenario_spec("smoke").to_dict()
+        data["jobs"] = {"kind": "uniform", "count": 3}
         with pytest.raises(SpecValidationError, match=r"jobs\.template"):
-            JobTraceSpec(kind="uniform", count=3)
+            ScenarioSpec.from_dict(data)
 
     def test_empty_apps_rejected_by_field_name(self):
         data = scenario_spec("smoke").to_dict()
@@ -236,12 +247,56 @@ class TestValidationErrors:
             ScenarioSpec.from_dict(data)
 
     def test_kind_irrelevant_fields_rejected(self):
-        """to_dict serializes kind-relevant fields only, so other fields
-        must stay at their defaults for the round-trip to be lossless."""
+        """Each trace kind has only the fields its generator uses."""
+        data = scenario_spec("smoke").to_dict()
+        data["jobs"] = {"kind": "paper", "count": 5, "start": 123.0}
         with pytest.raises(SpecValidationError, match=r"jobs\.start"):
-            JobTraceSpec(kind="paper", count=5, start=123.0)
+            ScenarioSpec.from_dict(data)
+        data["jobs"] = {"kind": "none", "stream": "custom"}
         with pytest.raises(SpecValidationError, match=r"jobs\.stream"):
-            JobTraceSpec(kind="none", stream="custom")
+            ScenarioSpec.from_dict(data)
+
+
+class TestCodecCoverage:
+    """Every leaf and every table of every registered scenario is checked
+    by the codec, and its errors name the offending dotted path."""
+
+    @pytest.mark.parametrize("name", available_scenarios())
+    def test_wrong_typed_leaf_names_its_path(self, name):
+        data = scenario_spec(name).to_dict()
+        leaves = [
+            (path, keys, value)
+            for path, keys, value in walk(data)
+            if not isinstance(value, (dict, list))
+        ]
+        assert leaves
+        unnamed = []
+        for path, keys, value in leaves:
+            try:
+                ScenarioSpec.from_dict(replaced(data, keys, wrong_type(value)))
+            except SpecValidationError as exc:
+                if path not in str(exc):
+                    unnamed.append(f"{path}: {exc}")
+            else:
+                unnamed.append(f"{path}: accepted {wrong_type(value)!r}")
+        assert not unnamed, "\n".join(unnamed)
+
+    @pytest.mark.parametrize("name", available_scenarios())
+    def test_unknown_key_in_any_table_is_rejected_by_name(self, name):
+        data = scenario_spec(name).to_dict()
+        unnamed = []
+        for path, keys, value in walk(data):
+            if not isinstance(value, dict):
+                continue
+            bogus = replaced(data, (*keys, "bogus"), 1)
+            try:
+                ScenarioSpec.from_dict(bogus)
+            except SpecValidationError as exc:
+                if f"{path}.bogus" not in str(exc):
+                    unnamed.append(f"{path}: {exc}")
+            else:
+                unnamed.append(f"{path}: accepted a bogus key")
+        assert not unnamed, "\n".join(unnamed)
 
 
 class TestOverrides:
@@ -263,6 +318,13 @@ class TestOverrides:
 
 class TestCheckedInSpecFiles:
     """examples/specs/ stays loadable and in sync with the registry."""
+
+    def test_spec_files_are_canonical(self, tmp_path):
+        paths = sorted((REPO_ROOT / "examples/specs").glob("*"))
+        assert paths
+        for path in paths:
+            saved = ScenarioSpec.load(path).save(tmp_path / path.name)
+            assert saved.read_bytes() == path.read_bytes(), path.name
 
     def test_smoke_json_matches_registry(self):
         spec = ScenarioSpec.load(REPO_ROOT / "examples/specs/smoke.json")

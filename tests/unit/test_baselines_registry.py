@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import scenario_spec
 from repro.baselines import (
     EdfSharedPolicy,
     FcfsSharedPolicy,
@@ -14,7 +15,6 @@ from repro.baselines import (
 )
 from repro.core.controller import UtilityDrivenController
 from repro.errors import ConfigurationError
-from repro.experiments import smoke_scenario
 
 BUILTINS = {"utility", "static-partition", "fcfs", "edf", "tx-priority"}
 
@@ -44,7 +44,7 @@ class TestRegistry:
         register_policy("utility", utility_policy, overwrite=True)
 
     def test_factories_build_expected_policy_types(self):
-        scenario = smoke_scenario()
+        scenario = scenario_spec("smoke").materialize()
         expected = {
             "utility": UtilityDrivenController,
             "static-partition": StaticPartitionPolicy,
@@ -56,6 +56,6 @@ class TestRegistry:
             assert isinstance(make_policy(name, scenario), cls)
 
     def test_factory_uses_scenario_controller_config(self):
-        scenario = smoke_scenario()
+        scenario = scenario_spec("smoke").materialize()
         policy = make_policy("fcfs", scenario)
         assert policy.config == scenario.controller

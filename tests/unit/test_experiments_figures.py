@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.api import scenario_spec
 from repro.experiments import (
     figure1_series,
     figure2_series,
     render_figure1,
     render_figure2,
     run_scenario,
-    smoke_scenario,
     write_csv,
 )
 from repro.experiments.figures import main
@@ -17,7 +17,7 @@ from repro.experiments.figures import main
 
 @pytest.fixture(scope="module")
 def result():
-    return run_scenario(smoke_scenario(seed=7))
+    return run_scenario(scenario_spec("smoke", seed=7).materialize())
 
 
 class TestSeriesExtraction:

@@ -6,13 +6,9 @@ import numpy as np
 
 import pytest
 
+from repro.api import scenario_spec
 from repro.errors import ConfigurationError
-
-from repro.experiments import (
-    run_scenario,
-    smoke_scenario,
-    summarize_run,
-)
+from repro.experiments import run_scenario, summarize_run
 from repro.experiments.replication import ReplicatedResult
 from repro.experiments.report import (
     comparison_table,
@@ -31,7 +27,7 @@ from repro.experiments.sweeps import (
 
 @pytest.fixture(scope="module")
 def smoke_result():
-    return run_scenario(smoke_scenario(seed=7))
+    return run_scenario(scenario_spec("smoke", seed=7).materialize())
 
 
 class TestFormatTable:
@@ -65,7 +61,7 @@ class TestSummaries:
 class TestSweeps:
     def test_sweep_runs_each_grid_point(self):
         def factory(cycle):
-            base = smoke_scenario(seed=7)
+            base = scenario_spec("smoke", seed=7).materialize()
             controller = dataclasses.replace(base.controller, control_cycle=float(cycle))
             return base.with_controller(controller)
 
@@ -76,7 +72,7 @@ class TestSweeps:
 
     def test_sweep_table_renders(self):
         def factory(_):
-            return smoke_scenario(seed=7)
+            return scenario_spec("smoke", seed=7).materialize()
 
         sweep = run_sweep("demo", [1], factory, default_metrics)
         out = sweep_table(sweep, parameter_label="variant")
@@ -156,14 +152,14 @@ class TestReplicationReport:
 
 def _seeded_smoke_factory(value):
     """Module-level scenario factory (picklable for worker processes)."""
-    return smoke_scenario(seed=int(value))
+    return scenario_spec("smoke", seed=int(value)).materialize()
 
 
 def _exploding_factory(value):
     """Module-level factory (picklable) that fails on 'bad' grid values."""
     if value != 7:
         raise ValueError(f"boom at {value}")
-    return smoke_scenario(seed=7)
+    return scenario_spec("smoke", seed=7).materialize()
 
 
 class TestSweepFailureReporting:

@@ -10,6 +10,7 @@ import dataclasses
 
 import pytest
 
+from repro.api import ConstantProfileSpec, scenario_spec
 from repro.cluster import (
     ActionCosts,
     AdjustCpu,
@@ -20,14 +21,20 @@ from repro.cluster import (
     SuspendVm,
 )
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.scenario import Scenario, paper_tx_app
+from repro.experiments.scenario import Scenario
 from repro.config import ControllerConfig, NoiseConfig
+from repro.errors import LifecycleError
 from repro.workloads import JobPhase
 
 from ..conftest import make_job_spec
 
 
 def tiny_scenario(**cost_overrides) -> Scenario:
+    app = dataclasses.replace(
+        scenario_spec("smoke").apps[0],
+        profile=ConstantProfileSpec(10.0),
+        max_instances=2,
+    )
     costs = ActionCosts(**cost_overrides) if cost_overrides else ActionCosts(
         start_delay=10.0, suspend_checkpoint_loss=30.0,
         resume_delay=60.0, migrate_pause=20.0,
@@ -38,7 +45,7 @@ def tiny_scenario(**cost_overrides) -> Scenario:
         node_processors=4,
         node_mhz=3000.0,
         node_memory_mb=4000.0,
-        apps=(paper_tx_app(sessions=10.0, noise_rel_std=0.0, max_instances=2),),
+        apps=(app.materialize(),),
         job_specs=(make_job_spec(job_id="j0", work=30_000_000.0, goal=40_000.0),),
         controller=ControllerConfig(),
         costs=costs,
@@ -127,6 +134,22 @@ class TestInstanceActions:
         runner._apply(StartVm("tx:webapp@node001", "node001", 1000.0), t=2.0)
         runner._apply(StopVm("tx:webapp@node000"), t=3.0)
         assert app.instance_nodes == ["node001"]
+
+    def test_cycle_may_move_the_only_instance(self, runner):
+        runner._enact([StartVm("tx:webapp@node000", "node000", 1000.0)], t=0.0)
+        runner._enact(
+            [
+                StopVm("tx:webapp@node000"),
+                StartVm("tx:webapp@node001", "node001", 1000.0),
+            ],
+            t=1.0,
+        )
+        assert runner._apps["webapp"].instance_nodes == ["node001"]
+
+    def test_plan_below_min_instances_raises(self, runner):
+        runner._enact([StartVm("tx:webapp@node000", "node000", 1000.0)], t=0.0)
+        with pytest.raises(LifecycleError, match="min_instances"):
+            runner._enact([StopVm("tx:webapp@node000")], t=1.0)
 
     def test_malformed_instance_id_rejected(self, runner):
         from repro.errors import SimulationError
