@@ -43,6 +43,7 @@ import time
 import numpy as np
 
 from repro.cluster import Placement, PlacementEntry, homogeneous_cluster
+from repro.cluster.vm import instance_vm_id
 from repro.config import ControllerConfig
 from repro.core import ShardedController, UtilityDrivenController
 from repro.types import WorkloadKind
@@ -115,8 +116,14 @@ def build_state(
         jobs.append(job)
 
     placement = Placement()
-    vm_states = {j.vm.vm_id: j.vm.state for j in jobs}
     app_nodes = {"web": frozenset(node_ids)}
+    # A web instance runs on every node, so the placement in force holds
+    # one entry per node (the planner reads instance states from it).
+    for node in node_ids:
+        placement.add(PlacementEntry(
+            vm_id=instance_vm_id("web", node), node_id=node,
+            cpu_mhz=500.0, memory_mb=400.0, kind=WorkloadKind.TRANSACTIONAL,
+        ))
     for job in jobs:
         if job.node_id is not None:
             placement.add(PlacementEntry(
@@ -124,7 +131,7 @@ def build_state(
                 cpu_mhz=job.rate, memory_mb=1200.0,
                 kind=WorkloadKind.LONG_RUNNING,
             ))
-    return controller, cluster, jobs, placement, vm_states, app_nodes, t
+    return controller, cluster, jobs, placement, app_nodes, t
 
 
 def machine_calibration_ms() -> float:
@@ -167,7 +174,7 @@ def _time_decides(
     cross-cycle :class:`~repro.core.control_state.ControlState` engages
     from the second call on (the warm-up call is the cold first cycle).
     """
-    controller, cluster, jobs, placement, vm_states, app_nodes, t = build_state(
+    controller, cluster, jobs, placement, app_nodes, t = build_state(
         num_nodes, num_jobs, warm=warm, shards=shards
     )
     nodes = cluster.active_nodes()
@@ -175,7 +182,7 @@ def _time_decides(
     def decide():
         return controller.decide(
             t, nodes=nodes, jobs=jobs, current_placement=placement,
-            vm_states=vm_states, app_nodes=app_nodes,
+            app_nodes=app_nodes,
         )
 
     decision = decide()  # warm-up; also validated below
@@ -239,7 +246,7 @@ def measure_sharded_point(
     """
     mono_median, mono_p95, _ = _time_decides(num_nodes, num_jobs, repeats, warm=True)
 
-    controller, cluster, jobs, placement, vm_states, app_nodes, t = build_state(
+    controller, cluster, jobs, placement, app_nodes, t = build_state(
         num_nodes, num_jobs, warm=True, shards=shards
     )
     nodes = cluster.active_nodes()
@@ -247,7 +254,7 @@ def measure_sharded_point(
     def decide():
         return controller.decide(
             t, nodes=nodes, jobs=jobs, current_placement=placement,
-            vm_states=vm_states, app_nodes=app_nodes,
+            app_nodes=app_nodes,
         )
 
     decision = decide()  # cold first cycle; warm path from here on
@@ -260,7 +267,7 @@ def measure_sharded_point(
         telemetry = decision.diagnostics.telemetry
         overhead = telemetry.stage_ms.get("overhead", 0.0)
         slowest = max(
-            st.telemetry.stage_ms.get("total", 0.0)
+            st.stage_ms.get("total", 0.0)
             for st in decision.diagnostics.shard_telemetry
         )
         overheads.append(overhead)
@@ -399,7 +406,7 @@ def test_control_cycle_scaling():
 
 def test_controller_decide(benchmark):
     """Single-point pytest-benchmark view (25 nodes, ~150 jobs)."""
-    controller, cluster, jobs, placement, vm_states, app_nodes, t = build_state()
+    controller, cluster, jobs, placement, app_nodes, t = build_state()
 
     decision = benchmark(
         lambda: controller.decide(
@@ -407,7 +414,6 @@ def test_controller_decide(benchmark):
             nodes=cluster.active_nodes(),
             jobs=jobs,
             current_placement=placement,
-            vm_states=vm_states,
             app_nodes=app_nodes,
         )
     )

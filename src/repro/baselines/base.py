@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence
 from ..cluster.node import NodeSpec
 from ..cluster.placement import Placement
 from ..cluster.vm import VmState
-from ..core.actions_planner import plan_actions
+from ..core.actions_planner import plan_actions, vm_states_of
 from ..core.controller import (
     ControlDecision,
     ControlDiagnostics,
@@ -61,7 +61,6 @@ class BaselinePolicy(UtilityDrivenController):
         nodes: Sequence[NodeSpec],
         jobs: Sequence[Job],
         current_placement: Placement,
-        vm_states: Mapping[str, VmState],
         app_nodes: Mapping[str, frozenset[str]],
     ) -> ControlDecision:
         population = snapshot_jobs(jobs, t)
@@ -77,7 +76,9 @@ class BaselinePolicy(UtilityDrivenController):
             capacity=capacity,
             app_nodes=app_nodes,
         )
-        actions = plan_actions(current_placement, solution.placement, vm_states)
+        actions = plan_actions(
+            current_placement, solution.placement, vm_states_of(jobs, app_nodes)
+        )
 
         satisfied_lr = solution.satisfied_lr_demand
         hypothetical = equalize_hypothetical_utility(population, satisfied_lr)
@@ -103,7 +104,6 @@ class BaselinePolicy(UtilityDrivenController):
         )
         return ControlDecision(
             actions=actions,
-            placement=solution.placement,
             solution=solution,
             hypothetical=hypothetical,
             diagnostics=diagnostics,

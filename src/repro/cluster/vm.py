@@ -40,6 +40,19 @@ class VmState(enum.Enum):
         return self.value
 
 
+def instance_vm_id(app_id: str, node_id: str) -> str:
+    """The stable placement id ``tx:<app>@<node>`` of a web instance."""
+    return f"tx:{app_id}@{node_id}"
+
+
+def parse_instance_vm_id(vm_id: str) -> Optional[tuple[str, str]]:
+    """``(app_id, node_id)`` of a web-instance id, ``None`` for any other id."""
+    if not vm_id.startswith("tx:") or "@" not in vm_id:
+        return None
+    app_id, node_id = vm_id[3:].split("@", 1)
+    return app_id, node_id
+
+
 class VirtualMachine:
     """A placeable VM hosting one workload entity.
 

@@ -315,9 +315,3 @@ class NoiseConfig:
         ):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"NoiseConfig.{name} must be non-negative")
-
-
-def validate_budget(change_budget: Optional[int]) -> None:
-    """Shared validation for optional change budgets."""
-    if change_budget is not None and change_budget < 0:
-        raise ConfigurationError("change_budget must be non-negative or None")

@@ -73,7 +73,7 @@ from .shard_arbiter import (
     route_by_headroom,
 )
 from .resilient import ResilientController
-from .sharded import ShardedController, ShardedDiagnostics, ShardTelemetry
+from .sharded import ShardedController
 
 __all__ = [
     "UtilityDrivenController",
@@ -129,6 +129,4 @@ __all__ = [
     "ShardSplit",
     "route_by_headroom",
     "ShardedController",
-    "ShardedDiagnostics",
-    "ShardTelemetry",
 ]

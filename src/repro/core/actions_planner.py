@@ -10,7 +10,7 @@ capacity has already been released within the same control cycle.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from ..cluster.actions import (
     AdjustCpu,
@@ -22,12 +22,28 @@ from ..cluster.actions import (
     SuspendVm,
 )
 from ..cluster.placement import Placement
-from ..cluster.vm import VmState
+from ..cluster.vm import VmState, instance_vm_id
 from ..errors import PlacementError
 from ..types import WorkloadKind
+from ..workloads.jobs import Job
 
 #: CPU adjustments smaller than this (MHz) are not worth an action.
 _ADJUST_EPS = 1e-6
+
+
+def vm_states_of(
+    jobs: Iterable[Job], app_nodes: Mapping[str, Iterable[str]]
+) -> dict[str, VmState]:
+    """The ``vm_states`` map :func:`plan_actions` needs, from a policy's inputs.
+
+    Each job's VM in its current state, and every running web instance
+    (one per node in ``app_nodes``) as RUNNING.
+    """
+    states = {job.vm.vm_id: job.vm.state for job in jobs}
+    for app_id, nodes in app_nodes.items():
+        for node_id in nodes:
+            states[instance_vm_id(app_id, node_id)] = VmState.RUNNING
+    return states
 
 
 def plan_actions(

@@ -7,8 +7,9 @@ equalization from scratch.  :class:`ControlState` makes the temporal
 locality explicit: it persists across :meth:`decide()
 <repro.core.controller.UtilityDrivenController.decide>` calls, carries
 the previous cycle's converged results as *hints* for the next one, and
-aggregates per-cycle telemetry (stage wall-times, equalizer cache
-statistics) for the recorder.
+reports each cycle's :class:`CycleTelemetry` (stage wall-times,
+equalizer cache statistics) for the recorder, which keeps the run's
+counters.
 
 Correctness contract
 --------------------
@@ -165,9 +166,6 @@ class ControlState:
         "_fingerprint",
         "_lr_level",
         "_pending_reason",
-        "cycles",
-        "warm_cycles",
-        "invalidations",
     )
 
     def __init__(
@@ -186,10 +184,6 @@ class ControlState:
         self._fingerprint: Optional[CycleFingerprint] = None
         self._lr_level: Optional[float] = None
         self._pending_reason: Optional[str] = None
-        #: Lifetime counters (telemetry; the recorder aggregates per run).
-        self.cycles = 0
-        self.warm_cycles = 0
-        self.invalidations: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Hints
@@ -212,16 +206,10 @@ class ControlState:
 
         Returns ``(warm, reason)``; ``reason`` is ``""`` when warm and
         names the invalidation cause otherwise (see
-        :class:`CycleTelemetry`).  The decision is recorded in the
-        lifetime counters.
+        :class:`CycleTelemetry`).
         """
-        self.cycles += 1
         reason = self._cold_reason(fingerprint)
-        if reason is None:
-            self.warm_cycles += 1
-            return True, ""
-        self.invalidations[reason] = self.invalidations.get(reason, 0) + 1
-        return False, reason
+        return reason is None, reason or ""
 
     def _cold_reason(self, fp: CycleFingerprint) -> Optional[str]:
         if not self.warm:

@@ -53,7 +53,7 @@ from ..utility.base import UtilityFunction
 from ..utility.transactional import TransactionalUtility
 from ..workloads.jobs import Job
 from ..workloads.transactional import TransactionalAppSpec
-from .actions_planner import plan_actions
+from .actions_planner import plan_actions, vm_states_of
 from .arbiter import ArbiterResult, make_arbiter
 from .control_state import ControlState, CycleFingerprint, CycleTelemetry
 from .demand import (
@@ -73,10 +73,13 @@ from .placement_solver import PlacementSolution
 
 @dataclass(frozen=True)
 class ControlDiagnostics:
-    """Per-cycle telemetry of the controller's reasoning.
+    """Per-cycle telemetry of a policy's reasoning: the one record every
+    :class:`~repro.experiments.runner.PlacementPolicy` returns.
 
     These are the quantities the paper's figures plot: predicted utilities
-    (Figure 1) and demands versus granted allocations (Figure 2).
+    (Figure 1) and demands versus granted allocations (Figure 2).  The
+    runner turns each field into recorder series and counters (naming
+    contract: :mod:`repro.sim.recorder`).
     """
 
     time: Seconds
@@ -97,9 +100,12 @@ class ControlDiagnostics:
     telemetry: Optional[CycleTelemetry] = None
     #: Graceful degradation (set by
     #: :class:`repro.core.resilient.ResilientController`): whether this
-    #: cycle fell back to the last-known-good placement, and why.
+    #: cycle fell back to the last-known-good placement, why (the
+    #: ``fallback:<reason>`` counter name) and the violation or exception
+    #: behind it.
     degraded: bool = False
     fallback_reason: str = ""
+    fallback_detail: str = ""
     #: Whether the cycle overran its configured ``decide_budget_ms``
     #: (non-strict budgets only mark; strict budgets degrade).
     deadline_overrun: bool = False
@@ -109,6 +115,14 @@ class ControlDiagnostics:
     #: milliseconds.  NaN when the oracle did not run this cycle.
     optimality_gap: float = math.nan
     exact_ms: float = math.nan
+    #: Sharded control plane (:class:`repro.core.sharded.ShardedController`
+    #: with more than one shard; empty otherwise): each shard's own
+    #: telemetry in shard order, the spread (max - min) of the shards'
+    #: local equalized utility levels, and the ``BrokenProcessPool``
+    #: incidents absorbed this cycle (decisions are unaffected).
+    shard_telemetry: tuple[CycleTelemetry, ...] = ()
+    shard_imbalance: float = 0.0
+    pool_failures: int = 0
 
 
 def _solution_value(solution: PlacementSolution) -> float:
@@ -149,10 +163,14 @@ class ControlDecision:
     """Everything the controller decided in one cycle."""
 
     actions: Sequence[PlacementAction]
-    placement: Placement
     solution: PlacementSolution
     hypothetical: HypotheticalAllocation
     diagnostics: ControlDiagnostics
+
+    @property
+    def placement(self) -> Placement:
+        """The placement the cycle decided (the solution's)."""
+        return self.solution.placement
 
 
 class UtilityDrivenController:
@@ -278,7 +296,6 @@ class UtilityDrivenController:
         nodes: Sequence[NodeSpec],
         jobs: Sequence[Job],
         current_placement: Placement,
-        vm_states: Mapping[str, VmState],
         app_nodes: Mapping[str, frozenset[str]],
     ) -> ControlDecision:
         """Run one control cycle and return the decision.
@@ -294,8 +311,6 @@ class UtilityDrivenController:
         current_placement:
             Ground-truth placement currently in force (owned by the
             runner, which reflects completions and failures).
-        vm_states:
-            Lifecycle state of every VM the placements mention.
         app_nodes:
             Per-app set of nodes currently hosting an instance.
         """
@@ -342,7 +357,9 @@ class UtilityDrivenController:
             nodes, app_requests, job_requests, lr_target=split.lr_allocation
         )
         t5 = perf_counter()
-        actions = plan_actions(current_placement, solution.placement, vm_states)
+        actions = plan_actions(
+            current_placement, solution.placement, vm_states_of(included, app_nodes)
+        )
         t6 = perf_counter()
 
         # Background optimality oracle -- after the decision is final,
@@ -392,11 +409,17 @@ class UtilityDrivenController:
         )
         return ControlDecision(
             actions=actions,
-            placement=solution.placement,
             solution=solution,
             hypothetical=hypothetical,
             diagnostics=diagnostics,
         )
+
+    def invalidate(self, reason: str) -> None:
+        """Force the next cycle cold (``invalidated:<reason>``)."""
+        self.control_state.invalidate(reason)
+
+    def close(self) -> None:
+        """Nothing to release: the monolithic controller holds no resources."""
 
     # ------------------------------------------------------------------
     # Internals

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..cluster.vm import instance_vm_id
 from ..errors import ConfigurationError
 from ..types import Cycles, Megabytes, Mhz, Seconds
 
@@ -175,7 +176,7 @@ class AppRequest:
 
     def instance_vm_id(self, node_id: str) -> str:
         """The stable VM id of this app's instance on ``node_id``."""
-        return f"tx:{self.app_id}@{node_id}"
+        return instance_vm_id(self.app_id, node_id)
 
 
 def order_by_urgency(requests: Sequence[JobRequest]) -> list[JobRequest]:

@@ -31,13 +31,13 @@ from __future__ import annotations
 import dataclasses
 import math
 from time import perf_counter
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..cluster.node import NodeSpec
 from ..cluster.placement import Placement
-from ..cluster.vm import VmState
+from ..cluster.vm import parse_instance_vm_id
 from ..config import ControllerConfig
 from ..errors import DecisionTimeoutError, DegradedModeError, ModelError
 from ..types import Seconds
@@ -47,6 +47,9 @@ from .controller import ControlDecision, ControlDiagnostics
 from .hypothetical import HypotheticalAllocation
 from .placement_solver import PlacementSolution
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..experiments.runner import PlacementPolicy
+
 #: Feasibility tolerance, matching ``Placement.validate``.
 _EPS = 1e-6
 
@@ -55,13 +58,10 @@ class ResilientController:
     """Pre-apply feasibility guard + last-known-good fallback wrapper."""
 
     def __init__(
-        self, inner: object, config: Optional[ControllerConfig] = None
+        self, inner: PlacementPolicy, config: Optional[ControllerConfig] = None
     ) -> None:
         self.inner = inner
         self.config = config or ControllerConfig()
-        #: Cumulative accounting, mirrored into the recorder by the runner.
-        self.degraded_cycles = 0
-        self.deadline_overruns = 0
         self._consecutive_degraded = 0
 
     # ------------------------------------------------------------------
@@ -79,7 +79,6 @@ class ResilientController:
         nodes: Sequence[NodeSpec],
         jobs: Sequence[Job],
         current_placement: Placement,
-        vm_states: Mapping[str, VmState],
         app_nodes: Mapping[str, frozenset[str]],
     ) -> ControlDecision:
         budget = self.config.decide_budget_ms
@@ -90,56 +89,51 @@ class ResilientController:
                 nodes=nodes,
                 jobs=jobs,
                 current_placement=current_placement,
-                vm_states=vm_states,
                 app_nodes=app_nodes,
             )
         except DegradedModeError:
             raise
-        except DecisionTimeoutError:
+        except DecisionTimeoutError as exc:
             # A policy with an in-band deadline signalled it explicitly.
-            self.deadline_overruns += 1
-            return self._degrade(
-                t, nodes, current_placement, vm_states, reason="deadline"
-            )
-        except ModelError:
+            return self._degrade(t, nodes, current_placement, "deadline", exc)
+        except ModelError as exc:
             # An exact backend failed to solve the cycle's instance
             # (e.g. a HiGHS solver error).  Same last-known-
             # good fallback, but its own counter -- a solver-health
             # signal, distinct from arbitrary policy exceptions.
-            return self._degrade(
-                t, nodes, current_placement, vm_states, reason="model-error"
-            )
+            return self._degrade(t, nodes, current_placement, "model-error", exc)
         except Exception as exc:  # noqa: BLE001 - the whole point
+            return self._degrade(
+                t, nodes, current_placement, f"exception:{type(exc).__name__}", exc
+            )
+        elapsed_ms = (perf_counter() - started) * 1e3
+        overrun = budget is not None and elapsed_ms > budget
+        if overrun and self.config.decide_budget_strict:
             return self._degrade(
                 t,
                 nodes,
                 current_placement,
-                vm_states,
-                reason=f"exception:{type(exc).__name__}",
+                "deadline",
+                f"decide took {elapsed_ms:.3f} ms, budget {budget:g} ms",
             )
-        elapsed_ms = (perf_counter() - started) * 1e3
-        overrun = budget is not None and elapsed_ms > budget
-        if overrun:
-            self.deadline_overruns += 1
-            if self.config.decide_budget_strict:
-                return self._degrade(
-                    t, nodes, current_placement, vm_states, reason="deadline"
-                )
         violation = self._infeasibility(decision, nodes)
         if violation is not None:
-            return self._degrade(
-                t, nodes, current_placement, vm_states, reason="infeasible"
-            )
+            return self._degrade(t, nodes, current_placement, "infeasible", violation)
         self._consecutive_degraded = 0
         if overrun:
-            decision = self._mark_overrun(decision)
+            diagnostics = dataclasses.replace(
+                decision.diagnostics, deadline_overrun=True
+            )
+            decision = dataclasses.replace(decision, diagnostics=diagnostics)
         return decision
+
+    def invalidate(self, reason: str) -> None:
+        """Force the wrapped policy's next cycle cold."""
+        self.inner.invalidate(reason)
 
     def close(self) -> None:
         """Release the wrapped policy's resources (shard pools)."""
-        close = getattr(self.inner, "close", None)
-        if close is not None:
-            close()
+        self.inner.close()
 
     def __enter__(self) -> "ResilientController":
         return self
@@ -147,11 +141,6 @@ class ResilientController:
     def __exit__(self, *exc_info: object) -> bool:
         self.close()
         return False
-
-    def __getattr__(self, name: str):
-        if name == "inner":
-            raise AttributeError(name)
-        return getattr(self.inner, name)
 
     # ------------------------------------------------------------------
     # Degraded cycle
@@ -161,25 +150,39 @@ class ResilientController:
         t: Seconds,
         nodes: Sequence[NodeSpec],
         current_placement: Placement,
-        vm_states: Mapping[str, VmState],
         reason: str,
+        cause: str | Exception,
     ) -> ControlDecision:
-        self.degraded_cycles += 1
+        """Fall back to the last-known-good placement.
+
+        ``reason`` names the ``fallback:<reason>`` counter; ``cause`` is
+        the violation text or the exception behind it.
+        """
+        detail = (
+            f"{type(cause).__name__}: {cause}"
+            if isinstance(cause, Exception)
+            else cause
+        )
         self._consecutive_degraded += 1
         limit = self.config.max_consecutive_degraded
         if limit is not None and self._consecutive_degraded > limit:
             raise DegradedModeError(
                 f"{self._consecutive_degraded} consecutive degraded cycles "
-                f"(limit {limit}); last fallback reason: {reason}"
+                f"(limit {limit}); last fallback: {reason} ({detail})"
             )
-        self._invalidate_inner()
+        # The wrapped policy's warm state may not match the placement
+        # this cycle keeps: force its next cycle cold.
+        self.inner.invalidate("degraded")
         placement = self._last_known_good(current_placement, nodes)
-        actions = plan_actions(current_placement, placement, vm_states)
+        # The fallback only drops or shrinks incumbent entries, so the
+        # planner never needs a VM's state to tell a start from a resume.
+        actions = plan_actions(current_placement, placement, {})
         job_rates: dict[str, float] = {}
         app_allocations: dict[str, float] = {}
         for entry in placement:
-            if entry.vm_id.startswith("tx:") and "@" in entry.vm_id:
-                app_id = entry.vm_id[3:].split("@", 1)[0]
+            instance = parse_instance_vm_id(entry.vm_id)
+            if instance is not None:
+                app_id = instance[0]
                 app_allocations[app_id] = (
                     app_allocations.get(app_id, 0.0) + entry.cpu_mhz
                 )
@@ -212,25 +215,15 @@ class ResilientController:
             population_size=0,
             degraded=True,
             fallback_reason=reason,
+            fallback_detail=detail,
+            deadline_overrun=reason == "deadline",
         )
         return ControlDecision(
             actions=actions,
-            placement=placement,
             solution=solution,
             hypothetical=hypothetical,
             diagnostics=diagnostics,
         )
-
-    def _invalidate_inner(self) -> None:
-        """Force the wrapped policy cold: its warm state may not match the
-        placement the degraded cycle kept."""
-        state = getattr(self.inner, "control_state", None)
-        if state is not None:
-            state.invalidate("degraded")
-            return
-        invalidate = getattr(self.inner, "invalidate", None)
-        if invalidate is not None:
-            invalidate("degraded")
 
     def _last_known_good(
         self, current_placement: Placement, nodes: Sequence[NodeSpec]
@@ -279,14 +272,3 @@ class ResilientController:
                     f"{memory:.1f} > {spec.memory_mb:.1f} MB"
                 )
         return None
-
-    def _mark_overrun(self, decision: ControlDecision) -> ControlDecision:
-        try:
-            diagnostics = dataclasses.replace(
-                decision.diagnostics, deadline_overrun=True
-            )
-            return dataclasses.replace(decision, diagnostics=diagnostics)
-        except TypeError:
-            # Custom policies may carry diagnostics without the field;
-            # the wrapper-level counter still accounts the overrun.
-            return decision

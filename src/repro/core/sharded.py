@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import chain
 from time import perf_counter, sleep
 from typing import Mapping, Optional, Sequence
@@ -50,7 +50,6 @@ import numpy as np
 
 from ..cluster.node import NodeSpec
 from ..cluster.placement import Placement
-from ..cluster.vm import VmState
 from ..config import ControllerConfig
 from ..errors import UnknownEntityError
 from ..netmodel.context import NetworkContext
@@ -82,41 +81,6 @@ _POOL_BACKOFF_S = 0.05
 _POOL_PERMANENT_FAILURES = 3
 
 
-@dataclass(frozen=True)
-class ShardTelemetry:
-    """One shard's slice of a sharded control cycle."""
-
-    shard: int
-    nodes: int
-    capacity: Mhz
-    population: int
-    lr_level: float
-    telemetry: CycleTelemetry
-
-
-@dataclass(frozen=True)
-class ShardedDiagnostics(ControlDiagnostics):
-    """Cluster-level diagnostics of a sharded cycle.
-
-    Scalar fields aggregate the shards (sums for demands/targets/
-    population, capacity-weighted means for utilities); the sharded
-    extras carry the per-shard breakdown the recorder turns into the
-    ``shard_ms:*`` / ``shard_imbalance`` series and per-shard
-    ``invalidations:shard<i>:*`` counters.
-    """
-
-    shard_telemetry: tuple[ShardTelemetry, ...] = ()
-    #: Spread (max - min) of the shards' local equalized utility levels
-    #: at their budgets -- the quantity arrival routing drives down.
-    shard_imbalance: float = 0.0
-    #: The top-level arbiter's common level ``u*`` across shards.
-    shard_split_level: float = 0.0
-    #: ``BrokenProcessPool`` incidents absorbed during this cycle (the
-    #: pool was rebuilt or the cycle fell back to serial execution; the
-    #: decisions themselves are unaffected).
-    pool_failures: int = 0
-
-
 def _decide_shard(
     task: tuple[
         int,
@@ -125,7 +89,6 @@ def _decide_shard(
         list[NodeSpec],
         list[Job],
         Placement,
-        dict[str, VmState],
         dict[str, frozenset[str]],
         list[tuple[str, float, Optional[float]]],
     ],
@@ -139,7 +102,7 @@ def _decide_shard(
     parent's instance -- that round trip is what preserves warm starts
     across pooled cycles and keeps serial and pooled runs byte-identical.
     """
-    _, controller, t, nodes, jobs, placement, vm_states, app_nodes, observations = task
+    _, controller, t, nodes, jobs, placement, app_nodes, observations = task
     for app_id, load, service_cycles in observations:
         controller.observe_app(app_id, load=load, service_cycles=service_cycles)
     decision = controller.decide(
@@ -147,7 +110,6 @@ def _decide_shard(
         nodes=nodes,
         jobs=jobs,
         current_placement=placement,
-        vm_states=vm_states,
         app_nodes=app_nodes,
     )
     return controller, decision
@@ -216,13 +178,10 @@ class ShardedController:
         #: Observations buffered until decide() knows the shard capacities.
         self._pending_obs: list[tuple[str, float, Optional[float]]] = []
         self._pool: Optional[ProcessPoolExecutor] = None
-        #: Worker-pool fault accounting (see module constants): lifetime
-        #: BrokenProcessPool incidents, the consecutive-break streak, and
-        #: whether the pool has been permanently abandoned for serial
-        #: execution.
-        self.pool_failures = 0
+        #: Consecutive BrokenProcessPool incidents; at
+        #: ``_POOL_PERMANENT_FAILURES`` the pool is abandoned for serial
+        #: execution (see module constants).
         self._consecutive_pool_failures = 0
-        self._pool_disabled = False
         #: Last cycle's cross-shard split / per-shard views (telemetry,
         #: tests); ``None`` before the first multi-shard cycle.
         self.last_split: Optional[ShardSplit] = None
@@ -246,10 +205,10 @@ class ShardedController:
         """Sticky shard index of ``node_id`` (``None`` if never seen)."""
         return self._node_shard.get(node_id)
 
-    def invalidate(self, reason: str = "external") -> None:
+    def invalidate(self, reason: str) -> None:
         """Force every shard's next cycle cold."""
         for controller in self._controllers:
-            controller.control_state.invalidate(reason)
+            controller.invalidate(reason)
 
     # ------------------------------------------------------------------
     # PlacementPolicy interface
@@ -288,7 +247,6 @@ class ShardedController:
         nodes: Sequence[NodeSpec],
         jobs: Sequence[Job],
         current_placement: Placement,
-        vm_states: Mapping[str, VmState],
         app_nodes: Mapping[str, frozenset[str]],
     ) -> ControlDecision:
         """One sharded control cycle (monolithic pass-through for 1 shard)."""
@@ -307,19 +265,20 @@ class ShardedController:
                 nodes=nodes,
                 jobs=jobs,
                 current_placement=current_placement,
-                vm_states=vm_states,
                 app_nodes=app_nodes,
             )
         t0 = perf_counter()
-        shards = len(self._controllers)
         shard_nodes = self._partition_nodes(nodes)
         shard_jobs, split, split_ran = self._partition_jobs(t, jobs, shard_nodes)
         tasks = self._build_tasks(
-            t, shard_nodes, shard_jobs, current_placement, vm_states, app_nodes
+            t, shard_nodes, shard_jobs, current_placement, app_nodes
         )
         cycle_pool_failures = 0
         results = None
-        if self.config.shard_workers > 1 and not self._pool_disabled:
+        if (
+            self.config.shard_workers > 1
+            and self._consecutive_pool_failures < _POOL_PERMANENT_FAILURES
+        ):
             results, cycle_pool_failures = self._map_resilient(tasks)
         if results is None:
             results = [_decide_shard(task) for task in tasks]
@@ -333,20 +292,12 @@ class ShardedController:
         wall_ms = (perf_counter() - t0) * 1e3
         return _merge_decisions(
             t,
-            shards,
-            shard_nodes,
             decisions,
             split,
             split.iterations if split_ran else 0,
             wall_ms,
             cycle_pool_failures,
         )
-
-    @property
-    def pool_disabled(self) -> bool:
-        """Whether the worker pool was permanently abandoned after
-        ``_POOL_PERMANENT_FAILURES`` consecutive breaks."""
-        return self._pool_disabled
 
     def _map_resilient(
         self, tasks: list[tuple]
@@ -362,11 +313,9 @@ class ShardedController:
                 results = list(self._ensure_pool().map(_decide_shard, tasks))
             except BrokenProcessPool:
                 incidents += 1
-                self.pool_failures += 1
                 self._consecutive_pool_failures += 1
                 self._discard_pool()
                 if self._consecutive_pool_failures >= _POOL_PERMANENT_FAILURES:
-                    self._pool_disabled = True
                     return None, incidents
                 sleep(_POOL_BACKOFF_S * (attempt + 1))
                 continue
@@ -471,7 +420,6 @@ class ShardedController:
         shard_nodes: list[list[NodeSpec]],
         shard_jobs: list[list[Job]],
         current_placement: Placement,
-        vm_states: Mapping[str, VmState],
         app_nodes: Mapping[str, frozenset[str]],
     ) -> list[tuple]:
         shards = len(self._controllers)
@@ -488,26 +436,6 @@ class ShardedController:
             }
             for shard in range(shards)
         ]
-        # Per-shard vm_states are built from what each shard owns (its
-        # jobs' VMs plus the tx instances on its nodes) rather than by
-        # scanning and string-parsing the whole cluster dict per cycle.
-        shard_vm_states: list[dict[str, VmState]] = [{} for _ in range(shards)]
-        for shard, js in enumerate(shard_jobs):
-            states = shard_vm_states[shard]
-            for job in js:
-                vm_id = job.vm.vm_id
-                state = vm_states.get(vm_id)
-                if state is not None:
-                    states[vm_id] = state
-        for app_id, hosted in app_nodes.items():
-            for node in hosted:
-                shard = node_shard.get(node)
-                if shard is None:
-                    continue
-                vm_id = f"tx:{app_id}@{node}"
-                state = vm_states.get(vm_id)
-                if state is not None:
-                    shard_vm_states[shard][vm_id] = state
 
         capacities = [sum(n.cpu_capacity for n in ns) for ns in shard_nodes]
         total_capacity = sum(capacities)
@@ -531,7 +459,6 @@ class ShardedController:
                     shard_nodes[shard],
                     shard_jobs[shard],
                     shard_placements[shard],
-                    shard_vm_states[shard],
                     shard_app_nodes[shard],
                     scaled,
                 )
@@ -551,13 +478,11 @@ class ShardedController:
 # ----------------------------------------------------------------------
 def _merge_decisions(
     t: Seconds,
-    shards: int,
-    shard_nodes: list[list[NodeSpec]],
     decisions: list[ControlDecision],
     split: ShardSplit,
     split_iterations: int,
     wall_ms: float,
-    pool_failures: int = 0,
+    pool_failures: int,
 ) -> ControlDecision:
     """Fuse per-shard decisions into one cluster-level decision.
 
@@ -607,22 +532,13 @@ def _merge_decisions(
     capacities = [d.diagnostics.capacity for d in decisions]
     hypo = _merge_hypothetical([d.hypothetical for d in decisions], populations)
     telemetry = _merge_telemetry(decisions, wall_ms)
-    shard_telemetry = tuple(
-        ShardTelemetry(
-            shard=s,
-            nodes=len(shard_nodes[s]),
-            capacity=capacities[s],
-            population=populations[s],
-            lr_level=decisions[s].diagnostics.lr_utility_level,
-            telemetry=decisions[s].diagnostics.telemetry,
-        )
-        for s in range(shards)
-    )
     app_targets: dict[str, Mhz] = {}
     for decision in decisions:
         for app_id, target in decision.diagnostics.app_targets.items():
             app_targets[app_id] = app_targets.get(app_id, 0.0) + target
-    diagnostics = ShardedDiagnostics(
+    # Scalar fields aggregate the shards: sums for demands, targets and
+    # population, capacity-weighted means for utilities.
+    diagnostics = ControlDiagnostics(
         time=t,
         capacity=sum(capacities),
         tx_demand=sum(d.diagnostics.tx_demand for d in decisions),
@@ -640,15 +556,13 @@ def _merge_decisions(
         population_size=sum(populations),
         app_targets=app_targets,
         telemetry=telemetry,
-        shard_telemetry=shard_telemetry,
+        shard_telemetry=tuple(d.diagnostics.telemetry for d in decisions),
         shard_imbalance=split.imbalance,
-        shard_split_level=split.level,
         pool_failures=pool_failures,
     )
     actions = tuple(chain.from_iterable(d.actions for d in decisions))
     return ControlDecision(
         actions=actions,
-        placement=merged_placement,
         solution=merged_solution,
         hypothetical=hypo,
         diagnostics=diagnostics,

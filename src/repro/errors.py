@@ -17,10 +17,6 @@ class ConfigurationError(ReproError):
     """A scenario, controller or model configuration value is invalid."""
 
 
-class CapacityError(ReproError):
-    """A request exceeds the physical capacity of a node or the cluster."""
-
-
 class PlacementError(ReproError):
     """A placement violates CPU, memory or lifecycle constraints."""
 

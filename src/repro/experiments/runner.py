@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Protocol, Sequence
+from typing import Callable, Mapping, Optional, Protocol, Sequence, runtime_checkable
 
 from ..analysis.stats import job_outcome_stats
 from ..cluster.actions import (
@@ -36,7 +36,7 @@ from ..cluster.actions import (
 from ..cluster.cluster import Cluster
 from ..cluster.node import NodeSpec
 from ..cluster.placement import Placement
-from ..cluster.vm import VmState
+from ..cluster.vm import parse_instance_vm_id
 import numpy as np
 
 from ..core.controller import ControlDecision, UtilityDrivenController
@@ -61,11 +61,17 @@ from ..workloads.transactional import TransactionalApp
 from .scenario import Scenario
 
 
+@runtime_checkable
 class PlacementPolicy(Protocol):
-    """Decision-maker interface the runner drives.
+    """The one contract between the runner and a decision maker.
 
     Implemented by :class:`~repro.core.controller.UtilityDrivenController`
-    and by every baseline in :mod:`repro.baselines`.
+    (and every baseline in :mod:`repro.baselines`, by inheritance),
+    :class:`~repro.core.sharded.ShardedController`,
+    :class:`~repro.core.resilient.ResilientController` and
+    :class:`~repro.faults.chaos.ChaosPolicy`.  A wrapper implements all
+    four methods by delegating explicitly, so a degraded cycle's
+    ``invalidate`` and the run's ``close`` reach the real controller.
     """
 
     def observe_app(
@@ -81,10 +87,17 @@ class PlacementPolicy(Protocol):
         nodes: Sequence[NodeSpec],
         jobs: Sequence[Job],
         current_placement: Placement,
-        vm_states: Mapping[str, VmState],
         app_nodes: Mapping[str, frozenset[str]],
     ) -> ControlDecision:
         """Produce the cycle's placement decision."""
+        ...
+
+    def invalidate(self, reason: str) -> None:
+        """Drop cross-cycle state: the next cycle runs cold."""
+        ...
+
+    def close(self) -> None:
+        """Release resources (worker pools) at the end of a run."""
         ...
 
 
@@ -387,6 +400,11 @@ class ExperimentRunner:
     ) -> None:
         self.scenario = scenario
         policy = (policy_factory or default_policy_factory)(scenario)
+        if not isinstance(policy, PlacementPolicy):
+            raise TypeError(
+                f"{type(policy).__name__} does not implement PlacementPolicy "
+                "(observe_app, decide, invalidate, close)"
+            )
         if scenario.controller.resilient and not isinstance(
             policy, ResilientController
         ):
@@ -475,9 +493,7 @@ class ExperimentRunner:
         try:
             self._sim.run(until=scenario.horizon)
         finally:
-            close = getattr(self._policy, "close", None)
-            if close is not None:
-                close()
+            self._policy.close()
         return ExperimentResult(
             scenario=scenario,
             recorder=self._recorder,
@@ -498,7 +514,6 @@ class ExperimentRunner:
             nodes=self._cluster.active_nodes(),
             jobs=list(self._jobs.values()),
             current_placement=self._placement,
-            vm_states=self._vm_states(),
             app_nodes=self._app_nodes(),
         )
         decision.placement.validate(self._cluster)
@@ -678,15 +693,6 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
     # State views handed to the policy
     # ------------------------------------------------------------------
-    def _vm_states(self) -> dict[str, VmState]:
-        states: dict[str, VmState] = {}
-        for job in self._jobs.values():
-            states[job.vm.vm_id] = job.vm.state
-        for app_id in sorted(self._apps):
-            for node_id in self._apps[app_id].instance_nodes:
-                states[f"tx:{app_id}@{node_id}"] = VmState.RUNNING
-        return states
-
     def _app_nodes(self) -> dict[str, frozenset[str]]:
         return {
             app_id: frozenset(self._apps[app_id].instance_nodes)
@@ -775,7 +781,7 @@ class ExperimentRunner:
         # Control-plane telemetry (policies without the incremental
         # control plane -- the baselines -- simply record nothing here).
         # Naming contract: repro.sim.recorder module docstring.
-        telemetry = getattr(diag, "telemetry", None)
+        telemetry = diag.telemetry
         if telemetry is not None:
             for stage, ms in telemetry.stage_ms.items():
                 rec.record(f"stage_ms:{stage}", t, ms)
@@ -791,47 +797,33 @@ class ExperimentRunner:
             if not warm and telemetry.reason:
                 rec.bump(f"invalidations:{telemetry.reason}")
 
-        # Background exact-oracle telemetry (the ``exact_oracle``
-        # controller knob; naming contract: repro.sim.recorder module
-        # docstring).  Both fields are NaN on cycles the oracle skipped
-        # or is disabled for, so the series only carry real samples.
-        gap = getattr(diag, "optimality_gap", math.nan)
-        if not math.isnan(gap):
-            rec.record("optimality_gap", t, gap)
-        exact_ms = getattr(diag, "exact_ms", math.nan)
-        if not math.isnan(exact_ms):
-            rec.record("exact_ms", t, exact_ms)
+        # Both oracle fields are NaN on cycles the oracle skipped or is
+        # disabled for, so the series only carry real samples.
+        if not math.isnan(diag.optimality_gap):
+            rec.record("optimality_gap", t, diag.optimality_gap)
+        if not math.isnan(diag.exact_ms):
+            rec.record("exact_ms", t, diag.exact_ms)
 
-        # Sharded control plane: per-shard decide times and cross-shard
-        # balance (ShardedDiagnostics only; the monolithic controller
-        # records nothing here).
-        shard_telemetry = getattr(diag, "shard_telemetry", ())
-        if shard_telemetry:
+        if diag.shard_telemetry:
             rec.record("shard_imbalance", t, diag.shard_imbalance)
-            for st in shard_telemetry:
-                rec.record(
-                    f"shard_ms:{st.shard}",
-                    t,
-                    st.telemetry.stage_ms.get("total", math.nan),
-                )
-                if st.telemetry.mode != "warm" and st.telemetry.reason:
-                    rec.bump(f"invalidations:shard{st.shard}:{st.telemetry.reason}")
+            for shard, st in enumerate(diag.shard_telemetry):
+                rec.record(f"shard_ms:{shard}", t, st.stage_ms.get("total", math.nan))
+                if st.mode != "warm" and st.reason:
+                    rec.bump(f"invalidations:shard{shard}:{st.reason}")
 
-        # Graceful degradation and fault telemetry (naming contract:
-        # repro.sim.recorder module docstring).  ``brownout_fraction`` is
-        # recorded every cycle (0.0 while no brownout is active) so its
-        # time average is well-defined for every run.
+        # ``brownout_fraction`` is recorded every cycle (0.0 while no
+        # brownout is active) so its time average is well-defined for
+        # every run.
         rec.record(
             "brownout_fraction", t, self._cluster.brownout_capacity_fraction
         )
-        if getattr(diag, "degraded", False):
+        if diag.degraded:
             rec.bump("degraded_cycles")
-            rec.bump(f"fallback:{getattr(diag, 'fallback_reason', '') or 'unknown'}")
-        if getattr(diag, "deadline_overrun", False):
+            rec.bump(f"fallback:{diag.fallback_reason or 'unknown'}")
+        if diag.deadline_overrun:
             rec.bump("decide_overruns")
-        pool_failures = getattr(diag, "pool_failures", 0)
-        if pool_failures:
-            rec.bump("fallback:shard-pool", pool_failures)
+        if diag.pool_failures:
+            rec.bump("fallback:shard-pool", diag.pool_failures)
 
         counts = {phase: 0 for phase in JobPhase}
         for job in self._jobs.values():
@@ -850,10 +842,10 @@ class ExperimentRunner:
 
     @staticmethod
     def _parse_instance(vm_id: str) -> tuple[str, str]:
-        if not vm_id.startswith("tx:") or "@" not in vm_id:
+        instance = parse_instance_vm_id(vm_id)
+        if instance is None:
             raise SimulationError(f"not an instance vm id: {vm_id!r}")
-        app_id, node_id = vm_id[3:].split("@", 1)
-        return app_id, node_id
+        return instance
 
 
 def run_scenario(

@@ -15,8 +15,13 @@ utility controller) in :mod:`repro.baselines.registry`.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Optional
+
 from ..errors import ConfigurationError, ReproError
 from ..sim.rng import RngRegistry
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..experiments.runner import PlacementPolicy
 
 
 class InjectedFaultError(ReproError):
@@ -26,15 +31,14 @@ class InjectedFaultError(ReproError):
 class ChaosPolicy:
     """Wrap ``inner`` and fail ``decide()`` with probability ``error_rate``.
 
-    Every other attribute (``observe_app``, ``control_state``,
-    ``invalidate``, ...) is delegated to the wrapped policy, so the
-    wrapper is transparent to the runner and to
-    :class:`~repro.core.resilient.ResilientController`.
+    The rest of the policy contract (``observe_app``, ``invalidate``,
+    ``close``) passes straight to the wrapped policy, so a degraded cycle
+    still forces the real controller cold.
     """
 
     def __init__(
         self,
-        inner: object,
+        inner: PlacementPolicy,
         *,
         error_rate: float = 0.2,
         seed: int = 0,
@@ -47,6 +51,11 @@ class ChaosPolicy:
         self.injected = 0
         self._rng = RngRegistry(seed).stream(stream)
 
+    def observe_app(
+        self, app_id: str, *, load: float, service_cycles: Optional[float] = None
+    ) -> None:
+        self.inner.observe_app(app_id, load=load, service_cycles=service_cycles)
+
     def decide(self, t, **kwargs):
         if float(self._rng.random()) < self.error_rate:
             self.injected += 1
@@ -55,7 +64,8 @@ class ChaosPolicy:
             )
         return self.inner.decide(t, **kwargs)
 
-    def __getattr__(self, name: str):
-        if name == "inner":  # guard half-initialized pickling/copy paths
-            raise AttributeError(name)
-        return getattr(self.inner, name)
+    def invalidate(self, reason: str) -> None:
+        self.inner.invalidate(reason)
+
+    def close(self) -> None:
+        self.inner.close()

@@ -110,10 +110,6 @@ class ZoneTopology:
         )
 
     # -- lookups --------------------------------------------------------
-    @property
-    def num_zones(self) -> int:
-        return len(self.zones)
-
     def _zone_index(self, zone: str) -> int:
         index: Mapping[str, int] = self._index  # type: ignore[attr-defined]
         try:

@@ -24,29 +24,38 @@ Times and values are plain JSON numbers; strict-JSON producers (such as
 
 Control-plane telemetry naming (additive ``repro.recorder/v1`` fields)
 ----------------------------------------------------------------------
-Runs driven by the incremental control plane record, per control cycle:
+Each control cycle the runner records the policy's
+:class:`~repro.core.controller.ControlDiagnostics` (``diag`` below);
+each name maps to the field it is recorded from.  Runs driven by the
+incremental control plane (``diag.telemetry`` set) record:
 
-* ``stage_ms:<stage>`` series -- decide() wall-time per stage
-  (``demand`` / ``arbiter`` / ``equalize`` / ``requests`` / ``solver`` /
-  ``planner`` / ``total``), milliseconds;
-* ``cycle_warm`` series -- 1.0 for warm cycles, 0.0 for cold;
-* ``eq_evals`` / ``eq_cache_hits`` series -- consumed-curve evaluations
-  performed / served by the equalizer's shared memo that cycle;
-* counters ``warm_cycles`` / ``cold_cycles``, ``eq_evals_total`` /
-  ``eq_cache_hits_total``, ``eq_seed_hits_total`` /
-  ``eq_seed_misses_total``, and ``invalidations:<reason>`` (one counter
-  per observed cold-cycle cause, e.g. ``invalidations:topology-changed``).
+* ``stage_ms:<stage>`` series -- ``telemetry.stage_ms``: decide()
+  wall-time per stage (``demand`` / ``arbiter`` / ``equalize`` /
+  ``requests`` / ``solver`` / ``planner`` / ``total``), milliseconds;
+* ``cycle_warm`` series and ``warm_cycles`` / ``cold_cycles`` counters
+  -- ``telemetry.mode``;
+* ``eq_evals`` / ``eq_cache_hits`` series and ``eq_evals_total`` /
+  ``eq_cache_hits_total`` counters -- ``telemetry.eq_evals`` /
+  ``telemetry.eq_cache_hits``: consumed-curve evaluations performed /
+  served by the equalizer's shared memo;
+* ``eq_seed_hits_total`` / ``eq_seed_misses_total`` counters --
+  ``telemetry.seed_hits`` / ``telemetry.seed_misses``;
+* ``invalidations:<reason>`` counters -- ``telemetry.reason`` of each
+  cold cycle (e.g. ``invalidations:topology-changed``).
 
-Sharded runs (``ControllerConfig.shards > 1``) additionally record:
+Sharded runs (``ControllerConfig.shards > 1``; ``diag.shard_telemetry``
+non-empty) additionally record:
 
-* ``shard_ms:<shard>`` series -- each shard's own decide() wall time
-  (milliseconds; the shard index is the 0-based position assigned by the
-  shard planner);
-* ``shard_imbalance`` series -- spread (max - min) of the shards' local
-  equalized utility levels at their budgets, the quantity cross-shard
-  arrival routing drives down;
-* ``invalidations:shard<i>:<reason>`` counters -- per-shard cold-cycle
-  causes.  The unqualified ``invalidations:<reason>`` counter keeps its
+* ``shard_ms:<shard>`` series -- the ``total`` of
+  ``shard_telemetry[shard].stage_ms``: each shard's own decide() wall
+  time (milliseconds; the shard index is the 0-based position assigned
+  by the shard planner);
+* ``shard_imbalance`` series -- ``diag.shard_imbalance``: spread
+  (max - min) of the shards' local equalized utility levels at their
+  budgets, the quantity cross-shard arrival routing drives down;
+* ``invalidations:shard<i>:<reason>`` counters --
+  ``shard_telemetry[i].reason``: per-shard cold-cycle causes.  The
+  unqualified ``invalidations:<reason>`` counter keeps its
   cluster-level meaning (bumped once per cycle, with the first cold
   shard's reason), so shard counters add detail without double-counting
   a meaning change.
@@ -55,7 +64,7 @@ Sharded runs (``ControllerConfig.shards > 1``) additionally record:
   whole sharded decide and ``stage_ms:overhead`` its excess over the
   summed shard totals (partition/route/merge cost).
 
-Fault injection and graceful degradation (PR 7) additionally record:
+Fault injection and graceful degradation additionally record:
 
 * ``brownout_fraction`` series -- fraction of active nominal CPU
   currently shed by capacity brownouts, sampled every control cycle
@@ -65,14 +74,20 @@ Fault injection and graceful degradation (PR 7) additionally record:
   collapse into one sample; the times drive the ``time_to_recover_mean``
   summary metric);
 * counters ``node_failures`` / ``node_brownouts`` -- injected fault
-  events; ``degraded_cycles`` -- control cycles that fell back to the
-  last-known-good placement; ``fallback:<reason>`` -- one counter per
+  events;
+* ``degraded_cycles`` counter -- ``diag.degraded``: control cycles that
+  fell back to the last-known-good placement;
+* ``fallback:<reason>`` counters -- ``diag.fallback_reason``, one per
   degradation cause (``fallback:exception:<ExceptionType>``,
-  ``fallback:infeasible``, ``fallback:deadline``, plus
-  ``fallback:shard-pool`` counting BrokenProcessPool incidents the
-  sharded controller absorbed without degrading); and
-  ``decide_overruns`` -- cycles that exceeded a configured
-  ``decide_budget_ms`` (wall-clock, hence nondeterministic -- like the
+  ``fallback:infeasible``, ``fallback:deadline``,
+  ``fallback:model-error``); ``diag.fallback_detail`` carries the
+  violation or exception text behind it;
+* ``fallback:shard-pool`` counter -- ``diag.pool_failures``:
+  BrokenProcessPool incidents the sharded controller absorbed without
+  degrading;
+* ``decide_overruns`` counter -- ``diag.deadline_overrun``: cycles that
+  exceeded a configured ``decide_budget_ms``, including those a strict
+  budget degraded (wall-clock, hence nondeterministic -- like the
   ``stage_ms:*`` series).
 
 Network-model runs (scenarios declaring a ``[network]`` zone topology,
@@ -95,14 +110,16 @@ Latency-blind scenarios record none of these (absent series, not NaN
 samples), keeping their exports byte-identical to pre-network runs.
 
 Exact-oracle runs (the ``ControllerConfig.exact_oracle`` knob)
-additionally record, on the cycles the oracle sampled:
+additionally record, on the cycles the oracle sampled (the fields are
+NaN on the others):
 
-* ``optimality_gap`` series -- relative shortfall of the cycle's
-  placement against the exact optimum of the same instance, in [0, 1]
-  (0 = the production solver matched the oracle);
-* ``exact_ms`` series -- the background oracle's solve wall-time,
-  milliseconds (wall-clock, hence nondeterministic -- like the
-  ``stage_ms:*`` series);
+* ``optimality_gap`` series -- ``diag.optimality_gap``: relative
+  shortfall of the cycle's placement against the exact optimum of the
+  same instance, in [0, 1] (0 = the production solver matched the
+  oracle);
+* ``exact_ms`` series -- ``diag.exact_ms``: the background oracle's
+  solve wall-time, milliseconds (wall-clock, hence nondeterministic --
+  like the ``stage_ms:*`` series);
 * plus the ``fallback:model-error`` counter when a resilient run
   degraded a cycle because an exact backend raised a
   :class:`~repro.errors.ModelError`.

@@ -14,7 +14,6 @@ The library uses a single consistent unit system, matching the paper:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 #: CPU power in MHz.
 Mhz = float
@@ -34,53 +33,3 @@ class WorkloadKind(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
-
-
-@dataclass(frozen=True, slots=True)
-class CpuDemand:
-    """A workload's CPU demand snapshot used by the arbiter.
-
-    Attributes
-    ----------
-    kind:
-        Which workload type the demand belongs to.
-    max_utility_demand:
-        The allocation (MHz) beyond which the workload's utility no longer
-        improves -- for transactional workloads the point where every
-        in-flight request runs at its speed cap, for long-running workloads
-        the sum of the speed caps of all incomplete jobs.
-    floor:
-        A minimum allocation below which the workload is considered
-        unservable (always ``>= 0``; usually 0).
-    """
-
-    kind: WorkloadKind
-    max_utility_demand: Mhz
-    floor: Mhz = 0.0
-
-    def __post_init__(self) -> None:
-        if self.max_utility_demand < 0:
-            raise ValueError("max_utility_demand must be non-negative")
-        if not 0 <= self.floor <= max(self.max_utility_demand, self.floor):
-            raise ValueError("floor must be non-negative")
-
-
-@dataclass(frozen=True, slots=True)
-class Interval:
-    """A half-open time interval ``[start, end)`` in simulated seconds."""
-
-    start: Seconds
-    end: Seconds
-
-    def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise ValueError(f"interval end {self.end} before start {self.start}")
-
-    @property
-    def duration(self) -> Seconds:
-        """Length of the interval in seconds."""
-        return self.end - self.start
-
-    def contains(self, t: Seconds) -> bool:
-        """Return ``True`` when ``start <= t < end``."""
-        return self.start <= t < self.end

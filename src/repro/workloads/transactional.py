@@ -165,10 +165,6 @@ class TransactionalApp:
         """Number of running instances."""
         return len(self._instances)
 
-    def instance_on(self, node_id: str) -> Optional[VirtualMachine]:
-        """The instance VM hosted on ``node_id``, if any."""
-        return self._instances.get(node_id)
-
     def start_instance(self, t: Seconds, node_id: str, cpu_mhz: Mhz = 0.0) -> VirtualMachine:
         """Start a new instance on ``node_id``.
 

@@ -14,7 +14,7 @@ import signal
 
 import pytest
 
-from repro.api import scenario_spec
+from repro.api import run_experiment, scenario_spec
 from repro.config import ControllerConfig
 from repro.experiments import run_scenario
 from repro.experiments.runner import _mean_time_to_recover, default_policy_factory
@@ -39,10 +39,11 @@ class _Flaky:
             raise RuntimeError(f"injected failure at cycle {self._cycle}")
         return self.inner.decide(t, **kwargs)
 
+    def invalidate(self, reason):
+        self.inner.invalidate(reason)
+
     def close(self):
-        close = getattr(self.inner, "close", None)
-        if close is not None:
-            close()
+        self.inner.close()
 
 
 def _flaky_factory(scenario):
@@ -69,6 +70,9 @@ class _WorkerKiller:
             )
             os.kill(next(iter(pool._processes)), signal.SIGKILL)
         return self.inner.decide(t, **kwargs)
+
+    def invalidate(self, reason):
+        self.inner.invalidate(reason)
 
     def close(self):
         self.inner.close()
@@ -98,6 +102,16 @@ class TestInjectedControllerException:
         assert result.summary_metrics()["degraded_cycles"] == 2.0
         # The run still produced the full decision stream.
         assert rec.has_series("tx_utility")
+        # Each degraded cycle forced the real controller cold through
+        # the wrapper's invalidate().
+        assert rec.counter("invalidations:invalidated:degraded") == 2.0
+
+    def test_chaos_policy_forwards_invalidation(self):
+        result = run_experiment("smoke", policy="chaos-utility")
+        rec = result.recorder
+        assert rec.counter("degraded_cycles") == 4.0
+        # One degraded cycle has no successful cycle after it to run cold.
+        assert rec.counter("invalidations:invalidated:degraded") == 3.0
 
     def test_fault_free_stream_identical_to_unwrapped(self):
         # resilient=True (the default) wraps the policy; with no fault the
@@ -113,6 +127,25 @@ class TestInjectedControllerException:
             )
         )
         assert _scrubbed_payload(wrapped) == _scrubbed_payload(bare)
+
+
+class TestStrictDeadline:
+    def test_every_deadline_fallback_counts_as_an_overrun(self):
+        result = run_experiment(
+            "smoke",
+            overrides={
+                "controller.decide_budget_ms": 1e-9,
+                "controller.decide_budget_strict": True,
+            },
+        )
+        rec = result.recorder
+        assert result.cycles > 0
+        assert (
+            rec.counter("decide_overruns")
+            == rec.counter("degraded_cycles")
+            == rec.counter("fallback:deadline")
+            == result.cycles
+        )
 
 
 class TestKilledShardWorker:

@@ -20,7 +20,6 @@ import pytest
 
 from repro.cluster.node import NodeSpec
 from repro.cluster.placement import Placement
-from repro.cluster.vm import VmState
 from repro.core import ControlState, UtilityDrivenController
 from repro.core.hypothetical import HypotheticalEqualizer
 from repro.perf.jobmodel import JobPopulation
@@ -141,6 +140,7 @@ def test_warm_equals_cold_over_random_trace_with_failure(seed):
     active = list(nodes)
     app_nodes = {"web": frozenset()}
     saw_warm = False
+    reasons = set()
 
     for k in range(n_cycles):
         t = k * CYCLE
@@ -171,15 +171,10 @@ def test_warm_equals_cold_over_random_trace_with_failure(seed):
         for controller in (warm, cold):
             controller.observe_app("web", load=load, service_cycles=cycles_obs)
 
-        vm_states = {j.vm.vm_id: j.vm.state for j in jobs}
-        for node in app_nodes["web"]:
-            vm_states[f"tx:web@{node}"] = VmState.RUNNING
-
         kwargs = dict(
             nodes=active,
             jobs=jobs,
             current_placement=placement,
-            vm_states=vm_states,
             app_nodes=app_nodes,
         )
         decision_w = warm.decide(t, **kwargs)
@@ -191,6 +186,7 @@ def test_warm_equals_cold_over_random_trace_with_failure(seed):
         if k == fail_cycle and telemetry.mode == "cold":
             assert telemetry.reason in ("topology-changed", "demand-shift")
         saw_warm = saw_warm or telemetry.mode == "warm"
+        reasons.add(telemetry.reason)
 
         _apply_decision(decision_w, jobs_by_vm, t)
         placement = decision_w.placement.copy()
@@ -203,7 +199,7 @@ def test_warm_equals_cold_over_random_trace_with_failure(seed):
     # The trace must actually exercise the warm path and the failure
     # invalidation, or the differential proves nothing.
     assert saw_warm
-    assert warm.control_state.invalidations.get("topology-changed", 0) >= 1
+    assert "topology-changed" in reasons
 
 
 def test_forced_invalidation_mid_trace_matches_cold():
@@ -240,7 +236,6 @@ def test_forced_invalidation_mid_trace_matches_cold():
             nodes=nodes,
             jobs=jobs,
             current_placement=placement,
-            vm_states={j.vm.vm_id: j.vm.state for j in jobs},
             app_nodes={"web": frozenset()},
         )
         decision_w = warm.decide(t, **kwargs)

@@ -32,7 +32,6 @@ def decide(policy, jobs, t=0.0, n_nodes=4):
         nodes=list(cluster),
         jobs=jobs,
         current_placement=Placement(),
-        vm_states={j.vm.vm_id: j.vm.state for j in jobs},
         app_nodes={"web": frozenset()},
     )
     decision.placement.validate(cluster)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import ControllerConfig, NoiseConfig, SolverConfig, validate_budget
+from repro.config import ControllerConfig, NoiseConfig, SolverConfig
 from repro.errors import ConfigurationError
 
 
@@ -76,11 +76,12 @@ class TestNoiseConfig:
 
 
 class TestBudgetValidation:
+    """``SolverConfig`` is the one owner of the change-budget check."""
+
     def test_accepts_none_and_nonnegative(self):
-        validate_budget(None)
-        validate_budget(0)
-        validate_budget(5)
+        for budget in (None, 0, 5):
+            assert SolverConfig(change_budget=budget).change_budget == budget
 
     def test_rejects_negative(self):
-        with pytest.raises(ConfigurationError):
-            validate_budget(-1)
+        with pytest.raises(ConfigurationError, match="change_budget"):
+            SolverConfig(change_budget=-1)

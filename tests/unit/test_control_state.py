@@ -73,7 +73,6 @@ class TestControlStateLifecycle:
         state.complete_cycle(_fp(), lr_level=0.4)
         warm, got = state.begin_cycle(_fp(**changed))
         assert not warm and got == reason
-        assert state.invalidations[reason] == 1
 
     def test_demand_shift_within_tolerance_stays_warm(self):
         state = ControlState(demand_rtol=0.35)
@@ -94,13 +93,6 @@ class TestControlStateLifecycle:
         state.complete_cycle(_fp(), lr_level=0.5)
         warm, _ = state.begin_cycle(_fp())
         assert warm
-
-    def test_lifetime_counters(self):
-        state = ControlState()
-        state.begin_cycle(_fp())
-        state.complete_cycle(_fp(), lr_level=0.4)
-        state.begin_cycle(_fp())
-        assert state.cycles == 2 and state.warm_cycles == 1
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

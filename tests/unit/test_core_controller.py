@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import Placement, VmState, homogeneous_cluster
+from repro.cluster import Placement, homogeneous_cluster
 from repro.config import ControllerConfig
 from repro.core import UtilityDrivenController
 from repro.errors import UnknownEntityError
@@ -32,14 +32,13 @@ def make_controller(**config_overrides) -> UtilityDrivenController:
 
 
 def decide(controller, jobs, t=0.0, nodes=None, app_nodes=None,
-           placement=None, states=None):
+           placement=None):
     cluster = homogeneous_cluster(4)
     return controller.decide(
         t,
         nodes=nodes if nodes is not None else list(cluster),
         jobs=jobs,
         current_placement=placement or Placement(),
-        vm_states=states or {j.vm.vm_id: j.vm.state for j in jobs},
         app_nodes=app_nodes or {"web": frozenset()},
     )
 
@@ -131,10 +130,7 @@ class TestDecision:
         job = make_job(job_id="s")
         job.start(0.0, "node000", 1000.0)
         job.suspend(10.0)
-        decision = decide(
-            controller, [job], t=10.0,
-            states={job.vm.vm_id: VmState.SUSPENDED},
-        )
+        decision = decide(controller, [job], t=10.0)
         resume_actions = [a for a in decision.actions
                           if type(a).__name__ == "ResumeVm"]
         assert len(resume_actions) == 1

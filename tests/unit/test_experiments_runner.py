@@ -179,3 +179,19 @@ class TestCompletionMachinery:
         runner._apply(StartVm("vm-j0", "node000", 3000.0), t=0.0)
         runner._sim.run(until=1.0)
         assert runner._jobs["j0"].rate == 3000.0
+
+
+class TestPolicyContract:
+    def test_policy_missing_a_contract_method_rejected(self):
+        class NoClose:
+            def observe_app(self, app_id, *, load, service_cycles=None):
+                pass
+
+            def decide(self, t, **kwargs):
+                raise AssertionError("never reached")
+
+            def invalidate(self, reason):
+                pass
+
+        with pytest.raises(TypeError, match="PlacementPolicy"):
+            ExperimentRunner(tiny_scenario(), lambda scenario: NoClose())

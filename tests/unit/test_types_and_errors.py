@@ -4,7 +4,7 @@ import pytest
 
 import repro.errors as errors
 from repro.errors import ReproError
-from repro.types import CpuDemand, Interval, WorkloadKind
+from repro.types import WorkloadKind
 
 
 class TestWorkloadKind:
@@ -13,37 +13,6 @@ class TestWorkloadKind:
 
     def test_str(self):
         assert str(WorkloadKind.TRANSACTIONAL) == "transactional"
-
-
-class TestCpuDemand:
-    def test_valid(self):
-        demand = CpuDemand(WorkloadKind.LONG_RUNNING, 1000.0, floor=10.0)
-        assert demand.max_utility_demand == 1000.0
-
-    def test_negative_demand_rejected(self):
-        with pytest.raises(ValueError):
-            CpuDemand(WorkloadKind.LONG_RUNNING, -1.0)
-
-    def test_negative_floor_rejected(self):
-        with pytest.raises(ValueError):
-            CpuDemand(WorkloadKind.LONG_RUNNING, 1.0, floor=-1.0)
-
-
-class TestInterval:
-    def test_duration_and_contains(self):
-        iv = Interval(10.0, 20.0)
-        assert iv.duration == 10.0
-        assert iv.contains(10.0)
-        assert iv.contains(19.999)
-        assert not iv.contains(20.0)
-        assert not iv.contains(9.0)
-
-    def test_inverted_interval_rejected(self):
-        with pytest.raises(ValueError):
-            Interval(20.0, 10.0)
-
-    def test_empty_interval_allowed(self):
-        assert Interval(5.0, 5.0).duration == 0.0
 
 
 class TestErrorHierarchy:
