@@ -1,41 +1,23 @@
-"""Analysis toolkit: time-series ops, summary statistics, terminal plots
-and automated paper-shape validation."""
+"""Analysis toolkit: summary statistics, terminal plots and automated
+paper-shape validation."""
 
 from .ascii_plot import ascii_plot
 from .stats import (
     JobOutcomeStats,
     MetricAggregate,
-    Summary,
     aggregate_metrics,
-    equalization_error,
     job_outcome_stats,
     job_outcomes_by_class,
-)
-from .timeseries import (
-    first_crossing,
-    integrate,
-    moving_average,
-    regular_grid,
-    resample,
-    window_mean,
 )
 from .validate import CheckResult, ValidationReport, validate_paper_run
 
 __all__ = [
     "ascii_plot",
-    "Summary",
     "MetricAggregate",
     "aggregate_metrics",
     "JobOutcomeStats",
-    "equalization_error",
     "job_outcome_stats",
     "job_outcomes_by_class",
-    "regular_grid",
-    "resample",
-    "moving_average",
-    "first_crossing",
-    "window_mean",
-    "integrate",
     "CheckResult",
     "ValidationReport",
     "validate_paper_run",

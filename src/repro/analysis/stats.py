@@ -14,41 +14,6 @@ from ..workloads.jobs import Job, JobPhase
 
 
 @dataclass(frozen=True)
-class Summary:
-    """Five-number-style summary of a sample."""
-
-    count: int
-    mean: float
-    std: float
-    p50: float
-    p95: float
-    minimum: float
-    maximum: float
-
-    @classmethod
-    def of(cls, values: Sequence[float]) -> "Summary":
-        """Build a summary; raises on empty input."""
-        arr = np.asarray(list(values), dtype=float)
-        if arr.size == 0:
-            raise ConfigurationError("cannot summarize an empty sample")
-        return cls(
-            count=int(arr.size),
-            mean=float(arr.mean()),
-            std=float(arr.std(ddof=0)),
-            p50=float(np.percentile(arr, 50)),
-            p95=float(np.percentile(arr, 95)),
-            minimum=float(arr.min()),
-            maximum=float(arr.max()),
-        )
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"n={self.count} mean={self.mean:.4g} std={self.std:.4g} "
-            f"p50={self.p50:.4g} p95={self.p95:.4g}"
-        )
-
-
-@dataclass(frozen=True)
 class MetricAggregate:
     """One metric aggregated across replications (seeds).
 
@@ -122,22 +87,6 @@ class MetricAggregate:
             "max": self.maximum,
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "MetricAggregate":
-        def _num(key: str) -> float:
-            value = data.get(key)
-            return float(value) if isinstance(value, (int, float)) else math.nan
-
-        return cls(
-            n=int(data.get("n", 0)),  # type: ignore[call-overload]
-            mean=_num("mean"),
-            std=_num("std"),
-            ci95_lo=_num("ci95_lo"),
-            ci95_hi=_num("ci95_hi"),
-            minimum=_num("min"),
-            maximum=_num("max"),
-        )
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.mean:.4g} ± {self.ci95_halfwidth:.2g} (n={self.n})"
 
@@ -168,17 +117,6 @@ def aggregate_metrics(
         )
         for key in keys
     }
-
-
-def equalization_error(tx_utility: np.ndarray, lr_utility: np.ndarray) -> float:
-    """Mean absolute utility gap -- how well the arbiter equalized."""
-    tx = np.asarray(tx_utility, dtype=float)
-    lr = np.asarray(lr_utility, dtype=float)
-    if tx.shape != lr.shape:
-        raise ConfigurationError("utility arrays must have equal shape")
-    if tx.size == 0:
-        raise ConfigurationError("empty utility arrays")
-    return float(np.mean(np.abs(tx - lr)))
 
 
 @dataclass(frozen=True)

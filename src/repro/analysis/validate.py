@@ -90,7 +90,7 @@ def validate_paper_run(
     lr_alloc = rec.series("lr_allocation").resample(t)
     tx_demand = rec.series("tx_demand").resample(t)
     lr_demand = rec.series("lr_demand").resample(t)
-    capacity = result.scenario.cluster_capacity
+    capacity = result.scenario.topology.build_cluster().total_cpu_capacity
 
     checks: list[CheckResult] = []
 

@@ -39,7 +39,6 @@ module.
 from ..baselines.registry import (
     available_policies,
     get_policy,
-    make_policy,
     register_policy,
 )
 from ..core.backends import available_backends
@@ -68,17 +67,12 @@ from .scenarios import (
 from .spec import (
     SCENARIO_SCHEMA,
     AppSpec,
-    ConstantProfileSpec,
     DifferentiatedTraceSpec,
-    DiurnalProfileSpec,
     JobTraceSpec,
-    NoisyProfileSpec,
     NoJobsSpec,
     PaperTraceSpec,
-    ProfileSpec,
     ScenarioSpec,
     SpecValidationError,
-    StepProfileSpec,
     TopologySpec,
     UniformTraceSpec,
     WeightedTemplate,
@@ -96,11 +90,6 @@ __all__ = [
     "DifferentiatedTraceSpec",
     "NoJobsSpec",
     "WeightedTemplate",
-    "ProfileSpec",
-    "ConstantProfileSpec",
-    "StepProfileSpec",
-    "DiurnalProfileSpec",
-    "NoisyProfileSpec",
     "SpecValidationError",
     "SCENARIO_SCHEMA",
     "dumps_toml",
@@ -118,7 +107,6 @@ __all__ = [
     # policy registry
     "register_policy",
     "get_policy",
-    "make_policy",
     "available_policies",
     # solver backends (for `repro list`)
     "available_backends",

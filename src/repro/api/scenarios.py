@@ -56,15 +56,12 @@ from ..faults import (
     ZoneOutageSpec,
 )
 from ..netmodel import NetworkSpec, ZoneSpec
+from ..workloads.profiles import ConstantProfile, DiurnalProfile, NoisyProfile, Profile
 from ..workloads.tracegen import JobTemplate
 from .spec import (
     AppSpec,
-    ConstantProfileSpec,
     DifferentiatedTraceSpec,
-    DiurnalProfileSpec,
-    NoisyProfileSpec,
     PaperTraceSpec,
-    ProfileSpec,
     ScenarioSpec,
     TopologySpec,
     WeightedTemplate,
@@ -136,7 +133,7 @@ def _paper_app(
     max_instances: int = 25,
     app_id: str = "webapp",
     rt_goal: float = PAPER_RT_GOAL,
-    profile: ProfileSpec | None = None,
+    profile: Profile | None = None,
 ) -> AppSpec:
     """The paper's transactional workload.
 
@@ -149,9 +146,9 @@ def _paper_app(
     scenarios.
     """
     if profile is None:
-        profile = ConstantProfileSpec(sessions)
+        profile = ConstantProfile(sessions)
     if noise_rel_std > 0:
-        profile = NoisyProfileSpec(
+        profile = NoisyProfile(
             base=profile, rel_std=noise_rel_std, interval=600.0, seed=noise_seed
         )
     return AppSpec(
@@ -381,7 +378,7 @@ def diurnal(seed: int = 17) -> ScenarioSpec:
             _paper_app(
                 sessions=base_sessions,
                 max_instances=num_nodes,
-                profile=DiurnalProfileSpec(
+                profile=DiurnalProfile(
                     base=base_sessions,
                     amplitude=0.6 * base_sessions,
                     period=day,

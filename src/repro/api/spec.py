@@ -18,14 +18,15 @@ path (``scenario.apps[0].rt_goal``, ``scenario.topology.classes[1].count``
 ...).
 
 One codec, :func:`encode` / :func:`decode`, serializes every spec class
-and the config, fault and network dataclasses a spec holds, driven by
-dataclass fields and their type hints.  Its three rules:
+and the runtime dataclasses a spec holds directly -- the controller
+config, node classes, intensity profiles, faults and the network --
+driven by dataclass fields and their type hints.  Its three rules:
 
 * **Fields map to keys**, in field order; tuples are lists.  Decoding
   checks each value against its type hint and rejects unknown keys,
   both by dotted path; a missing key takes the field's default.
-* **Unions are tagged by** ``kind``: each member of a union of spec
-  classes (intensity profiles, job traces) has a ``kind`` class
+* **Unions are tagged by** ``kind``: each member of a union of
+  dataclasses (intensity profiles, job traces) has a ``kind`` class
   attribute, written as its table's first key.
 * **None and empty tuples are omitted** (a failure without
   ``restore_at``, an unlimited ``change_budget``), because TOML has no
@@ -99,22 +100,25 @@ from pathlib import Path
 from typing import ClassVar, Literal, Mapping, Optional, Sequence, Union
 
 from ..cluster.actions import ActionCosts
-from ..cluster.topology import NodeClass, zone_map_from_classes
+from ..cluster.cluster import Cluster
+from ..cluster.topology import (
+    PAPER_MHZ_PER_PROCESSOR,
+    PAPER_NODE_MEMORY_MB,
+    PAPER_PROCESSORS,
+    NodeClass,
+    cluster_from_classes,
+    homogeneous_cluster,
+    homogeneous_node_ids,
+)
 from ..config import ControllerConfig, NoiseConfig
 from ..errors import ConfigurationError
 from ..experiments.scenario import AppWorkload, NodeFailure, Scenario
 from ..faults.models import FaultPlanSpec
 from ..faults.plan import compile_faults, validate_failure_schedule
-from ..netmodel.spec import NetworkSpec
+from ..netmodel import NetworkSpec
 from ..sim.rng import RngRegistry
 from ..workloads.jobs import JobSpec
-from ..workloads.profiles import (
-    ConstantProfile,
-    DiurnalProfile,
-    IntensityProfile,
-    NoisyProfile,
-    StepProfile,
-)
+from ..workloads.profiles import Profile
 from ..workloads.tracegen import (
     PAPER_JOB_TEMPLATE,
     JobTemplate,
@@ -273,75 +277,13 @@ def _decode_union(options: tuple, data: object, path: str) -> object:
 
 
 # ----------------------------------------------------------------------
-# Intensity-profile specs
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ConstantProfileSpec:
-    """Time-invariant intensity (the paper's transactional shape)."""
-
-    kind: ClassVar[str] = "constant"
-    value: float
-
-    def build(self) -> IntensityProfile:
-        return ConstantProfile(self.value)
-
-
-@dataclass(frozen=True)
-class StepProfileSpec:
-    """Piecewise-constant intensity: ``(start_time, rate)`` breakpoints."""
-
-    kind: ClassVar[str] = "step"
-    steps: tuple[tuple[float, float], ...]
-
-    def build(self) -> IntensityProfile:
-        return StepProfile(list(self.steps))
-
-
-@dataclass(frozen=True)
-class DiurnalProfileSpec:
-    """Sinusoidal day/night intensity pattern."""
-
-    kind: ClassVar[str] = "diurnal"
-    base: float
-    amplitude: float
-    period: float = 86_400.0
-    phase: float = 0.0
-
-    def build(self) -> IntensityProfile:
-        return DiurnalProfile(self.base, self.amplitude, self.period, self.phase)
-
-
-@dataclass(frozen=True)
-class NoisyProfileSpec:
-    """Multiplicative lognormal noise over an inner profile."""
-
-    kind: ClassVar[str] = "noisy"
-    base: ProfileSpec
-    rel_std: float
-    interval: float = 600.0
-    seed: int = 0
-
-    def build(self) -> IntensityProfile:
-        return NoisyProfile(
-            self.base.build(), rel_std=self.rel_std, interval=self.interval,
-            seed=self.seed,
-        )
-
-
-#: Any serializable intensity-profile description.
-ProfileSpec = Union[
-    ConstantProfileSpec, StepProfileSpec, DiurnalProfileSpec, NoisyProfileSpec
-]
-
-
-# ----------------------------------------------------------------------
 # Topology
 # ----------------------------------------------------------------------
 #: Node shape of a homogeneous topology when a field is left unset.
 _HOMOGENEOUS_DEFAULTS = {
-    "processors": 4,
-    "mhz_per_processor": 3000.0,
-    "memory_mb": 4000.0,
+    "processors": PAPER_PROCESSORS,
+    "mhz_per_processor": PAPER_MHZ_PER_PROCESSOR,
+    "memory_mb": PAPER_NODE_MEMORY_MB,
 }
 
 
@@ -354,6 +296,11 @@ class TopologySpec:
     fields (4 x 3000 MHz and 4000 MB when unset), or a non-empty
     ``classes`` list of :class:`~repro.cluster.topology.NodeClass`
     entries, which leaves the homogeneous fields unset.
+
+    The topology builds the cluster (:meth:`build_cluster`), its node
+    ids (:meth:`node_ids`, the fault-injection targets) and the node ->
+    zone map (:meth:`zone_map`) from the same node-id functions, so they
+    always agree.
     """
 
     num_nodes: Optional[int] = None
@@ -387,20 +334,39 @@ class TopologySpec:
             return sum(cls.count for cls in self.classes)
         return int(self.num_nodes)  # type: ignore[arg-type]
 
+    def build_cluster(self) -> Cluster:
+        """The cluster this topology describes."""
+        if self.classes:
+            return cluster_from_classes(self.classes)
+        return homogeneous_cluster(
+            self.total_nodes,
+            processors=self.processors,  # type: ignore[arg-type]
+            mhz_per_processor=self.mhz_per_processor,  # type: ignore[arg-type]
+            memory_mb=self.memory_mb,  # type: ignore[arg-type]
+        )
+
     def node_ids(self) -> list[str]:
-        """Node identifiers in registration order, matching the scenario's
-        cluster build (``node000`` ... for homogeneous topologies,
-        ``<class>-000`` ... per class otherwise)."""
-        return list(self.node_class_of()) or [
-            f"node{i:03d}" for i in range(self.total_nodes)
-        ]
+        """Node identifiers in the cluster's registration order."""
+        if self.classes:
+            return [node_id for cls in self.classes for node_id in cls.node_ids()]
+        return homogeneous_node_ids(self.total_nodes)
 
     def node_class_of(self) -> dict[str, str]:
         """``node_id -> class name`` map (empty for homogeneous topologies)."""
         return {
-            f"{cls.name}-{i:03d}": cls.name
+            node_id: cls.name for cls in self.classes for node_id in cls.node_ids()
+        }
+
+    def zone_map(self) -> dict[str, str]:
+        """``node_id -> zone`` map (empty for homogeneous topologies).
+
+        Each node lands in its class's declared ``zone``, or in a zone
+        named after the class when it declares none.
+        """
+        return {
+            node_id: cls.zone or cls.name
             for cls in self.classes
-            for i in range(cls.count)
+            for node_id in cls.node_ids()
         }
 
 
@@ -416,7 +382,7 @@ class AppSpec:
     mean_service_cycles: float
     request_cap_mhz: float
     instance_memory_mb: float
-    profile: ProfileSpec
+    profile: Profile
     min_instances: int = 1
     max_instances: int = 10_000
     model_kind: str = "closed"
@@ -437,7 +403,7 @@ class AppSpec:
         )
 
     def materialize(self) -> AppWorkload:
-        return AppWorkload(spec=self._tx_spec(), profile=self.profile.build())
+        return AppWorkload(spec=self._tx_spec(), profile=self.profile)
 
 
 # ----------------------------------------------------------------------
@@ -637,7 +603,7 @@ class ScenarioSpec:
                     rng=rngs.stream(self.faults.stream),
                     horizon=self.horizon,
                     existing_failures=self.failures,
-                    node_zone_of=zone_map_from_classes(topology.classes),
+                    node_zone_of=topology.zone_map(),
                 )
             except ConfigurationError as exc:
                 raise SpecValidationError(f"faults: {exc}") from None
@@ -648,15 +614,9 @@ class ScenarioSpec:
                 )
             )
             brownouts = compiled.brownouts
-        # A class-based topology's node_* fields describe its first class.
-        shape = topology.classes[0] if topology.classes else topology
         return Scenario(
             name=self.name,
-            num_nodes=topology.total_nodes,
-            node_processors=shape.processors,
-            node_mhz=shape.mhz_per_processor,
-            node_memory_mb=shape.memory_mb,
-            node_classes=topology.classes,
+            topology=topology,
             apps=apps,
             job_specs=job_specs,
             controller=self.controller,
@@ -666,7 +626,7 @@ class ScenarioSpec:
             seed=self.seed,
             failures=failures,
             brownouts=brownouts,
-            network=None if self.network is None else self.network.build(),
+            network=self.network,
         )
 
     # -- dict / JSON / TOML -------------------------------------------

@@ -20,7 +20,6 @@ from .registry import (
     PolicyFactory,
     available_policies,
     get_policy,
-    make_policy,
     register_policy,
 )
 from .static_partition import StaticPartitionPolicy, merge_solutions
@@ -36,6 +35,5 @@ __all__ = [
     "PolicyFactory",
     "register_policy",
     "get_policy",
-    "make_policy",
     "available_policies",
 ]

@@ -72,11 +72,6 @@ def available_policies() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def make_policy(name: str, scenario: "Scenario") -> "PlacementPolicy":
-    """Instantiate the policy registered under ``name`` for ``scenario``."""
-    return get_policy(name)(scenario)
-
-
 # ----------------------------------------------------------------------
 # Built-in policies.  Each factory is a named module-level function so
 # `run_sweep(workers=N)` can pickle it into worker processes.  The

@@ -122,9 +122,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
     for name in available_scenarios():
         spec = scenario_spec(name)
         zones = len(spec.network.zones) if spec.network is not None else (
-            len({cls.zone or cls.name for cls in spec.topology.classes})
-            if spec.topology.classes
-            else 1
+            len(set(spec.topology.zone_map().values())) or 1
         )
         network = "[network]" if spec.network is not None else ""
         annotation = f"  ({zones} zone{'s' if zones != 1 else ''}{' ' if network else ''}{network})"

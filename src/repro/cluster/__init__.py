@@ -3,8 +3,8 @@
 Physical nodes (:class:`NodeSpec`), the managed :class:`Cluster`, the VM
 lifecycle (:class:`VirtualMachine`), placement matrices
 (:class:`Placement`) with feasibility validation, placement-change actions
-with costs (:class:`ActionCosts`), and topology builders including the
-paper's 25-node evaluation cluster (:func:`paper_cluster`).
+with costs (:class:`ActionCosts`), and topology builders for homogeneous
+and class-based heterogeneous clusters.
 """
 
 from .actions import (
@@ -24,14 +24,11 @@ from .node import NodeSpec
 from .placement import Placement, PlacementEntry
 from .topology import (
     PAPER_MHZ_PER_PROCESSOR,
-    PAPER_NODE_COUNT,
     PAPER_NODE_MEMORY_MB,
     PAPER_PROCESSORS,
     NodeClass,
     cluster_from_classes,
-    heterogeneous_cluster,
     homogeneous_cluster,
-    paper_cluster,
 )
 from .vm import VirtualMachine, VmState
 
@@ -53,11 +50,8 @@ __all__ = [
     "AdjustCpu",
     "DISRUPTIVE_ACTIONS",
     "homogeneous_cluster",
-    "heterogeneous_cluster",
     "NodeClass",
     "cluster_from_classes",
-    "paper_cluster",
-    "PAPER_NODE_COUNT",
     "PAPER_PROCESSORS",
     "PAPER_MHZ_PER_PROCESSOR",
     "PAPER_NODE_MEMORY_MB",

@@ -24,13 +24,15 @@ below the validation tolerance).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, KeysView, Mapping, Optional
+from typing import Container, Iterable, Iterator, KeysView, Mapping, Optional
 
 from ..errors import PlacementError
 from ..types import Megabytes, Mhz, WorkloadKind
 from .cluster import Cluster
+from .node import NodeSpec
 
-#: CPU/memory slack tolerated by validation, to absorb float round-off.
+#: CPU/memory slack tolerated by :meth:`Placement.violation`, to absorb
+#: float round-off.
 _EPS = 1e-6
 
 
@@ -236,36 +238,51 @@ class Placement:
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------
-    def validate(self, cluster: Cluster) -> None:
-        """Check feasibility against ``cluster``.
+    def violation(
+        self, nodes: Mapping[str, NodeSpec], failed: Container[str] = ()
+    ) -> Optional[str]:
+        """Why this placement does not fit ``nodes``, or ``None`` if it fits.
 
-        Verifies that every hosting node exists and is active, and that no
-        node's CPU or memory capacity is exceeded (within float tolerance).
-        O(nodes used) thanks to the maintained aggregates.
+        ``nodes`` maps each live node's id to its (brownout-derated)
+        spec.  A hosting node missing from it is reported as failed when
+        listed in ``failed``, as unknown otherwise; a live node must hold
+        its CPU and memory within a float-round-off tolerance.  Returns
+        the first violation found, in O(nodes used).
+        """
+        for node_id, cpu in self._node_cpu.items():
+            node = nodes.get(node_id)
+            if node is None:
+                state = "failed" if node_id in failed else "unknown"
+                return f"placement uses {state} node {node_id!r}"
+            if cpu > node.cpu_capacity * (1 + _EPS) + _EPS:
+                return (
+                    f"node {node_id!r} CPU overcommitted: "
+                    f"{cpu:.1f} > {node.cpu_capacity:.1f} MHz"
+                )
+            memory = self._node_mem[node_id]
+            if memory > node.memory_mb * (1 + _EPS) + _EPS:
+                return (
+                    f"node {node_id!r} memory overcommitted: "
+                    f"{memory:.1f} > {node.memory_mb:.1f} MB"
+                )
+        return None
+
+    def validate(self, cluster: Cluster) -> None:
+        """Check feasibility against ``cluster``'s live nodes.
 
         Raises
         ------
         PlacementError
-            Describing the first violation found.
+            With the first :meth:`violation` found.
         """
-        for node_id in self._node_entries:
-            if node_id not in cluster:
-                raise PlacementError(f"placement references unknown node {node_id!r}")
-            if not cluster.is_active(node_id):
-                raise PlacementError(f"placement uses failed node {node_id!r}")
-            node = cluster.node(node_id)
-            cpu = self._node_cpu[node_id]
-            if cpu > node.cpu_capacity * (1 + _EPS) + _EPS:
-                raise PlacementError(
-                    f"node {node_id}: CPU over-committed "
-                    f"({cpu:.1f} > {node.cpu_capacity:.1f} MHz)"
-                )
-            mem = self._node_mem[node_id]
-            if mem > node.memory_mb * (1 + _EPS) + _EPS:
-                raise PlacementError(
-                    f"node {node_id}: memory over-committed "
-                    f"({mem:.1f} > {node.memory_mb:.1f} MB)"
-                )
+        live = {
+            node_id: cluster.node(node_id)
+            for node_id in self._node_entries
+            if cluster.is_active(node_id)
+        }
+        violation = self.violation(live, cluster.failed_node_ids)
+        if violation is not None:
+            raise PlacementError(violation)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Placement({len(self._entries)} VMs, {self.total_cpu():.0f} MHz)"

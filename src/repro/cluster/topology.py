@@ -1,9 +1,11 @@
 """Cluster topology builders.
 
-Convenience constructors for the node populations used in the paper's
-evaluation and in the extended experiments: homogeneous clusters, mixed
-"racks" of different hardware generations, and the exact 25-node setup of
-the HPDC'08 evaluation.
+Constructors for the node populations of the paper's evaluation and the
+extended experiments: homogeneous clusters and heterogeneous clusters
+built from named :class:`NodeClass` entries.  Each node-id format is
+built in one place -- :func:`homogeneous_node_ids` (``node000`` ...) and
+:meth:`NodeClass.node_ids` (``<class>-000`` ...) -- and node ids order
+the solver's tie-breaks, so they decide outcomes.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from ..types import Megabytes, Mhz
 from .cluster import Cluster
 from .node import NodeSpec
 
-#: Defaults matching the paper's evaluation: 25 nodes, 4 processors each.
-PAPER_NODE_COUNT = 25
+#: Node shape of the paper's evaluation: 4 processors each.
 PAPER_PROCESSORS = 4
 #: Per-processor speed chosen so the cluster capacity (300 GHz) sits inside
 #: the 0-450 GHz range of the paper's Figure 2 demand curves.
@@ -28,6 +29,11 @@ PAPER_MHZ_PER_PROCESSOR: Mhz = 3000.0
 PAPER_NODE_MEMORY_MB: Megabytes = 4000.0
 
 
+def homogeneous_node_ids(num_nodes: int, prefix: str = "node") -> list[str]:
+    """Ids of ``num_nodes`` identical nodes: ``f"{prefix}{i:03d}"``."""
+    return [f"{prefix}{i:03d}" for i in range(num_nodes)]
+
+
 def homogeneous_cluster(
     num_nodes: int,
     processors: int = PAPER_PROCESSORS,
@@ -35,26 +41,19 @@ def homogeneous_cluster(
     memory_mb: Megabytes = PAPER_NODE_MEMORY_MB,
     prefix: str = "node",
 ) -> Cluster:
-    """Build a cluster of ``num_nodes`` identical nodes.
-
-    Node ids are ``f"{prefix}{i:03d}"`` for stable ordering.
-    """
+    """Build a cluster of ``num_nodes`` identical nodes, ids from
+    :func:`homogeneous_node_ids`."""
     if num_nodes < 1:
         raise ConfigurationError("num_nodes must be >= 1")
     return Cluster(
         NodeSpec(
-            node_id=f"{prefix}{i:03d}",
+            node_id=node_id,
             processors=processors,
             mhz_per_processor=mhz_per_processor,
             memory_mb=memory_mb,
         )
-        for i in range(num_nodes)
+        for node_id in homogeneous_node_ids(num_nodes, prefix)
     )
-
-
-def paper_cluster() -> Cluster:
-    """The evaluation cluster of the paper: 25 nodes x 4 processors."""
-    return homogeneous_cluster(PAPER_NODE_COUNT)
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,8 +62,8 @@ class NodeClass:
 
     Scenario specs describe mixed-hardware topologies as a list of node
     classes (e.g. a "modern" rack and a "legacy" rack); node ids encode
-    the class name -- ``f"{name}-{i:03d}"`` -- for stable ordering and
-    readable failure injection targets.
+    the class name (:meth:`node_ids`) for stable ordering and readable
+    failure injection targets.
 
     The optional ``zone`` places every node of the class in a named
     network zone (see :mod:`repro.netmodel`): several classes may share a
@@ -112,13 +111,16 @@ class NodeClass:
         """Total CPU capacity contributed by this class."""
         return self.count * self.processors * self.mhz_per_processor
 
+    def node_ids(self) -> list[str]:
+        """Ids of this class's nodes: ``f"{name}-{i:03d}"``."""
+        return [f"{self.name}-{i:03d}" for i in range(self.count)]
+
 
 def cluster_from_classes(classes: Sequence[NodeClass]) -> Cluster:
     """Build a heterogeneous cluster from named node classes.
 
-    The declarative counterpart of :func:`heterogeneous_cluster`: each
-    class contributes ``count`` identical nodes with ids
-    ``f"{cls.name}-{i:03d}"``.  Class names must be unique.
+    Each class contributes ``count`` identical nodes with ids from
+    :meth:`NodeClass.node_ids`.  Class names must be unique.
     """
     classes = tuple(classes)
     if not classes:
@@ -128,53 +130,11 @@ def cluster_from_classes(classes: Sequence[NodeClass]) -> Cluster:
         raise ConfigurationError(f"duplicate node class names in {names}")
     return Cluster(
         NodeSpec(
-            node_id=f"{cls.name}-{i:03d}",
+            node_id=node_id,
             processors=cls.processors,
             mhz_per_processor=cls.mhz_per_processor,
             memory_mb=cls.memory_mb,
         )
         for cls in classes
-        for i in range(cls.count)
+        for node_id in cls.node_ids()
     )
-
-
-def zone_map_from_classes(classes: Sequence[NodeClass]) -> dict[str, str]:
-    """Node-id -> zone map for a :func:`cluster_from_classes` cluster.
-
-    Each node lands in its class's declared ``zone``, or -- for legacy
-    classes without one -- in a zone named after the class, which matches
-    the ``<zone>-NNN`` id-prefix parse used before zones were explicit.
-    """
-    return {
-        f"{cls.name}-{i:03d}": (cls.zone or cls.name)
-        for cls in classes
-        for i in range(cls.count)
-    }
-
-
-def heterogeneous_cluster(rack_specs: Sequence[tuple[int, int, Mhz, Megabytes]]) -> Cluster:
-    """Build a cluster from racks of differing hardware.
-
-    Parameters
-    ----------
-    rack_specs:
-        Sequence of ``(count, processors, mhz_per_processor, memory_mb)``
-        tuples, one per rack.  Node ids encode the rack:
-        ``rack{r}-node{i:03d}``.
-    """
-    if not rack_specs:
-        raise ConfigurationError("rack_specs must be non-empty")
-    nodes: list[NodeSpec] = []
-    for rack, (count, processors, mhz, memory) in enumerate(rack_specs):
-        if count < 1:
-            raise ConfigurationError(f"rack {rack}: count must be >= 1")
-        nodes.extend(
-            NodeSpec(
-                node_id=f"rack{rack}-node{i:03d}",
-                processors=processors,
-                mhz_per_processor=mhz,
-                memory_mb=memory,
-            )
-            for i in range(count)
-        )
-    return Cluster(nodes)

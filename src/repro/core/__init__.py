@@ -43,10 +43,8 @@ from .hypothetical import (
     HypotheticalAllocation,
     HypotheticalEqualizer,
     equalize_hypothetical_utility,
-    hypothetical_completion_times,
     longrunning_max_utility_demand,
     mean_hypothetical_utility,
-    utility_level,
 )
 from .job_scheduler import (
     AppRequest,
@@ -59,7 +57,6 @@ from .placement_solver import (
     PlacementSolution,
     PlacementSolver,
     SolverConfig,
-    placement_efficiency,
     water_fill,
 )
 from .shard_arbiter import (
@@ -88,8 +85,6 @@ __all__ = [
     "HypotheticalEqualizer",
     "equalize_hypothetical_utility",
     "mean_hypothetical_utility",
-    "utility_level",
-    "hypothetical_completion_times",
     "longrunning_max_utility_demand",
     "Arbiter",
     "ArbiterResult",
@@ -111,7 +106,6 @@ __all__ = [
     "make_solver",
     "register_backend",
     "water_fill",
-    "placement_efficiency",
     "make_oracle",
     "optimality_gap",
     "JobRequest",

@@ -79,14 +79,6 @@ class HypotheticalAllocation:
     mean_utility: float
     consumed: Mhz
 
-    def rate_of(self, population: JobPopulation, job_id: str) -> float:
-        """Convenience lookup of one job's target rate."""
-        try:
-            idx = population.job_ids.index(job_id)
-        except ValueError:
-            raise ModelError(f"job {job_id!r} not in population") from None
-        return float(self.rates[idx])
-
 
 def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
     total_weight = float(weights.sum())
@@ -488,30 +480,3 @@ def longrunning_max_utility_demand(population: JobPopulation) -> Mhz:
 def mean_hypothetical_utility(population: JobPopulation, allocation: Mhz) -> float:
     """Shortcut: the importance-weighted mean hypothetical utility at ``allocation``."""
     return equalize_hypothetical_utility(population, allocation).mean_utility
-
-
-def utility_level(population: JobPopulation, allocation: Mhz) -> float:
-    """Shortcut: the equalized (marginal) utility level at ``allocation``."""
-    return equalize_hypothetical_utility(population, allocation).utility_level
-
-
-def hypothetical_completion_times(
-    population: JobPopulation, allocation: Mhz
-) -> np.ndarray:
-    """Per-job completion times under the equalized hypothetical rates.
-
-    ``inf`` for jobs whose equalized rate is zero (possible only in the
-    starved regime or for zero allocations).
-    """
-    result = equalize_hypothetical_utility(population, allocation)
-    with np.errstate(divide="ignore"):
-        durations = np.where(
-            population.remaining <= 0,
-            0.0,
-            np.where(
-                result.rates > 0,
-                population.remaining / np.maximum(result.rates, 1e-300),
-                math.inf,
-            ),
-        )
-    return population.time + durations

@@ -55,7 +55,7 @@ import numpy as np
 from ..cluster.node import NodeSpec
 from ..cluster.placement import Placement, PlacementEntry
 from ..config import SolverConfig
-from ..errors import ConfigurationError, PlacementError
+from ..errors import ConfigurationError
 from ..types import Megabytes, Mhz, WorkloadKind
 from .job_scheduler import (
     AppRequest,
@@ -654,25 +654,3 @@ class PlacementSolver:
     def _spend(budget: list[Optional[int]], cost: int) -> None:
         if budget[0] is not None:
             budget[0] -= cost
-
-
-def placement_efficiency(solution: PlacementSolution, capacity: Mhz) -> float:
-    """Fraction of cluster CPU the integral placement managed to grant.
-
-    Diagnostic used when calibrating the arbiter's effective-capacity
-    discount (see :func:`repro.core.demand.effective_capacity`).
-
-    A ratio meaningfully above 1.0 means the solution grants more CPU
-    than the cluster has -- double-granted capacity, always a solver or
-    caller bug -- so it raises instead of being silently clamped.
-    """
-    if capacity <= 0:
-        raise ConfigurationError("capacity must be positive")
-    granted = solution.satisfied_lr_demand + solution.satisfied_tx_demand
-    ratio = granted / capacity
-    if ratio > 1.0 + 1e-6:
-        raise PlacementError(
-            f"placement grants {granted:.1f} MHz on a {capacity:.1f} MHz "
-            f"cluster (ratio {ratio:.6f}): CPU was double-granted"
-        )
-    return min(ratio, 1.0)

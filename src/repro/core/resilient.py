@@ -5,10 +5,11 @@ and guarantees the control loop three things:
 
 * **No crash:** an exception escaping the wrapped ``decide()`` degrades
   the cycle instead of aborting the run.
-* **No infeasible apply:** every decision is validated against the
-  cycle's live node set (the same CPU/memory tolerances as
-  :meth:`repro.cluster.placement.Placement.validate`) *before* the runner
-  enacts it; an infeasible decision degrades the cycle.
+* **No infeasible apply:** every decision is checked against the
+  cycle's live node set with
+  :meth:`repro.cluster.placement.Placement.violation` -- the predicate
+  behind ``Placement.validate`` -- *before* the runner enacts it; an
+  infeasible decision degrades the cycle.
 * **Bounded decide time accounting:** an optional ``decide_budget_ms``
   deadline is measured per cycle; overruns are counted, and with
   ``decide_budget_strict`` they degrade the cycle too.
@@ -49,9 +50,6 @@ from .placement_solver import PlacementSolution
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..experiments.runner import PlacementPolicy
-
-#: Feasibility tolerance, matching ``Placement.validate``.
-_EPS = 1e-6
 
 
 class ResilientController:
@@ -116,7 +114,7 @@ class ResilientController:
                 "deadline",
                 f"decide took {elapsed_ms:.3f} ms, budget {budget:g} ms",
             )
-        violation = self._infeasibility(decision, nodes)
+        violation = decision.placement.violation({n.node_id: n for n in nodes})
         if violation is not None:
             return self._degrade(t, nodes, current_placement, "infeasible", violation)
         self._consecutive_degraded = 0
@@ -244,31 +242,3 @@ class ResilientController:
                 for entry in list(placement.entries_on(node_id)):
                     placement.update_cpu(entry.vm_id, entry.cpu_mhz * scale)
         return placement
-
-    # ------------------------------------------------------------------
-    # Feasibility guard
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _infeasibility(
-        decision: ControlDecision, nodes: Sequence[NodeSpec]
-    ) -> Optional[str]:
-        """Why the decision cannot be applied to the live cluster, if so."""
-        specs = {n.node_id: n for n in nodes}
-        placement = decision.placement
-        for node_id, _entries in placement.by_node().items():
-            spec = specs.get(node_id)
-            if spec is None:
-                return f"placement uses unknown or inactive node {node_id!r}"
-            cpu = placement.cpu_used(node_id)
-            if cpu > spec.cpu_capacity * (1 + _EPS) + _EPS:
-                return (
-                    f"node {node_id!r} CPU overcommitted: "
-                    f"{cpu:.1f} > {spec.cpu_capacity:.1f} MHz"
-                )
-            memory = placement.memory_used(node_id)
-            if memory > spec.memory_mb * (1 + _EPS) + _EPS:
-                return (
-                    f"node {node_id!r} memory overcommitted: "
-                    f"{memory:.1f} > {spec.memory_mb:.1f} MB"
-                )
-        return None

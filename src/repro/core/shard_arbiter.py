@@ -19,7 +19,7 @@ Two pieces live here:
   :class:`ZoneShardPlanner` keeps topology zones together (the declared
   :class:`~repro.cluster.topology.NodeClass` zone when known, else the
   ``<zone>-NNN`` node-id prefix produced by
-  :func:`repro.cluster.topology.cluster_from_classes`).
+  :meth:`repro.cluster.topology.NodeClass.node_ids`).
 
 * **Cross-shard CPU arbitration** -- :meth:`ShardArbiter.split` reuses
   the :class:`~repro.core.hypothetical.HypotheticalEqualizer` consumed-
@@ -89,9 +89,10 @@ class ZoneShardPlanner:
     The zone of a node comes from the declared node -> zone map when one
     is provided (derived from :class:`~repro.cluster.topology.NodeClass`
     ``zone`` attributes, see
-    :func:`repro.cluster.topology.zone_map_from_classes`); nodes outside
+    :meth:`repro.api.spec.TopologySpec.zone_map`); nodes outside
     the map fall back to the legacy id-prefix parse -- the node id up to
-    the trailing ``-NNN`` ordinal (``cluster_from_classes`` names nodes
+    the trailing ``-NNN`` ordinal (:meth:`NodeClass.node_ids
+    <repro.cluster.topology.NodeClass.node_ids>` names nodes
     ``<class>-<i:03d>``), ids without the pattern (e.g. homogeneous
     ``node042``) being their own zone.  Zones map to shard indices in
     discovery order modulo the shard count, so co-zoned nodes always

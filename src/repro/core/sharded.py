@@ -58,7 +58,7 @@ from ..types import Mhz, Seconds
 from ..utility.base import UtilityFunction
 from ..workloads.jobs import Job, JobPhase
 from ..workloads.transactional import TransactionalAppSpec
-from .control_state import ControlState, CycleTelemetry
+from .control_state import CycleTelemetry
 from .controller import ControlDecision, ControlDiagnostics, UtilityDrivenController
 from .demand import effective_capacity
 from .hypothetical import HypotheticalAllocation
@@ -195,11 +195,6 @@ class ShardedController:
     def shards(self) -> int:
         """Number of shards (sub-controllers)."""
         return len(self._controllers)
-
-    @property
-    def shard_states(self) -> list[ControlState]:
-        """Per-shard cross-cycle control states, in shard order."""
-        return [controller.control_state for controller in self._controllers]
 
     def node_shard(self, node_id: str) -> Optional[int]:
         """Sticky shard index of ``node_id`` (``None`` if never seen)."""

@@ -37,7 +37,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 from ..analysis.stats import MetricAggregate, aggregate_metrics
 from ..errors import ConfigurationError
@@ -194,20 +194,23 @@ class ReplicatedResult:
             raise ConfigurationError("result payload is missing 'per_seed'")
         seeds: list[int] = []
         per_seed: list[dict[str, float]] = []
-        for entry in raw:
+        for i, entry in enumerate(raw):
             if not isinstance(entry, Mapping) or "seed" not in entry:
                 raise ConfigurationError("per_seed entries need a 'seed' field")
-            seeds.append(int(entry["seed"]))  # type: ignore[call-overload]
+            seeds.append(_scalar(int, entry, "seed", None, f"per_seed[{i}].seed"))
             summary = entry.get("summary")
             if not isinstance(summary, Mapping):
                 raise ConfigurationError("per_seed entries need a 'summary' table")
             per_seed.append({key: _as_sample(value) for key, value in summary.items()})
         return cls(
-            scenario_name=str(scenario.get("name", "?")),
-            base_seed=int(scenario.get("base_seed", seeds[0] if seeds else 0)),  # type: ignore[call-overload]
-            horizon=float(scenario.get("horizon", math.nan)),  # type: ignore[arg-type]
-            num_nodes=int(scenario.get("num_nodes", 0)),  # type: ignore[call-overload]
-            policy=str(data.get("policy", "?")),
+            scenario_name=_scalar(str, scenario, "name", "?", "scenario.name"),
+            base_seed=_scalar(
+                int, scenario, "base_seed", seeds[0] if seeds else 0,
+                "scenario.base_seed",
+            ),
+            horizon=_scalar(float, scenario, "horizon", math.nan, "scenario.horizon"),
+            num_nodes=_scalar(int, scenario, "num_nodes", 0, "scenario.num_nodes"),
+            policy=_scalar(str, data, "policy", "?", "policy"),
             seeds=tuple(seeds),
             per_seed=tuple(per_seed),
         )
@@ -282,6 +285,14 @@ def _as_sample(value: object) -> float:
     return float(value)
 
 
+def _scalar(tp: type, table: Mapping, key: str, default: object, path: str) -> Any:
+    """``table[key]`` (``default`` when absent), type-checked by the spec
+    codec: a wrong type raises a ``SpecValidationError`` naming ``path``."""
+    from ..api.spec import decode  # late: the spec layer imports this package
+
+    return decode(tp, table.get(key, default), path)
+
+
 def _read_result_file(path: str | Path) -> str:
     try:
         return Path(path).read_text()
@@ -313,13 +324,13 @@ def load_result(path: str | Path) -> ReplicatedResult:
         summary = data.get("summary")
         if not isinstance(summary, Mapping):
             raise ConfigurationError(f"{path}: result payload missing 'summary'")
-        seed = int(scenario.get("seed", 0))  # type: ignore[call-overload]
+        seed = _scalar(int, scenario, "seed", 0, "scenario.seed")
         return ReplicatedResult(
-            scenario_name=str(scenario.get("name", "?")),
+            scenario_name=_scalar(str, scenario, "name", "?", "scenario.name"),
             base_seed=seed,
-            horizon=float(scenario.get("horizon", math.nan)),  # type: ignore[arg-type]
-            num_nodes=int(scenario.get("num_nodes", 0)),  # type: ignore[call-overload]
-            policy=str(data.get("policy", "?")),
+            horizon=_scalar(float, scenario, "horizon", math.nan, "scenario.horizon"),
+            num_nodes=_scalar(int, scenario, "num_nodes", 0, "scenario.num_nodes"),
+            policy=_scalar(str, data, "policy", "?", "policy"),
             seeds=(seed,),
             per_seed=({k: _as_sample(v) for k, v in summary.items()},),
         )
@@ -348,7 +359,7 @@ def replicate_spec(
     Scope of the seed: the scenario seed drives every stream of the
     scenario's :class:`~repro.sim.rng.RngRegistry` -- the job-arrival
     trace and the runner's measurement noise -- so those vary per
-    replication.  A :class:`~repro.api.spec.NoisyProfileSpec`'s
+    replication.  A :class:`~repro.workloads.profiles.NoisyProfile`'s
     intensity noise carries its *own* seed as spec data and is therefore
     identical across replications (common random numbers: every policy
     and every seed faces the same demand trajectory, which sharpens

@@ -120,8 +120,9 @@ def default_policy_factory(scenario: Scenario) -> PlacementPolicy:
     ``controller.latency_weight > 0``).
     """
     specs = [workload.spec for workload in scenario.apps]
+    node_zone = scenario.topology.zone_map()
     network = (
-        NetworkContext(scenario.network, scenario.node_zone_map())
+        NetworkContext(scenario.network, node_zone)
         if scenario.network is not None
         else None
     )
@@ -130,7 +131,7 @@ def default_policy_factory(scenario: Scenario) -> PlacementPolicy:
             specs,
             scenario.controller,
             network=network,
-            node_zone=scenario.node_zone_map() or None,
+            node_zone=node_zone or None,
         )
     return UtilityDrivenController(specs, scenario.controller, network=network)
 
@@ -417,7 +418,7 @@ class ExperimentRunner:
         self._policy = policy
         self._rngs = RngRegistry(scenario.seed)
         self._sim = Simulator()
-        self._cluster: Cluster = scenario.build_cluster()
+        self._cluster: Cluster = scenario.topology.build_cluster()
         self._apps: dict[str, TransactionalApp] = {
             w.spec.app_id: TransactionalApp(w.spec, w.profile)
             for w in scenario.apps
@@ -442,7 +443,7 @@ class ExperimentRunner:
         # topology -- independent of ``latency_weight``, so a latency-
         # blind baseline run still reports locality and attainment.
         self._network_ctx = (
-            NetworkContext(scenario.network, scenario.node_zone_map())
+            NetworkContext(scenario.network, scenario.topology.zone_map())
             if scenario.network is not None
             else None
         )

@@ -14,23 +14,19 @@ paper's parameters) and built with
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..cluster.actions import ActionCosts
-from ..cluster.cluster import Cluster
-from ..cluster.topology import (
-    NodeClass,
-    cluster_from_classes,
-    homogeneous_cluster,
-    zone_map_from_classes,
-)
 from ..config import ControllerConfig, NoiseConfig
 from ..errors import ConfigurationError
-from ..netmodel.topology import ZoneTopology
+from ..netmodel.topology import NetworkSpec
 from ..types import Seconds
 from ..workloads.jobs import JobSpec
 from ..workloads.profiles import IntensityProfile
 from ..workloads.transactional import TransactionalAppSpec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..api.spec import TopologySpec
 
 
 @dataclass(frozen=True)
@@ -80,10 +76,9 @@ class Scenario:
     """A complete, reproducible experiment description."""
 
     name: str
-    num_nodes: int
-    node_processors: int
-    node_mhz: float
-    node_memory_mb: float
+    #: The spec's topology, which builds the cluster
+    #: (``topology.build_cluster()``) and its node -> zone map.
+    topology: TopologySpec
     apps: tuple[AppWorkload, ...]
     job_specs: tuple[JobSpec, ...]
     controller: ControllerConfig
@@ -92,73 +87,22 @@ class Scenario:
     horizon: Seconds
     seed: int
     failures: tuple[NodeFailure, ...] = field(default_factory=tuple)
-    #: Optional heterogeneous topology: when non-empty the cluster is
-    #: built from these classes instead of ``num_nodes`` identical nodes
-    #: (the ``node_*`` fields then describe the first class, for
-    #: homogeneous-only consumers such as the paper-shape validator).
-    node_classes: tuple[NodeClass, ...] = field(default_factory=tuple)
     #: Scheduled capacity brownouts (typically compiled from a
     #: :class:`repro.faults.FaultPlanSpec` by ``ScenarioSpec.materialize``).
     brownouts: tuple[NodeBrownout, ...] = field(default_factory=tuple)
     #: Optional network model (the spec's ``[network]`` block): zone RTTs
     #: and user populations.  ``None`` means the scenario is latency-blind
     #: and behaves exactly as before the network subsystem existed.
-    network: Optional[ZoneTopology] = None
+    network: Optional[NetworkSpec] = None
 
     def __post_init__(self) -> None:
-        if self.num_nodes < 1:
-            raise ConfigurationError("num_nodes must be >= 1")
         if self.horizon <= 0:
             raise ConfigurationError("horizon must be positive")
-        if self.node_classes:
-            total = sum(cls.count for cls in self.node_classes)
-            if total != self.num_nodes:
-                raise ConfigurationError(
-                    f"node_classes count {total} != num_nodes {self.num_nodes}"
-                )
-        if self.network is not None:
-            if not self.node_classes:
-                raise ConfigurationError(
-                    "a network topology requires a cluster built from node "
-                    "classes (zones)"
-                )
-            for cls in self.node_classes:
-                zone = cls.zone or cls.name
-                if zone not in self.network.zones:
-                    raise ConfigurationError(
-                        f"node class {cls.name!r} is in zone {zone!r}, which "
-                        f"the network topology does not declare "
-                        f"(declared: {', '.join(self.network.zones)})"
-                    )
-
-    def build_cluster(self) -> Cluster:
-        """Materialize the cluster topology."""
-        if self.node_classes:
-            return cluster_from_classes(self.node_classes)
-        return homogeneous_cluster(
-            self.num_nodes,
-            processors=self.node_processors,
-            mhz_per_processor=self.node_mhz,
-            memory_mb=self.node_memory_mb,
-        )
 
     @property
-    def cluster_capacity(self) -> float:
-        """Aggregate CPU capacity (MHz), correct for both topology forms.
-
-        Consumers must use this instead of multiplying the ``node_*``
-        fields, which describe only the first class of a heterogeneous
-        cluster.
-        """
-        if self.node_classes:
-            return sum(cls.cpu_capacity for cls in self.node_classes)
-        return self.num_nodes * self.node_processors * self.node_mhz
-
-    def node_zone_map(self) -> dict[str, str]:
-        """Node-id -> zone map of the topology (empty when homogeneous)."""
-        if not self.node_classes:
-            return {}
-        return zone_map_from_classes(self.node_classes)
+    def num_nodes(self) -> int:
+        """Node count of the topology."""
+        return self.topology.total_nodes
 
     def with_controller(self, controller: ControllerConfig) -> "Scenario":
         """Copy of the scenario with a different controller configuration."""

@@ -184,7 +184,7 @@ def compile_faults(
         for homogeneous topologies.
     node_zone_of:
         Node id -> network-zone name (see
-        :func:`repro.cluster.topology.zone_map_from_classes`); consulted
+        :meth:`repro.api.spec.TopologySpec.zone_map`); consulted
         only by zone-outage specs that select zones *by name*.  ``None``
         or empty means the topology declares no zones, so named
         selections fail validation.

@@ -2,32 +2,29 @@
 
 Makes network position a first-class input to the control loop:
 
-* :class:`ZoneTopology` -- named zones, a symmetric inter-zone RTT
-  matrix, and per-zone user populations, with nearest-serving-zone
-  routing (:mod:`repro.netmodel.topology`);
+* :class:`NetworkSpec` / :class:`ZoneSpec` -- the ``[network]`` block
+  of a scenario spec: named zones with their user populations and a
+  symmetric inter-zone RTT matrix, with nearest-serving-zone routing
+  (:mod:`repro.netmodel.topology`);
 * :class:`NetworkAwareModel` -- end-to-end response time composing the
   queueing models with the placement's expected network RTT
   (:mod:`repro.netmodel.model`);
-* :class:`NetworkSpec` / :class:`ZoneSpec` -- the declarative
-  ``[network]`` block of a scenario spec (:mod:`repro.netmodel.spec`);
-* :class:`NetworkContext` -- the topology bound to a concrete cluster,
+* :class:`NetworkContext` -- the network bound to a concrete cluster,
   as consumed by the controller (:mod:`repro.netmodel.context`).
 
 Scenarios without a ``[network]`` block are untouched: the subsystem is
 strictly additive, and ``ControllerConfig.latency_weight = 0`` keeps
 the control loop bit-identical to the latency-blind baseline even when
-a topology is present (only telemetry is recorded).
+a network is present (only telemetry is recorded).
 """
 
 from .context import NetworkContext
 from .model import NetworkAwareModel
-from .spec import NetworkSpec, ZoneSpec
-from .topology import ZoneTopology
+from .topology import NetworkSpec, ZoneSpec
 
 __all__ = [
     "NetworkAwareModel",
     "NetworkContext",
     "NetworkSpec",
     "ZoneSpec",
-    "ZoneTopology",
 ]

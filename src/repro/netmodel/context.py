@@ -1,8 +1,8 @@
 """The network context handed to the placement controller.
 
-Bundles the :class:`~repro.netmodel.topology.ZoneTopology` with the
-node-id -> zone map of the materialized cluster, and answers the two
-questions the control loop asks each cycle: *what is the expected
+Bundles the scenario's :class:`~repro.netmodel.topology.NetworkSpec`
+with the node-id -> zone map of the materialized cluster, and answers
+the two questions the control loop asks each cycle: *what is the expected
 network RTT of this app's current placement* (folded into the perf
 model, see :func:`repro.perf.estimator.with_network_delay`) and *which
 nodes should new instances prefer* (turned into the solver's
@@ -18,27 +18,27 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from ..errors import ConfigurationError
-from .topology import ZoneTopology
+from .topology import NetworkSpec
 
 __all__ = ["NetworkContext"]
 
 
 @dataclass(frozen=True)
 class NetworkContext:
-    """A zone topology bound to a concrete cluster's node-zone map."""
+    """A zoned network bound to a concrete cluster's node-zone map."""
 
-    topology: ZoneTopology
+    network: NetworkSpec
     node_zone: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         node_zone = dict(self.node_zone)
         object.__setattr__(self, "node_zone", node_zone)
+        declared = self.network.zone_names()
         for node_id, zone in node_zone.items():
-            if zone not in self.topology.zones:
+            if zone not in declared:
                 raise ConfigurationError(
                     f"node {node_id!r} is in zone {zone!r}, which the "
-                    f"network topology does not declare "
-                    f"(declared: {', '.join(self.topology.zones)})"
+                    f"network does not declare (declared: {', '.join(declared)})"
                 )
 
     def serving_zones(self, nodes: Iterable[str]) -> tuple[str, ...]:
@@ -48,11 +48,11 @@ class NetworkContext:
 
     def expected_rtt_s(self, nodes: Iterable[str]) -> float:
         """Expected network RTT (s) of serving from the given nodes."""
-        return self.topology.expected_rtt_s(self.serving_zones(nodes))
+        return self.network.expected_rtt_s(self.serving_zones(nodes))
 
     def in_zone_fraction(self, nodes: Iterable[str]) -> float:
         """User mass served from its own zone by the given nodes."""
-        return self.topology.in_zone_fraction(self.serving_zones(nodes))
+        return self.network.in_zone_fraction(self.serving_zones(nodes))
 
     def preferred_nodes(
         self, nodes: Iterable[str], current_nodes: Iterable[str]
@@ -65,7 +65,7 @@ class NetworkContext:
         strictly positive gain appear -- everything else is left to the
         solver's free-CPU ordering.  Lower rank = more preferred.
         """
-        gains = self.topology.placement_gain_ms(
+        gains = self.network.placement_gain_ms(
             self.serving_zones(current_nodes)
         )
         ranked = [

@@ -4,7 +4,7 @@
 :class:`~repro.perf.queueing.TransactionalPerfModel` and adds a fixed
 network delay -- the demand-weighted expected RTT from the user zones to
 the app's serving zones (see
-:meth:`repro.netmodel.topology.ZoneTopology.expected_rtt_s`) -- so that
+:meth:`repro.netmodel.topology.NetworkSpec.expected_rtt_s`) -- so that
 everything downstream of the model (utility evaluation, the arbiter's
 probe allocations, ``allocation_for_rt`` inversions) prices *total*
 latency rather than queueing latency alone.

@@ -1,11 +1,23 @@
-"""Zone topology: inter-zone RTTs and where the users are.
+"""The zoned network: inter-zone RTTs and where the users are.
 
 The paper prices SLAs purely in queueing response time; edge-cloud
 placement systems (Tetris, MORPHOSYS -- see PAPERS.md) show that the
 *network position* of an instance matters just as much once demand
-originates far from where it is served.  :class:`ZoneTopology` is the
-declarative core of that model: a set of named zones, a symmetric
-inter-zone RTT matrix, and a per-zone user population.
+originates far from where it is served.  :class:`NetworkSpec` is the
+declarative core of that model and the ``[network]`` block of a scenario
+spec: named zones with their user populations, and a symmetric
+inter-zone RTT matrix in zone-declaration order::
+
+    [network]
+    rtt_ms = [[0.0, 20.0], [20.0, 0.0]]
+
+    [[network.zones]]
+    name = "edge"
+    users = 70.0
+
+    [[network.zones]]
+    name = "cloud"
+    users = 30.0
 
 Requests are routed to the *nearest serving zone*: with user weight
 ``w_z`` (the zone's share of the total user population) and serving-zone
@@ -18,8 +30,9 @@ the queueing response time, and ``in_zone_fraction(S)`` -- the user mass
 whose own zone is serving -- is the locality telemetry reported by the
 experiment runner.
 
-The class is a frozen dataclass over tuples, so instances hash, compare,
-and pickle (the sharded control plane ships them to pool workers).
+Both classes are frozen dataclasses over tuples, so instances hash,
+compare, and pickle (the sharded control plane ships them to pool
+workers).
 """
 
 from __future__ import annotations
@@ -30,46 +43,52 @@ from typing import Iterable, Mapping
 
 from ..errors import ConfigurationError
 
-__all__ = ["ZoneTopology"]
+__all__ = ["NetworkSpec", "ZoneSpec"]
 
 
 @dataclass(frozen=True)
-class ZoneTopology:
-    """Named zones, symmetric inter-zone RTTs (ms), per-zone users.
+class ZoneSpec:
+    """One declared zone: its name and user population.
 
-    Attributes
-    ----------
-    zones:
-        Unique, non-empty zone names; index order fixes the matrix rows.
-    rtt_ms:
-        Square symmetric matrix of inter-zone round-trip times in
-        milliseconds with a zero diagonal (in-zone traffic is free at
-        this modeling granularity).
-    users:
-        Non-negative per-zone user population (any scale; only the
-        normalized shares matter).  At least one zone must hold users.
-        Zones may hold users without hosting any node -- a pure demand
-        origin, e.g. a last-mile aggregation point.
+    ``users`` is any non-negative scale; only the normalized shares
+    matter.  A zone may hold users without hosting any node -- a pure
+    demand origin, e.g. a last-mile aggregation point.
     """
 
-    zones: tuple[str, ...]
+    name: str
+    users: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not self.name or not isinstance(self.name, str):
+            raise ConfigurationError("zone name must be a non-empty string")
+        if not math.isfinite(self.users) or self.users < 0:
+            raise ConfigurationError(
+                f"zone {self.name!r}: users must be finite and non-negative"
+            )
+
+
+@dataclass(frozen=True)
+class NetworkSpec:
+    """Declared zones plus the inter-zone RTTs (ms).
+
+    ``rtt_ms`` is a square symmetric matrix in zone-declaration order
+    with a zero diagonal (in-zone traffic is free at this modeling
+    granularity).  At least one zone must hold users.
+    """
+
+    zones: tuple[ZoneSpec, ...]
     rtt_ms: tuple[tuple[float, ...], ...]
-    users: tuple[float, ...]
 
     def __post_init__(self) -> None:
         zones = tuple(self.zones)
         rtt = tuple(tuple(float(v) for v in row) for row in self.rtt_ms)
-        users = tuple(float(u) for u in self.users)
         object.__setattr__(self, "zones", zones)
         object.__setattr__(self, "rtt_ms", rtt)
-        object.__setattr__(self, "users", users)
-
         if not zones:
             raise ConfigurationError("at least one zone is required")
-        if any(not isinstance(z, str) or not z for z in zones):
-            raise ConfigurationError(f"zone names must be non-empty strings: {zones}")
-        if len(set(zones)) != len(zones):
-            raise ConfigurationError(f"duplicate zone names in {zones}")
+        names = self.zone_names()
+        if len(set(names)) != len(names):
+            raise ConfigurationError(f"duplicate zone names in {names}")
         n = len(zones)
         if len(rtt) != n or any(len(row) != n for row in rtt):
             raise ConfigurationError(
@@ -78,45 +97,41 @@ class ZoneTopology:
         for i in range(n):
             if rtt[i][i] != 0.0:
                 raise ConfigurationError(
-                    f"rtt_ms diagonal must be zero (zone {zones[i]!r})"
+                    f"rtt_ms diagonal must be zero (zone {names[i]!r})"
                 )
             for j in range(n):
                 v = rtt[i][j]
                 if not math.isfinite(v) or v < 0:
                     raise ConfigurationError(
-                        f"rtt_ms[{zones[i]!r}][{zones[j]!r}] must be finite "
+                        f"rtt_ms[{names[i]!r}][{names[j]!r}] must be finite "
                         f"and non-negative, got {v}"
                     )
                 if rtt[i][j] != rtt[j][i]:
                     raise ConfigurationError(
                         f"rtt_ms must be symmetric: "
-                        f"[{zones[i]!r}][{zones[j]!r}] = {rtt[i][j]} but "
-                        f"[{zones[j]!r}][{zones[i]!r}] = {rtt[j][i]}"
+                        f"[{names[i]!r}][{names[j]!r}] = {rtt[i][j]} but "
+                        f"[{names[j]!r}][{names[i]!r}] = {rtt[j][i]}"
                     )
-        if len(users) != n:
-            raise ConfigurationError("one user population per zone is required")
-        if any(not math.isfinite(u) or u < 0 for u in users):
-            raise ConfigurationError(
-                f"user populations must be finite and non-negative: {users}"
-            )
-        total = sum(users)
+        total = sum(zone.users for zone in zones)
         if total <= 0:
             raise ConfigurationError("at least one zone must hold users")
+        object.__setattr__(self, "_index", {name: i for i, name in enumerate(names)})
         object.__setattr__(
-            self, "_index", {zone: i for i, zone in enumerate(zones)}
-        )
-        object.__setattr__(
-            self, "_weights", tuple(u / total for u in users)
+            self, "_weights", tuple(zone.users / total for zone in zones)
         )
 
     # -- lookups --------------------------------------------------------
+    def zone_names(self) -> tuple[str, ...]:
+        """Zone names in declaration order (the matrix rows)."""
+        return tuple(zone.name for zone in self.zones)
+
     def _zone_index(self, zone: str) -> int:
         index: Mapping[str, int] = self._index  # type: ignore[attr-defined]
         try:
             return index[zone]
         except KeyError:
             raise ConfigurationError(
-                f"unknown zone {zone!r} (declared: {', '.join(self.zones)})"
+                f"unknown zone {zone!r} (declared: {', '.join(self.zone_names())})"
             ) from None
 
     def rtt(self, zone_a: str, zone_b: str) -> float:
@@ -170,16 +185,15 @@ class ZoneTopology:
         cycle.  The controller turns this ranking into the solver's
         preferred-node ordering.
         """
+        names = self.zone_names()
         serving = sorted({self._zone_index(z) for z in serving_zones})
         if serving:
-            base = self.expected_rtt_ms(self.zones[i] for i in serving)
+            base = self.expected_rtt_ms(names[i] for i in serving)
         else:
-            base = max(
-                self.expected_rtt_ms((zone,)) for zone in self.zones
-            )
+            base = max(self.expected_rtt_ms((zone,)) for zone in names)
         gains: dict[str, float] = {}
-        for i, zone in enumerate(self.zones):
+        for i, zone in enumerate(names):
             with_zone = {*serving, i}
-            cost = self.expected_rtt_ms(self.zones[j] for j in with_zone)
+            cost = self.expected_rtt_ms(names[j] for j in with_zone)
             gains[zone] = base - cost
         return gains

@@ -2,7 +2,7 @@
 population snapshots and request-level validation micro-simulators."""
 
 from .estimator import EwmaEstimator, ParameterTracker
-from .jobmodel import JobPopulation, predicted_completions, snapshot_jobs
+from .jobmodel import JobPopulation, snapshot_jobs
 from .microsim import MicrosimResult, simulate_closed_interactive, simulate_open_mmc
 from .queueing import (
     DEFAULT_RT_TOLERANCE,
@@ -24,7 +24,6 @@ __all__ = [
     "ParameterTracker",
     "JobPopulation",
     "snapshot_jobs",
-    "predicted_completions",
     "MicrosimResult",
     "simulate_open_mmc",
     "simulate_closed_interactive",

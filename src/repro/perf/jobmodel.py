@@ -10,7 +10,7 @@ this module extracts the population state into a column-oriented
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -158,17 +158,3 @@ def snapshot_jobs(
         goal_lengths=np.asarray(goal_lengths, dtype=float),
         importance=np.asarray(importance, dtype=float),
     )
-
-
-def predicted_completions(population: JobPopulation, rates: Sequence[float]) -> np.ndarray:
-    """Completion times if each job sustained ``rates`` forever (inf at 0)."""
-    rates_arr = np.asarray(rates, dtype=float)
-    if rates_arr.shape != population.remaining.shape:
-        raise ModelError("rates shape does not match population")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        durations = np.where(
-            population.remaining <= 0,
-            0.0,
-            np.where(rates_arr > 0, population.remaining / np.maximum(rates_arr, 1e-300), np.inf),
-        )
-    return population.time + durations

@@ -19,7 +19,7 @@ equal times)::
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from ..errors import SimulationError
 from ..types import Seconds
@@ -188,9 +188,3 @@ class Simulator:
     def stop(self) -> None:
         """Request the current :meth:`run` loop to exit after this event."""
         self._stopped = True
-
-    def drain(self, events: Iterable[Event]) -> None:
-        """Cancel every not-yet-fired event in ``events`` (convenience)."""
-        for event in events:
-            if not event.fired and not event.cancelled:
-                event.cancel()

@@ -17,6 +17,7 @@ from .profiles import (
     DiurnalProfile,
     IntensityProfile,
     NoisyProfile,
+    Profile,
     StepProfile,
 )
 from .tracegen import (
@@ -42,6 +43,7 @@ __all__ = [
     "StepProfile",
     "DiurnalProfile",
     "NoisyProfile",
+    "Profile",
     "exponential_arrival_times",
     "piecewise_exponential_arrival_times",
     "nhpp_arrival_times",

@@ -31,7 +31,7 @@ def test_milp_backend_completes_the_smoke_scenario(milp_result):
 
 
 def test_milp_backend_final_placement_is_valid(milp_result):
-    cluster = milp_result.scenario.build_cluster()
+    cluster = milp_result.scenario.topology.build_cluster()
     milp_result.final_placement.validate(cluster)
 
 

@@ -61,7 +61,7 @@ class TestFailureInjection:
             assert done_fraction > 0.8
 
     def test_final_placement_feasible_with_failed_node(self, result):
-        cluster = result.scenario.build_cluster()
+        cluster = result.scenario.topology.build_cluster()
         cluster.fail_node("node003")
         result.final_placement.validate(cluster)
 

@@ -32,12 +32,12 @@ class TestHeterogeneousCluster:
     """
 
     def test_solver_handles_mixed_hardware(self):
-        from repro.cluster import heterogeneous_cluster
+        from repro.cluster import NodeClass, cluster_from_classes
         from repro.core import AppRequest, JobRequest, PlacementSolver
 
-        cluster = heterogeneous_cluster([
-            (2, 4, 3000.0, 4000.0),   # modern rack
-            (2, 2, 2000.0, 2400.0),   # old rack: 4 GHz, two job slots
+        cluster = cluster_from_classes([
+            NodeClass("rack0", 2, 4, 3000.0, 4000.0),   # modern rack
+            NodeClass("rack1", 2, 2, 2000.0, 2400.0),   # old rack: 4 GHz, two job slots
         ])
         jobs = [
             JobRequest(
@@ -54,7 +54,7 @@ class TestHeterogeneousCluster:
         solution = PlacementSolver().solve(list(cluster), apps, jobs)
         solution.placement.validate(cluster)
         # Old-rack nodes must not be overfilled (2400 MB -> 2 jobs max).
-        for node_id in ("rack1-node000", "rack1-node001"):
+        for node_id in ("rack1-000", "rack1-001"):
             entries = solution.placement.entries_on(node_id)
             job_entries = [e for e in entries if e.vm_id.startswith("vm-")]
             assert len(job_entries) <= 2

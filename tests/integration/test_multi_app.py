@@ -74,4 +74,4 @@ class TestMultiApp:
         assert gap < 0.15
 
     def test_placement_feasible(self, result):
-        result.final_placement.validate(result.scenario.build_cluster())
+        result.final_placement.validate(result.scenario.topology.build_cluster())

@@ -31,7 +31,7 @@ class TestSmokeRun:
         assert abs(tx - lr) < 0.1
 
     def test_final_placement_feasible(self, result):
-        result.final_placement.validate(result.scenario.build_cluster())
+        result.final_placement.validate(result.scenario.topology.build_cluster())
 
     def test_no_job_left_in_inconsistent_state(self, result):
         for job in result.jobs:

@@ -2,14 +2,11 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.analysis import (
     MetricAggregate,
-    Summary,
     aggregate_metrics,
-    equalization_error,
     job_outcome_stats,
     job_outcomes_by_class,
 )
@@ -26,33 +23,6 @@ def finished_job(job_id: str, rate: float, goal: float = 4000.0,
     job.advance_to(duration)
     job.complete(duration)
     return job
-
-
-class TestSummary:
-    def test_basic_statistics(self):
-        s = Summary.of([1.0, 2.0, 3.0, 4.0])
-        assert s.count == 4
-        assert s.mean == pytest.approx(2.5)
-        assert s.minimum == 1.0
-        assert s.maximum == 4.0
-        assert s.p50 == pytest.approx(2.5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Summary.of([])
-
-
-class TestEqualizationError:
-    def test_zero_when_equal(self):
-        a = np.array([0.5, 0.4])
-        assert equalization_error(a, a.copy()) == 0.0
-
-    def test_mean_absolute_gap(self):
-        assert equalization_error(np.array([1.0, 0.0]), np.array([0.0, 0.0])) == 0.5
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            equalization_error(np.array([1.0]), np.array([1.0, 2.0]))
 
 
 class TestJobOutcomes:
@@ -115,18 +85,6 @@ class TestMetricAggregate:
         assert agg.n == 0
         assert math.isnan(agg.mean)
         assert math.isnan(agg.ci95_lo)
-
-    def test_dict_round_trip(self):
-        agg = MetricAggregate.of([1.0, 2.0, 5.0])
-        assert MetricAggregate.from_dict(agg.to_dict()) == agg
-
-    def test_from_dict_maps_null_to_nan(self):
-        data = MetricAggregate.of([math.nan]).to_dict()
-        data = {k: (None if isinstance(v, float) and math.isnan(v) else v)
-                for k, v in data.items()}
-        agg = MetricAggregate.from_dict(data)
-        assert agg.n == 0
-        assert math.isnan(agg.mean)
 
 
 class TestAggregateMetrics:

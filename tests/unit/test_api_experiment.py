@@ -67,9 +67,9 @@ class TestExperiment:
         )
         assert isinstance(exp.spec, ScenarioSpec)
         scenario = exp.materialize()
-        from repro.baselines.registry import make_policy
+        from repro.baselines.registry import get_policy
 
-        assert isinstance(make_policy("fcfs", scenario), FcfsSharedPolicy)
+        assert isinstance(get_policy("fcfs")(scenario), FcfsSharedPolicy)
         result = exp.run()
         assert result.cycles > 0
 

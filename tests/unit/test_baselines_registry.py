@@ -10,7 +10,6 @@ from repro.baselines import (
     TxPriorityPolicy,
     available_policies,
     get_policy,
-    make_policy,
     register_policy,
 )
 from repro.core.controller import UtilityDrivenController
@@ -53,9 +52,9 @@ class TestRegistry:
             "tx-priority": TxPriorityPolicy,
         }
         for name, cls in expected.items():
-            assert isinstance(make_policy(name, scenario), cls)
+            assert isinstance(get_policy(name)(scenario), cls)
 
     def test_factory_uses_scenario_controller_config(self):
         scenario = scenario_spec("smoke").materialize()
-        policy = make_policy("fcfs", scenario)
+        policy = get_policy("fcfs")(scenario)
         assert policy.config == scenario.controller

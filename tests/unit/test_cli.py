@@ -212,6 +212,32 @@ class TestInProcess:
         assert code == 2
         assert "cannot read result file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("run_flags", "field", "corrupt"),
+        [
+            (
+                ["--replications", "2"],
+                "per_seed[0].seed",
+                lambda data: data["per_seed"][0].update(seed="one"),
+            ),
+            ([], "scenario.horizon", lambda data: data["scenario"].update(horizon="long")),
+        ],
+        ids=["replicated-seed", "single-horizon"],
+    )
+    def test_report_malformed_field_fails_cleanly(
+        self, tmp_path, capsys, run_flags, field, corrupt
+    ):
+        saved = tmp_path / "result.json"
+        assert main(
+            ["run", "smoke", "--horizon", "600", *run_flags, "--json", str(saved)]
+        ) == 0
+        data = json.loads(saved.read_text())
+        corrupt(data)
+        saved.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["report", str(saved)]) == 2
+        assert field in capsys.readouterr().err
+
     def test_unknown_scenario_fails_with_known_names(self, capsys):
         code = main(["run", "nope"])
         assert code == 2

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.cluster import (
-    PAPER_NODE_COUNT,
-    heterogeneous_cluster,
-    homogeneous_cluster,
-    paper_cluster,
-)
+from repro.cluster import homogeneous_cluster
 from repro.errors import ConfigurationError
 
 
@@ -20,28 +15,6 @@ class TestBuilders:
         with pytest.raises(ConfigurationError):
             homogeneous_cluster(0)
 
-    def test_paper_cluster_matches_evaluation_setup(self):
-        cluster = paper_cluster()
-        assert len(cluster) == PAPER_NODE_COUNT == 25
-        node = cluster.node(cluster.node_ids[0])
-        assert node.processors == 4
-        # 25 nodes x 4 x 3000 MHz = 300 GHz
-        assert cluster.total_cpu_capacity == pytest.approx(300_000.0)
-
-    def test_paper_node_fits_exactly_three_jobs(self):
-        node = paper_cluster().node("node000")
-        job_mem = 1200.0
-        assert 3 * job_mem <= node.memory_mb
-        assert 4 * job_mem > node.memory_mb
-
-    def test_heterogeneous_racks(self):
-        cluster = heterogeneous_cluster([(2, 4, 3000.0, 4000.0), (1, 8, 2000.0, 8000.0)])
-        assert len(cluster) == 3
-        assert cluster.node("rack1-node000").processors == 8
-
-    def test_heterogeneous_rejects_empty(self):
-        with pytest.raises(ConfigurationError):
-            heterogeneous_cluster([])
 
 
 class TestNodeClasses:
@@ -86,14 +59,14 @@ class TestNodeClasses:
 
 class TestZones:
     def test_zone_map_uses_explicit_zone_then_class_name(self):
+        from repro.api import TopologySpec
         from repro.cluster import NodeClass
-        from repro.cluster.topology import zone_map_from_classes
 
-        classes = [
+        classes = (
             NodeClass("rack-a", 2, 4, 3000.0, 4000.0, zone="edge"),
             NodeClass("cloud", 1, 4, 3000.0, 4000.0),
-        ]
-        assert zone_map_from_classes(classes) == {
+        )
+        assert TopologySpec(classes=classes).zone_map() == {
             "rack-a-000": "edge",
             "rack-a-001": "edge",
             "cloud-000": "cloud",

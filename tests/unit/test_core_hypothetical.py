@@ -5,10 +5,8 @@ import pytest
 
 from repro.core import (
     equalize_hypothetical_utility,
-    hypothetical_completion_times,
     longrunning_max_utility_demand,
     mean_hypothetical_utility,
-    utility_level,
 )
 from repro.errors import ModelError
 
@@ -110,13 +108,6 @@ class TestEdgeCases:
         with pytest.raises(ModelError):
             equalize_hypothetical_utility(pop, -1.0)
 
-    def test_rate_of_lookup(self):
-        pop = make_population(0.0, [3_000_000.0, 3_000_000.0])
-        result = equalize_hypothetical_utility(pop, 3_000.0)
-        assert result.rate_of(pop, "j0") == pytest.approx(result.rates[0])
-        with pytest.raises(ModelError):
-            result.rate_of(pop, "ghost")
-
 
 class TestDerivedQuantities:
     def test_max_utility_demand_is_sum_of_caps(self):
@@ -131,17 +122,13 @@ class TestDerivedQuantities:
         pop = make_population(0.0, [3_000_000.0] * 2)
         full = equalize_hypothetical_utility(pop, 3_000.0)
         assert mean_hypothetical_utility(pop, 3_000.0) == full.mean_utility
-        assert utility_level(pop, 3_000.0) == full.utility_level
-
-    def test_completion_times_consistent_with_rates(self):
-        pop = make_population(0.0, [3_000_000.0] * 2)
-        completions = hypothetical_completion_times(pop, 3_000.0)
-        # each job at 1500 MHz -> 2000 s
-        assert np.allclose(completions, 2000.0)
 
     def test_monotone_in_allocation(self):
         pop = make_population(0.0, [3e6, 2e6, 1e6])
-        levels = [utility_level(pop, a) for a in (500.0, 2_000.0, 5_000.0, 8_000.0)]
+        levels = [
+            equalize_hypothetical_utility(pop, a).utility_level
+            for a in (500.0, 2_000.0, 5_000.0, 8_000.0)
+        ]
         assert levels == sorted(levels)
         means = [mean_hypothetical_utility(pop, a) for a in (500.0, 2_000.0, 5_000.0)]
         assert means == sorted(means)

@@ -2,17 +2,15 @@
 
 import pytest
 
-from repro.cluster import Placement, homogeneous_cluster
+from repro.cluster import homogeneous_cluster
 from repro.config import SolverConfig
 from repro.core import (
     AppRequest,
     JobRequest,
-    PlacementSolution,
     PlacementSolver,
-    placement_efficiency,
     water_fill,
 )
-from repro.errors import ConfigurationError, PlacementError
+from repro.errors import ConfigurationError
 
 from ..conftest import make_node
 from ..helpers import assert_solution_feasible
@@ -256,34 +254,6 @@ class TestBudget:
         assert "old" in sol.job_rates
         assert sol.unplaced_jobs == ["new"]
         assert sol.changes == 0
-
-
-class TestPlacementEfficiency:
-    @staticmethod
-    def solution(job_mhz: float, web_mhz: float) -> PlacementSolution:
-        return PlacementSolution(
-            placement=Placement(),
-            job_rates={"j0": job_mhz},
-            app_allocations={"web": web_mhz},
-        )
-
-    def test_fraction_of_capacity(self):
-        assert placement_efficiency(self.solution(6_000.0, 3_000.0), 12_000.0) \
-            == pytest.approx(0.75)
-
-    def test_float_dust_above_one_still_clamped(self):
-        sol = self.solution(12_000.0 * (1 + 1e-9), 0.0)
-        assert placement_efficiency(sol, 12_000.0) == 1.0
-
-    def test_double_granted_cpu_raises(self):
-        # A ratio meaningfully above 1.0 means CPU was granted twice --
-        # a solver bug that used to be silently clamped to 1.0.
-        with pytest.raises(PlacementError, match="double-granted"):
-            placement_efficiency(self.solution(13_000.0, 0.0), 12_000.0)
-
-    def test_non_positive_capacity_rejected(self):
-        with pytest.raises(ConfigurationError):
-            placement_efficiency(self.solution(0.0, 0.0), 0.0)
 
 
 class TestFeasibilityAndDeterminism:

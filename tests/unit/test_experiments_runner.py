@@ -10,7 +10,7 @@ import dataclasses
 
 import pytest
 
-from repro.api import ConstantProfileSpec, scenario_spec
+from repro.api import TopologySpec, scenario_spec
 from repro.cluster import (
     ActionCosts,
     AdjustCpu,
@@ -24,7 +24,7 @@ from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenario import Scenario
 from repro.config import ControllerConfig, NoiseConfig
 from repro.errors import LifecycleError
-from repro.workloads import JobPhase
+from repro.workloads import ConstantProfile, JobPhase
 
 from ..conftest import make_job_spec
 
@@ -32,7 +32,7 @@ from ..conftest import make_job_spec
 def tiny_scenario(**cost_overrides) -> Scenario:
     app = dataclasses.replace(
         scenario_spec("smoke").apps[0],
-        profile=ConstantProfileSpec(10.0),
+        profile=ConstantProfile(10.0),
         max_instances=2,
     )
     costs = ActionCosts(**cost_overrides) if cost_overrides else ActionCosts(
@@ -41,10 +41,9 @@ def tiny_scenario(**cost_overrides) -> Scenario:
     )
     return Scenario(
         name="runner-unit",
-        num_nodes=2,
-        node_processors=4,
-        node_mhz=3000.0,
-        node_memory_mb=4000.0,
+        topology=TopologySpec(
+            num_nodes=2, processors=4, mhz_per_processor=3000.0, memory_mb=4000.0
+        ),
         apps=(app.materialize(),),
         job_specs=(make_job_spec(job_id="j0", work=30_000_000.0, goal=40_000.0),),
         controller=ControllerConfig(),

@@ -12,7 +12,7 @@ class TestPaperScenario:
     def test_matches_paper_parameters(self):
         scenario = scenario_spec("paper").materialize()
         assert scenario.num_nodes == 25
-        assert scenario.node_processors == 4
+        assert scenario.topology.processors == 4
         assert len(scenario.job_specs) == 800
         assert scenario.controller.control_cycle == 600.0
         assert scenario.horizon == 70_000.0
@@ -32,7 +32,7 @@ class TestPaperScenario:
         ]
 
     def test_cluster_capacity(self):
-        cluster = scenario_spec("paper").materialize().build_cluster()
+        cluster = scenario_spec("paper").materialize().topology.build_cluster()
         assert cluster.total_cpu_capacity == pytest.approx(300_000.0)
 
     def test_tx_demand_fits_figure2_band(self):

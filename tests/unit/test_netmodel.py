@@ -4,69 +4,64 @@ import math
 
 import pytest
 
-from repro.cluster.topology import NodeClass, zone_map_from_classes
+from repro.api import TopologySpec
+from repro.cluster.topology import NodeClass
 from repro.core.shard_arbiter import ZoneShardPlanner, make_shard_planner
 from repro.errors import ConfigurationError, ModelError
-from repro.netmodel import (
-    NetworkAwareModel,
-    NetworkContext,
-    NetworkSpec,
-    ZoneSpec,
-    ZoneTopology,
-)
+from repro.netmodel import NetworkAwareModel, NetworkContext, NetworkSpec, ZoneSpec
 from repro.perf.estimator import with_network_delay
 from repro.perf.queueing import ClosedTransactionalModel
 
 
-def continuum() -> ZoneTopology:
+def zones(*pairs) -> tuple[ZoneSpec, ...]:
+    """``ZoneSpec`` per ``(name, users)`` pair."""
+    return tuple(ZoneSpec(name, users=users) for name, users in pairs)
+
+
+def continuum() -> NetworkSpec:
     """Three zones, users skewed to the edge (the scenario family's shape)."""
-    return ZoneTopology(
-        zones=("edge", "metro", "cloud"),
+    return NetworkSpec(
+        zones=zones(("edge", 70.0), ("metro", 25.0), ("cloud", 5.0)),
         rtt_ms=((0.0, 30.0, 150.0), (30.0, 0.0, 120.0), (150.0, 120.0, 0.0)),
-        users=(70.0, 25.0, 5.0),
     )
 
 
 class TestZoneTopologyValidation:
     def test_requires_zones(self):
         with pytest.raises(ConfigurationError):
-            ZoneTopology(zones=(), rtt_ms=(), users=())
+            NetworkSpec(zones=(), rtt_ms=())
 
     def test_rejects_duplicate_zone_names(self):
         with pytest.raises(ConfigurationError, match="duplicate"):
-            ZoneTopology(
-                zones=("a", "a"), rtt_ms=((0.0, 1.0), (1.0, 0.0)), users=(1.0, 1.0)
+            NetworkSpec(
+                zones=zones(("a", 1.0), ("a", 1.0)), rtt_ms=((0.0, 1.0), (1.0, 0.0))
             )
 
     def test_rejects_non_square_matrix(self):
         with pytest.raises(ConfigurationError, match="matrix"):
-            ZoneTopology(zones=("a", "b"), rtt_ms=((0.0, 1.0),), users=(1.0, 1.0))
+            NetworkSpec(zones=zones(("a", 1.0), ("b", 1.0)), rtt_ms=((0.0, 1.0),))
 
     def test_rejects_asymmetric_matrix(self):
         with pytest.raises(ConfigurationError, match="symmetric"):
-            ZoneTopology(
-                zones=("a", "b"), rtt_ms=((0.0, 1.0), (2.0, 0.0)), users=(1.0, 1.0)
+            NetworkSpec(
+                zones=zones(("a", 1.0), ("b", 1.0)), rtt_ms=((0.0, 1.0), (2.0, 0.0))
             )
 
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(ConfigurationError, match="diagonal"):
-            ZoneTopology(
-                zones=("a", "b"), rtt_ms=((1.0, 1.0), (1.0, 0.0)), users=(1.0, 1.0)
+            NetworkSpec(
+                zones=zones(("a", 1.0), ("b", 1.0)), rtt_ms=((1.0, 1.0), (1.0, 0.0))
             )
 
     def test_rejects_negative_rtt(self):
         with pytest.raises(ConfigurationError, match="non-negative"):
-            ZoneTopology(
-                zones=("a", "b"), rtt_ms=((0.0, -1.0), (-1.0, 0.0)), users=(1.0, 1.0)
+            NetworkSpec(
+                zones=zones(("a", 1.0), ("b", 1.0)), rtt_ms=((0.0, -1.0), (-1.0, 0.0))
             )
-
-    def test_rejects_user_count_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            ZoneTopology(zones=("a",), rtt_ms=((0.0,),), users=(1.0, 2.0))
 
     def test_rejects_all_zero_users(self):
         with pytest.raises(ConfigurationError, match="users"):
-            ZoneTopology(zones=("a",), rtt_ms=((0.0,),), users=(0.0,))
+            NetworkSpec(zones=zones(("a", 0.0)), rtt_ms=((0.0,),))
 
     def test_unknown_zone_lookup_names_declared_zones(self):
         with pytest.raises(ConfigurationError, match="edge, metro, cloud"):
@@ -187,28 +182,8 @@ class TestNetworkAwareModel:
 
 
 class TestNetworkSpec:
-    def _spec(self) -> NetworkSpec:
-        return NetworkSpec(
-            zones=(
-                ZoneSpec("edge", users=70.0),
-                ZoneSpec("metro", users=25.0),
-                ZoneSpec("cloud", users=5.0),
-            ),
-            rtt_ms=(
-                (0.0, 30.0, 150.0),
-                (30.0, 0.0, 120.0),
-                (150.0, 120.0, 0.0),
-            ),
-        )
-
-    def test_build_preserves_declaration_order(self):
-        topo = self._spec().build()
-        assert topo.zones == ("edge", "metro", "cloud")
-        assert topo.users == (70.0, 25.0, 5.0)
-        assert topo == continuum()
-
     def test_zone_names(self):
-        assert self._spec().zone_names() == ("edge", "metro", "cloud")
+        assert continuum().zone_names() == ("edge", "metro", "cloud")
 
     def test_zone_spec_validation(self):
         with pytest.raises(ConfigurationError):
@@ -288,7 +263,7 @@ class TestZoneMapFromClasses:
                 mhz_per_processor=2000.0, memory_mb=2000.0,
             ),
         )
-        assert zone_map_from_classes(classes) == {
+        assert TopologySpec(classes=classes).zone_map() == {
             "rack-a-000": "edge",
             "rack-a-001": "edge",
             "cloud-000": "cloud",

@@ -2,11 +2,10 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.perf import predicted_completions, snapshot_jobs
+from repro.perf import snapshot_jobs
 
 from ..conftest import make_job, make_population
 
@@ -81,16 +80,3 @@ class TestMaxAchievableUtility:
     def test_negative_when_goal_unreachable(self):
         pop = make_population(0.0, [3_000_000.0], goals_abs=[500.0])
         assert pop.max_achievable_utility()[0] < 0
-
-
-class TestPredictedCompletions:
-    def test_basic_and_infinite(self):
-        pop = make_population(100.0, [1_000_000.0, 1_000_000.0])
-        out = predicted_completions(pop, [1000.0, 0.0])
-        assert out[0] == pytest.approx(1100.0)
-        assert math.isinf(out[1])
-
-    def test_shape_mismatch_rejected(self):
-        pop = make_population(0.0, [1.0])
-        with pytest.raises(ModelError):
-            predicted_completions(pop, [1.0, 2.0])

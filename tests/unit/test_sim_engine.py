@@ -125,9 +125,3 @@ class TestExecution:
         with pytest.raises(SimulationError):
             sim.run()
 
-    def test_drain_cancels_pending_handles(self):
-        sim = Simulator()
-        events = [sim.at(float(i + 1), lambda t: None) for i in range(3)]
-        sim.drain(events)
-        sim.run()
-        assert sim.fired_count == 0
