@@ -25,6 +25,9 @@ class MetricAggregate:
     defined as 0.0 for ``n == 1`` so a single replication degenerates to
     a point estimate: ``ci95_lo == mean == ci95_hi``.
 
+    The fields are the ``repro.result-replicated/v1`` aggregate layout
+    (``encode(agg)`` is its payload).
+
     The 95% confidence interval uses the Student-t critical value with
     ``n - 1`` degrees of freedom, the standard small-sample interval for
     replicated simulation experiments.
@@ -40,8 +43,8 @@ class MetricAggregate:
     std: float
     ci95_lo: float
     ci95_hi: float
-    minimum: float
-    maximum: float
+    min: float
+    max: float
 
     @property
     def ci95_halfwidth(self) -> float:
@@ -71,21 +74,9 @@ class MetricAggregate:
             std=std,
             ci95_lo=mean - half,
             ci95_hi=mean + half,
-            minimum=float(arr[0]),
-            maximum=float(arr[-1]),
+            min=float(arr[0]),
+            max=float(arr[-1]),
         )
-
-    def to_dict(self) -> dict[str, float]:
-        """Plain-dict form (the ``repro.result-replicated/v1`` layout)."""
-        return {
-            "n": self.n,
-            "mean": self.mean,
-            "std": self.std,
-            "ci95_lo": self.ci95_lo,
-            "ci95_hi": self.ci95_hi,
-            "min": self.minimum,
-            "max": self.maximum,
-        }
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.mean:.4g} ± {self.ci95_halfwidth:.2g} (n={self.n})"

@@ -9,16 +9,16 @@ Everything needed to describe, run and export an experiment lives here:
   block (:class:`FaultPlanSpec` and friends, re-exported from
   :mod:`repro.faults`) declares seeded stochastic failure processes;
 * the **scenario registry** (:func:`scenario_spec`,
-  :func:`available_scenarios`, :func:`register_scenario`) naming the
-  repository's evaluation scenarios: ``paper``, ``smoke``,
-  ``failure-recovery``, ``service-differentiation``, ``consolidation``,
+  :func:`available_scenarios`) naming the repository's evaluation
+  scenarios: ``paper``, ``smoke``, ``failure-recovery``,
+  ``service-differentiation``, ``consolidation``,
   ``heterogeneous-cluster``, ``overload``,
   ``multi-app-differentiation``, ``diurnal``, ``chaos-soak``;
-* the **policy registry** (:func:`get_policy`,
-  :func:`available_policies`, :func:`register_policy`, re-exported from
-  :mod:`repro.baselines.registry`) naming the utility-driven controller
-  and every baseline: ``utility``, ``static-partition``, ``fcfs``,
-  ``edf``, ``tx-priority``, plus the fault-injecting ``chaos-utility``;
+* the **policy registry** (:func:`get_policy`, :func:`available_policies`,
+  re-exported from :mod:`repro.baselines.registry`) naming the
+  utility-driven controller and every baseline: ``utility``,
+  ``static-partition``, ``fcfs``, ``edf``, ``tx-priority``, plus the
+  fault-injecting ``chaos-utility``;
 * :class:`Experiment` / :func:`run_experiment` -- the entry point tying
   the two together, returning an
   :class:`~repro.experiments.runner.ExperimentResult` with
@@ -36,11 +36,7 @@ The ``python -m repro`` CLI (:mod:`repro.cli`) is a thin shell over this
 module.
 """
 
-from ..baselines.registry import (
-    available_policies,
-    get_policy,
-    register_policy,
-)
+from ..baselines.registry import available_policies, get_policy
 from ..core.backends import available_backends
 from ..experiments.replication import (
     REPLICATED_RESULT_SCHEMA,
@@ -61,7 +57,6 @@ from .experiment import Experiment, SpecLike, resolve_spec, run_experiment
 from .scenarios import (
     available_scenarios,
     get_scenario,
-    register_scenario,
     scenario_spec,
 )
 from .spec import (
@@ -100,12 +95,10 @@ __all__ = [
     "BrownoutFaultSpec",
     "FlapFaultSpec",
     # scenario registry
-    "register_scenario",
     "get_scenario",
     "available_scenarios",
     "scenario_spec",
     # policy registry
-    "register_policy",
     "get_policy",
     "available_policies",
     # solver backends (for `repro list`)

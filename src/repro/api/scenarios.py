@@ -70,23 +70,6 @@ from .spec import (
 #: Builds a scenario spec; keyword parameters tune the family.
 ScenarioBuilder = Callable[..., ScenarioSpec]
 
-_REGISTRY: dict[str, ScenarioBuilder] = {}
-
-
-def register_scenario(
-    name: str, builder: ScenarioBuilder, *, overwrite: bool = False
-) -> None:
-    """Register ``builder`` under ``name``.
-
-    Raises :class:`ConfigurationError` when ``name`` is empty or already
-    taken (unless ``overwrite=True``).
-    """
-    if not name:
-        raise ConfigurationError("scenario name must be non-empty")
-    if name in _REGISTRY and not overwrite:
-        raise ConfigurationError(f"scenario {name!r} is already registered")
-    _REGISTRY[name] = builder
-
 
 def get_scenario(name: str) -> ScenarioBuilder:
     """The builder registered under ``name``.
@@ -96,9 +79,9 @@ def get_scenario(name: str) -> ScenarioBuilder:
     registries).
     """
     try:
-        return _REGISTRY[name]
+        return _SCENARIOS[name]
     except KeyError:
-        known = ", ".join(sorted(_REGISTRY)) or "<none>"
+        known = ", ".join(sorted(_SCENARIOS))
         raise ConfigurationError(
             f"unknown scenario {name!r} (registered: {known})"
         ) from None
@@ -106,7 +89,7 @@ def get_scenario(name: str) -> ScenarioBuilder:
 
 def available_scenarios() -> tuple[str, ...]:
     """Sorted names of all registered scenarios."""
-    return tuple(sorted(_REGISTRY))
+    return tuple(sorted(_SCENARIOS))
 
 
 def scenario_spec(name: str, **params) -> ScenarioSpec:
@@ -554,15 +537,17 @@ def cross_zone_failover(seed: int = 29) -> ScenarioSpec:
     )
 
 
-register_scenario("paper", paper)
-register_scenario("smoke", smoke)
-register_scenario("failure-recovery", failure_recovery)
-register_scenario("service-differentiation", service_differentiation)
-register_scenario("consolidation", consolidation)
-register_scenario("heterogeneous-cluster", heterogeneous_cluster)
-register_scenario("overload", overload)
-register_scenario("multi-app-differentiation", multi_app_differentiation)
-register_scenario("diurnal", diurnal)
-register_scenario("chaos-soak", chaos_soak)
-register_scenario("edge-cloud-continuum", edge_cloud_continuum)
-register_scenario("cross-zone-failover", cross_zone_failover)
+_SCENARIOS: dict[str, ScenarioBuilder] = {
+    "paper": paper,
+    "smoke": smoke,
+    "failure-recovery": failure_recovery,
+    "service-differentiation": service_differentiation,
+    "consolidation": consolidation,
+    "heterogeneous-cluster": heterogeneous_cluster,
+    "overload": overload,
+    "multi-app-differentiation": multi_app_differentiation,
+    "diurnal": diurnal,
+    "chaos-soak": chaos_soak,
+    "edge-cloud-continuum": edge_cloud_continuum,
+    "cross-zone-failover": cross_zone_failover,
+}

@@ -20,7 +20,6 @@ from .registry import (
     PolicyFactory,
     available_policies,
     get_policy,
-    register_policy,
 )
 from .static_partition import StaticPartitionPolicy, merge_solutions
 from .tx_priority import TxPriorityPolicy
@@ -33,7 +32,6 @@ __all__ = [
     "TxPriorityPolicy",
     "merge_solutions",
     "PolicyFactory",
-    "register_policy",
     "get_policy",
     "available_policies",
 ]

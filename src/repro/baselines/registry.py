@@ -12,8 +12,7 @@ hand-wiring constructors:
 
 Every entry is a module-level ``factory(scenario) -> PlacementPolicy``
 (module-level so factories stay picklable for ``run_sweep(workers=N)``
-process pools).  Third-party policies register themselves via
-:func:`register_policy` before experiments are constructed.
+process pools).
 """
 
 from __future__ import annotations
@@ -32,25 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..experiments.runner import PlacementPolicy
     from ..experiments.scenario import Scenario
 
-_REGISTRY: dict[str, PolicyFactory] = {}
-
-
-def register_policy(
-    name: str, factory: PolicyFactory, *, overwrite: bool = False
-) -> None:
-    """Register ``factory`` under ``name``.
-
-    Raises :class:`ConfigurationError` when ``name`` is empty or already
-    taken (unless ``overwrite=True``, which lets tests and downstream
-    packages shadow a built-in).
-    """
-    if not name:
-        raise ConfigurationError("policy name must be non-empty")
-    if name in _REGISTRY and not overwrite:
-        raise ConfigurationError(f"policy {name!r} is already registered")
-    _REGISTRY[name] = factory
-
-
 def get_policy(name: str) -> PolicyFactory:
     """The factory registered under ``name``.
 
@@ -59,9 +39,9 @@ def get_policy(name: str) -> PolicyFactory:
     :func:`repro.core.backends.get_backend`).
     """
     try:
-        return _REGISTRY[name]
+        return _POLICIES[name]
     except KeyError:
-        known = ", ".join(sorted(_REGISTRY)) or "<none>"
+        known = ", ".join(sorted(_POLICIES))
         raise ConfigurationError(
             f"unknown placement policy {name!r} (registered: {known})"
         ) from None
@@ -69,7 +49,7 @@ def get_policy(name: str) -> PolicyFactory:
 
 def available_policies() -> tuple[str, ...]:
     """Sorted names of all registered policies."""
-    return tuple(sorted(_REGISTRY))
+    return tuple(sorted(_POLICIES))
 
 
 # ----------------------------------------------------------------------
@@ -78,9 +58,6 @@ def available_policies() -> tuple[str, ...]:
 # default "utility" entry is the runner's own factory, so registry runs
 # and hand-wired `run_scenario(scenario)` runs can never diverge.
 # ----------------------------------------------------------------------
-utility_policy = default_policy_factory
-
-
 def static_partition_policy(scenario: "Scenario") -> "PlacementPolicy":
     """Fixed node split between job and web partitions."""
     return StaticPartitionPolicy(
@@ -123,9 +100,11 @@ def chaos_utility_policy(scenario: "Scenario") -> "PlacementPolicy":
     )
 
 
-register_policy("utility", default_policy_factory)
-register_policy("static-partition", static_partition_policy)
-register_policy("fcfs", fcfs_policy)
-register_policy("edf", edf_policy)
-register_policy("tx-priority", tx_priority_policy)
-register_policy("chaos-utility", chaos_utility_policy)
+_POLICIES: dict[str, PolicyFactory] = {
+    "utility": default_policy_factory,
+    "static-partition": static_partition_policy,
+    "fcfs": fcfs_policy,
+    "edf": edf_policy,
+    "tx-priority": tx_priority_policy,
+    "chaos-utility": chaos_utility_policy,
+}

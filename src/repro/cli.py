@@ -39,7 +39,7 @@ import functools
 import json
 import sys
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .api import (
     Experiment,
@@ -59,7 +59,7 @@ from .experiments.report import (
     replication_table,
     summarize_run,
 )
-from .experiments.scenario import Scenario
+from .experiments.sweeps import spec_variant
 
 
 def _parse_value(text: str) -> object:
@@ -193,7 +193,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     metrics = None
     if args.metrics:
         metrics = [m for m in args.metrics.split(",") if m != ""]
-    scenarios = sorted({r.scenario_name for r in results})
+    scenarios = sorted({r.scenario.name for r in results})
     print(f"report over {len(results)} result file(s); "
           f"scenario(s): {', '.join(scenarios)}")
     print()
@@ -201,24 +201,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_point_scenario(
-    spec_data: Mapping[str, object], param: str, value: object
-) -> Scenario:
-    """Module-level (picklable) scenario factory for ``repro sweep``."""
-    spec = ScenarioSpec.from_dict(spec_data)
-    return spec.with_overrides({param: value}).materialize()
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
     values = [_parse_value(v) for v in args.values.split(",") if v != ""]
     if not values:
         raise SystemExit("--values expects a comma-separated list")
-    factory = functools.partial(_sweep_point_scenario, spec.to_dict(), args.param)
     sweep = run_sweep(
         name=f"{spec.name}:{args.param}",
         grid=values,
-        scenario_factory=factory,
+        scenario_factory=functools.partial(spec_variant, spec.to_dict(), args.param),
         policy_factory=get_policy(args.policy),
         workers=args.workers,
     )

@@ -26,18 +26,14 @@ class SolverConfig:
     (:class:`repro.core.placement_solver.PlacementSolver`), ``"milp"``
     the optimal mixed-integer formulation
     (:class:`repro.core.milp_solver.MilpPlacementSolver`) used as a
-    correctness oracle and optimality-gap reference.  Third-party
-    backends registered via
-    :func:`repro.core.backends.register_backend` are selected the same
-    way.
+    correctness oracle and optimality-gap reference.
 
     Attributes
     ----------
     backend:
         Name of the registered solver backend (``"greedy"`` |
-        ``"milp"`` | any registered name).  Unknown names fail at solver
-        construction, not here, so configs can be built before custom
-        backends are registered.
+        ``"milp"``).  Unknown names fail at solver construction
+        (:func:`repro.core.backends.make_solver`), not here.
     change_penalty_mhz:
         MILP objective penalty (MHz) per disruptive placement change;
         keeps the optimal backend from churning placements for

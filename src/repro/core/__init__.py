@@ -10,7 +10,6 @@ implementation from the backend registry (:mod:`repro.core.backends`) --
 (:class:`PlacementSolver`), ``"milp"`` for the optimal mixed-integer
 oracle (:class:`MilpPlacementSolver`) used in differential testing and
 optimality-gap measurement (:func:`make_oracle`, :func:`optimality_gap`).
-Custom formulations plug in through :func:`register_backend`.
 """
 
 from .actions_planner import plan_actions
@@ -19,7 +18,6 @@ from .backends import (
     available_backends,
     get_backend,
     make_solver,
-    register_backend,
 )
 from .milp_solver import MilpPlacementSolver
 from .arbiter import Arbiter, ArbiterResult, BisectionArbiter, StealingArbiter, make_arbiter
@@ -104,7 +102,6 @@ __all__ = [
     "available_backends",
     "get_backend",
     "make_solver",
-    "register_backend",
     "water_fill",
     "make_oracle",
     "optimality_gap",

@@ -14,9 +14,7 @@ optimal MILP oracle -- are interchangeable behind
 Every backend is a callable ``factory(config) -> solver`` whose product
 implements the :class:`SolverBackend` protocol: a ``solve(nodes, apps,
 jobs, lr_target=None)`` method returning a
-:class:`~repro.core.placement_solver.PlacementSolution`.  Third-party
-backends register themselves via :func:`register_backend` before the
-controller is constructed.
+:class:`~repro.core.placement_solver.PlacementSolution`.
 """
 
 from __future__ import annotations
@@ -48,23 +46,10 @@ class SolverBackend(Protocol):
 
 BackendFactory = Callable[[SolverConfig], SolverBackend]
 
-_REGISTRY: dict[str, BackendFactory] = {}
-
-
-def register_backend(
-    name: str, factory: BackendFactory, *, overwrite: bool = False
-) -> None:
-    """Register ``factory`` under ``name``.
-
-    Raises :class:`ConfigurationError` when ``name`` is empty or already
-    taken (unless ``overwrite=True``, which lets tests and downstream
-    packages shadow a built-in).
-    """
-    if not name:
-        raise ConfigurationError("backend name must be non-empty")
-    if name in _REGISTRY and not overwrite:
-        raise ConfigurationError(f"backend {name!r} is already registered")
-    _REGISTRY[name] = factory
+_BACKENDS: dict[str, BackendFactory] = {
+    "greedy": PlacementSolver,
+    "milp": MilpPlacementSolver,
+}
 
 
 def get_backend(name: str) -> BackendFactory:
@@ -74,9 +59,9 @@ def get_backend(name: str) -> BackendFactory:
     ``name`` is unknown.
     """
     try:
-        return _REGISTRY[name]
+        return _BACKENDS[name]
     except KeyError:
-        known = ", ".join(sorted(_REGISTRY)) or "<none>"
+        known = ", ".join(sorted(_BACKENDS))
         raise ConfigurationError(
             f"unknown solver backend {name!r} (registered: {known})"
         ) from None
@@ -84,14 +69,10 @@ def get_backend(name: str) -> BackendFactory:
 
 def available_backends() -> tuple[str, ...]:
     """Sorted names of all registered backends."""
-    return tuple(sorted(_REGISTRY))
+    return tuple(sorted(_BACKENDS))
 
 
 def make_solver(config: SolverConfig | None = None) -> SolverBackend:
     """Instantiate the solver selected by ``config.backend``."""
     config = config or SolverConfig()
     return get_backend(config.backend)(config)
-
-
-register_backend("greedy", PlacementSolver)
-register_backend("milp", MilpPlacementSolver)

@@ -113,8 +113,11 @@ class ControlDiagnostics:
     #: knob): relative shortfall of this cycle's placement against the
     #: exact optimum of the same instance, and the oracle's wall-time in
     #: milliseconds.  NaN when the oracle did not run this cycle.
+    #: ``oracle_error`` names the exception when the oracle raised this
+    #: cycle (no gap sample then); empty otherwise.
     optimality_gap: float = math.nan
     exact_ms: float = math.nan
+    oracle_error: str = ""
     #: Sharded control plane (:class:`repro.core.sharded.ShardedController`
     #: with more than one shard; empty otherwise): each shard's own
     #: telemetry in shard order, the spread (max - min) of the shards'
@@ -365,7 +368,7 @@ class UtilityDrivenController:
         # Background optimality oracle -- after the decision is final,
         # so its wall-time never pollutes the stage timings above and
         # its answer never changes the cycle's outcome.
-        gap, exact_ms = self._run_oracle(
+        gap, exact_ms, oracle_error = self._run_oracle(
             nodes, app_requests, job_requests, split.lr_allocation, solution
         )
 
@@ -406,6 +409,7 @@ class UtilityDrivenController:
             telemetry=telemetry,
             optimality_gap=gap,
             exact_ms=exact_ms,
+            oracle_error=oracle_error,
         )
         return ControlDecision(
             actions=actions,
@@ -431,30 +435,33 @@ class UtilityDrivenController:
         job_requests: Sequence[JobRequest],
         lr_target: Mhz,
         solution: PlacementSolution,
-    ) -> tuple[float, float]:
-        """Solve the cycle exactly in the background; return (gap, ms).
+    ) -> tuple[float, float, str]:
+        """Solve the cycle exactly in the background; return (gap, ms, error).
 
-        Returns ``(nan, nan)`` when the oracle is disabled or this cycle
-        is skipped by ``exact_oracle_every``.  An oracle failure (e.g. a
-        :class:`~repro.errors.ModelError` on a hard instance) suppresses
-        the gap sample but still reports the wall-time spent.
+        Returns ``(nan, nan, "")`` when the oracle is disabled or this
+        cycle is skipped by ``exact_oracle_every``.  An oracle failure
+        (e.g. a :class:`~repro.errors.ModelError` on a hard instance)
+        suppresses the gap sample, still reports the wall-time spent, and
+        names the exception in ``error`` so the runner counts it.
         """
         if self._oracle is None:
-            return math.nan, math.nan
+            return math.nan, math.nan, ""
         self._oracle_cycles += 1
         if (self._oracle_cycles - 1) % self.config.exact_oracle_every:
-            return math.nan, math.nan
+            return math.nan, math.nan, ""
         start = perf_counter()
         try:
             exact = self._oracle.solve(
                 nodes, app_requests, job_requests, lr_target=lr_target
             )
-        except Exception:
-            return math.nan, (perf_counter() - start) * 1e3
+        except Exception as exc:  # the oracle must never fail the cycle
+            error = f"{type(exc).__name__}: {exc}"
+            return math.nan, (perf_counter() - start) * 1e3, error
         exact_ms = (perf_counter() - start) * 1e3
         return (
             optimality_gap(_solution_value(solution), _solution_value(exact)),
             exact_ms,
+            "",
         )
 
     def _tx_curves(

@@ -34,29 +34,20 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..analysis.stats import MetricAggregate, aggregate_metrics
+from ..codec import Sample, SpecValidationError, _as_table, decode, dumps_json, encode
 from ..errors import ConfigurationError
 from .runner import RESULT_SCHEMA as _SINGLE_RESULT_SCHEMA
-from .runner import _null_non_finite
-from .scenario import Scenario
-from .sweeps import default_metrics, run_sweep
+from .runner import RunInfo
+from .sweeps import default_metrics, run_sweep, spec_variant
 
 #: Version tag of the serialized replicated-result layout (see module
 #: docstring).
 REPLICATED_RESULT_SCHEMA = "repro.result-replicated/v1"
-
-
-def _seed_variant_scenario(spec_data: Mapping[str, object], seed: object) -> Scenario:
-    """Module-level (picklable) factory: the spec re-seeded with ``seed``."""
-    from ..api.spec import ScenarioSpec
-
-    spec = ScenarioSpec.from_dict(spec_data)
-    return spec.with_overrides({"seed": int(seed)}).materialize()  # type: ignore[call-overload]
 
 
 def resolve_seeds(
@@ -87,33 +78,37 @@ def resolve_seeds(
 
 
 @dataclass(frozen=True)
+class SeedRun:
+    """One seed's run: its :meth:`ExperimentResult.summary_metrics`."""
+
+    seed: int
+    summary: dict[str, Sample]
+
+
+@dataclass(frozen=True)
 class ReplicatedResult:
     """Per-seed summaries plus cross-seed aggregates of one experiment.
 
-    ``per_seed`` holds one :meth:`ExperimentResult.summary_metrics`
-    mapping per entry of ``seeds``, in the same order.  Aggregates are
-    derived (never stored authoritatively): :meth:`metrics` recomputes
-    them from ``per_seed``, and since
+    The fields are the ``repro.result-replicated/v1`` layout, so the
+    codec reads and writes them.  ``per_seed`` holds one :class:`SeedRun`
+    per entry of ``seeds``, in the same order.  Aggregates are derived
+    (never stored authoritatively): :attr:`aggregates` recomputes them
+    from ``per_seed``, and since
     :meth:`~repro.analysis.stats.MetricAggregate.of` sorts its samples,
     they are invariant under any permutation of the seed order.
     """
 
-    scenario_name: str
-    base_seed: int
-    horizon: float
-    num_nodes: int
+    scenario: RunInfo
     policy: str
     seeds: tuple[int, ...]
-    per_seed: tuple[Mapping[str, float], ...]
-    _aggregates: dict[str, MetricAggregate] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    per_seed: tuple[SeedRun, ...]
 
     def __post_init__(self) -> None:
-        if len(self.seeds) != len(self.per_seed):
+        run_seeds = tuple(run.seed for run in self.per_seed)
+        if self.seeds != run_seeds:
             raise ConfigurationError(
-                f"seeds ({len(self.seeds)}) and per-seed summaries "
-                f"({len(self.per_seed)}) must align"
+                f"seeds {list(self.seeds)} and the per-seed runs' seeds "
+                f"{list(run_seeds)} must align"
             )
         if not self.seeds:
             raise ConfigurationError("a replicated result needs >= 1 seed")
@@ -126,18 +121,17 @@ class ReplicatedResult:
         """Number of replications (seeds) the result covers."""
         return len(self.seeds)
 
-    def metrics(self) -> dict[str, MetricAggregate]:
-        """Per-metric aggregates across seeds (cached after first call)."""
-        if not self._aggregates:
-            self._aggregates.update(aggregate_metrics(list(self.per_seed)))
-        return dict(self._aggregates)
+    @functools.cached_property
+    def aggregates(self) -> dict[str, MetricAggregate]:
+        """Per-metric aggregates across seeds, sorted by metric name."""
+        return aggregate_metrics([run.summary for run in self.per_seed])
 
     def metric(self, name: str) -> MetricAggregate:
         """One metric's aggregate; raises naming the metric when unknown."""
         try:
-            return self.metrics()[name]
+            return self.aggregates[name]
         except KeyError:
-            known = ", ".join(sorted(self.metrics())) or "<none>"
+            known = ", ".join(self.aggregates) or "<none>"
             raise ConfigurationError(
                 f"unknown metric {name!r} (available: {known})"
             ) from None
@@ -149,86 +143,31 @@ class ReplicatedResult:
         """Serializable form in the ``repro.result-replicated/v1`` schema."""
         return {
             "schema": REPLICATED_RESULT_SCHEMA,
-            "scenario": {
-                "name": self.scenario_name,
-                "base_seed": self.base_seed,
-                "horizon": self.horizon,
-                "num_nodes": self.num_nodes,
-            },
-            "policy": self.policy,
-            "seeds": list(self.seeds),
-            "per_seed": [
-                {"seed": seed, "summary": dict(summary)}
-                for seed, summary in zip(self.seeds, self.per_seed)
-            ],
-            "aggregates": {
-                name: agg.to_dict() for name, agg in sorted(self.metrics().items())
-            },
+            **encode(self),
+            "aggregates": encode(self.aggregates),
         }
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """:meth:`to_dict` as strict (RFC 8259) JSON; non-finite -> null."""
-        return json.dumps(
-            _null_non_finite(self.to_dict()), indent=indent, allow_nan=False
-        )
+    def to_json(self) -> str:
+        """:meth:`to_dict` rendered by :func:`repro.codec.dumps_json`."""
+        return dumps_json(self.to_dict())
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "ReplicatedResult":
+    def from_dict(cls, data: object) -> "ReplicatedResult":
         """Rebuild from a ``repro.result-replicated/v1`` payload.
 
         ``aggregates`` in the payload are ignored and recomputed from
         ``per_seed``, so a hand-edited file cannot carry inconsistent
-        statistics.
+        statistics.  Errors name the field by its path under ``result``.
         """
-        schema = data.get("schema")
+        table = dict(_as_table(data, "result"))
+        schema = table.pop("schema", None)
         if schema != REPLICATED_RESULT_SCHEMA:
             raise ConfigurationError(
                 f"unsupported result schema {schema!r} "
                 f"(expected {REPLICATED_RESULT_SCHEMA!r})"
             )
-        scenario = data.get("scenario")
-        if not isinstance(scenario, Mapping):
-            raise ConfigurationError("result payload is missing 'scenario'")
-        raw = data.get("per_seed")
-        if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
-            raise ConfigurationError("result payload is missing 'per_seed'")
-        seeds: list[int] = []
-        per_seed: list[dict[str, float]] = []
-        for i, entry in enumerate(raw):
-            if not isinstance(entry, Mapping) or "seed" not in entry:
-                raise ConfigurationError("per_seed entries need a 'seed' field")
-            seeds.append(_scalar(int, entry, "seed", None, f"per_seed[{i}].seed"))
-            summary = entry.get("summary")
-            if not isinstance(summary, Mapping):
-                raise ConfigurationError("per_seed entries need a 'summary' table")
-            per_seed.append({key: _as_sample(value) for key, value in summary.items()})
-        return cls(
-            scenario_name=_scalar(str, scenario, "name", "?", "scenario.name"),
-            base_seed=_scalar(
-                int, scenario, "base_seed", seeds[0] if seeds else 0,
-                "scenario.base_seed",
-            ),
-            horizon=_scalar(float, scenario, "horizon", math.nan, "scenario.horizon"),
-            num_nodes=_scalar(int, scenario, "num_nodes", 0, "scenario.num_nodes"),
-            policy=_scalar(str, data, "policy", "?", "policy"),
-            seeds=tuple(seeds),
-            per_seed=tuple(per_seed),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ReplicatedResult":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"invalid result JSON: {exc}") from None
-        if not isinstance(data, Mapping):
-            raise ConfigurationError("result payload must be a JSON object")
-        return cls.from_dict(data)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ReplicatedResult":
-        """Load a saved ``repro.result-replicated/v1`` JSON file."""
-        return cls.from_json(_read_result_file(path))
+        table.pop("aggregates", None)
+        return decode(cls, table, "result")
 
     def save(self, path: str | Path) -> Path:
         """Write the payload as JSON; returns the path."""
@@ -251,53 +190,16 @@ class ReplicatedResult:
             writer.writerow(
                 ["metric", "n", "mean", "std", "ci95_lo", "ci95_hi", "min", "max"]
             )
-            for name, agg in sorted(self.metrics().items()):
-                writer.writerow(
-                    [
-                        name,
-                        agg.n,
-                        repr(agg.mean),
-                        repr(agg.std),
-                        repr(agg.ci95_lo),
-                        repr(agg.ci95_hi),
-                        repr(agg.minimum),
-                        repr(agg.maximum),
-                    ]
-                )
+            for name, agg in self.aggregates.items():
+                writer.writerow([name, *map(repr, encode(agg).values())])
         seed_path = directory / "per_seed.csv"
         with seed_path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["seed", "metric", "value"])
-            for seed, summary in zip(self.seeds, self.per_seed):
-                for key in sorted(summary):
-                    writer.writerow([seed, key, repr(float(summary[key]))])
+            for run in self.per_seed:
+                for key in sorted(run.summary):
+                    writer.writerow([run.seed, key, repr(float(run.summary[key]))])
         return [agg_path, seed_path]
-
-
-def _as_sample(value: object) -> float:
-    """JSON summary value -> float sample (null -> NaN)."""
-    if value is None:
-        return math.nan
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(
-            f"summary values must be numbers or null, got {type(value).__name__}"
-        )
-    return float(value)
-
-
-def _scalar(tp: type, table: Mapping, key: str, default: object, path: str) -> Any:
-    """``table[key]`` (``default`` when absent), type-checked by the spec
-    codec: a wrong type raises a ``SpecValidationError`` naming ``path``."""
-    from ..api.spec import decode  # late: the spec layer imports this package
-
-    return decode(tp, table.get(key, default), path)
-
-
-def _read_result_file(path: str | Path) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read result file: {exc}") from None
 
 
 def load_result(path: str | Path) -> ReplicatedResult:
@@ -305,34 +207,29 @@ def load_result(path: str | Path) -> ReplicatedResult:
 
     ``repro.result-replicated/v1`` payloads load directly; a plain
     ``repro.result/v1`` payload (one run) degenerates to a single-seed
-    replication, so ``repro report`` can tabulate both kinds side by
-    side.  Unknown schemas raise naming the supported tags.
+    replication of its ``summary``, so ``repro report`` can tabulate both
+    kinds side by side.  Unknown schemas raise naming the supported tags.
     """
     try:
-        data = json.loads(_read_result_file(path))
+        data = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read result file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"invalid result JSON in {path}: {exc}") from None
-    if not isinstance(data, Mapping):
-        raise ConfigurationError(f"{path}: result payload must be a JSON object")
-    schema = data.get("schema")
+    schema = _as_table(data, "result").get("schema")
     if schema == REPLICATED_RESULT_SCHEMA:
         return ReplicatedResult.from_dict(data)
     if schema == _SINGLE_RESULT_SCHEMA:
-        scenario = data.get("scenario")
-        if not isinstance(scenario, Mapping):
-            raise ConfigurationError(f"{path}: result payload missing 'scenario'")
-        summary = data.get("summary")
-        if not isinstance(summary, Mapping):
-            raise ConfigurationError(f"{path}: result payload missing 'summary'")
-        seed = _scalar(int, scenario, "seed", 0, "scenario.seed")
+        info = decode(RunInfo, data.get("scenario"), "scenario")
+        if info.seed is None:
+            raise SpecValidationError("scenario.seed: required field is missing")
+        summary = decode(dict[str, Sample], data.get("summary"), "summary")
+        run = SeedRun(info.seed, summary)
         return ReplicatedResult(
-            scenario_name=_scalar(str, scenario, "name", "?", "scenario.name"),
-            base_seed=seed,
-            horizon=_scalar(float, scenario, "horizon", math.nan, "scenario.horizon"),
-            num_nodes=_scalar(int, scenario, "num_nodes", 0, "scenario.num_nodes"),
-            policy=_scalar(str, data, "policy", "?", "policy"),
-            seeds=(seed,),
-            per_seed=({k: _as_sample(v) for k, v in summary.items()},),
+            scenario=info,
+            policy=decode(str, data.get("policy"), "policy"),
+            seeds=(run.seed,),
+            per_seed=(run,),
         )
     raise ConfigurationError(
         f"{path}: unsupported result schema {schema!r} (supported: "
@@ -386,17 +283,21 @@ def replicate_spec(
     sweep = run_sweep(
         name=f"{spec.name}:replicate",
         grid=list(seed_grid),
-        scenario_factory=functools.partial(_seed_variant_scenario, spec.to_dict()),
+        scenario_factory=functools.partial(spec_variant, spec.to_dict(), "seed"),
         metric_extractor=default_metrics,
         policy_factory=policy_factory,
         workers=workers,
     )
     return ReplicatedResult(
-        scenario_name=spec.name,
-        base_seed=spec.seed,
-        horizon=spec.horizon,
-        num_nodes=spec.topology.total_nodes,
+        scenario=RunInfo(
+            name=spec.name,
+            base_seed=spec.seed,
+            horizon=spec.horizon,
+            num_nodes=spec.topology.total_nodes,
+        ),
         policy=policy,
         seeds=seed_grid,
-        per_seed=tuple(dict(point.metrics) for point in sweep.points),
+        per_seed=tuple(
+            SeedRun(point.parameter, dict(point.metrics)) for point in sweep.points
+        ),
     )

@@ -106,9 +106,9 @@ def format_aggregate(agg: MetricAggregate) -> str:
 
 def replication_summary(result: ReplicatedResult, label: str = "") -> str:
     """One-paragraph summary of a replicated run (CLI output)."""
-    name = label or result.scenario_name
+    name = label or result.scenario.name
     seeds = ", ".join(str(s) for s in result.seeds)
-    metrics = result.metrics()
+    metrics = result.aggregates
     lines = [
         (
             f"replicated {name!r} under policy {result.policy!r}: "
@@ -138,21 +138,21 @@ def replication_table(
         return "(no results)"
     if metrics is None:
         available = set()
-        per_result = [result.metrics() for result in results]
+        per_result = [result.aggregates for result in results]
         for aggregates in per_result:
             available |= set(aggregates)
         metrics = [m for m in REPORT_METRICS if m in available]
         metrics += _sampled_optional_metrics(per_result)
-    scenarios = {result.scenario_name for result in results}
+    scenarios = {result.scenario.name for result in results}
     headers = ["policy", "n", *metrics]
     rows = []
     for result in results:
         label = (
             result.policy
             if len(scenarios) == 1
-            else f"{result.scenario_name}/{result.policy}"
+            else f"{result.scenario.name}/{result.policy}"
         )
-        aggregates = result.metrics()
+        aggregates = result.aggregates
         cells = []
         for m in metrics:
             if m not in aggregates:

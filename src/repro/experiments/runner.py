@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,6 +38,7 @@ from ..cluster.placement import Placement
 from ..cluster.vm import parse_instance_vm_id
 import numpy as np
 
+from ..codec import Sample, dumps_json, encode
 from ..core.controller import ControlDecision, UtilityDrivenController
 from ..core.resilient import ResilientController
 from ..core.sharded import ShardedController
@@ -107,6 +107,22 @@ PolicyFactory = Callable[[Scenario], PlacementPolicy]
 #: Version tag of the serialized experiment-result layout (see
 #: :meth:`ExperimentResult.to_dict`).
 RESULT_SCHEMA = "repro.result/v1"
+
+
+@dataclass(frozen=True, kw_only=True)
+class RunInfo:
+    """The ``scenario`` table of a saved result: which run it describes.
+
+    A single run (``repro.result/v1``) sets ``seed``; a replication
+    (``repro.result-replicated/v1``) sets ``base_seed``.  The codec omits
+    the one left ``None``, so each layout keeps its own key.
+    """
+
+    name: str
+    seed: Optional[int] = None
+    base_seed: Optional[int] = None
+    horizon: Sample
+    num_nodes: int
 
 
 def default_policy_factory(scenario: Scenario) -> PlacementPolicy:
@@ -289,15 +305,13 @@ class ExperimentResult:
               "recorder": {<Recorder.to_dict(), repro.recorder/v1>}
             }
         """
-        data: dict[str, object] = {
-            "schema": RESULT_SCHEMA,
-            "scenario": {
-                "name": self.scenario.name,
-                "seed": self.scenario.seed,
-                "horizon": self.scenario.horizon,
-                "num_nodes": self.scenario.num_nodes,
-            },
-        }
+        info = RunInfo(
+            name=self.scenario.name,
+            seed=self.scenario.seed,
+            horizon=self.scenario.horizon,
+            num_nodes=self.scenario.num_nodes,
+        )
+        data: dict[str, object] = {"schema": RESULT_SCHEMA, "scenario": encode(info)}
         if self.policy is not None:
             data["policy"] = self.policy
         data.update(
@@ -307,20 +321,15 @@ class ExperimentResult:
         )
         return data
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """:meth:`to_dict` rendered as strict (RFC 8259) JSON.
+    def to_json(self) -> str:
+        """:meth:`to_dict` rendered by :func:`repro.codec.dumps_json`.
 
         Non-finite metrics (e.g. ``mean_tardiness`` when no job
         completed) serialize as ``null`` so any JSON parser can read the
-        export; :meth:`~repro.sim.recorder.Recorder.from_dict` maps
-        ``null`` samples back to NaN.
+        export; :func:`~repro.experiments.replication.load_result` reads
+        the summary's ``null`` back as NaN.
         """
-        return json.dumps(
-            _null_non_finite(self.to_dict()),
-            indent=indent,
-            sort_keys=False,
-            allow_nan=False,
-        )
+        return dumps_json(self.to_dict())
 
     def export_csv(self, directory: str | Path) -> list[Path]:
         """Write ``series.csv`` (long format: series,time,value) and
@@ -378,17 +387,6 @@ def _mean_time_to_recover(rec: Recorder) -> float:
         if hits.size:
             recovered.append(float(times[hits[0]] - f))
     return float(np.mean(recovered)) if recovered else math.nan
-
-
-def _null_non_finite(data: object) -> object:
-    """Recursively replace non-finite floats with None (JSON null)."""
-    if isinstance(data, float) and not math.isfinite(data):
-        return None
-    if isinstance(data, dict):
-        return {k: _null_non_finite(v) for k, v in data.items()}
-    if isinstance(data, (list, tuple)):
-        return [_null_non_finite(v) for v in data]
-    return data
 
 
 class ExperimentRunner:
@@ -718,9 +716,8 @@ class ExperimentRunner:
         satisfied_lr = solution.satisfied_lr_demand
         rec.record("lr_allocation", t, satisfied_lr)
         rec.record("lr_demand", t, longrunning_max_utility_demand(population))
-        rec.record(
-            "lr_utility", t, mean_hypothetical_utility(population, satisfied_lr)
-        )
+        lr_utility = mean_hypothetical_utility(population, satisfied_lr)
+        rec.record("lr_utility", t, lr_utility)
         rec.record("lr_utility_target", t, decision.hypothetical.mean_utility)
 
         tx_alloc_total = 0.0
@@ -758,7 +755,8 @@ class ExperimentRunner:
                 rec.record(f"rt_total:{app_id}", t, rt + net_rt)
         rec.record("tx_allocation", t, tx_alloc_total)
         rec.record("tx_demand", t, tx_demand_total)
-        rec.record("tx_utility", t, min(tx_utils) if tx_utils else math.nan)
+        tx_utility = min(tx_utils) if tx_utils else math.nan
+        rec.record("tx_utility", t, tx_utility)
         if self._network_ctx is not None and net_rts:
             rec.record("rt_network_mean", t, sum(net_rts) / len(net_rts))
             rec.record(
@@ -774,8 +772,7 @@ class ExperimentRunner:
         rec.record("tx_demand_est", t, diag.tx_demand)
         rec.record("lr_demand_est", t, diag.lr_demand)
         rec.record("tx_utility_predicted", t, diag.tx_utility_predicted)
-        rec.record("utility_gap", t, abs(rec.series("tx_utility").value_at(t)
-                                         - rec.series("lr_utility").value_at(t)))
+        rec.record("utility_gap", t, abs(tx_utility - lr_utility))
         rec.record("arbiter_iterations", t, diag.arbiter_iterations)
         rec.record("changes", t, solution.changes)
 
@@ -804,6 +801,8 @@ class ExperimentRunner:
             rec.record("optimality_gap", t, diag.optimality_gap)
         if not math.isnan(diag.exact_ms):
             rec.record("exact_ms", t, diag.exact_ms)
+        if diag.oracle_error:
+            rec.bump("oracle_failures")
 
         if diag.shard_telemetry:
             rec.record("shard_imbalance", t, diag.shard_imbalance)

@@ -67,6 +67,19 @@ def default_metrics(result: ExperimentResult) -> Mapping[str, float]:
     return result.summary_metrics()
 
 
+def spec_variant(spec_data: Mapping[str, object], path: str, value: object) -> Scenario:
+    """The scenario of the spec ``spec_data`` with one dotted-path
+    override, ``path = value``.
+
+    Module-level, so ``functools.partial(spec_variant, data, path)`` is a
+    picklable :data:`ScenarioFactory`: ``repro sweep`` varies ``path``
+    over its grid, and replication varies ``"seed"``.
+    """
+    from ..api.spec import ScenarioSpec  # late: the spec layer imports this package
+
+    return ScenarioSpec.from_dict(spec_data).with_overrides({path: value}).materialize()
+
+
 def _run_point(
     args: tuple[
         str, ScenarioFactory, MetricExtractor, Optional[PolicyFactory], object

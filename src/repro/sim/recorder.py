@@ -8,9 +8,8 @@ resampling and time-averaging exact rather than approximate.
 
 :class:`Recorder` is a named collection of series plus scalar counters.
 
-Recorders serialize through :meth:`Recorder.to_dict` /
-:meth:`Recorder.from_dict` using the stable ``repro.recorder/v1``
-schema::
+Recorders serialize through :meth:`Recorder.to_dict` using the stable
+``repro.recorder/v1`` schema::
 
     {
       "schema": "repro.recorder/v1",
@@ -20,7 +19,8 @@ schema::
 
 Times and values are plain JSON numbers; strict-JSON producers (such as
 :meth:`ExperimentResult.to_json`) serialize non-finite samples as
-``null``, which :meth:`Series.from_dict` maps back to NaN.
+``null``.  Saved results are read back for their summaries only
+(:func:`~repro.experiments.replication.load_result`), not the recorder.
 
 Control-plane telemetry naming (additive ``repro.recorder/v1`` fields)
 ----------------------------------------------------------------------
@@ -120,6 +120,10 @@ NaN on the others):
 * ``exact_ms`` series -- ``diag.exact_ms``: the background oracle's
   solve wall-time, milliseconds (wall-clock, hence nondeterministic --
   like the ``stage_ms:*`` series);
+* ``oracle_failures`` counter -- ``diag.oracle_error``: sampled cycles
+  whose oracle raised (e.g. a :class:`~repro.errors.ModelError` on a
+  hard instance), so they have an ``exact_ms`` sample but no
+  ``optimality_gap`` one; absent when the oracle never failed;
 * plus the ``fallback:model-error`` counter when a resilient run
   degraded a cycle because an exact backend raised a
   :class:`~repro.errors.ModelError`.
@@ -135,7 +139,6 @@ their meaning).
 
 from __future__ import annotations
 
-import math
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -223,40 +226,6 @@ class Series:
         """Serializable ``{"times": [...], "values": [...]}`` payload."""
         return {"times": list(self._times), "values": list(self._values)}
 
-    @classmethod
-    def from_dict(cls, name: str, data: Mapping[str, list[float]]) -> "Series":
-        """Rebuild a series from its :meth:`to_dict` payload.
-
-        Raises :class:`SimulationError` on malformed payloads (wrong
-        shapes as well as mismatched lengths).
-        """
-        if not isinstance(data, Mapping):
-            raise SimulationError(
-                f"series {name!r}: payload must be a mapping, "
-                f"got {type(data).__name__}"
-            )
-        times = data.get("times")
-        values = data.get("values")
-        if not isinstance(times, (list, tuple)) or not isinstance(
-            values, (list, tuple)
-        ):
-            raise SimulationError(
-                f"series {name!r}: payload needs 'times' and 'values' lists"
-            )
-        if len(times) != len(values):
-            raise SimulationError(
-                f"series {name!r}: payload needs equal-length 'times' and 'values'"
-            )
-        series = cls(name)
-        for t, v in zip(times, values):
-            try:
-                series.append(float(t), math.nan if v is None else float(v))
-            except (TypeError, ValueError) as exc:
-                raise SimulationError(
-                    f"series {name!r}: non-numeric sample ({exc})"
-                ) from None
-        return series
-
     def time_average(self, start: Seconds, end: Seconds) -> float:
         """Exact time-weighted mean of the step function over ``[start, end]``."""
         if end <= start:
@@ -337,35 +306,3 @@ class Recorder:
             },
             "counters": {name: self._counters[name] for name in sorted(self._counters)},
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "Recorder":
-        """Rebuild a recorder from its :meth:`to_dict` payload."""
-        if not isinstance(data, Mapping):
-            raise SimulationError(
-                f"recorder payload must be a mapping, got {type(data).__name__}"
-            )
-        schema = data.get("schema", RECORDER_SCHEMA)
-        if schema != RECORDER_SCHEMA:
-            raise SimulationError(
-                f"unsupported recorder schema {schema!r} (expected {RECORDER_SCHEMA!r})"
-            )
-        recorder = cls()
-        series = data.get("series", {})
-        if not isinstance(series, Mapping):
-            raise SimulationError("recorder payload: 'series' must be a mapping")
-        for name, payload in series.items():
-            recorder._series[name] = Series.from_dict(name, payload)
-        counters = data.get("counters", {})
-        if not isinstance(counters, Mapping):
-            raise SimulationError("recorder payload: 'counters' must be a mapping")
-        for name, value in counters.items():
-            try:
-                recorder._counters[name] = (
-                    math.nan if value is None else float(value)
-                )
-            except (TypeError, ValueError) as exc:
-                raise SimulationError(
-                    f"counter {name!r}: non-numeric value ({exc})"
-                ) from None
-        return recorder

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.stats import MetricAggregate, aggregate_metrics
-from repro.experiments.replication import ReplicatedResult
+from repro.experiments.replication import ReplicatedResult, SeedRun
+from repro.experiments.runner import RunInfo
 
 finite_floats = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
@@ -27,7 +28,7 @@ samples = st.lists(finite_floats, min_size=1, max_size=24)
 def test_ci_bounds_contain_mean_and_minmax_bracket(values):
     agg = MetricAggregate.of(values)
     assert agg.ci95_lo <= agg.mean <= agg.ci95_hi
-    assert agg.minimum <= agg.mean <= agg.maximum
+    assert agg.min <= agg.mean <= agg.max
     assert agg.std >= 0.0
     assert agg.n == len(values)
 
@@ -39,7 +40,7 @@ def test_single_sample_degenerates(value):
     assert agg.n == 1
     assert agg.std == 0.0
     assert agg.ci95_lo == agg.mean == agg.ci95_hi == value
-    assert agg.minimum == agg.maximum == value
+    assert agg.min == agg.max == value
 
 
 @settings(max_examples=200, deadline=None)
@@ -60,12 +61,10 @@ def test_permutation_invariance_bitwise(values, rnd):
 def test_replicated_result_invariant_in_seed_order(rows, rnd):
     """Shuffling (seed, summary) pairs leaves every aggregate identical."""
     seeds = list(range(len(rows)))
-    per_seed = [{"m1": a, "m2": b} for a, b in rows]
+    per_seed = [SeedRun(seed, {"m1": a, "m2": b}) for seed, (a, b) in zip(seeds, rows)]
+    info = RunInfo(name="prop", base_seed=0, horizon=1.0, num_nodes=1)
     base = ReplicatedResult(
-        scenario_name="prop",
-        base_seed=0,
-        horizon=1.0,
-        num_nodes=1,
+        scenario=info,
         policy="utility",
         seeds=tuple(seeds),
         per_seed=tuple(per_seed),
@@ -73,15 +72,12 @@ def test_replicated_result_invariant_in_seed_order(rows, rnd):
     order = list(range(len(rows)))
     rnd.shuffle(order)
     shuffled = ReplicatedResult(
-        scenario_name="prop",
-        base_seed=0,
-        horizon=1.0,
-        num_nodes=1,
+        scenario=info,
         policy="utility",
         seeds=tuple(seeds[i] for i in order),
         per_seed=tuple(per_seed[i] for i in order),
     )
-    assert shuffled.metrics() == base.metrics()
+    assert shuffled.aggregates == base.aggregates
 
 
 @settings(max_examples=100, deadline=None)

@@ -62,8 +62,8 @@ class TestMetricAggregate:
         assert agg.n == 3
         assert agg.mean == pytest.approx(2.0)
         assert agg.std == pytest.approx(1.0)  # sample std, ddof=1
-        assert agg.minimum == 1.0
-        assert agg.maximum == 3.0
+        assert agg.min == 1.0
+        assert agg.max == 3.0
         # 95% CI via Student-t(2): 2.0 ± 4.3027 * 1/sqrt(3)
         assert agg.ci95_halfwidth == pytest.approx(4.302652 / math.sqrt(3), rel=1e-5)
         assert agg.ci95_lo < agg.mean < agg.ci95_hi

@@ -14,10 +14,10 @@ from repro.api import (
     scenario_spec,
 )
 from repro.baselines import FcfsSharedPolicy
-from repro.errors import ConfigurationError
+from repro.core.milp_solver import MilpPlacementSolver
+from repro.errors import ConfigurationError, ModelError
 from repro.experiments import run_scenario
 from repro.experiments.runner import RESULT_SCHEMA
-from repro.sim.recorder import Recorder
 
 
 @pytest.fixture(scope="module")
@@ -113,17 +113,13 @@ class TestResultExport:
 
     def test_to_json_parses_and_recorder_round_trips(self, short_smoke_result):
         payload = json.loads(short_smoke_result.to_json())
-        rebuilt = Recorder.from_dict(payload["recorder"])
+        rebuilt = payload["recorder"]["series"]
         original = short_smoke_result.recorder
-        assert rebuilt.series_names() == original.series_names()
+        assert list(rebuilt) == original.series_names()
         for name in original.series_names():
-            assert list(rebuilt.series(name).times) == list(
-                original.series(name).times
-            )
-            assert list(rebuilt.series(name).values) == list(
-                original.series(name).values
-            )
-        assert rebuilt.counters == original.counters
+            assert rebuilt[name]["times"] == list(original.series(name).times)
+            assert rebuilt[name]["values"] == list(original.series(name).values)
+        assert payload["recorder"]["counters"] == original.counters
 
     def test_export_csv(self, short_smoke_result, tmp_path):
         paths = short_smoke_result.export_csv(tmp_path / "out")
@@ -174,3 +170,20 @@ class TestResultExport:
         mean = result.summary_metrics()["optimality_gap_mean"]
         assert math.isfinite(mean)
         assert mean == pytest.approx(float(gaps.mean()))
+
+    def test_oracle_failures_are_counted(self, monkeypatch):
+        # A raising oracle leaves its wall time but no gap sample; the
+        # counter tells that run apart from one without an oracle.
+        def fail(self, *args, **kwargs):
+            raise ModelError("oracle failed")
+
+        monkeypatch.setattr(MilpPlacementSolver, "solve", fail)
+        result = run_experiment(
+            "smoke",
+            overrides={"horizon": 3000.0, "controller.exact_oracle": "milp"},
+        )
+        rec = result.recorder
+        assert result.cycles == 11
+        assert rec.counter("oracle_failures") == result.cycles
+        assert len(rec.series("exact_ms")) == result.cycles
+        assert not rec.has_series("optimality_gap")

@@ -10,7 +10,6 @@ from repro.baselines import (
     TxPriorityPolicy,
     available_policies,
     get_policy,
-    register_policy,
 )
 from repro.core.controller import UtilityDrivenController
 from repro.errors import ConfigurationError
@@ -29,18 +28,6 @@ class TestRegistry:
         assert "unknown placement policy 'zzz'" in message
         # Same "unknown name, known names are..." style as backends.py.
         assert "registered:" in message and "fcfs" in message
-
-    def test_empty_name_rejected(self):
-        with pytest.raises(ConfigurationError):
-            register_policy("", lambda s: None)
-
-    def test_duplicate_rejected_unless_overwrite(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_policy("utility", lambda s: None)
-        # overwrite=True shadows; restore the built-in right away.
-        from repro.baselines.registry import utility_policy
-
-        register_policy("utility", utility_policy, overwrite=True)
 
     def test_factories_build_expected_policy_types(self):
         scenario = scenario_spec("smoke").materialize()

@@ -9,9 +9,7 @@ from repro.core import (
     available_backends,
     get_backend,
     make_solver,
-    register_backend,
 )
-from repro.core import backends as backends_module
 from repro.errors import ConfigurationError
 
 
@@ -33,29 +31,6 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="greedy"):
             get_backend("simulated-annealing")
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_backend("greedy", PlacementSolver)
-
-    def test_overwrite_and_custom_backend(self):
-        marker = object()
-        register_backend("test-backend", lambda config: marker)
-        try:
-            assert make_solver(SolverConfig(backend="test-backend")) is marker
-            replacement = object()
-            register_backend(
-                "test-backend", lambda config: replacement, overwrite=True
-            )
-            assert (
-                make_solver(SolverConfig(backend="test-backend")) is replacement
-            )
-        finally:
-            del backends_module._REGISTRY["test-backend"]
-
-    def test_empty_name_rejected(self):
-        with pytest.raises(ConfigurationError):
-            register_backend("", PlacementSolver)
-
     def test_factory_receives_the_config(self):
         config = SolverConfig(backend="milp", change_penalty_mhz=7.0)
         solver = make_solver(config)
@@ -72,8 +47,8 @@ class TestConfigValidation:
             SolverConfig(change_penalty_mhz=-1.0)
 
     def test_unknown_backend_fails_at_solver_construction(self):
-        # Config construction succeeds (custom backends may register
-        # later); make_solver is the enforcement point.
+        # Config construction succeeds; make_solver is the enforcement
+        # point.
         config = SolverConfig(backend="not-a-backend")
         with pytest.raises(ConfigurationError, match="unknown solver backend"):
             make_solver(config)

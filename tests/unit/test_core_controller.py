@@ -173,6 +173,22 @@ class TestExactOracle:
         assert math.isfinite(gaps[0]) and math.isfinite(gaps[3])
         assert math.isnan(gaps[1]) and math.isnan(gaps[2])
 
+    def test_failure_names_the_exception(self, monkeypatch):
+        import math
+
+        from repro.core.milp_solver import MilpPlacementSolver
+        from repro.errors import ModelError
+
+        def fail(self, *args, **kwargs):
+            raise ModelError("no solution")
+
+        monkeypatch.setattr(MilpPlacementSolver, "solve", fail)
+        controller = make_controller(exact_oracle="milp")
+        diag = decide(controller, [make_job(job_id="j1")]).diagnostics
+        assert diag.oracle_error == "ModelError: no solution"
+        assert math.isnan(diag.optimality_gap)
+        assert diag.exact_ms >= 0.0
+
     def test_unknown_oracle_backend_rejected(self):
         from repro.errors import ConfigurationError
 

@@ -12,14 +12,17 @@ import math
 import pytest
 
 from repro.api import Experiment, run_experiment, scenario_spec
+from repro.codec import SpecValidationError
 from repro.errors import ConfigurationError
 from repro.experiments.replication import (
     REPLICATED_RESULT_SCHEMA,
     ReplicatedResult,
+    SeedRun,
     load_result,
     replicate_spec,
     resolve_seeds,
 )
+from repro.experiments.runner import RunInfo
 
 #: Smoke spec cut to two control cycles: fast enough to replicate in tests.
 def short_smoke():
@@ -63,7 +66,8 @@ class TestReplicate:
     def test_matches_independent_single_runs(self, replicated):
         """Each per-seed summary equals the same seed run standalone."""
         assert replicated.seeds == (7, 8, 9)
-        for seed, summary in zip(replicated.seeds, replicated.per_seed):
+        for seed, run in zip(replicated.seeds, replicated.per_seed):
+            summary = run.summary
             single = run_experiment(
                 short_smoke().with_overrides({"seed": seed})
             ).summary_metrics()
@@ -78,7 +82,8 @@ class TestReplicate:
         serial = replicate_spec(short_smoke(), replications=2)
         parallel = replicate_spec(short_smoke(), replications=2, workers=2)
         assert parallel.seeds == serial.seeds
-        for a, b in zip(serial.per_seed, parallel.per_seed):
+        for run_a, run_b in zip(serial.per_seed, parallel.per_seed):
+            a, b = run_a.summary, run_b.summary
             for key in a:
                 if key == "decide_ms_mean":
                     continue
@@ -88,10 +93,10 @@ class TestReplicate:
 
     def test_aggregates_span_min_max(self, replicated):
         agg = replicated.metric("tx_utility")
-        values = [s["tx_utility"] for s in replicated.per_seed]
+        values = [run.summary["tx_utility"] for run in replicated.per_seed]
         assert agg.n == 3
-        assert agg.minimum == min(values)
-        assert agg.maximum == max(values)
+        assert agg.min == min(values)
+        assert agg.max == max(values)
         assert agg.ci95_lo <= agg.mean <= agg.ci95_hi
 
     def test_unknown_metric_fails_by_name(self, replicated):
@@ -115,8 +120,8 @@ class TestReplicate:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ConfigurationError, match="align"):
             ReplicatedResult(
-                scenario_name="x", base_seed=0, horizon=1.0, num_nodes=1,
-                policy="utility", seeds=(1, 2), per_seed=({},),
+                scenario=RunInfo(name="x", base_seed=0, horizon=1.0, num_nodes=1),
+                policy="utility", seeds=(1, 2), per_seed=(SeedRun(1, {}),),
             )
 
 
@@ -135,14 +140,14 @@ class TestSerialization:
         assert agg["n"] == 3
 
     def test_json_round_trip(self, replicated):
-        back = ReplicatedResult.from_json(replicated.to_json())
+        back = ReplicatedResult.from_dict(json.loads(replicated.to_json()))
         assert back.seeds == replicated.seeds
         assert back.policy == replicated.policy
-        assert back.scenario_name == replicated.scenario_name
+        assert back.scenario.name == replicated.scenario.name
         # Aggregates recompute identically (NaN-bearing metrics excepted
         # by name-level equality of the finite ones).
-        for key, agg in replicated.metrics().items():
-            other = back.metrics()[key]
+        for key, agg in replicated.aggregates.items():
+            other = back.aggregates[key]
             if math.isnan(agg.mean):
                 assert math.isnan(other.mean)
             else:
@@ -157,7 +162,7 @@ class TestSerialization:
 
     def test_save_load_round_trip(self, replicated, tmp_path):
         path = replicated.save(tmp_path / "result.json")
-        back = ReplicatedResult.load(path)
+        back = load_result(path)
         assert back.seeds == replicated.seeds
 
     def test_from_dict_rejects_wrong_schema(self):
@@ -173,7 +178,7 @@ class TestSerialization:
         seed_lines = paths[1].read_text().splitlines()
         assert seed_lines[0] == "seed,metric,value"
         # one row per (seed, metric)
-        n_metrics = len(replicated.per_seed[0])
+        n_metrics = len(replicated.per_seed[0].summary)
         assert len(seed_lines) == 1 + 3 * n_metrics
 
 
@@ -204,3 +209,55 @@ class TestLoadResult:
     def test_missing_file_fails_cleanly(self, tmp_path):
         with pytest.raises(ConfigurationError, match="cannot read result file"):
             load_result(tmp_path / "absent.json")
+
+
+class TestStrictReads:
+    """Malformed saved results fail by dotted path: unknown keys, seeds
+    that disagree with the runs, a missing seed or policy."""
+
+    @pytest.fixture(scope="class")
+    def single(self):
+        return Experiment.from_spec(short_smoke(), policy="fcfs").run().to_dict()
+
+    @staticmethod
+    def _load(tmp_path, data):
+        path = tmp_path / "result.json"
+        path.write_text(json.dumps(data))
+        return load_result(path)
+
+    def test_unknown_scenario_key_single(self, single, tmp_path):
+        data = {**single, "scenario": {**single["scenario"], "zones": 3}}
+        with pytest.raises(SpecValidationError, match=r"^scenario\.zones: unknown"):
+            self._load(tmp_path, data)
+
+    def test_unknown_scenario_key_replicated(self, replicated, tmp_path):
+        data = replicated.to_dict()
+        data["scenario"]["zones"] = 3
+        with pytest.raises(
+            SpecValidationError, match=r"^result\.scenario\.zones: unknown field"
+        ):
+            self._load(tmp_path, data)
+
+    def test_single_run_needs_its_seed(self, single, tmp_path):
+        scenario = {k: v for k, v in single["scenario"].items() if k != "seed"}
+        with pytest.raises(SpecValidationError, match=r"^scenario\.seed: required"):
+            self._load(tmp_path, {**single, "scenario": scenario})
+
+    def test_seeds_must_match_per_seed(self, replicated, tmp_path):
+        data = replicated.to_dict()
+        data["seeds"] = [7, 8, 10]
+        with pytest.raises(SpecValidationError, match=r"^result: seeds .* must align"):
+            self._load(tmp_path, data)
+
+    def test_missing_policy(self, single, tmp_path):
+        data = {key: value for key, value in single.items() if key != "policy"}
+        with pytest.raises(SpecValidationError, match=r"^policy: expected a string"):
+            self._load(tmp_path, data)
+
+    def test_missing_policy_replicated(self, replicated, tmp_path):
+        data = replicated.to_dict()
+        del data["policy"]
+        with pytest.raises(
+            SpecValidationError, match=r"^result\.policy: required field is missing"
+        ):
+            self._load(tmp_path, data)

@@ -9,7 +9,7 @@ import pytest
 from repro.api import scenario_spec
 from repro.errors import ConfigurationError
 from repro.experiments import run_scenario, summarize_run
-from repro.experiments.replication import ReplicatedResult
+from repro.experiments.replication import ReplicatedResult, SeedRun
 from repro.experiments.report import (
     comparison_table,
     format_aggregate,
@@ -17,6 +17,7 @@ from repro.experiments.report import (
     replication_summary,
     replication_table,
 )
+from repro.experiments.runner import RunInfo
 from repro.experiments.sweeps import (
     SweepPointError,
     default_metrics,
@@ -89,12 +90,14 @@ class TestSweeps:
 
 def _make_replicated(policy="utility", seeds=(1, 2, 3), scenario="smoke"):
     per_seed = tuple(
-        {"tx_utility": 0.5 + 0.01 * i, "min_utility": 0.4 + 0.01 * i}
-        for i in range(len(seeds))
+        SeedRun(seed, {"tx_utility": 0.5 + 0.01 * i, "min_utility": 0.4 + 0.01 * i})
+        for i, seed in enumerate(seeds)
     )
     return ReplicatedResult(
-        scenario_name=scenario, base_seed=seeds[0], horizon=6000.0,
-        num_nodes=4, policy=policy, seeds=tuple(seeds), per_seed=per_seed,
+        scenario=RunInfo(
+            name=scenario, base_seed=seeds[0], horizon=6000.0, num_nodes=4
+        ),
+        policy=policy, seeds=tuple(seeds), per_seed=per_seed,
     )
 
 
@@ -119,12 +122,12 @@ class TestReplicationReport:
 
     def test_table_flags_reduced_sample_size(self):
         result = ReplicatedResult(
-            scenario_name="smoke", base_seed=1, horizon=6000.0, num_nodes=4,
+            scenario=RunInfo(name="smoke", base_seed=1, horizon=6000.0, num_nodes=4),
             policy="utility", seeds=(1, 2, 3),
             per_seed=(
-                {"tx_utility": 0.5, "on_time_fraction": float("nan")},
-                {"tx_utility": 0.6, "on_time_fraction": 1.0},
-                {"tx_utility": 0.7, "on_time_fraction": 0.5},
+                SeedRun(1, {"tx_utility": 0.5, "on_time_fraction": float("nan")}),
+                SeedRun(2, {"tx_utility": 0.6, "on_time_fraction": 1.0}),
+                SeedRun(3, {"tx_utility": 0.7, "on_time_fraction": 0.5}),
             ),
         )
         out = replication_table([result])
