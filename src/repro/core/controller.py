@@ -118,6 +118,9 @@ class ControlDiagnostics:
     optimality_gap: float = math.nan
     exact_ms: float = math.nan
     oracle_error: str = ""
+    #: MILP solves this cycle retried with presolve off: the production
+    #: solve plus the oracle's (summed over shards when sharded).
+    milp_retries: int = 0
     #: Sharded control plane (:class:`repro.core.sharded.ShardedController`
     #: with more than one shard; empty otherwise): each shard's own
     #: telemetry in shard order, the spread (max - min) of the shards'
@@ -310,7 +313,8 @@ class UtilityDrivenController:
         nodes:
             The *active* nodes.
         jobs:
-            All jobs ever submitted; completed/future ones are filtered.
+            The live jobs: submitted, not completed or cancelled, in
+            trace order.  Any other job is filtered out.
         current_placement:
             Ground-truth placement currently in force (owned by the
             runner, which reflects completions and failures).
@@ -368,7 +372,7 @@ class UtilityDrivenController:
         # Background optimality oracle -- after the decision is final,
         # so its wall-time never pollutes the stage timings above and
         # its answer never changes the cycle's outcome.
-        gap, exact_ms, oracle_error = self._run_oracle(
+        gap, exact_ms, oracle_error, oracle_retries = self._run_oracle(
             nodes, app_requests, job_requests, split.lr_allocation, solution
         )
 
@@ -410,6 +414,7 @@ class UtilityDrivenController:
             optimality_gap=gap,
             exact_ms=exact_ms,
             oracle_error=oracle_error,
+            milp_retries=solution.milp_retries + oracle_retries,
         )
         return ControlDecision(
             actions=actions,
@@ -435,20 +440,21 @@ class UtilityDrivenController:
         job_requests: Sequence[JobRequest],
         lr_target: Mhz,
         solution: PlacementSolution,
-    ) -> tuple[float, float, str]:
-        """Solve the cycle exactly in the background; return (gap, ms, error).
+    ) -> tuple[float, float, str, int]:
+        """Solve the cycle exactly in the background.
 
-        Returns ``(nan, nan, "")`` when the oracle is disabled or this
-        cycle is skipped by ``exact_oracle_every``.  An oracle failure
-        (e.g. a :class:`~repro.errors.ModelError` on a hard instance)
-        suppresses the gap sample, still reports the wall-time spent, and
-        names the exception in ``error`` so the runner counts it.
+        Returns ``(gap, ms, error, milp_retries)``, and ``(nan, nan, "",
+        0)`` when the oracle is disabled or this cycle is skipped by
+        ``exact_oracle_every``.  An oracle failure (e.g. a
+        :class:`~repro.errors.ModelError` on a hard instance) suppresses
+        the gap sample, still reports the wall-time spent, and names the
+        exception in ``error`` so the runner counts it.
         """
         if self._oracle is None:
-            return math.nan, math.nan, ""
+            return math.nan, math.nan, "", 0
         self._oracle_cycles += 1
         if (self._oracle_cycles - 1) % self.config.exact_oracle_every:
-            return math.nan, math.nan, ""
+            return math.nan, math.nan, "", 0
         start = perf_counter()
         try:
             exact = self._oracle.solve(
@@ -456,12 +462,13 @@ class UtilityDrivenController:
             )
         except Exception as exc:  # the oracle must never fail the cycle
             error = f"{type(exc).__name__}: {exc}"
-            return math.nan, (perf_counter() - start) * 1e3, error
+            return math.nan, (perf_counter() - start) * 1e3, error, 0
         exact_ms = (perf_counter() - start) * 1e3
         return (
             optimality_gap(_solution_value(solution), _solution_value(exact)),
             exact_ms,
             "",
+            exact.milp_retries,
         )
 
     def _tx_curves(

@@ -160,7 +160,8 @@ class MilpPlacementSolver:
             lr_target,
             self.config,
         )
-        _extract_solution(solution, model, _solve_model(model))
+        values, solution.milp_retries = _solve_model(model)
+        _extract_solution(solution, model, values)
         return solution
 
 
@@ -507,20 +508,22 @@ def _build_model(
     return model
 
 
-def _solve_model(model: _Model) -> np.ndarray:
-    """Run HiGHS branch-and-bound; raise :class:`ModelError` on failure.
+def _solve_model(model: _Model) -> tuple[np.ndarray, int]:
+    """Run HiGHS branch-and-bound; return the solution and the retry count.
 
     HiGHS presolve occasionally reports "Status 4: Solve error" on
     degenerate instances the solver proper handles fine, so a failed
     first attempt is retried once with presolve disabled before the
-    error surfaces.  The retry only runs where the single attempt used
-    to raise, so successful solves stay bit-identical.
+    error surfaces as a :class:`ModelError`.  The retry only runs where
+    the single attempt used to raise, so successful solves stay
+    bit-identical; the count (0 or 1) reaches the recorder's
+    ``milp_retries`` counter.
     """
     result = None
-    for options in (
+    for retries, options in enumerate((
         {"mip_rel_gap": 1e-6},
         {"mip_rel_gap": 1e-6, "presolve": False},
-    ):
+    )):
         result = optimize.milp(
             c=model.objective,
             constraints=model.constraints,
@@ -529,7 +532,7 @@ def _solve_model(model: _Model) -> np.ndarray:
             options=options,
         )
         if result.status == 0 and result.x is not None:
-            return np.asarray(result.x, dtype=float)
+            return np.asarray(result.x, dtype=float), retries
     raise ModelError(
         f"placement MILP failed on {len(model.nodes)} nodes x "
         f"{len(model.jobs)} jobs ({len(model.apps)} apps): "

@@ -118,6 +118,8 @@ class PlacementSolution:
     started_instances: list[tuple[str, str]] = field(default_factory=list)
     stopped_instances: list[tuple[str, str]] = field(default_factory=list)
     changes: int = 0
+    #: Solves the MILP backend re-ran with presolve off (0 for greedy).
+    milp_retries: int = 0
 
     @property
     def satisfied_lr_demand(self) -> Mhz:

@@ -554,6 +554,7 @@ def _merge_decisions(
         shard_telemetry=tuple(d.diagnostics.telemetry for d in decisions),
         shard_imbalance=split.imbalance,
         pool_failures=pool_failures,
+        milp_retries=sum(d.diagnostics.milp_retries for d in decisions),
     )
     actions = tuple(chain.from_iterable(d.actions for d in decisions))
     return ControlDecision(

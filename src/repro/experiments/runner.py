@@ -89,7 +89,11 @@ class PlacementPolicy(Protocol):
         current_placement: Placement,
         app_nodes: Mapping[str, frozenset[str]],
     ) -> ControlDecision:
-        """Produce the cycle's placement decision."""
+        """Produce the cycle's placement decision.
+
+        ``jobs`` are the live jobs: submitted, not completed or
+        cancelled, in trace order.
+        """
         ...
 
     def invalidate(self, reason: str) -> None:
@@ -390,7 +394,14 @@ def _mean_time_to_recover(rec: Recorder) -> float:
 
 
 class ExperimentRunner:
-    """Runs one scenario under one placement policy."""
+    """Runs one scenario under one placement policy.
+
+    Per-cycle work follows the live jobs, not the whole trace: the runner
+    keeps the submitted, non-terminal jobs in trace order, hands only
+    those to ``decide()`` and scans only those, and creates a completion
+    event only for a completion that can fire before the next control
+    cycle.  Both leave every simulated outcome bit-identical.
+    """
 
     def __init__(
         self,
@@ -430,6 +441,15 @@ class ExperimentRunner:
         self._vm_to_job: dict[str, str] = {
             job.vm.vm_id: job_id for job_id, job in self._jobs.items()
         }
+        # The live set: submitted jobs that are not completed or
+        # cancelled, in trace order.  Jobs enter it from the arrival list
+        # (stable by submit time, so ties keep trace order) at the first
+        # control cycle at or after their submission and leave it on
+        # completion or a StopVm.
+        self._trace_rank = {job_id: rank for rank, job_id in enumerate(self._jobs)}
+        self._arrivals = sorted(self._jobs.values(), key=lambda j: j.spec.submit_time)
+        self._next_arrival = 0
+        self._live: dict[str, Job] = {}
         self._placement = Placement()
         self._completion_events: dict[str, Event] = {}
         self._rate_events: dict[str, Event] = {}
@@ -506,12 +526,13 @@ class ExperimentRunner:
     # Control loop
     # ------------------------------------------------------------------
     def _control_cycle(self, t: Seconds) -> None:
+        self._admit_arrivals(t)
         self._advance_running_jobs(t)
         self._feed_observations(t)
         decision = self._policy.decide(
             t,
             nodes=self._cluster.active_nodes(),
-            jobs=list(self._jobs.values()),
+            jobs=list(self._live.values()),
             current_placement=self._placement,
             app_nodes=self._app_nodes(),
         )
@@ -523,8 +544,31 @@ class ExperimentRunner:
         self._record(t, decision)
         self._cycles += 1
 
+    def _admit_arrivals(self, t: Seconds) -> None:
+        """Move every job submitted by ``t`` into the live set.
+
+        The live set stays in trace order, because the population
+        snapshot's column order fixes the order of its float sums: an
+        arrival that precedes the last live job in the trace (a trace
+        not sorted by submit time) re-sorts it.
+        """
+        arrivals, live, rank = self._arrivals, self._live, self._trace_rank
+        resort = False
+        i = self._next_arrival
+        while i < len(arrivals) and arrivals[i].spec.submit_time <= t:
+            job = arrivals[i]
+            i += 1
+            if not job.is_incomplete:
+                continue
+            if live and not resort:
+                resort = rank[job.job_id] < rank[next(reversed(live))]
+            live[job.job_id] = job
+        self._next_arrival = i
+        if resort:
+            self._live = dict(sorted(live.items(), key=lambda item: rank[item[0]]))
+
     def _advance_running_jobs(self, t: Seconds) -> None:
-        for job in self._jobs.values():
+        for job in self._live.values():
             if job.phase is JobPhase.RUNNING:
                 job.advance_to(t)
 
@@ -569,8 +613,10 @@ class ExperimentRunner:
                 self._apps[app_id].start_instance(t, node_id, action.cpu_mhz)
         elif isinstance(action, StopVm):
             if action.vm_id in self._vm_to_job:
-                self._cancel_events(self._vm_to_job[action.vm_id])
-                self._job_of(action.vm_id).cancel(t)
+                job_id = self._vm_to_job[action.vm_id]
+                self._cancel_events(job_id)
+                self._jobs[job_id].cancel(t)
+                self._live.pop(job_id, None)
             else:
                 app_id, node_id = self._parse_instance(action.vm_id)
                 self._apps[app_id].stop_instance(node_id)
@@ -630,17 +676,28 @@ class ExperimentRunner:
     # Completions
     # ------------------------------------------------------------------
     def _reschedule_completions(self, t: Seconds) -> None:
-        for job_id in sorted(self._jobs):
-            job = self._jobs[job_id]
-            if job.phase is JobPhase.RUNNING and job.job_id not in self._rate_events:
+        # Sorted by job id, not trace order: the order fixes the tie
+        # order of simultaneous completions (``job10000`` < ``job9999``).
+        live = self._live
+        for job_id in sorted(live):
+            job = live[job_id]
+            if job.phase is JobPhase.RUNNING and job_id not in self._rate_events:
                 self._schedule_completion(job, t)
 
     def _schedule_completion(self, job: Job, t: Seconds) -> None:
+        """(Re)schedule ``job``'s completion, if it falls within one cycle.
+
+        A completion predicted after ``t + control_cycle`` gets no event:
+        the next control cycle, or the action or failure that touches the
+        job first, would cancel it before it could fire.  The bound is
+        inclusive and the same float the simulator computes for the next
+        cycle, where completions fire first (``ORDER_COMPLETION``).
+        """
         event = self._completion_events.pop(job.job_id, None)
         if event is not None and not event.fired:
             event.cancel()
         when = job.predicted_completion(t)
-        if math.isinf(when):
+        if when > t + self.scenario.controller.control_cycle:
             return
         self._completion_events[job.job_id] = self._sim.at(
             max(when, t),
@@ -653,6 +710,7 @@ class ExperimentRunner:
         job = self._jobs[job_id]
         self._completion_events.pop(job_id, None)
         job.complete(t)
+        self._live.pop(job_id, None)
         if job.vm.vm_id in self._placement:
             self._placement.remove(job.vm.vm_id)
         self._recorder.bump("jobs_completed")
@@ -712,7 +770,7 @@ class ExperimentRunner:
         noise = self.scenario.noise
         solution = decision.solution
 
-        population = snapshot_jobs(self._jobs.values(), t)
+        population = snapshot_jobs(self._live.values(), t)
         satisfied_lr = solution.satisfied_lr_demand
         rec.record("lr_allocation", t, satisfied_lr)
         rec.record("lr_demand", t, longrunning_max_utility_demand(population))
@@ -803,6 +861,8 @@ class ExperimentRunner:
             rec.record("exact_ms", t, diag.exact_ms)
         if diag.oracle_error:
             rec.bump("oracle_failures")
+        if diag.milp_retries:
+            rec.bump("milp_retries", diag.milp_retries)
 
         if diag.shard_telemetry:
             rec.record("shard_imbalance", t, diag.shard_imbalance)
@@ -826,13 +886,12 @@ class ExperimentRunner:
             rec.bump("fallback:shard-pool", diag.pool_failures)
 
         counts = {phase: 0 for phase in JobPhase}
-        for job in self._jobs.values():
-            if job.spec.submit_time <= t:
-                counts[job.phase] += 1
+        for job in self._live.values():
+            counts[job.phase] += 1
         rec.record("jobs_running", t, counts[JobPhase.RUNNING])
         rec.record("jobs_suspended", t, counts[JobPhase.SUSPENDED])
         rec.record("jobs_pending", t, counts[JobPhase.PENDING])
-        rec.record("jobs_completed_series", t, counts[JobPhase.COMPLETED])
+        rec.record("jobs_completed_series", t, rec.counter("jobs_completed"))
 
     # ------------------------------------------------------------------
     # Small helpers

@@ -7,8 +7,8 @@ then by insertion sequence, which makes every run deterministic.
 
 Cancellation is *lazy*: :meth:`Event.cancel` marks the event and the queue
 discards it when popped, which keeps the heap operations O(log n).  To
-stop long runs with heavy rescheduling (every completion re-prediction
-cancels the previous completion event) from growing the heap without
+stop long runs with heavy rescheduling (a caller that cancels and
+re-creates events faster than they fire) from growing the heap without
 bound, the queue counts its cancelled residents and **compacts** -- drops
 them and re-heapifies -- whenever they outnumber the live events, keeping
 the heap at most ~2x the live population for O(1) amortized cost.

@@ -124,6 +124,9 @@ NaN on the others):
   whose oracle raised (e.g. a :class:`~repro.errors.ModelError` on a
   hard instance), so they have an ``exact_ms`` sample but no
   ``optimality_gap`` one; absent when the oracle never failed;
+* ``milp_retries`` counter -- ``diag.milp_retries``: MILP solves
+  (production and oracle) that HiGHS presolve failed and a
+  presolve-off retry solved; absent when none was retried;
 * plus the ``fallback:model-error`` counter when a resilient run
   degraded a cycle because an exact backend raised a
   :class:`~repro.errors.ModelError`.

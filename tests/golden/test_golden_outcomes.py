@@ -21,13 +21,7 @@ def test_golden_file_pins_every_run(golden):
     )
 
 
-@pytest.mark.parametrize(
-    "run",
-    [
-        pytest.param(run, id=run.run_id, marks=[pytest.mark.slow] if run.slow else [])
-        for run in RUNS
-    ],
-)
+@pytest.mark.parametrize("run", [pytest.param(run, id=run.run_id) for run in RUNS])
 def test_outcome_matches_golden(run, golden):
     diffs = compare(golden[run.run_id], fingerprint(run.execute()))
     assert not diffs, f"{explain(run.run_id, diffs)}\n(regenerate: {REGEN_COMMAND})"

@@ -1,0 +1,140 @@
+"""Per-cycle bookkeeping invariants of the experiment runner.
+
+:class:`CheckedRunner` runs a scenario exactly like
+:class:`~repro.experiments.runner.ExperimentRunner` and, after every
+control cycle at time ``t``, checks that:
+
+* the ``jobs`` handed to ``decide`` are, by identity and in order, the
+  trace's jobs with ``submit_time <= t`` that are not completed or
+  cancelled;
+* each pending completion event belongs to a RUNNING job with no pending
+  rate event and fires at or before ``t + control_cycle``;
+* each pending rate event belongs to a RUNNING job;
+* work is conserved: ``cpu_time_integral + remaining_work - work_lost ==
+  total_work`` for every job;
+* a job is RUNNING iff its VM is in the runner's placement;
+* each app's ``instance_nodes`` are the placement's ``tx:`` entries;
+* the placement fits the active, brownout-derated nodes.
+"""
+
+import dataclasses
+import math
+from collections import defaultdict
+
+import pytest
+
+from repro.api import Experiment, available_scenarios
+from repro.baselines.registry import get_policy
+from repro.cluster.vm import parse_instance_vm_id
+from repro.experiments.runner import ExperimentRunner
+from repro.workloads import JobPhase
+
+WORK_RTOL = 1e-9
+
+
+class CheckedRunner(ExperimentRunner):
+    """An :class:`ExperimentRunner` that checks its bookkeeping every cycle."""
+
+    def __init__(self, scenario, policy_factory=None):
+        super().__init__(scenario, policy_factory)
+        self.checked_cycles = 0
+        self._handed = None
+        decide = self._policy.decide
+
+        def recording_decide(t, **kwargs):
+            self._handed = kwargs["jobs"]
+            return decide(t, **kwargs)
+
+        self._policy.decide = recording_decide
+
+    def _control_cycle(self, t):
+        expected = [
+            job
+            for job in self._jobs.values()
+            if job.spec.submit_time <= t and job.is_incomplete
+        ]
+        super()._control_cycle(t)
+        assert len(self._handed) == len(expected) and all(
+            a is b for a, b in zip(self._handed, expected)
+        ), f"t={t}: decide() got {len(self._handed)} jobs, not the live trace-order set"
+        self._check_events(t)
+        self._check_jobs(t)
+        self._check_placement(t)
+        self.checked_cycles += 1
+
+    def _check_events(self, t):
+        pending = {"complete": {}, "rate": {}}
+        for event in self._sim.queue._heap:
+            kind, _, job_id = event.tag.partition(":")
+            if event.cancelled or kind not in pending:
+                continue
+            assert job_id not in pending[kind], f"t={t}: two {kind} events for {job_id}"
+            pending[kind][job_id] = event
+        completions, rates = pending["complete"], pending["rate"]
+        assert completions == self._completion_events, f"t={t}: completion registry"
+        assert rates == self._rate_events, f"t={t}: rate registry"
+        horizon = t + self.scenario.controller.control_cycle
+        for job_id, event in completions.items():
+            assert self._jobs[job_id].phase is JobPhase.RUNNING, f"t={t}: {job_id}"
+            assert job_id not in rates, f"t={t}: {job_id} has a rate and a completion event"
+            assert event.time <= horizon, f"t={t}: {job_id} completes at {event.time}"
+        for job_id in rates:
+            assert self._jobs[job_id].phase is JobPhase.RUNNING, f"t={t}: {job_id}"
+
+    def _check_jobs(self, t):
+        placed = self._placement.vm_ids()
+        for job in self._jobs.values():
+            stats = job.stats
+            work = stats.cpu_time_integral + job.remaining_work - stats.work_lost
+            assert math.isclose(work, job.spec.total_work, rel_tol=WORK_RTOL), (
+                f"t={t}: {job.job_id} accounts for {work} of {job.spec.total_work} MHz·s"
+            )
+            running = job.phase is JobPhase.RUNNING
+            assert running == (job.vm.vm_id in placed), (
+                f"t={t}: {job.job_id} is {job.phase} but placed={not running}"
+            )
+
+    def _check_placement(self, t):
+        hosted = defaultdict(list)
+        for entry in self._placement:
+            instance = parse_instance_vm_id(entry.vm_id)
+            if instance is not None:
+                hosted[instance[0]].append(instance[1])
+        for app_id, app in self._apps.items():
+            assert sorted(app.instance_nodes) == sorted(hosted.pop(app_id, [])), (
+                f"t={t}: {app_id} instances disagree with the placement"
+            )
+        assert not hosted, f"t={t}: instances of unknown apps {sorted(hosted)}"
+        nodes = {node.node_id: node for node in self._cluster.active_nodes()}
+        violation = self._placement.violation(nodes)
+        assert violation is None, f"t={t}: {violation}"
+
+
+def run_checked(scenario, policy="utility"):
+    runner = CheckedRunner(scenario, get_policy(policy))
+    result = runner.run()
+    assert runner.checked_cycles == result.cycles > 0
+    return result
+
+
+RUNS = [
+    *(pytest.param(name, "utility", {}, id=name) for name in available_scenarios()),
+    pytest.param("smoke", "fcfs", {}, id="smoke@fcfs"),
+    pytest.param("smoke", "chaos-utility", {}, id="smoke@chaos-utility"),
+    pytest.param("smoke", "utility", {"controller.shards": 4}, id="smoke@shards=4"),
+]
+
+
+@pytest.mark.parametrize("name, policy, overrides", RUNS)
+def test_invariants_hold_every_cycle(name, policy, overrides):
+    experiment = Experiment.from_spec(name, policy=policy, overrides=overrides or None)
+    run_checked(experiment.materialize(), policy)
+
+
+def test_invariants_hold_on_a_trace_not_sorted_by_submit_time():
+    scenario = Experiment.from_spec("smoke").materialize()
+    reversed_trace = tuple(reversed(scenario.job_specs))
+    submits = [spec.submit_time for spec in reversed_trace]
+    assert submits != sorted(submits)
+    result = run_checked(dataclasses.replace(scenario, job_specs=reversed_trace))
+    assert result.recorder.counter("jobs_completed") > 0

@@ -170,6 +170,8 @@ class TestResultExport:
         mean = result.summary_metrics()["optimality_gap_mean"]
         assert math.isfinite(mean)
         assert mean == pytest.approx(float(gaps.mean()))
+        # Counted only when a solve needed the presolve-off retry.
+        assert "milp_retries" not in rec.counters
 
     def test_oracle_failures_are_counted(self, monkeypatch):
         # A raising oracle leaves its wall time but no gap sample; the
@@ -187,3 +189,36 @@ class TestResultExport:
         assert rec.counter("oracle_failures") == result.cycles
         assert len(rec.series("exact_ms")) == result.cycles
         assert not rec.has_series("optimality_gap")
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"controller.exact_oracle": "milp"},
+            # Shards run no oracle: count each shard's production solves.
+            {"controller.solver.backend": "milp", "controller.shards": 4},
+        ],
+        ids=["oracle", "shards=4"],
+    )
+    def test_milp_presolve_retries_are_counted(self, monkeypatch, overrides):
+        # HiGHS presolve failing (status 4) on every instance: each
+        # solve succeeds on its presolve-off retry.
+        from scipy import optimize
+
+        real_milp = optimize.milp
+        failed_presolves = []
+
+        def presolve_fails(*args, options, **kwargs):
+            if options.get("presolve", True):
+                failed_presolves.append(1)
+                return optimize.OptimizeResult(status=4, x=None, message="Solve error")
+            return real_milp(*args, options=options, **kwargs)
+
+        monkeypatch.setattr(optimize, "milp", presolve_fails)
+        result = run_experiment("smoke", overrides={"horizon": 3000.0, **overrides})
+        rec = result.recorder
+        assert rec.counter("milp_retries") == len(failed_presolves) > 0
+        if "controller.exact_oracle" in overrides:
+            # One oracle solve per cycle; the greedy solver never retries.
+            assert len(rec.series("optimality_gap")) == result.cycles == 11
+            assert rec.counter("milp_retries") == result.cycles
+

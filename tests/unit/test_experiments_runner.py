@@ -159,15 +159,45 @@ class TestInstanceActions:
 
 class TestCompletionMachinery:
     def test_completion_fires_at_predicted_time(self):
-        scenario = tiny_scenario(start_delay=0.0)
-        runner = ExperimentRunner(scenario)
-        runner._apply(StartVm("vm-j0", "node000", 3000.0), t=0.0)
-        runner._sim.run(until=0.0)
-        runner._schedule_completion(runner._jobs["j0"], 0.0)
-        runner._sim.run(until=10_001.0)
-        # 30e6 MHz·s at 3000 MHz = 10 000 s.
+        runner = ExperimentRunner(tiny_scenario(start_delay=0.0))
+        runner.run()
+        # 30e6 MHz·s at 3000 MHz = 10 000 s.  Only the last control
+        # cycle before it (9600 s) schedules the event: every earlier
+        # one predicts a completion past its window.
         assert runner._jobs["j0"].phase is JobPhase.COMPLETED
         assert runner._jobs["j0"].stats.completed_at == pytest.approx(10_000.0)
+
+    def test_completion_beyond_the_next_cycle_schedules_no_event(self):
+        runner = ExperimentRunner(tiny_scenario(start_delay=0.0))
+        runner._apply(StartVm("vm-j0", "node000", 3000.0), t=0.0)
+        runner._sim.run(until=0.0)  # the rate applies: completion at 10 000 s
+        assert runner._jobs["j0"].rate == 3000.0
+        assert "j0" not in runner._completion_events
+        assert runner._sim.pending == 0
+
+    def test_completion_at_the_next_cycle_fires_before_it(self):
+        cycle = ControllerConfig().control_cycle
+        scenario = dataclasses.replace(
+            tiny_scenario(start_delay=0.0),
+            job_specs=(make_job_spec(job_id="j0", work=3000.0 * cycle, goal=40_000.0),),
+        )
+        runner = ExperimentRunner(scenario)
+        seen = {}
+        decide = runner._policy.decide
+
+        def spy(t, **kwargs):
+            seen[t] = [job.job_id for job in kwargs["jobs"]]
+            return decide(t, **kwargs)
+
+        runner._policy.decide = spy
+        result = runner.run()
+        # Placed at t=0 at its 3000 MHz cap, the job finishes exactly at
+        # the second cycle's instant, and that cycle no longer sees it.
+        assert runner._jobs["j0"].stats.completed_at == cycle
+        assert seen[0.0] == ["j0"]
+        assert seen[cycle] == []
+        completed = result.recorder.series("jobs_completed_series")
+        assert completed.value_at(cycle) == 1.0
 
     def test_zero_cost_actions_supported(self):
         scenario = tiny_scenario(
