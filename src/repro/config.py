@@ -145,15 +145,18 @@ class ControllerConfig:
     warm_start:
         Whether the controller keeps a cross-cycle
         :class:`~repro.core.control_state.ControlState` and offers the
-        previous cycle's converged equalization level as a (verified,
-        result-preserving) warm seed to the next one.  ``False``
-        reproduces the fully stateless pipeline.
+        previous cycle's converged equalization level to the next one as
+        the starting point of its level predictor (result-preserving:
+        every prediction is verified).  ``False`` reproduces the fully
+        stateless pipeline.
     warm_demand_rtol:
         Relative demand/population shift between consecutive cycles
         beyond which the warm hints are dropped and the cycle runs cold.
     warm_seed_depth:
-        Bisection depth of the equalizer's verified warm bracket (the
-        equalizer cascades to shallower depths when the level drifted).
+        Unread: the equalizer now verifies its predicted level at a depth
+        it derives itself.  Still declared and validated so existing
+        spec files load; its removal waits for a benchmark PR, whose
+        spec file pins every field.
     shards:
         Number of cluster shards of the hierarchical control plane
         (:class:`repro.core.sharded.ShardedController`).  ``1`` (the

@@ -22,18 +22,19 @@ agreement.
 
 Warm starting
 -------------
-The arbiter's bisection is the control cycle's dominant cost because each
-``gap`` probe runs a full hypothetical-utility equalization.  Cross-cycle
-warm starts deliberately do **not** touch the search trajectory here --
-changing the probe sequence would change which tolerance-satisfying split
-is returned, and with it the placement.  Instead the controller warm-starts
-the *curve* it hands in: :class:`~repro.core.demand.LongRunningCurve`
-carries a shared consumed-curve memo and a verified seed from the previous
-cycle's converged level (see
-:class:`~repro.core.hypothetical.HypotheticalEqualizer`), which makes the
-identical probe sequence cheaper while returning bit-identical utilities.
-``ArbiterResult.iterations`` still counts *logical* curve evaluations, so
-the ablation's cost metric is unaffected by caching underneath.
+Each ``gap`` probe runs a hypothetical-utility equalization.  Warm starts
+deliberately do **not** touch the search trajectory here -- changing the
+probe sequence would change which tolerance-satisfying split is returned,
+and with it the placement.  Instead the *curve* it hands in solves each
+probe cheaply: :class:`~repro.core.demand.LongRunningCurve`'s equalizer
+predicts the level by Newton steps from its previous probe's tangent
+(the first probe starts from the previous cycle's converged level) and
+resumes the bisection at the prediction's node only once that node
+verifies (see :class:`~repro.core.hypothetical.HypotheticalEqualizer`).
+The identical probe sequence gets cheaper and every utility stays
+bit-identical.  ``ArbiterResult.iterations`` still counts *logical* curve
+evaluations, so the ablation's cost metric is unaffected by what happens
+underneath.
 """
 
 from __future__ import annotations

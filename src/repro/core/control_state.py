@@ -14,16 +14,20 @@ counters.
 Correctness contract
 --------------------
 Warm starts in this control plane accelerate *evaluations*, never the
-search trajectory: the equalizer's warm seed is verified against the
-bisection invariant before use (see
+search trajectory: the previous cycle's converged level only starts the
+equalizer's level predictor for the cycle's first solve, and every
+prediction is verified against the bisection invariant before use (see
 :meth:`repro.core.hypothetical.HypotheticalEqualizer.seed_level`), so a
-warm cycle produces **bit-identical** decisions to a cold one.  The
-fingerprint-based invalidation below is therefore a *predictability*
-mechanism, not a safety net: when the cycle's context changed in a way
-that makes the previous converged state meaningless -- topology change,
-node failure, app add/remove, a demand shift beyond the fingerprint
-tolerance -- the controller does not even offer the stale hints, and the
-cycle runs (and is reported as) cold.
+warm cycle produces **bit-identical** decisions to a cold one.  A cold
+cycle's first solve starts its predictor from the least job ceiling
+instead; every later solve of a cycle starts from the previous solve's
+tangent either way, so the warm level saves a few Newton passes per
+cycle at most.  The fingerprint-based invalidation below is therefore a
+*predictability* mechanism, not a safety net: when the cycle's context
+changed in a way that makes the previous converged state meaningless --
+topology change, node failure, app add/remove, a demand shift beyond
+the fingerprint tolerance -- the controller does not even offer the
+stale hint, and the cycle runs (and is reported as) cold.
 
 Lifecycle
 ---------
@@ -116,12 +120,14 @@ class CycleTelemetry:
         ``arbiter``, ``equalize``, ``requests``, ``solver``, ``planner``,
         plus their sum under ``total``).
     eq_evals / eq_cache_hits:
-        Consumed-curve evaluations performed / avoided via the shared
-        memo across every equalization of the cycle.
+        Vectorized passes over the population (exact consumed-curve
+        evaluations and the level predictor's Newton steps) / curve
+        evaluations served by the shared memo, across every
+        equalization of the cycle.
     seed_hits / seed_misses:
-        Equalizations that resumed from the verified warm bracket versus
-        those whose verification failed and fell back to the full
-        bisection.
+        Equalizations whose predicted level verified (the bisection
+        resumed at the prediction's node, or a retried neighbouring or
+        shallower one) versus those that fell back to the cold bracket.
     """
 
     mode: str
@@ -151,18 +157,11 @@ class ControlState:
         Relative shift in either workload's max-utility demand (or in
         the population size) beyond which the previous cycle's converged
         state is considered meaningless and the cycle runs cold.
-    seed_depth:
-        Bisection depth at which the equalizer's warm bracket is
-        verified (see :meth:`repro.core.hypothetical.HypotheticalEqualizer.seed_level`).
-        Deeper seeds skip more iterations when they verify but tolerate
-        less drift in the equalized level; the equalizer cascades to
-        shallower depths on verification failure.
     """
 
     __slots__ = (
         "warm",
         "demand_rtol",
-        "seed_depth",
         "_fingerprint",
         "_lr_level",
         "_pending_reason",
@@ -172,15 +171,11 @@ class ControlState:
         self,
         warm: bool = True,
         demand_rtol: float = 0.35,
-        seed_depth: int = 8,
     ) -> None:
         if demand_rtol < 0:
             raise ConfigurationError("demand_rtol must be non-negative")
-        if seed_depth < 1:
-            raise ConfigurationError("seed_depth must be >= 1")
         self.warm = warm
         self.demand_rtol = demand_rtol
-        self.seed_depth = seed_depth
         self._fingerprint: Optional[CycleFingerprint] = None
         self._lr_level: Optional[float] = None
         self._pending_reason: Optional[str] = None

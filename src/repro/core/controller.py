@@ -195,8 +195,8 @@ class UtilityDrivenController:
     control_state:
         Cross-cycle control-plane state.  Defaults to a fresh
         :class:`~repro.core.control_state.ControlState` configured from
-        ``config`` (``warm_start`` / ``warm_demand_rtol`` /
-        ``warm_seed_depth``); pass one explicitly to share or inspect it
+        ``config`` (``warm_start`` / ``warm_demand_rtol``); pass one
+        explicitly to share or inspect it
         (benchmarks drive warm and cold controllers this way).
     network:
         Optional :class:`~repro.netmodel.context.NetworkContext` binding
@@ -226,7 +226,6 @@ class UtilityDrivenController:
         self.control_state = control_state or ControlState(
             warm=self.config.warm_start,
             demand_rtol=self.config.warm_demand_rtol,
-            seed_depth=self.config.warm_seed_depth,
         )
         self._specs = {spec.app_id: spec for spec in app_specs}
         self._utilities = {
@@ -345,7 +344,7 @@ class UtilityDrivenController:
         )
         warm, cold_reason = state.begin_cycle(fingerprint)
         if warm and state.lr_level is not None:
-            lr_curve.warm_seed(state.lr_level, state.seed_depth)
+            lr_curve.warm_seed(state.lr_level)
         t1 = perf_counter()
 
         split = self._arbiter.split(capacity, tx_curve, lr_curve)

@@ -36,10 +36,12 @@ LongRunningMetric = Literal["mean", "level"]
 #: Bisection depth for arbiter-facing curve evaluations.  The arbiter
 #: compares utilities against a 1e-4 tolerance, so driving the inner
 #: equalization to float exactness (~55 effective iterations) buys
-#: nothing: 30 iterations bound the level error by ~1e-8 -- four orders
-#: of magnitude below the arbiter's resolution -- at half the cost of
-#: the dominant term of the control cycle.  The *final* equalization
-#: that produces per-job target rates (:meth:`LongRunningCurve.equalize`)
+#: nothing: 30 iterations bound the level error by ~1e-8, four orders
+#: of magnitude below the arbiter's resolution.  The equalizer's level
+#: predictor usually verifies the depth-30 node outright (a few Newton
+#: passes plus its two endpoint checks), where the float-exact solve
+#: still bisects the last few ulps.  The *final* equalization that
+#: produces per-job target rates (:meth:`LongRunningCurve.equalize`)
 #: always runs float-exact.
 _CURVE_EVAL_ITERS = 30
 
@@ -210,26 +212,24 @@ class LongRunningCurve:
 
     @property
     def equalizer(self) -> HypotheticalEqualizer:
-        """The shared equalization context (stats, warm seeding)."""
+        """The shared equalization context (stats, warm level)."""
         return self._equalizer
 
-    def warm_seed(self, level: float, depth: int) -> None:
-        """Seed the equalizer's bisections from a previous converged level.
+    def warm_seed(self, level: float) -> None:
+        """Start the equalizer's level predictor from a previous converged level.
 
-        The seed is verified per bisection against the cold invariant, so
-        every curve evaluation stays bit-identical (see
+        Only a starting point: every prediction is verified against the
+        cold bisection's invariant, so every curve evaluation stays
+        bit-identical (see
         :meth:`repro.core.hypothetical.HypotheticalEqualizer.seed_level`).
         """
-        if len(self._population):
-            self._equalizer.seed_level(level, depth)
+        self._equalizer.seed_level(level)
 
     def equalize(self, allocation: Mhz) -> "HypotheticalAllocation":
         """Float-exact equalization at ``allocation``."""
         return self._equalizer.equalize(allocation)
 
     def utility(self, allocation: Mhz) -> float:
-        if len(self._population) == 0:
-            return 1.0
         memo = self._utility_memo.get(allocation)
         if memo is not None:
             return memo

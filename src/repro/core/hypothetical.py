@@ -51,6 +51,14 @@ _BISECT_ITERS = 100
 #: Relative tolerance when comparing allocation with the population cap.
 _REL_EPS = 1e-9
 
+#: Newton steps the level predictor may spend on one solve.
+_PREDICT_STEPS = 8
+
+#: Depths short of float resolution at which a predicted level is verified:
+#: the verified node is at least ``2**_VERIFY_MARGIN`` ulps wide, so a
+#: prediction within a few ulps of the equalized level lands inside it.
+_VERIFY_MARGIN = 6
+
 
 @dataclass(frozen=True)
 class HypotheticalAllocation:
@@ -92,10 +100,12 @@ class EqualizerStats:
     """Consumed-curve evaluation accounting for one equalizer.
 
     The control plane's telemetry (``repro.core.control_state``) reports
-    these per control cycle: how many consumed-curve evaluations actually
-    ran, how many were served by the shared memo, and how often the
-    cross-cycle warm seed verified (resuming the bisection mid-tree)
-    versus fell back to the cold bracket.
+    these per control cycle: how many vectorized passes over the
+    population actually ran (exact consumed-curve evaluations and the
+    level predictor's Newton steps alike), how many evaluations the
+    shared memo served, and how often a predicted level verified
+    (the bisection resumed mid-tree) versus fell back to the cold
+    bracket.
     """
 
     __slots__ = ("evals", "cache_hits", "seed_hits", "seed_misses")
@@ -105,6 +115,41 @@ class EqualizerStats:
         self.cache_hits = 0
         self.seed_hits = 0
         self.seed_misses = 0
+
+
+def _newton_step(allocation: float, value: float, slope: float) -> float:
+    """Newton step toward ``consumed == allocation`` from a point of the
+    curve with ``value`` and derivative ``slope``; NaN on a flat curve.
+
+    The step is Newton's on ``1/consumed``: one uncapped job's rate is a
+    hyperbola in the level, whose reciprocal is linear, and the
+    reciprocal of a sum of them is concave and nearly linear.  Far below
+    the level the plain step (``value`` much smaller than
+    ``allocation``) would overshoot the whole bracket.
+    """
+    if not slope > 0:
+        return math.nan
+    step = (allocation - value) / slope
+    if value > 0 and allocation > 0:
+        step *= value / allocation
+    return step
+
+
+def _correction(last, point, step: float) -> float:
+    """The correction Newton would make after taking ``step`` from
+    ``point``: ``|h''/(2h')|·step²`` for ``h = 1/consumed``, with ``h''``
+    the difference quotient of ``h'`` between the evaluated ``(level,
+    value, slope)`` points ``last`` and ``point``; inf when unknown."""
+    if last is None:
+        return math.inf
+    (u0, value0, slope0), (u1, value1, slope1) = last, point
+    if u0 == u1 or not value0 > 0 or not value1 > 0:
+        return math.inf
+    dh0 = slope0 / (value0 * value0)
+    dh1 = slope1 / (value1 * value1)
+    if not dh1 > 0:
+        return math.inf
+    return abs((dh1 - dh0) / (u1 - u0)) / (2.0 * dh1) * step * step
 
 
 #: Regime tags returned by ``HypotheticalEqualizer._solve_level``.
@@ -122,38 +167,48 @@ class HypotheticalEqualizer:
     arithmetic is operation-for-operation identical to the original
     single-shot routine (results are bit-identical).
 
-    Two further accelerations, both result-preserving:
+    Every bisection (coarse or exact, at any allocation) starts from the
+    same ``(u_lo, u_hi)`` bracket, so the midpoints it visits form one
+    dyadic tree per population.  Each solve runs one path:
 
-    * a **shared consumed-curve memo**: every bisection (coarse or exact,
-      at any allocation) starts from the same ``(u_lo, u_hi)`` bracket,
-      so the midpoints it visits form one dyadic tree per population.
-      Memoizing ``consumed(u)`` by exact float key lets the arbiter's
-      ~15 equalizations share root-side evaluations -- and lets the final
-      float-exact equalization replay its first iterations for free --
-      while reproducing the identical values an uncached run computes.
-    * a **verified warm seed** (:meth:`seed_level`): the previous control
-      cycle's converged utility level selects a candidate subtree at a
-      chosen depth; the bisection resumes there only after verifying the
-      invariant ``consumed(lo) <= allocation < consumed(hi)``, which (by
-      monotonicity of the consumed curve) identifies the *unique* node
-      the cold bisection would occupy at that depth.  A verified seed
-      therefore yields bit-identical results; an unverified one falls
-      back to the cold bracket.
+    * **predict** -- a few safeguarded Newton steps on the consumed curve
+      (:meth:`_predict`, its own cheaper arithmetic) estimate the level,
+      starting from the tangent of this equalizer's previous solve, else
+      the warm level (:meth:`seed_level`), else the least job ceiling;
+    * **verify** -- the dyadic node containing the prediction (or, when
+      Newton did not converge, the predictor's bracket), at the
+      bisection's own depth but no deeper than where the node is still
+      ``2**_VERIFY_MARGIN`` ulps wide, is accepted only when
+      ``consumed(lo) <= allocation < consumed(hi)`` holds on the exact
+      curve.  The computed curve is monotone, so that invariant
+      identifies the *unique* node the cold bisection occupies at that
+      depth; a failing node is retried (its neighbour across the
+      failing endpoint, then shallower nodes), last of all from the
+      cold bracket;
+    * **finish** -- the bisection runs its remaining iterations from the
+      verified node.
+
+    None of the predictor's arithmetic reaches a result: every level is
+    the one the cold bisection computes, bit for bit.  A **shared
+    consumed-curve memo**, keyed by exact float level, serves the floor
+    check, the verification retries and external callers (the shard
+    arbiter's aggregated bisection) without recomputing a node.
     """
 
     __slots__ = (
         "population", "stats", "_n", "_caps", "_weights", "_u_max", "_total_cap",
         "_goals_abs", "_goal_lengths", "_remaining", "_t",
         "_no_work", "_has_no_work", "_slack", "_rates_buf", "_nonpos",
-        "_u_lo0", "_u_hi0", "_u_safe", "_memo", "_seed_level", "_seed_depth",
+        "_u_lo0", "_u_hi0", "_u_min", "_u_safe", "_memo",
+        "_slack0", "_slack_floor", "_work_cap", "_warm_level", "_tangent",
     )
 
     def __init__(self, population: JobPopulation) -> None:
         self.population = population
         self.stats = EqualizerStats()
         self._memo: dict[float, float] = {}
-        self._seed_level: float | None = None
-        self._seed_depth = 0
+        self._warm_level: float | None = None
+        self._tangent: tuple[float, float, float] | None = None
         n = self._n = len(population)
         if n == 0:
             return
@@ -173,7 +228,14 @@ class HypotheticalEqualizer:
         # The bisection bracket is allocation-independent; hoisting it
         # keeps every equalization on the identical dyadic tree.
         self._u_hi0 = float(self._u_max.max())
-        self._u_lo0 = float(self._u_max.min()) - UTILITY_SEARCH_SPAN
+        self._u_min = float(self._u_max.min())
+        self._u_lo0 = self._u_min - UTILITY_SEARCH_SPAN
+        # Predictor columns: the level-independent part of the slack, and
+        # the slack at which each job reaches its cap (R/c; kept positive
+        # so a zero-work job's 0/slack never divides by zero).
+        self._slack0 = self._goals_abs - self._t
+        self._slack_floor = np.maximum(self._remaining / self._caps, 1e-300)
+        self._work_cap = float(np.where(self._no_work, 0.0, self._caps).sum())
         # Conservative level below which every *computed* slack is
         # provably positive, so the per-eval lateness mask can be skipped
         # (see _consumed_at).  The bound over-counts the three rounding
@@ -219,21 +281,18 @@ class HypotheticalEqualizer:
             return 0.0
         return self._consumed(u)
 
-    def seed_level(self, level: float, depth: int) -> None:
-        """Offer a warm-start hint for subsequent bisections.
+    def seed_level(self, level: float) -> None:
+        """Offer a starting point for the level predictor.
 
         ``level`` is typically the previous control cycle's converged
-        utility level; ``depth`` how many bisection iterations to skip
-        when the hint verifies.  The hint is advisory: each bisection
-        checks the invariant ``consumed(lo) <= allocation < consumed(hi)``
-        on the depth-``depth`` dyadic node containing ``level`` and
-        resumes there only on success, so results are bit-identical to an
-        unseeded run either way (see the class docstring).
+        utility level.  The predictor starts there until this equalizer
+        has solved once (afterwards it starts from that solve's tangent).
+        Any value is safe, NaN and infinities included: a start outside
+        the bracket is replaced, and a prediction is used only after it
+        verifies, so results are bit-identical to an unseeded run (see
+        the class docstring).
         """
-        if level != level:  # NaN guard: never seed from a poisoned level
-            return
-        self._seed_level = float(level)
-        self._seed_depth = int(depth)
+        self._warm_level = float(level)
 
     def _consumed_at(self, u: float) -> float:
         """``Σ min(x_j(u), c_j)`` on reused buffers.
@@ -260,7 +319,7 @@ class HypotheticalEqualizer:
         if self._has_no_work:
             rates_buf[self._no_work] = 0.0
         np.minimum(rates_buf, self._caps, out=rates_buf)
-        return float(rates_buf.sum())
+        return float(np.add.reduce(rates_buf))  # == rates_buf.sum()
 
     def _consumed(self, u: float) -> float:
         """Memoized :meth:`_consumed_at` (keys are exact float levels)."""
@@ -273,22 +332,103 @@ class HypotheticalEqualizer:
         self._memo[u] = value
         return value
 
-    def _descend(self, level: float, depth: int) -> tuple[float, float, int]:
-        """The depth-``depth`` dyadic node of the bisection tree containing
-        ``level``, computed with the bisection's own midpoint arithmetic so
-        its endpoints are bit-equal to the brackets a cold run carries."""
+    def _curve_and_slope(self, u: float) -> tuple[float, float]:
+        """The predictor's pass: the consumed curve and its derivative
+        ``Σ_uncapped R_j·T_j / slack_j²`` at level ``u``.
+
+        Cheaper than :meth:`_consumed_at` and rounded differently (the
+        slack comes from the hoisted ``G − t``, and a capped job's slack
+        is clamped at ``R/c``), so its values only steer the prediction.
+        The clamp keeps every division finite at any level: the pass
+        raises no floating-point warning.
+        """
+        slack, rates, uncapped = self._slack, self._rates_buf, self._nonpos
+        np.multiply(self._goal_lengths, u, out=slack)  # u * T_j
+        np.subtract(self._slack0, slack, out=slack)  # (G_j - t) - u * T_j
+        np.greater(slack, self._slack_floor, out=uncapped)
+        np.maximum(slack, self._slack_floor, out=slack)
+        np.divide(self._remaining, slack, out=rates)  # min(x_j, ~c_j)
+        value = float(np.add.reduce(rates))
+        np.divide(rates, slack, out=rates)  # R_j / slack_j^2
+        np.multiply(rates, uncapped, out=rates)
+        return value, float(np.dot(rates, self._goal_lengths))
+
+    def _verify_depth(self, level: float, bisect_iters: int) -> int:
+        """Depth at which a prediction of ``level`` is verified: the
+        bisection's own depth, capped where the node would be narrower
+        than ``2**_VERIFY_MARGIN`` ulps of ``max(|level|, 1)`` (the
+        prediction's rounding error is absolute near a zero level)."""
+        ulp = math.ulp(max(abs(level), 1.0))
+        resolution = math.frexp((self._u_hi0 - self._u_lo0) / ulp)[1] - 1
+        return min(bisect_iters, resolution - _VERIFY_MARGIN)
+
+    def _predict(self, allocation: float, bisect_iters: int) -> tuple[float, float]:
+        """Safeguarded Newton estimate of the equalized level at ``allocation``.
+
+        Starts from the tangent of this equalizer's previous solve, else
+        the warm level, else the least job ceiling.  A step that leaves
+        the bracket of evaluated levels, or a flat curve, bisects that
+        bracket instead.  Stops once the step, or the correction Newton
+        would make after it (:func:`_correction`), is small against the
+        node a prediction near the start would be verified on, and returns
+        ``(level, level)``.  Without convergence within ``_PREDICT_STEPS``
+        passes it returns the bracket ``(lo, hi)`` of evaluated levels.
+        """
         lo, hi = self._u_lo0, self._u_hi0
-        d = 0
-        while d < depth:
+        if allocation >= self._work_cap:
+            # Jobs without work keep the curve below their caps' sum:
+            # consumed(u) <= allocation up to the top of the bracket.
+            return hi, hi
+        point = self._tangent
+        if point is not None:
+            u, value, slope = point
+            step = _newton_step(allocation, value, slope)
+            if step == step:
+                u += step
+        elif self._warm_level is not None:
+            u = self._warm_level
+        else:
+            u = self._u_min
+        if not lo < u < hi:  # outside the bracket, NaN or infinite
+            u = self._u_min
+        tol = math.ldexp(hi - lo, -self._verify_depth(u, bisect_iters))
+        for _ in range(_PREDICT_STEPS):
+            if not lo < u < hi:
+                u = 0.5 * (lo + hi)
+            value, slope = self._curve_and_slope(u)
+            self.stats.evals += 1
+            last, point = point, (u, value, slope)
+            self._tangent = point
+            if value > allocation:
+                hi = u
+            else:
+                lo = u
+            step = _newton_step(allocation, value, slope)
+            if step != step:  # flat curve
+                u = 0.5 * (lo + hi)
+                continue
+            if abs(step) <= tol or _correction(last, point, step) <= tol / 64:
+                return u + step, u + step
+            u += step
+        return lo, hi
+
+    def _descend(self, low: float, high: float, depth: int) -> tuple[float, float, int]:
+        """The deepest node of the bisection tree, at most ``depth`` deep,
+        that contains both ``low`` and ``high``, computed with the
+        bisection's own midpoint arithmetic so its endpoints are bit-equal
+        to the brackets a cold run carries."""
+        lo, hi = self._u_lo0, self._u_hi0
+        for d in range(depth):
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
-                break
-            if level < mid:
+                return lo, hi, d
+            if high < mid:
                 hi = mid
-            else:
+            elif low >= mid:
                 lo = mid
-            d += 1
-        return lo, hi, d
+            else:
+                return lo, hi, d
+        return lo, hi, depth
 
     def _solve_level(self, allocation: Mhz, bisect_iters: int) -> tuple[int, float]:
         """Classify the regime at ``allocation`` and find its utility level.
@@ -305,31 +445,34 @@ class HypotheticalEqualizer:
         if consumed(u_lo) > allocation:
             return _STARVED, u_lo
         iters = bisect_iters
-        if self._seed_level is not None:
-            # Invariant check: the seeded node must be the one the cold
-            # bisection occupies at its depth (unique by monotonicity of
-            # the consumed curve).  Cascade from the requested depth to
-            # shallower nodes: a deeper node tolerates less drift in the
-            # level, and failed probes stay in the memo where the resumed
-            # bisection can reuse them.
-            seeded = False
-            want = min(self._seed_depth, bisect_iters)
-            while want >= 1:
-                s_lo, s_hi, depth = self._descend(self._seed_level, want)
-                if (
-                    depth > 0
-                    and not consumed(s_lo) > allocation
-                    and consumed(s_hi) > allocation
-                ):
-                    u_lo, u_hi = s_lo, s_hi
-                    iters = bisect_iters - depth
-                    seeded = True
-                    break
-                want //= 2
-            if seeded:
-                self.stats.seed_hits += 1
+        # Verify: the cold bisection below keeps consumed(lo) <= allocation
+        # < consumed(hi) (hi unevaluated only while it is the root's), and
+        # by monotonicity of the computed curve exactly one node per depth
+        # satisfies that.  A failing node says on which side the level
+        # lies: the level moves across the failing endpoint, and the
+        # retries (the neighbouring node, then ever shallower ones) close
+        # in on it; the memo serves their shared endpoints.
+        low, high = self._predict(allocation, bisect_iters)
+        depth = self._verify_depth(0.5 * (low + high), bisect_iters)
+        neighbour = True
+        while depth >= 1:
+            s_lo, s_hi, d = self._descend(low, high, depth)
+            if d == 0:
+                break
+            if consumed(s_lo) > allocation:
+                low = high = math.nextafter(s_lo, -math.inf)
+            elif s_hi != u_hi and not consumed(s_hi) > allocation:
+                low = high = s_hi
             else:
-                self.stats.seed_misses += 1
+                u_lo, u_hi = s_lo, s_hi
+                iters -= d
+                break
+            depth = d if neighbour else d // 2
+            neighbour = False
+        if iters < bisect_iters:
+            self.stats.seed_hits += 1
+        else:
+            self.stats.seed_misses += 1
         # Loop invariant: consumed(u_lo) <= allocation (checked above for
         # the initial floor, preserved by construction).  Once the interval
         # collapses to float resolution the midpoint lands on an endpoint and
@@ -357,7 +500,7 @@ class HypotheticalEqualizer:
         the returned scalar is bit-equal to the corresponding attribute
         of the full :class:`HypotheticalAllocation`.
         """
-        if allocation < 0:
+        if not allocation >= 0:  # also rejects NaN
             raise ModelError(f"allocation must be non-negative, got {allocation}")
         if self._n == 0:
             return 1.0
@@ -380,7 +523,7 @@ class HypotheticalEqualizer:
         See :func:`equalize_hypothetical_utility` for the regimes and the
         ``bisect_iters`` contract.
         """
-        if allocation < 0:
+        if not allocation >= 0:  # also rejects NaN
             raise ModelError(f"allocation must be non-negative, got {allocation}")
         n = self._n
         if n == 0:

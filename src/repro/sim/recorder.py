@@ -36,10 +36,12 @@ incremental control plane (``diag.telemetry`` set) record:
   -- ``telemetry.mode``;
 * ``eq_evals`` / ``eq_cache_hits`` series and ``eq_evals_total`` /
   ``eq_cache_hits_total`` counters -- ``telemetry.eq_evals`` /
-  ``telemetry.eq_cache_hits``: consumed-curve evaluations performed /
+  ``telemetry.eq_cache_hits``: vectorized passes over the population
+  (consumed-curve evaluations and level-predictor steps) / evaluations
   served by the equalizer's shared memo;
 * ``eq_seed_hits_total`` / ``eq_seed_misses_total`` counters --
-  ``telemetry.seed_hits`` / ``telemetry.seed_misses``;
+  ``telemetry.seed_hits`` / ``telemetry.seed_misses``: equalizations
+  whose predicted level verified / fell back to the cold bracket;
 * ``invalidations:<reason>`` counters -- ``telemetry.reason`` of each
   cold cycle (e.g. ``invalidations:topology-changed``).
 

@@ -2,17 +2,19 @@
 
 The incremental control plane's contract is stronger than the 1e-8
 utility tolerance the acceptance criteria allow: warm starts accelerate
-evaluations (shared consumed-curve memo, verified equalizer seeds), never
-the search trajectory, so a warm controller must produce *identical*
-decisions to a cold one on every cycle of any trace -- including cycles
-where the fingerprint invalidates (node failure mid-trace, demand
-shifts from job churn) and the warm controller falls back cold.
+evaluations (the previous cycle's level starts the equalizer's verified
+level predictor), never the search trajectory, so a warm controller
+must produce *identical* decisions to a cold one on every cycle of any
+trace -- including cycles where the fingerprint invalidates (node
+failure mid-trace, demand shifts from job churn) and the warm
+controller falls back cold.
 
 These tests drive a warm and a cold controller side by side over
 randomized multi-cycle traces with arrivals, progress, completions and a
 mid-trace node failure, asserting decision equality each cycle; a second
-group pins the equalizer-level property directly (a seeded bisection
-equals an unseeded one for arbitrary -- even wrong -- seed levels).
+group pins the equalizer-level property directly (any seed level and
+any predicted level give the frozen cold bisection's result, bit for
+bit).
 """
 
 import numpy as np
@@ -25,6 +27,8 @@ from repro.core.hypothetical import HypotheticalEqualizer
 from repro.perf.jobmodel import JobPopulation
 from repro.workloads.jobs import Job, JobSpec
 from repro.workloads.transactional import TransactionalAppSpec
+
+from .reference_equalizer import assert_bit_equal, reference_equalize, reference_node
 
 CYCLE = 600.0
 
@@ -247,11 +251,24 @@ def test_forced_invalidation_mid_trace_matches_cold():
         placement = decision_w.placement.copy()
 
 
+class _FixedPrediction(HypotheticalEqualizer):
+    """An equalizer whose level predictor returns a chosen bracket."""
+
+    def __init__(self, population, low, high):
+        super().__init__(population)
+        self.prediction = (low, high)
+
+    def _predict(self, allocation, bisect_iters):
+        return self.prediction
+
+
 class TestSeededEqualizerProperty:
-    """A seeded bisection equals an unseeded one for *any* seed level."""
+    """A seeded equalization equals the cold bisection for *any* seed level
+    and any predicted level."""
 
     def _random_population(self, rng):
-        n = int(rng.integers(1, 80))
+        # Up to 300 jobs: past numpy's 128-element pairwise-summation block.
+        n = int(rng.integers(1, 301))
         t = float(rng.uniform(0.0, 60000.0))
         remaining = rng.uniform(0.0, 1e7, n)
         remaining[rng.random(n) < 0.15] = 0.0
@@ -269,38 +286,54 @@ class TestSeededEqualizerProperty:
             importance=rng.uniform(0.5, 2.0, n),
         )
 
+    def _hostile_levels(self, rng, population):
+        """Levels no result may depend on: NaN, infinities, levels outside
+        the bracket, the bracket ends, and the exact endpoints of the cold
+        bisection's nodes around an equalized level."""
+        u_lo0, u_hi0 = HypotheticalEqualizer(population).bracket
+        cold = reference_equalize(population, 0.5 * population.total_cap).utility_level
+        levels = [np.nan, np.inf, -np.inf, u_lo0 - 5.0, u_hi0 + 5.0, u_lo0, u_hi0]
+        for depth in (1, 7, 29, 30, 31, 45, 48, 60):
+            levels.extend(reference_node(population, cold, depth))
+        levels.append(float(rng.uniform(-10.0, 3.0)))
+        return levels
+
     def test_seeded_bisection_bit_identical(self):
         rng = np.random.default_rng(123)
         for _ in range(60):
             population = self._random_population(rng)
-            reference = HypotheticalEqualizer(population)
-            seeded = HypotheticalEqualizer(population)
-            # Deliberately arbitrary seed levels: correct ones resume the
-            # bisection mid-tree, wrong ones must fail verification --
-            # either way the result may not change.
-            seeded.seed_level(float(rng.uniform(-10.0, 3.0)), int(rng.integers(1, 28)))
+            cap = population.total_cap
+            hostile = self._hostile_levels(rng, population)
             for _ in range(4):
-                allocation = float(rng.uniform(0.0, population.total_cap * 1.2))
-                iters = int(rng.choice([30, 100]))
-                a = reference.equalize(allocation, bisect_iters=iters)
-                b = seeded.equalize(allocation, bisect_iters=iters)
-                assert a.utility_level == b.utility_level
-                assert np.array_equal(a.rates, b.rates)
-                assert a.mean_utility == b.mean_utility
+                allocation = float(
+                    rng.choice([0.0, 1e-9 * cap, rng.uniform(0.0, 1.2 * cap)])
+                )
+                iters = int(rng.choice([1, 7, 30, 48, 100]))
+                want = reference_equalize(population, allocation, iters)
+                low, high = (hostile[int(i)] for i in rng.integers(len(hostile), size=2))
+                # A hostile warm level only starts the predictor ...
+                seeded = HypotheticalEqualizer(population)
+                seeded.seed_level(low)
+                assert_bit_equal(seeded.equalize(allocation, bisect_iters=iters), want)
+                # ... while a hostile prediction (a level, or a bracket in
+                # any order) reaches verification itself.
+                for prediction in ((low, low), (low, high)):
+                    predicted = _FixedPrediction(population, *prediction)
+                    assert_bit_equal(
+                        predicted.equalize(allocation, bisect_iters=iters), want
+                    )
 
-    def test_good_seed_skips_iterations(self):
+    def test_prediction_verifies_within_eight_passes(self):
         rng = np.random.default_rng(9)
         population = self._random_population(rng)
         allocation = population.total_cap * 0.5
-        reference = HypotheticalEqualizer(population)
-        level = reference.equalize(allocation).utility_level
+        level = reference_equalize(population, allocation).utility_level
         seeded = HypotheticalEqualizer(population)
-        seeded.seed_level(level, 12)
+        seeded.seed_level(level)
         result = seeded.equalize(allocation, bisect_iters=30)
-        assert result.utility_level == reference.equalize(
-            allocation, bisect_iters=30
-        ).utility_level
+        assert_bit_equal(result, reference_equalize(population, allocation, 30))
         assert seeded.stats.seed_hits == 1
-        # Verified seed at depth 12: at most ~20 fresh evaluations
-        # (30 - 12 iterations, plus the floor check and verification).
-        assert seeded.stats.evals <= 30 - 12 + 4
+        # The floor check, the predictor's Newton steps and the two
+        # endpoint checks of the verified depth-30 node; the cold
+        # bisection spends about 30.
+        assert seeded.stats.evals <= 8

@@ -97,8 +97,6 @@ class TestControlStateLifecycle:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             ControlState(demand_rtol=-0.1)
-        with pytest.raises(ConfigurationError):
-            ControlState(seed_depth=0)
 
 
 class TestCycleTelemetry:

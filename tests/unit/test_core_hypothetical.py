@@ -1,9 +1,13 @@
 """Unit tests for hypothetical-utility equalization (paper Section 2)."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.core import (
+    HypotheticalEqualizer,
+    LongRunningCurve,
     equalize_hypothetical_utility,
     longrunning_max_utility_demand,
     mean_hypothetical_utility,
@@ -25,9 +29,10 @@ class TestSurplusRegime:
     def test_extra_allocation_changes_nothing(self):
         pop = make_population(0.0, [3_000_000.0] * 3)
         a = equalize_hypothetical_utility(pop, 9_000.0)
-        b = equalize_hypothetical_utility(pop, 90_000.0)
-        assert np.allclose(a.rates, b.rates)
-        assert a.mean_utility == b.mean_utility
+        for allocation in (90_000.0, math.inf):
+            b = equalize_hypothetical_utility(pop, allocation)
+            assert np.allclose(a.rates, b.rates)
+            assert a.mean_utility == b.mean_utility
 
 
 class TestEqualizedRegime:
@@ -107,6 +112,15 @@ class TestEdgeCases:
         pop = make_population(0.0, [1.0])
         with pytest.raises(ModelError):
             equalize_hypothetical_utility(pop, -1.0)
+
+    def test_nan_allocation_rejected(self):
+        pop = make_population(0.0, [3_000_000.0, 2_000_000.0, 1_000_000.0, 4e6, 5e5])
+        with pytest.raises(ModelError, match="non-negative"):
+            equalize_hypothetical_utility(pop, math.nan)
+        with pytest.raises(ModelError, match="non-negative"):
+            HypotheticalEqualizer(pop).metric_at(math.nan, "level")
+        with pytest.raises(ModelError, match="non-negative"):
+            LongRunningCurve(pop).utility(math.nan)
 
 
 class TestDerivedQuantities:
