@@ -8,7 +8,8 @@ to the live VM registry.
 
 Placements are *value objects*: the solver builds a new one each cycle and
 the actions planner (:mod:`repro.core.actions_planner`) diffs it against
-the previous one.
+the previous one.  The experiment runner then adopts the new one as its
+incumbent and removes entries from it as jobs complete and nodes fail.
 
 The structure is **indexed by node**: alongside the VM-id map it maintains
 per-node entry tables and running CPU/memory aggregates, updated on every
@@ -24,6 +25,7 @@ below the validation tolerance).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Container, Iterable, Iterator, KeysView, Mapping, Optional
 
 from ..errors import PlacementError
@@ -70,13 +72,12 @@ class PlacementEntry:
         memory_mb: Megabytes,
         kind: WorkloadKind,
     ) -> "PlacementEntry":
-        """Validation-free constructor for the solver's hot path.
+        """Validation-free constructor for fields checked already.
 
-        The solver creates one to two entries per placed VM every control
-        cycle from grants it just clamped non-negative and footprints the
-        request types already validated; re-checking per entry is pure
-        overhead.  External callers must use the normal constructor: this
-        one skips ``__post_init__``.
+        :meth:`with_cpu` rebuilds an entry per boosted job every control
+        cycle from fields its source entry validated; re-checking them is
+        pure overhead.  External callers must use the normal constructor:
+        this one skips ``__post_init__``.
         """
         self = object.__new__(cls)
         self.vm_id = vm_id
@@ -132,12 +133,16 @@ class Placement:
         return self._entries.get(vm_id)
 
     def vm_ids(self) -> KeysView[str]:
-        """Live view of the placed VM ids (supports set algebra).
-
-        The action planner diffs placements through this every control
-        cycle; a view avoids materializing throwaway id sets.
-        """
+        """Live view of the placed VM ids (supports set algebra)."""
         return self._entries.keys()
+
+    def by_vm(self) -> Mapping[str, PlacementEntry]:
+        """Live read-only view of VM id -> entry.
+
+        The action planner diffs two placements through this every control
+        cycle, in one pass and without a method call per VM.
+        """
+        return MappingProxyType(self._entries)
 
     def entry(self, vm_id: str) -> PlacementEntry:
         """Entry for ``vm_id``; raises :class:`PlacementError` if absent."""
@@ -164,6 +169,35 @@ class Placement:
         """Insert a new entry; the VM must not already be placed."""
         if entry.vm_id in self._entries:
             raise PlacementError(f"vm {entry.vm_id} already placed")
+        self._insert(entry)
+
+    def place(
+        self,
+        vm_id: str,
+        node_id: str,
+        cpu_mhz: Mhz,
+        memory_mb: Megabytes,
+        kind: WorkloadKind,
+    ) -> None:
+        """:meth:`add` a new entry built from these fields, in one call.
+
+        Checks the fields as the :class:`PlacementEntry` constructor does,
+        with the same errors, and builds the entry without a constructor
+        call: the placement solver records every placed VM through this,
+        thousands per control cycle.
+        """
+        if cpu_mhz < 0:
+            raise PlacementError(f"vm {vm_id}: negative CPU grant")
+        if memory_mb <= 0:
+            raise PlacementError(f"vm {vm_id}: non-positive memory footprint")
+        if vm_id in self._entries:
+            raise PlacementError(f"vm {vm_id} already placed")
+        entry = object.__new__(PlacementEntry)
+        entry.vm_id = vm_id
+        entry.node_id = node_id
+        entry.cpu_mhz = cpu_mhz
+        entry.memory_mb = memory_mb
+        entry.kind = kind
         self._insert(entry)
 
     def remove(self, vm_id: str) -> PlacementEntry:

@@ -83,49 +83,40 @@ def plan_actions(
     resumes: list[PlacementAction] = []
     starts: list[PlacementAction] = []
     adjustments: list[PlacementAction] = []
-
-    previous_ids = previous.vm_ids()
-    desired_ids = desired.vm_ids()
+    old_entries = previous.by_vm()
+    new_entries = desired.by_vm()
 
     # VMs leaving the placement.
-    for vm_id in sorted(previous_ids - desired_ids):
-        entry = previous.entry(vm_id)
-        if entry.kind is WorkloadKind.LONG_RUNNING:
+    for vm_id in sorted(old_entries.keys() - new_entries.keys()):
+        if old_entries[vm_id].kind is WorkloadKind.LONG_RUNNING:
             # A job removed from the placement is checkpointed, not killed;
             # completed jobs are removed by the runner outside the planner.
-            suspends.append(SuspendVm(vm_id=vm_id))
+            suspends.append(SuspendVm(vm_id))
         else:
-            stops.append(StopVm(vm_id=vm_id))
+            stops.append(StopVm(vm_id))
 
-    # VMs entering or changing within the placement.
-    for vm_id in sorted(desired_ids):
-        new = desired.entry(vm_id)
-        old = previous.get(vm_id)
-        if old is None:
-            state = vm_states.get(vm_id, VmState.PENDING)
-            if state is VmState.SUSPENDED:
-                resumes.append(
-                    ResumeVm(vm_id=vm_id, node_id=new.node_id, cpu_mhz=new.cpu_mhz)
+    # VMs entering or changing within the placement, in one id-ordered
+    # pass over the desired entries.
+    for vm_id in sorted(new_entries):
+        new = new_entries[vm_id]
+        if vm_id in old_entries:
+            old = old_entries[vm_id]
+            if old.node_id != new.node_id:
+                migrations.append(
+                    MigrateVm(vm_id, old.node_id, new.node_id, new.cpu_mhz)
                 )
-            elif state is VmState.PENDING:
-                starts.append(
-                    StartVm(vm_id=vm_id, node_id=new.node_id, cpu_mhz=new.cpu_mhz)
-                )
-            else:
-                raise PlacementError(
-                    f"vm {vm_id}: desired placement requires state PENDING or "
-                    f"SUSPENDED, found {state}"
-                )
-        elif old.node_id != new.node_id:
-            migrations.append(
-                MigrateVm(
-                    vm_id=vm_id,
-                    src_node_id=old.node_id,
-                    dst_node_id=new.node_id,
-                    cpu_mhz=new.cpu_mhz,
-                )
+            elif abs(old.cpu_mhz - new.cpu_mhz) > _ADJUST_EPS:
+                adjustments.append(AdjustCpu(vm_id, new.cpu_mhz))
+            continue
+        state = vm_states.get(vm_id, VmState.PENDING)
+        if state is VmState.SUSPENDED:
+            resumes.append(ResumeVm(vm_id, new.node_id, new.cpu_mhz))
+        elif state is VmState.PENDING:
+            starts.append(StartVm(vm_id, new.node_id, new.cpu_mhz))
+        else:
+            raise PlacementError(
+                f"vm {vm_id}: desired placement requires state PENDING or "
+                f"SUSPENDED, found {state}"
             )
-        elif abs(old.cpu_mhz - new.cpu_mhz) > _ADJUST_EPS:
-            adjustments.append(AdjustCpu(vm_id=vm_id, cpu_mhz=new.cpu_mhz))
 
     return [*stops, *suspends, *migrations, *resumes, *starts, *adjustments]

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import Literal, Protocol, Sequence
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, ModelError
 from ..perf.jobmodel import JobPopulation
 from ..perf.queueing import TransactionalPerfModel
 from ..types import Mhz, WorkloadKind
@@ -91,6 +91,8 @@ class TransactionalCurve:
         return self._model
 
     def utility(self, allocation: Mhz) -> float:
+        if not allocation >= 0:  # also rejects NaN
+            raise ModelError(f"allocation must be non-negative, got {allocation}")
         return self._utility.of_allocation(self._model, allocation)
 
     def allocation_for_utility(self, target: float) -> Mhz:
@@ -135,8 +137,8 @@ class TransactionalAggregateCurve:
 
     def split(self, allocation: Mhz) -> list[Mhz]:
         """Divide ``allocation`` among the apps, equalizing their utilities."""
-        if allocation < 0:
-            raise ConfigurationError("allocation must be non-negative")
+        if not allocation >= 0:  # also rejects NaN
+            raise ModelError(f"allocation must be non-negative, got {allocation}")
         if len(self._curves) == 1:
             return [min(allocation, self._demand)]
         if allocation >= self._demand:

@@ -620,6 +620,17 @@ def longrunning_max_utility_demand(population: JobPopulation) -> Mhz:
     return float(np.where(population.remaining > 0, population.caps, 0.0).sum())
 
 
-def mean_hypothetical_utility(population: JobPopulation, allocation: Mhz) -> float:
-    """Shortcut: the importance-weighted mean hypothetical utility at ``allocation``."""
-    return equalize_hypothetical_utility(population, allocation).mean_utility
+def mean_hypothetical_utility(
+    population: JobPopulation, allocation: Mhz, *, start: float | None = None
+) -> float:
+    """The importance-weighted mean hypothetical utility at ``allocation``.
+
+    ``start``, when given, starts the level predictor (typically the
+    equalized level the controller found for the same population).  Any
+    value is safe, NaN and infinities included: the result is bit-equal
+    to an unseeded solve's (see :meth:`HypotheticalEqualizer.seed_level`).
+    """
+    equalizer = HypotheticalEqualizer(population)
+    if start is not None:
+        equalizer.seed_level(start)
+    return equalizer.metric_at(allocation, "mean")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -271,6 +272,10 @@ class EvictionPolicy:
         return VictimIndex(self, running)
 
 
+#: Victim preference key ``(urgency, submit_time, job_id)``.
+_victim_order = attrgetter("target_rate", "submit_time", "job_id")
+
+
 class VictimIndex:
     """Vectorized eviction-victim lookup for one solver pass.
 
@@ -284,22 +289,19 @@ class VictimIndex:
     __slots__ = ("_candidates", "_memory", "_threshold", "_eligible", "_slots")
 
     def __init__(self, policy: EvictionPolicy, running: Sequence[JobRequest]) -> None:
-        ordered = sorted(
-            running, key=lambda r: (r.urgency, r.submit_time, r.job_id)
-        )
-        n = len(ordered)
+        # The preference key reads the urgency's field (the target rate).
+        ordered = sorted(running, key=_victim_order)
         self._candidates = ordered
         self._slots = {r.job_id: i for i, r in enumerate(ordered)}
-        self._memory = np.fromiter((r.memory_mb for r in ordered), float, count=n)
-        # should_evict's urgency test, with the victim-side product hoisted.
-        self._threshold = np.fromiter(
-            (r.urgency * (1.0 + policy.margin) for r in ordered), float, count=n
-        )
-        self._eligible = np.fromiter(
-            (r.min_remaining_time > policy.protect_completion for r in ordered),
-            bool,
-            count=n,
-        )
+        self._memory = np.array([r.memory_mb for r in ordered], dtype=float)
+        # should_evict's urgency test, with the victim-side product hoisted,
+        # and its completion test (min_remaining_time), column-wise: the
+        # same IEEE products and quotients as the per-request properties.
+        urgency = np.array([r.target_rate for r in ordered], dtype=float)
+        self._threshold = urgency * (1.0 + policy.margin)
+        remaining = np.array([r.remaining_work for r in ordered], dtype=float)
+        caps = np.array([r.speed_cap for r in ordered], dtype=float)
+        self._eligible = remaining / caps > policy.protect_completion
 
     def pick(self, waiting: JobRequest) -> Optional[JobRequest]:
         """First (least-preferred-to-keep) eligible victim for ``waiting``."""

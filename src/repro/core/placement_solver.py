@@ -31,21 +31,25 @@ placements (regression tests rely on this).
 
 Scaling
 -------
-The residual node capacities live in numpy arrays (:class:`_ClusterState`)
-and the per-request node-selection queries (:meth:`PlacementSolver._best_node_for`,
-:meth:`PlacementSolver._node_with_room`, the web-candidate ordering) are
-vectorized reductions over them instead of per-request Python ``sorted``
-scans.  The reductions replicate the documented lexicographic tie-break
-keys *exactly* -- a maintained heap could not serve the two-dimensional
-(CPU, memory, id) keys without re-scanning -- so the optimized solver is
-bit-for-bit identical to the seed implementation (enforced by
-``tests/property/test_solver_equivalence.py``) while a 2000-job /
-200-node cycle costs milliseconds.
+Each placed VM costs one cheap step: the residual node capacities are
+plain float lists (:class:`_ClusterState`), read and written per VM with
+the seed's float arithmetic, and each entry goes into the placement with
+one :meth:`~repro.cluster.placement.Placement.place` call.  The
+per-request node-selection queries (:meth:`PlacementSolver._best_node_for`,
+:meth:`PlacementSolver._node_with_room`, the new-instance candidate
+order) are vectorized reductions over numpy copies of the residuals,
+which admission and rebalance keep in step with their own changes,
+instead of per-request Python ``sorted`` scans.  The reductions
+replicate the documented lexicographic tie-break keys *exactly* -- a
+maintained heap could not serve the two-dimensional (CPU, memory, id)
+keys without re-scanning -- so the optimized solver is bit-for-bit
+identical to the seed implementation, entry insertion order included
+(enforced by ``tests/property/test_solver_equivalence.py``), while a
+2000-job / 200-node cycle costs milliseconds.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Optional, Sequence
@@ -53,10 +57,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..cluster.node import NodeSpec
-from ..cluster.placement import Placement, PlacementEntry
+from ..cluster.placement import Placement
+from ..cluster.vm import instance_vm_id
 from ..config import SolverConfig
 from ..errors import ConfigurationError
-from ..types import Megabytes, Mhz, WorkloadKind
+from ..types import Mhz, WorkloadKind
 from .job_scheduler import (
     AppRequest,
     EvictionPolicy,
@@ -72,6 +77,7 @@ _MHZ_EPS = 1e-6
 #: the former lambdas, without the per-element Python-frame cost.
 _by_app_id = attrgetter("app_id")
 _by_job_id = attrgetter("job_id")
+_by_node_id = attrgetter("node_id")
 _by_vm_id = attrgetter("vm_id")
 
 #: Population size beyond which water-fill orders targets with numpy's
@@ -82,26 +88,28 @@ _WATER_FILL_VECTOR_MIN = 128
 
 
 class _ClusterState:
-    """Residual per-node capacity during solving, columnar.
+    """Residual per-node capacity during solving.
 
     Node order is fixed at construction: ids sorted ascending.  CPU and
-    memory residuals are float64 arrays so the selection queries reduce
-    over them without materializing Python tuples; scalar reads/writes go
-    through plain indexing (IEEE-identical to the seed's per-object
-    float arithmetic).
+    memory residuals are plain float lists, read and written once or
+    twice per placed VM (the seed's per-object float arithmetic, at a
+    fraction of a numpy scalar access's cost).  The vectorized node
+    queries work on a numpy copy (:meth:`arrays`) that their phase keeps
+    in step with each change it makes.
     """
 
     __slots__ = ("ids", "pos", "cpu", "mem")
 
     def __init__(self, nodes: Sequence[NodeSpec]) -> None:
-        ordered = sorted(nodes, key=lambda n: n.node_id)
+        ordered = sorted(nodes, key=_by_node_id)
         self.ids: list[str] = [n.node_id for n in ordered]
         self.pos: dict[str, int] = {nid: i for i, nid in enumerate(self.ids)}
-        self.cpu = np.array([n.cpu_capacity for n in ordered], dtype=float)
-        self.mem = np.array([n.memory_mb for n in ordered], dtype=float)
+        self.cpu: list[float] = [float(n.cpu_capacity) for n in ordered]
+        self.mem: list[float] = [float(n.memory_mb) for n in ordered]
 
-    def __contains__(self, node_id: str) -> bool:
-        return node_id in self.pos
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Float64 copies of the CPU and memory residuals."""
+        return np.array(self.cpu, dtype=float), np.array(self.mem, dtype=float)
 
 
 @dataclass
@@ -214,9 +222,14 @@ class PlacementSolver:
         )
         budget = [self.config.change_budget]  # boxed; None = unlimited
 
+        # Each app with its instances on active nodes, both in id order.
+        app_instances = [
+            (app, sorted(n for n in app.current_nodes if n in state.pos))
+            for app in sorted(apps, key=_by_app_id)
+        ]
         # Memory of already-running web instances is committed before any
         # job decisions, so admissions cannot squat on it.
-        self._reserve_web_memory(apps, state)
+        self._reserve_web_memory(app_instances, state)
 
         running, waiting = self._partition_jobs(jobs, state)
         self._retain_and_waterfill(running, state, solution)
@@ -229,7 +242,7 @@ class PlacementSolver:
         solution.unplaced_jobs = [r.job_id for r in leftover]
         self._rebalance(running, state, solution, budget)
         self._boost_jobs(jobs, state, solution, lr_target)
-        self._place_web(apps, state, solution, budget)
+        self._place_web(app_instances, state, solution, budget)
         return solution
 
     # ------------------------------------------------------------------
@@ -237,39 +250,40 @@ class PlacementSolver:
     # ------------------------------------------------------------------
     @staticmethod
     def _reserve_web_memory(
-        apps: Sequence[AppRequest], state: _ClusterState
+        app_instances: list[tuple[AppRequest, list[str]]], state: _ClusterState
     ) -> None:
         """Commit the memory of instances that enter the cycle running."""
-        for app in sorted(apps, key=_by_app_id):
-            for node_id in sorted(app.current_nodes):
-                if node_id in state:
-                    i = state.pos[node_id]
-                    state.mem[i] -= app.instance_memory_mb
-                    if state.mem[i] < -1e-6:
-                        raise ConfigurationError(
-                            f"node {node_id}: running web instances exceed memory"
-                        )
+        mem, pos = state.mem, state.pos
+        for app, instance_nodes in app_instances:
+            for node_id in instance_nodes:
+                i = pos[node_id]
+                mem[i] -= app.instance_memory_mb
+                if mem[i] < -1e-6:
+                    raise ConfigurationError(
+                        f"node {node_id}: running web instances exceed memory"
+                    )
 
     @staticmethod
     def _partition_jobs(
         jobs: Sequence[JobRequest], state: _ClusterState
     ) -> tuple[list[JobRequest], list[JobRequest]]:
-        """Split into (retained running, waiting) requests.
+        """Split into (retained running, waiting) requests, each in job-id order.
 
         Jobs whose recorded host is not an active node are displaced and
         join the waiting set.
         """
         running: list[JobRequest] = []
         waiting: list[JobRequest] = []
+        pos = state.pos
         for request in sorted(jobs, key=_by_job_id):
-            if request.current_node is not None and request.current_node in state:
+            if request.current_node is not None and request.current_node in pos:
                 running.append(request)
             else:
                 waiting.append(request)
         return running, waiting
 
+    @staticmethod
     def _retain_and_waterfill(
-        self,
         running: list[JobRequest],
         state: _ClusterState,
         solution: PlacementSolution,
@@ -277,26 +291,38 @@ class PlacementSolver:
         """Phases 1-2: keep running jobs in place, grant CPU by water-fill."""
         by_node: dict[str, list[JobRequest]] = {}
         for request in running:
-            assert request.current_node is not None
             by_node.setdefault(request.current_node, []).append(request)
+        cpu, mem, pos = state.cpu, state.mem, state.pos
+        place = solution.placement.place
+        job_rates = solution.job_rates
+        long_running = WorkloadKind.LONG_RUNNING
         for node_id in sorted(by_node):
-            i = state.pos[node_id]
-            members = sorted(by_node[node_id], key=_by_job_id)
-            targets = [min(r.target_rate, r.speed_cap) for r in members]
-            grants = water_fill(targets, float(state.cpu[i]))
+            i = pos[node_id]
+            # ``running`` is in job-id order, so each node's members are.
+            members = by_node[node_id]
+            grants = [min(r.target_rate, r.speed_cap) for r in members]
+            node_cpu = cpu[i]
+            if not sum(grants) <= node_cpu:  # water_fill returns fitting targets
+                grants = water_fill(grants, node_cpu)
+            node_mem = mem[i]
             for request, grant in zip(members, grants):
-                state.mem[i] -= request.memory_mb
-                state.cpu[i] -= grant
-                self._place_job(solution, request, node_id, grant)
-        # Memory feasibility is inherited from the previous (validated)
-        # placement; a defensive check still guards solver-input bugs.
-        violations = np.flatnonzero(state.mem < -1e-6)
-        if violations.size:
-            bad = int(violations[0])  # first in id order, like the seed's scan
-            raise ConfigurationError(
-                f"node {state.ids[bad]}: retained jobs exceed memory "
-                f"({state.mem[bad]:.1f} MB)"
-            )
+                node_mem -= request.memory_mb
+                node_cpu -= grant
+                if grant < 0.0:  # as _place_job clamps
+                    grant = 0.0
+                place(request.vm_id, node_id, grant, request.memory_mb, long_running)
+                job_rates[request.job_id] = grant
+            cpu[i] = node_cpu
+            mem[i] = node_mem
+            # Memory feasibility is inherited from the previous (validated)
+            # placement; a defensive check still guards solver-input bugs.
+            # Web reservations raised already, so this node, the first in
+            # id order to fall short, is the one a scan of all would name.
+            if node_mem < -1e-6:
+                raise ConfigurationError(
+                    f"node {node_id}: retained jobs exceed memory "
+                    f"({node_mem:.1f} MB)"
+                )
 
     def _admit(
         self,
@@ -307,6 +333,8 @@ class PlacementSolver:
     ) -> list[JobRequest]:
         """Phase 3: place waiting jobs, most urgent first.  Returns leftovers."""
         leftover: list[JobRequest] = []
+        if not runnable:
+            return leftover
         # While no admission succeeds the node state is frozen, so one
         # reduction over it bounds every later query: a request needing
         # more memory than any minimally-fast node offers cannot fit.
@@ -314,13 +342,15 @@ class PlacementSolver:
         # memory slots; this makes each such failure O(1) instead of a
         # full node scan, with exactly the same outcome.
         min_rate = self.config.min_job_rate
+        cpu, mem = state.cpu, state.mem
+        cpu_arr, mem_arr = state.arrays()
         max_fit_mem: Optional[float] = None  # None = stale, recompute
         for request in runnable:
             if not self._budget_allows(budget, 1):
                 leftover.append(request)
                 continue
             if max_fit_mem is None:
-                eligible = np.where(state.cpu >= min_rate, state.mem, -np.inf)
+                eligible = np.where(cpu_arr >= min_rate, mem_arr, -np.inf)
                 max_fit_mem = float(eligible.max()) if eligible.size else -np.inf
             if (
                 request.memory_mb > max_fit_mem
@@ -330,16 +360,17 @@ class PlacementSolver:
                 # both the memory and a grant reaching min_job_rate.
                 leftover.append(request)
                 continue
-            node_id = self._best_node_for(request, state)
-            if node_id is None:
+            i = self._best_node_for(request, cpu_arr, mem_arr)
+            if i is None:
                 leftover.append(request)
                 continue
             max_fit_mem = None  # placement below mutates the state
-            i = state.pos[node_id]
-            grant = min(request.target_rate, request.speed_cap, float(state.cpu[i]))
-            state.mem[i] -= request.memory_mb
-            state.cpu[i] -= grant
-            self._place_job(solution, request, node_id, grant)
+            grant = min(request.target_rate, request.speed_cap, cpu[i])
+            mem[i] -= request.memory_mb
+            cpu[i] -= grant
+            cpu_arr[i] = cpu[i]
+            mem_arr[i] = mem[i]
+            self._place_job(solution, request, state.ids[i], grant)
             self._spend(budget, 1)
             solution.changes += 1
         return leftover
@@ -363,6 +394,7 @@ class PlacementSolver:
         victims = self._eviction.victim_index(
             [r for r in running if r.job_id in solution.job_rates]
         )
+        cpu, mem = state.cpu, state.mem
         evictions = 0
         for request in leftover:
             if evictions >= self.config.max_evictions:
@@ -376,15 +408,15 @@ class PlacementSolver:
             assert victim_node is not None
             i = state.pos[victim_node]
             # Undo the victim's placement.
-            state.mem[i] += victim.memory_mb
-            state.cpu[i] += solution.job_rates.pop(victim.job_id)
+            mem[i] += victim.memory_mb
+            cpu[i] += solution.job_rates.pop(victim.job_id)
             solution.placement.remove(victim.vm_id)
             solution.evicted_jobs.append(victim.job_id)
             victims.discard(victim)
             # Place the more urgent job in the freed slot.
-            grant = min(request.target_rate, request.speed_cap, float(state.cpu[i]))
-            state.mem[i] -= request.memory_mb
-            state.cpu[i] -= grant
+            grant = min(request.target_rate, request.speed_cap, cpu[i])
+            mem[i] -= request.memory_mb
+            cpu[i] -= grant
             self._place_job(solution, request, victim_node, grant)
             self._spend(budget, 2)
             solution.changes += 2
@@ -402,14 +434,20 @@ class PlacementSolver:
         if self.config.max_migrations == 0:
             return
         starved: list[tuple[float, JobRequest]] = []
+        job_rates = solution.job_rates
+        deficit_ratio = self.config.migration_deficit
         for request in running:
-            granted = solution.job_rates.get(request.job_id)
+            granted = job_rates.get(request.job_id)
             if granted is None:  # evicted above
                 continue
             target = min(request.target_rate, request.speed_cap)
-            if target > 0 and granted < target * self.config.migration_deficit:
+            if target > 0 and granted < target * deficit_ratio:
                 starved.append((target - granted, request))
+        if not starved:
+            return
         starved.sort(key=lambda pair: (-pair[0], pair[1].job_id))
+        cpu, mem = state.cpu, state.mem
+        cpu_arr, mem_arr = state.arrays()
         migrated = 0
         for deficit, request in starved:
             if migrated >= self.config.max_migrations:
@@ -417,25 +455,27 @@ class PlacementSolver:
             if not self._budget_allows(budget, 1):
                 break
             target = min(request.target_rate, request.speed_cap)
-            dest = self._node_with_room(request, state, need_cpu=target)
-            if dest is None or dest == request.current_node:
+            dest = self._node_with_room(request, cpu_arr, mem_arr, need_cpu=target)
+            if dest is None or state.ids[dest] == request.current_node:
                 continue
-            src = state.pos[request.current_node]  # type: ignore[arg-type]
-            state.mem[src] += request.memory_mb
-            state.cpu[src] += solution.job_rates.pop(request.job_id)
+            src = state.pos[request.current_node]  # type: ignore[index]
+            mem[src] += request.memory_mb
+            cpu[src] += job_rates.pop(request.job_id)
             solution.placement.remove(request.vm_id)
-            i = state.pos[dest]
-            grant = min(target, float(state.cpu[i]))
-            state.mem[i] -= request.memory_mb
-            state.cpu[i] -= grant
-            self._place_job(solution, request, dest, grant)
+            grant = min(target, cpu[dest])
+            mem[dest] -= request.memory_mb
+            cpu[dest] -= grant
+            for i in (src, dest):
+                cpu_arr[i] = cpu[i]
+                mem_arr[i] = mem[i]
+            self._place_job(solution, request, state.ids[dest], grant)
             solution.migrated_jobs.append(request.job_id)
             self._spend(budget, 1)
             solution.changes += 1
             migrated += 1
 
+    @staticmethod
     def _boost_jobs(
-        self,
         jobs: Sequence[JobRequest],
         state: _ClusterState,
         solution: PlacementSolution,
@@ -455,15 +495,13 @@ class PlacementSolver:
             return
         caps = {r.vm_id: r.speed_cap for r in jobs}
         job_ids = {r.vm_id: r.job_id for r in jobs}
+        cpu = state.cpu
+        placement = solution.placement
         for i, node_id in enumerate(state.ids):
             if room <= _MHZ_EPS:
                 break
             entries = sorted(
-                (
-                    e
-                    for e in solution.placement.entries_on(node_id)
-                    if e.vm_id in caps
-                ),
+                (e for e in placement.entries_on(node_id) if e.vm_id in caps),
                 key=_by_vm_id,
             )
             if not entries:
@@ -475,118 +513,107 @@ class PlacementSolver:
                 cpu_arr = np.fromiter(
                     (e.cpu_mhz for e in entries), dtype=float, count=len(entries)
                 )
-                headroom: Sequence[float] = np.maximum(cap_arr - cpu_arr, 0.0)
+                # Back to Python floats: the residuals stay plain floats.
+                headroom = np.maximum(cap_arr - cpu_arr, 0.0).tolist()
             else:
                 headroom = [max(caps[e.vm_id] - e.cpu_mhz, 0.0) for e in entries]
             # Residuals can carry -1e-14-scale float dust after repeated
             # subtraction; clamp before sharing.
-            budget_here = max(min(float(state.cpu[i]), room), 0.0)
+            budget_here = max(min(cpu[i], room), 0.0)
             extra = water_fill(headroom, budget_here)
             for entry, boost in zip(entries, extra):
                 if boost <= _MHZ_EPS:
                     continue
                 new_grant = entry.cpu_mhz + boost
-                solution.placement.update_cpu(entry.vm_id, new_grant)
+                placement.update_cpu(entry.vm_id, new_grant)
                 solution.job_rates[job_ids[entry.vm_id]] = new_grant
-                state.cpu[i] -= boost
+                cpu[i] -= boost
                 room -= boost
 
     def _place_web(
         self,
-        apps: Sequence[AppRequest],
+        app_instances: list[tuple[AppRequest, list[str]]],
         state: _ClusterState,
         solution: PlacementSolution,
         budget: list[Optional[int]],
     ) -> None:
         """Phase 6: distribute app targets over instances; start/stop instances."""
-        for app in sorted(apps, key=_by_app_id):
+        cpu, mem, pos = state.cpu, state.mem, state.pos
+        place = solution.placement.place
+        for app, instance_nodes in app_instances:
             remaining = app.target_allocation
-            instance_nodes = sorted(n for n in app.current_nodes if n in state)
             grants: dict[str, Mhz] = {}
 
-            # Fair first pass over existing instances, greedy second pass.
+            # Fair first pass over existing instances, greedy second pass
+            # (most free CPU first) while a share is left.
             if instance_nodes:
                 fair = remaining / len(instance_nodes)
                 for node_id in instance_nodes:
-                    i = state.pos[node_id]
-                    give = min(float(state.cpu[i]), fair, remaining)
+                    i = pos[node_id]
+                    give = min(cpu[i], fair, remaining)
                     grants[node_id] = give
-                    state.cpu[i] -= give
+                    cpu[i] -= give
                     remaining -= give
-                for node_id in sorted(
-                    instance_nodes, key=lambda n: -float(state.cpu[state.pos[n]])
-                ):
-                    if remaining <= _MHZ_EPS:
-                        break
-                    i = state.pos[node_id]
-                    give = min(float(state.cpu[i]), remaining)
-                    grants[node_id] += give
-                    state.cpu[i] -= give
-                    remaining -= give
+                if not remaining <= _MHZ_EPS:
+                    for node_id in sorted(instance_nodes, key=lambda n: -cpu[pos[n]]):
+                        if remaining <= _MHZ_EPS:
+                            break
+                        i = pos[node_id]
+                        give = min(cpu[i], remaining)
+                        grants[node_id] += give
+                        cpu[i] -= give
+                        remaining -= give
 
             # Start new instances while a meaningful share is unplaced.
-            # Candidate order (most free CPU first, ids break ties) comes
-            # from one stable argsort instead of a keyed Python sort.
-            threshold = app.target_allocation * self.config.web_start_threshold
+            threshold = max(
+                app.target_allocation * self.config.web_start_threshold, _MHZ_EPS
+            )
             count = len(instance_nodes)
-            order = np.argsort(-state.cpu, kind="stable")
-            candidates = [
-                state.ids[j] for j in order if state.ids[j] not in app.current_nodes
-            ]
-            if app.preferred_nodes:
-                # Latency-aware ranking: ranked nodes first (lower rank =
-                # closer to the users), free-CPU order within a rank and
-                # among the unranked tail (stable sort).
-                rank = dict(app.preferred_nodes)
-                unranked = len(rank)
-                candidates.sort(key=lambda nid: rank.get(nid, unranked))
-            for node_id in candidates:
-                if remaining <= max(threshold, _MHZ_EPS) or count >= app.max_instances:
-                    break
-                i = state.pos[node_id]
-                if state.mem[i] < app.instance_memory_mb or state.cpu[i] <= _MHZ_EPS:
-                    continue
-                if not self._budget_allows(budget, 1):
-                    break
-                give = min(float(state.cpu[i]), remaining)
-                state.mem[i] -= app.instance_memory_mb
-                state.cpu[i] -= give
-                grants[node_id] = give
-                solution.started_instances.append((app.app_id, node_id))
-                self._spend(budget, 1)
-                solution.changes += 1
-                count += 1
-                remaining -= give
+            if not (remaining <= threshold or count >= app.max_instances):
+                for node_id in self._start_candidates(app, state):
+                    if remaining <= threshold or count >= app.max_instances:
+                        break
+                    i = pos[node_id]
+                    if mem[i] < app.instance_memory_mb or cpu[i] <= _MHZ_EPS:
+                        continue
+                    if not self._budget_allows(budget, 1):
+                        break
+                    give = min(cpu[i], remaining)
+                    mem[i] -= app.instance_memory_mb
+                    cpu[i] -= give
+                    grants[node_id] = give
+                    solution.started_instances.append((app.app_id, node_id))
+                    self._spend(budget, 1)
+                    solution.changes += 1
+                    count += 1
+                    remaining -= give
 
             # Stop idle instances (never below min_instances); their memory
             # returns to the pool for apps processed later this cycle.
             if self.config.stop_idle_instances:
-                for node_id in sorted(instance_nodes):
+                for node_id in instance_nodes:
                     if count <= app.min_instances:
                         break
                     if grants.get(node_id, 0.0) <= _MHZ_EPS:
                         if not self._budget_allows(budget, 1):
                             break
                         grants.pop(node_id, None)
-                        state.mem[state.pos[node_id]] += app.instance_memory_mb
+                        mem[pos[node_id]] += app.instance_memory_mb
                         solution.stopped_instances.append((app.app_id, node_id))
                         self._spend(budget, 1)
                         solution.changes += 1
                         count -= 1
-                        continue
 
             # Record placement entries (memory was reserved up front for
             # retained instances and at start time for new ones).
             total = 0.0
             for node_id, grant in sorted(grants.items()):
-                solution.placement.add(
-                    PlacementEntry(
-                        vm_id=app.instance_vm_id(node_id),
-                        node_id=node_id,
-                        cpu_mhz=grant,
-                        memory_mb=app.instance_memory_mb,
-                        kind=WorkloadKind.TRANSACTIONAL,
-                    )
+                place(
+                    instance_vm_id(app.app_id, node_id),
+                    node_id,
+                    grant,
+                    app.instance_memory_mb,
+                    WorkloadKind.TRANSACTIONAL,
                 )
                 total += grant
             solution.app_allocations[app.app_id] = total
@@ -598,55 +625,69 @@ class PlacementSolver:
     def _place_job(
         solution: PlacementSolution, request: JobRequest, node_id: str, grant: Mhz
     ) -> None:
-        # Trusted construction: the grant is clamped non-negative here and
-        # the footprint was validated on the request.
-        grant = float(max(grant, 0.0))
-        solution.placement.add(
-            PlacementEntry.trusted(
-                request.vm_id,
-                node_id,
-                grant,
-                request.memory_mb,
-                WorkloadKind.LONG_RUNNING,
-            )
+        # The grant is clamped non-negative: max(grant, 0.0), NaN kept.
+        if grant < 0.0:
+            grant = 0.0
+        solution.placement.place(
+            request.vm_id, node_id, grant, request.memory_mb, WorkloadKind.LONG_RUNNING
         )
         solution.job_rates[request.job_id] = grant
 
-    def _best_node_for(
-        self, request: JobRequest, state: _ClusterState
-    ) -> Optional[str]:
-        """Node giving the job the most CPU (ties: less spare memory, id).
+    @staticmethod
+    def _start_candidates(app: AppRequest, state: _ClusterState) -> list[str]:
+        """Nodes without an instance of ``app``, in the order new ones start.
 
-        Vectorized lexicographic minimum of ``(-grant, mem, node_id)``:
-        maximize the achievable grant, then prefer the tightest memory
-        fit, then the smallest id (node order is id-sorted, so "first
-        index" is the id tie-break).  Identical to the seed's scan.
+        Most free CPU first, ids breaking ties (one stable argsort instead
+        of a keyed Python sort); with a latency-aware ranking, ranked
+        nodes first (lower rank = closer to the users), that order within
+        a rank and among the unranked tail (stable sort).
+        """
+        ids, current = state.ids, app.current_nodes
+        order = np.argsort(-np.array(state.cpu, dtype=float), kind="stable").tolist()
+        candidates = [ids[j] for j in order if ids[j] not in current]
+        if app.preferred_nodes:
+            rank = dict(app.preferred_nodes)
+            unranked = len(rank)
+            candidates.sort(key=lambda nid: rank.get(nid, unranked))
+        return candidates
+
+    def _best_node_for(
+        self, request: JobRequest, cpu: np.ndarray, mem: np.ndarray
+    ) -> Optional[int]:
+        """Index of the node giving the job the most CPU (ties: less spare
+        memory, id).
+
+        Vectorized lexicographic minimum of ``(-grant, mem, node_id)``
+        over the residual arrays: maximize the achievable grant, then
+        prefer the tightest memory fit, then the smallest id (node order
+        is id-sorted, so "first index" is the id tie-break).  Identical to
+        the seed's scan.
         """
         want = min(request.target_rate, request.speed_cap)
-        grant = np.minimum(state.cpu, want)
-        ok = (state.mem >= request.memory_mb) & (grant >= self.config.min_job_rate)
+        grant = np.minimum(cpu, want)
+        ok = (mem >= request.memory_mb) & (grant >= self.config.min_job_rate)
         if not ok.any():
             return None
         masked = np.where(ok, grant, -np.inf)
         best = masked.max()
-        mem_among_best = np.where(masked == best, state.mem, np.inf)
-        return state.ids[int(np.argmin(mem_among_best))]
+        mem_among_best = np.where(masked == best, mem, np.inf)
+        return int(np.argmin(mem_among_best))
 
     @staticmethod
     def _node_with_room(
-        request: JobRequest, state: _ClusterState, need_cpu: Mhz
-    ) -> Optional[str]:
-        """A node that can host the job at its full target, or ``None``.
+        request: JobRequest, cpu: np.ndarray, mem: np.ndarray, need_cpu: Mhz
+    ) -> Optional[int]:
+        """Index of a node that can host the job at its full target, or ``None``.
 
         Vectorized first-match of the seed's ``(-cpu, id)`` scan order:
         the first index attaining the maximal free CPU among feasible
         nodes (``argmax`` returns the earliest, i.e. smallest id).
         """
-        ok = (state.mem >= request.memory_mb) & (state.cpu >= need_cpu)
+        ok = (mem >= request.memory_mb) & (cpu >= need_cpu)
         if not ok.any():
             return None
-        masked = np.where(ok, state.cpu, -np.inf)
-        return state.ids[int(np.argmax(masked))]
+        masked = np.where(ok, cpu, -np.inf)
+        return int(np.argmax(masked))
 
     @staticmethod
     def _budget_allows(budget: list[Optional[int]], cost: int) -> bool:

@@ -93,6 +93,12 @@ class PlacementPolicy(Protocol):
 
         ``jobs`` are the live jobs: submitted, not completed or
         cancelled, in trace order.
+
+        The runner takes ownership of the returned placement
+        (``decision.placement``): it becomes the runner's incumbent,
+        handed back as ``current_placement`` next cycle, and the runner
+        removes entries from it as jobs complete and nodes fail in
+        between.  A policy must not keep or reuse that object.
         """
         ...
 
@@ -538,8 +544,10 @@ class ExperimentRunner:
         )
         decision.placement.validate(self._cluster)
         self._enact(decision.actions, t)
-        self._action_log.count(list(decision.actions))
-        self._placement = decision.placement.copy()
+        self._action_log.count(decision.actions)
+        # The runner owns the decided placement from here on: completions
+        # and failures remove entries from it (see PlacementPolicy.decide).
+        self._placement = decision.placement
         self._reschedule_completions(t)
         self._record(t, decision)
         self._cycles += 1
@@ -602,8 +610,25 @@ class ExperimentRunner:
                 self._apply(action, t)
 
     def _apply(self, action: PlacementAction, t: Seconds) -> None:
+        # Dispatch on the exact action type, CPU adjustments first: they
+        # are nearly every action of a cycle.
+        kind = type(action)
         costs = self.scenario.costs
-        if isinstance(action, StartVm):
+        if kind is AdjustCpu:
+            job_id = self._vm_to_job.get(action.vm_id)
+            if job_id is None:
+                app_id, node_id = self._parse_instance(action.vm_id)
+                self._apps[app_id].set_instance_allocation(node_id, action.cpu_mhz)
+            elif job_id in self._rate_events:
+                # Still in a start/resume/migrate pause: retarget the
+                # pending rate instead of applying it early.
+                pending = self._rate_events.pop(job_id)
+                when = pending.time
+                pending.cancel()
+                self._schedule_rate(self._jobs[job_id], when, action.cpu_mhz)
+            else:
+                self._jobs[job_id].set_rate(t, action.cpu_mhz)
+        elif kind is StartVm:
             if action.vm_id in self._vm_to_job:
                 job = self._job_of(action.vm_id)
                 job.start(t, action.node_id, 0.0)
@@ -611,7 +636,7 @@ class ExperimentRunner:
             else:
                 app_id, node_id = self._parse_instance(action.vm_id)
                 self._apps[app_id].start_instance(t, node_id, action.cpu_mhz)
-        elif isinstance(action, StopVm):
+        elif kind is StopVm:
             if action.vm_id in self._vm_to_job:
                 job_id = self._vm_to_job[action.vm_id]
                 self._cancel_events(job_id)
@@ -620,36 +645,21 @@ class ExperimentRunner:
             else:
                 app_id, node_id = self._parse_instance(action.vm_id)
                 self._apps[app_id].stop_instance(node_id)
-        elif isinstance(action, SuspendVm):
+        elif kind is SuspendVm:
             job = self._job_of(action.vm_id)
             self._cancel_events(job.job_id)
             loss = costs.suspend_checkpoint_loss * job.rate
             job.suspend(t, work_lost=loss)
-        elif isinstance(action, ResumeVm):
+        elif kind is ResumeVm:
             job = self._job_of(action.vm_id)
             self._cancel_events(job.job_id)
             job.start(t, action.node_id, 0.0)
             self._schedule_rate(job, t + costs.resume_delay, action.cpu_mhz)
-        elif isinstance(action, MigrateVm):
+        elif kind is MigrateVm:
             job = self._job_of(action.vm_id)
             self._cancel_events(job.job_id)
             job.migrate(t, action.dst_node_id, 0.0)
             self._schedule_rate(job, t + costs.migrate_pause, action.cpu_mhz)
-        elif isinstance(action, AdjustCpu):
-            if action.vm_id in self._vm_to_job:
-                job = self._job_of(action.vm_id)
-                if job.job_id in self._rate_events:
-                    # Still in a start/resume/migrate pause: retarget the
-                    # pending rate instead of applying it early.
-                    pending = self._rate_events.pop(job.job_id)
-                    when = pending.time
-                    pending.cancel()
-                    self._schedule_rate(job, when, action.cpu_mhz)
-                else:
-                    job.set_rate(t, action.cpu_mhz)
-            else:
-                app_id, node_id = self._parse_instance(action.vm_id)
-                self._apps[app_id].set_instance_allocation(node_id, action.cpu_mhz)
         else:  # pragma: no cover - exhaustive over the action union
             raise SimulationError(f"unknown action {action!r}")
 
@@ -774,7 +784,12 @@ class ExperimentRunner:
         satisfied_lr = solution.satisfied_lr_demand
         rec.record("lr_allocation", t, satisfied_lr)
         rec.record("lr_demand", t, longrunning_max_utility_demand(population))
-        lr_utility = mean_hypothetical_utility(population, satisfied_lr)
+        # The level the controller equalized this cycle, at its arbiter
+        # share, starts the solve near the level at the granted share; the
+        # result is the same from any start.
+        lr_utility = mean_hypothetical_utility(
+            population, satisfied_lr, start=decision.hypothetical.utility_level
+        )
         rec.record("lr_utility", t, lr_utility)
         rec.record("lr_utility_target", t, decision.hypothetical.mean_utility)
 
@@ -885,12 +900,11 @@ class ExperimentRunner:
         if diag.pool_failures:
             rec.bump("fallback:shard-pool", diag.pool_failures)
 
-        counts = {phase: 0 for phase in JobPhase}
-        for job in self._live.values():
-            counts[job.phase] += 1
-        rec.record("jobs_running", t, counts[JobPhase.RUNNING])
-        rec.record("jobs_suspended", t, counts[JobPhase.SUSPENDED])
-        rec.record("jobs_pending", t, counts[JobPhase.PENDING])
+        # list.count compares enum members by identity, in C: no hashing.
+        phases = [job.phase for job in self._live.values()]
+        rec.record("jobs_running", t, phases.count(JobPhase.RUNNING))
+        rec.record("jobs_suspended", t, phases.count(JobPhase.SUSPENDED))
+        rec.record("jobs_pending", t, phases.count(JobPhase.PENDING))
         rec.record("jobs_completed_series", t, rec.counter("jobs_completed"))
 
     # ------------------------------------------------------------------

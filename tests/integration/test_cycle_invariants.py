@@ -22,11 +22,14 @@ import math
 from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import Experiment, available_scenarios
 from repro.baselines.registry import get_policy
 from repro.cluster.vm import parse_instance_vm_id
 from repro.experiments.runner import ExperimentRunner
+from repro.experiments.scenario import NodeBrownout, NodeFailure
 from repro.workloads import JobPhase
 
 WORK_RTOL = 1e-9
@@ -138,3 +141,58 @@ def test_invariants_hold_on_a_trace_not_sorted_by_submit_time():
     assert submits != sorted(submits)
     result = run_checked(dataclasses.replace(scenario, job_specs=reversed_trace))
     assert result.recorder.counter("jobs_completed") > 0
+
+
+#: The smoke scenario's nodes, horizon and control cycle.
+SMOKE_NODES = ("node000", "node001", "node002", "node003")
+SMOKE_HORIZON = 6_000.0
+SMOKE_CYCLE = 300.0
+
+
+@st.composite
+def _fault_window(draw):
+    """``(at, restore_at)``: any instant, or exactly a control cycle's (a
+    fault and a decision at the same time), restored later or never."""
+    at = draw(
+        st.one_of(
+            st.floats(min_value=0.0, max_value=SMOKE_HORIZON),
+            st.integers(0, 20).map(lambda k: k * SMOKE_CYCLE),
+        )
+    )
+    length = draw(st.one_of(st.none(), st.floats(min_value=1.0, max_value=3_000.0)))
+    return at, None if length is None else at + length
+
+
+@st.composite
+def fault_schedules(draw):
+    nodes = st.sampled_from(SMOKE_NODES)
+    failures = []
+    for _ in range(draw(st.integers(0, 3))):
+        at, restore_at = draw(_fault_window())
+        failures.append(NodeFailure(at=at, node_id=draw(nodes), restore_at=restore_at))
+    brownouts = []
+    for _ in range(draw(st.integers(0, 3))):
+        at, restore_at = draw(_fault_window())
+        fraction = draw(st.floats(min_value=0.05, max_value=0.95))
+        brownouts.append(
+            NodeBrownout(
+                at=at, node_id=draw(nodes), fraction=fraction, restore_at=restore_at
+            )
+        )
+    return failures, brownouts
+
+
+@settings(max_examples=30, deadline=None)
+@given(fault_schedules(), st.sampled_from([1, 4]))
+def test_invariants_hold_under_random_fault_schedules(schedule, shards):
+    """Failures, brownouts and restores at random instants, on one or four
+    shards.  The runner owns the placement a decision returns and removes
+    completed and failed VMs from it between cycles; every cycle must
+    still see a consistent placement."""
+    failures, brownouts = schedule
+    overrides = {"controller.shards": shards} if shards > 1 else None
+    scenario = Experiment.from_spec("smoke", overrides=overrides).materialize()
+    assert scenario.horizon == SMOKE_HORIZON
+    assert scenario.controller.control_cycle == SMOKE_CYCLE
+    assert tuple(scenario.topology.build_cluster().node_ids) == SMOKE_NODES
+    run_checked(scenario.with_failures(failures).with_brownouts(brownouts))

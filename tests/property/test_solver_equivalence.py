@@ -8,6 +8,12 @@ return *byte-identical* solutions to the frozen seed implementation
 instances here sweep admission, eviction, migration, boost and web
 placement; the MILP differential harness separately validates
 feasibility.
+
+"Identical" includes order: the placement's entry insertion order, each
+node's entry order and the order of the rate and allocation maps.  They
+fix the order of float sums downstream -- the per-node CPU totals that
+``ResilientController._last_known_good`` scales on a brownout, and the
+satisfied demand the runner records.
 """
 
 import sys
@@ -97,14 +103,24 @@ def _random_instance(rng: np.random.Generator):
 
 
 def _solution_tuple(solution):
-    entries = sorted(
-        (e.vm_id, e.node_id, e.cpu_mhz, e.memory_mb, e.kind)
-        for e in solution.placement
-    )
+    placement = solution.placement
+    entries = [
+        (e.vm_id, e.node_id, e.cpu_mhz, e.memory_mb, e.kind) for e in placement
+    ]
+    by_node = [
+        (
+            node_id,
+            [e.vm_id for e in placement.entries_on(node_id)],
+            placement.cpu_used(node_id),
+            placement.memory_used(node_id),
+        )
+        for node_id in sorted({e.node_id for e in placement})
+    ]
     return (
         entries,
-        solution.job_rates,
-        solution.app_allocations,
+        by_node,
+        list(solution.job_rates.items()),
+        list(solution.app_allocations.items()),
         solution.deferred_jobs,
         solution.unplaced_jobs,
         solution.evicted_jobs,
@@ -140,6 +156,77 @@ def test_randomized_equivalence_with_seed_solver(seed):
 
     # Placements compare bit-for-bit: grants are floats, == is exact.
     assert new == ref
+
+
+def _scale_instance(rng: np.random.Generator):
+    """A scale-1000-shaped cycle, cut to 240 nodes: 1,600 jobs (half
+    retained, the rest queued past the free memory slots), an app with 192
+    instances next to one with 12, CPU-contended nodes and a long-running
+    share to boost."""
+    n_nodes, n_jobs = 240, 1600
+    nodes = [
+        NodeSpec(node_id=f"n{i:04d}", processors=2, mhz_per_processor=3000.0,
+                 memory_mb=4000.0)
+        for i in range(n_nodes)
+    ]
+    node_ids = [n.node_id for n in nodes]
+    capacity = n_nodes * 6000.0
+    used: dict[str, float] = {}
+    apps = []
+    for a, (count, share) in enumerate([(192, 0.45), (12, 0.02)]):
+        current = frozenset(
+            str(x) for x in rng.choice(node_ids, size=count, replace=False)
+        )
+        for node_id in current:
+            used[node_id] = used.get(node_id, 0.0) + 400.0
+        apps.append(
+            AppRequest(
+                app_id=f"app{a}",
+                target_allocation=share * capacity,
+                instance_memory_mb=400.0,
+                min_instances=1,
+                max_instances=n_nodes,
+                current_nodes=current,
+            )
+        )
+    jobs = []
+    for j in range(n_jobs):
+        mem = float(rng.choice([1200.0, 1200.0, 2000.0]))
+        current = str(rng.choice(node_ids)) if rng.random() < 0.5 else None
+        if current is not None:
+            if used.get(current, 0.0) + mem > 4000.0:
+                current = None
+            else:
+                used[current] = used.get(current, 0.0) + mem
+        jobs.append(
+            JobRequest(
+                job_id=f"job{j}",
+                vm_id=f"vm-job{j}",
+                target_rate=float(rng.uniform(0.0, 3000.0)),
+                speed_cap=3000.0,
+                memory_mb=mem,
+                current_node=current,
+                was_suspended=current is None and bool(rng.random() < 0.5),
+                submit_time=float(rng.uniform(0.0, 1e5)),
+                remaining_work=float(rng.uniform(0.0, 2e7)),
+            )
+        )
+    config = SolverConfig(eviction_margin=0.25, max_evictions=8, max_migrations=8)
+    return nodes, apps, jobs, 0.5 * capacity, config
+
+
+def test_scale_shaped_equivalence():
+    """Hundreds of nodes and instances: the vectorized node queries and
+    the per-node grant loops at a size the small random instances miss."""
+    nodes, apps, jobs, lr_target, config = _scale_instance(np.random.default_rng(0))
+    new = PlacementSolver(config).solve(nodes, apps, jobs, lr_target=lr_target)
+    ref = reference_solver.PlacementSolver(config).solve(
+        nodes, apps, jobs, lr_target=lr_target
+    )
+    assert _solution_tuple(new) == _solution_tuple(ref)
+    # The instance exercises every phase that changes the placement.
+    assert len(new.job_rates) > 500 and len(new.unplaced_jobs) > 500
+    assert new.evicted_jobs and new.started_instances and new.stopped_instances
 
 
 def test_eviction_heavy_equivalence():

@@ -23,7 +23,7 @@ import pytest
 from repro.cluster.node import NodeSpec
 from repro.cluster.placement import Placement
 from repro.core import ControlState, UtilityDrivenController
-from repro.core.hypothetical import HypotheticalEqualizer
+from repro.core.hypothetical import HypotheticalEqualizer, mean_hypothetical_utility
 from repro.perf.jobmodel import JobPopulation
 from repro.workloads.jobs import Job, JobSpec
 from repro.workloads.transactional import TransactionalAppSpec
@@ -315,6 +315,10 @@ class TestSeededEqualizerProperty:
                 seeded = HypotheticalEqualizer(population)
                 seeded.seed_level(low)
                 assert_bit_equal(seeded.equalize(allocation, bisect_iters=iters), want)
+                # ... also as the start of the recording step's solve ...
+                mean = mean_hypothetical_utility(population, allocation, start=low)
+                exact = reference_equalize(population, allocation)
+                assert mean.hex() == exact.mean_utility.hex()
                 # ... while a hostile prediction (a level, or a bracket in
                 # any order) reaches verification itself.
                 for prediction in ((low, low), (low, high)):

@@ -1,5 +1,7 @@
 """Unit tests for workload utility curves."""
 
+import math
+
 import pytest
 
 from repro.core import (
@@ -8,7 +10,7 @@ from repro.core import (
     TransactionalCurve,
     effective_capacity,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ModelError
 from repro.perf import ClosedTransactionalModel
 from repro.types import WorkloadKind
 from repro.utility import TransactionalUtility
@@ -45,6 +47,11 @@ class TestTransactionalCurve:
         curve = tx_curve()
         assert curve.allocation_for_utility(10.0) == curve.max_utility_demand
 
+    @pytest.mark.parametrize("allocation", [math.nan, -1.0])
+    def test_invalid_allocation_rejected(self, allocation):
+        with pytest.raises(ModelError):
+            tx_curve().utility(allocation)
+
 
 class TestAggregateCurve:
     def test_single_member_passthrough(self):
@@ -72,6 +79,15 @@ class TestAggregateCurve:
         agg = TransactionalAggregateCurve(members)
         shares = agg.split(10 * agg.max_utility_demand)
         assert shares == [m.max_utility_demand for m in members]
+
+    @pytest.mark.parametrize("allocation", [math.nan, -1.0])
+    @pytest.mark.parametrize("apps", [1, 2])
+    def test_invalid_allocation_rejected(self, apps, allocation):
+        agg = TransactionalAggregateCurve([tx_curve(210.0), tx_curve(100.0, goal=0.6)][:apps])
+        with pytest.raises(ModelError):
+            agg.split(allocation)
+        with pytest.raises(ModelError):
+            agg.utility(allocation)
 
     def test_empty_aggregate_rejected(self):
         with pytest.raises(ConfigurationError):
