@@ -43,7 +43,7 @@ import time
 import numpy as np
 
 from repro.cluster import Placement, PlacementEntry, homogeneous_cluster
-from repro.cluster.vm import instance_vm_id
+from repro.cluster.placement import instance_vm_id
 from repro.config import ControllerConfig
 from repro.core import ShardedController, UtilityDrivenController
 from repro.types import WorkloadKind
@@ -127,7 +127,7 @@ def build_state(
     for job in jobs:
         if job.node_id is not None:
             placement.add(PlacementEntry(
-                vm_id=job.vm.vm_id, node_id=job.node_id,
+                vm_id=job.vm_id, node_id=job.node_id,
                 cpu_mhz=job.rate, memory_mb=1200.0,
                 kind=WorkloadKind.LONG_RUNNING,
             ))

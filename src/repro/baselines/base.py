@@ -14,7 +14,6 @@ from typing import Mapping, Optional, Sequence
 
 from ..cluster.node import NodeSpec
 from ..cluster.placement import Placement
-from ..cluster.vm import VmState
 from ..core.actions_planner import plan_actions, vm_states_of
 from ..core.controller import (
     ControlDecision,
@@ -29,7 +28,7 @@ from ..core.job_scheduler import JobRequest
 from ..core.placement_solver import PlacementSolution, PlacementSolver
 from ..perf.jobmodel import snapshot_jobs
 from ..types import Mhz, Seconds
-from ..workloads.jobs import Job
+from ..workloads.jobs import Job, JobPhase
 
 
 class BaselinePolicy(UtilityDrivenController):
@@ -157,12 +156,12 @@ class BaselinePolicy(UtilityDrivenController):
             requests.append(
                 JobRequest(
                     job_id=job.job_id,
-                    vm_id=job.vm.vm_id,
+                    vm_id=job.vm_id,
                     target_rate=target,
                     speed_cap=job.spec.speed_cap_mhz,
                     memory_mb=job.spec.memory_mb,
                     current_node=job.node_id,
-                    was_suspended=job.vm.state is VmState.SUSPENDED,
+                    was_suspended=job.phase is JobPhase.SUSPENDED,
                     submit_time=(
                         order_time.get(job.job_id, job.spec.submit_time)
                         if order_time is not None

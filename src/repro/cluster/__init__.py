@@ -1,10 +1,15 @@
 """Virtualized data-center substrate.
 
-Physical nodes (:class:`NodeSpec`), the managed :class:`Cluster`, the VM
-lifecycle (:class:`VirtualMachine`), placement matrices
-(:class:`Placement`) with feasibility validation, placement-change actions
-with costs (:class:`ActionCosts`), and topology builders for homogeneous
-and class-based heterogeneous clusters.
+Physical nodes (:class:`NodeSpec`), the managed :class:`Cluster`,
+placement matrices (:class:`Placement`) with feasibility validation,
+placement-change actions with costs (:class:`ActionCosts`), and topology
+builders for homogeneous and class-based heterogeneous clusters.
+
+A VM has no record of its own here: a job's VM is its
+:class:`~repro.workloads.jobs.Job` (``vm_id``, ``phase``, ``node_id``),
+and a web instance's VM is its node's CPU grant in
+:class:`~repro.workloads.transactional.TransactionalApp`, placed under
+``tx:<app>@<node>`` (:func:`~repro.cluster.placement.instance_vm_id`).
 """
 
 from .actions import (
@@ -30,13 +35,10 @@ from .topology import (
     cluster_from_classes,
     homogeneous_cluster,
 )
-from .vm import VirtualMachine, VmState
 
 __all__ = [
     "NodeSpec",
     "Cluster",
-    "VirtualMachine",
-    "VmState",
     "Placement",
     "PlacementEntry",
     "ActionCosts",

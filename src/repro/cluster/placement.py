@@ -4,7 +4,8 @@ A :class:`Placement` is the controller's complete answer for one control
 cycle: which VMs run on which nodes and how much CPU each is granted.
 Entries are self-contained (they carry the VM's memory footprint and
 workload kind) so a placement can be validated and diffed without access
-to the live VM registry.
+to the jobs and apps that own the VMs.  A job's VM is placed under its
+``Job.vm_id``, a web instance under :func:`instance_vm_id`.
 
 Placements are *value objects*: the solver builds a new one each cycle and
 the actions planner (:mod:`repro.core.actions_planner`) diffs it against
@@ -36,6 +37,19 @@ from .node import NodeSpec
 #: CPU/memory slack tolerated by :meth:`Placement.violation`, to absorb
 #: float round-off.
 _EPS = 1e-6
+
+
+def instance_vm_id(app_id: str, node_id: str) -> str:
+    """The stable placement id ``tx:<app>@<node>`` of a web instance."""
+    return f"tx:{app_id}@{node_id}"
+
+
+def parse_instance_vm_id(vm_id: str) -> Optional[tuple[str, str]]:
+    """``(app_id, node_id)`` of a web-instance id, ``None`` for any other id."""
+    if not vm_id.startswith("tx:") or "@" not in vm_id:
+        return None
+    app_id, node_id = vm_id[3:].split("@", 1)
+    return app_id, node_id
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -222,6 +236,8 @@ class Placement:
 
     def update_cpu(self, vm_id: str, cpu_mhz: Mhz) -> None:
         """Replace the CPU grant of an existing entry."""
+        if not cpu_mhz >= 0:  # also rejects NaN
+            raise PlacementError(f"vm {vm_id}: negative CPU grant")
         old = self.entry(vm_id)
         new = old.with_cpu(cpu_mhz)
         self._entries[vm_id] = new
@@ -280,21 +296,22 @@ class Placement:
         ``nodes`` maps each live node's id to its (brownout-derated)
         spec.  A hosting node missing from it is reported as failed when
         listed in ``failed``, as unknown otherwise; a live node must hold
-        its CPU and memory within a float-round-off tolerance.  Returns
-        the first violation found, in O(nodes used).
+        its CPU and memory within a float-round-off tolerance, and a NaN
+        aggregate counts as over it.  Returns the first violation found,
+        in O(nodes used).
         """
         for node_id, cpu in self._node_cpu.items():
             node = nodes.get(node_id)
             if node is None:
                 state = "failed" if node_id in failed else "unknown"
                 return f"placement uses {state} node {node_id!r}"
-            if cpu > node.cpu_capacity * (1 + _EPS) + _EPS:
+            if not cpu <= node.cpu_capacity * (1 + _EPS) + _EPS:
                 return (
                     f"node {node_id!r} CPU overcommitted: "
                     f"{cpu:.1f} > {node.cpu_capacity:.1f} MHz"
                 )
             memory = self._node_mem[node_id]
-            if memory > node.memory_mb * (1 + _EPS) + _EPS:
+            if not memory <= node.memory_mb * (1 + _EPS) + _EPS:
                 return (
                     f"node {node_id!r} memory overcommitted: "
                     f"{memory:.1f} > {node.memory_mb:.1f} MB"

@@ -1,7 +1,7 @@
 """Diffing placements into executable action plans.
 
 The solver produces a *desired* placement; this module compares it with
-the incumbent placement and the current VM lifecycle states and emits the
+the incumbent placement and the current VM lifecycle phases and emits the
 ordered list of :mod:`repro.cluster.actions` that takes the data center
 from one to the other.  Resource-freeing actions (stops, suspends) come
 first so that the subsequent starts and resumes land on nodes whose
@@ -21,11 +21,10 @@ from ..cluster.actions import (
     StopVm,
     SuspendVm,
 )
-from ..cluster.placement import Placement
-from ..cluster.vm import VmState, instance_vm_id
+from ..cluster.placement import Placement, instance_vm_id
 from ..errors import PlacementError
 from ..types import WorkloadKind
-from ..workloads.jobs import Job
+from ..workloads.jobs import Job, JobPhase
 
 #: CPU adjustments smaller than this (MHz) are not worth an action.
 _ADJUST_EPS = 1e-6
@@ -33,23 +32,23 @@ _ADJUST_EPS = 1e-6
 
 def vm_states_of(
     jobs: Iterable[Job], app_nodes: Mapping[str, Iterable[str]]
-) -> dict[str, VmState]:
+) -> dict[str, JobPhase]:
     """The ``vm_states`` map :func:`plan_actions` needs, from a policy's inputs.
 
-    Each job's VM in its current state, and every running web instance
-    (one per node in ``app_nodes``) as RUNNING.
+    Each job's VM id with the job's current phase, and every running web
+    instance (one per node in ``app_nodes``) as RUNNING.
     """
-    states = {job.vm.vm_id: job.vm.state for job in jobs}
+    states = {job.vm_id: job.phase for job in jobs}
     for app_id, nodes in app_nodes.items():
         for node_id in nodes:
-            states[instance_vm_id(app_id, node_id)] = VmState.RUNNING
+            states[instance_vm_id(app_id, node_id)] = JobPhase.RUNNING
     return states
 
 
 def plan_actions(
     previous: Placement,
     desired: Placement,
-    vm_states: Mapping[str, VmState],
+    vm_states: Mapping[str, JobPhase],
 ) -> list[PlacementAction]:
     """Compute the actions transforming ``previous`` into ``desired``.
 
@@ -60,10 +59,10 @@ def plan_actions(
     desired:
         The solver's new placement.
     vm_states:
-        Lifecycle state of every VM mentioned by either placement.  Needed
+        Lifecycle phase of every VM mentioned by either placement (a
+        web instance is RUNNING); an absent VM counts as PENDING.  Needed
         to distinguish a first ``Start`` from a ``Resume`` of a suspended
-        VM, and a ``Suspend`` (long-running job leaving the placement
-        temporarily) from a ``Stop``.
+        VM.
 
     Returns
     -------
@@ -74,8 +73,8 @@ def plan_actions(
     Raises
     ------
     PlacementError
-        If a VM's recorded state is inconsistent with the requested
-        transition (e.g. desired placement references a stopped VM).
+        If a VM enters the desired placement in a phase other than
+        PENDING or SUSPENDED (e.g. a completed or cancelled job).
     """
     stops: list[PlacementAction] = []
     suspends: list[PlacementAction] = []
@@ -108,10 +107,10 @@ def plan_actions(
             elif abs(old.cpu_mhz - new.cpu_mhz) > _ADJUST_EPS:
                 adjustments.append(AdjustCpu(vm_id, new.cpu_mhz))
             continue
-        state = vm_states.get(vm_id, VmState.PENDING)
-        if state is VmState.SUSPENDED:
+        state = vm_states.get(vm_id, JobPhase.PENDING)
+        if state is JobPhase.SUSPENDED:
             resumes.append(ResumeVm(vm_id, new.node_id, new.cpu_mhz))
-        elif state is VmState.PENDING:
+        elif state is JobPhase.PENDING:
             starts.append(StartVm(vm_id, new.node_id, new.cpu_mhz))
         else:
             raise PlacementError(

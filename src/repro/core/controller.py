@@ -42,7 +42,6 @@ from typing import Mapping, Optional, Sequence
 from ..cluster.actions import PlacementAction
 from ..cluster.node import NodeSpec
 from ..cluster.placement import Placement
-from ..cluster.vm import VmState
 from ..config import ControllerConfig, SolverConfig
 from ..errors import UnknownEntityError
 from ..netmodel.context import NetworkContext
@@ -51,7 +50,7 @@ from ..perf.jobmodel import JobPopulation, snapshot_jobs
 from ..types import Mhz, Seconds
 from ..utility.base import UtilityFunction
 from ..utility.transactional import TransactionalUtility
-from ..workloads.jobs import Job
+from ..workloads.jobs import Job, JobPhase
 from ..workloads.transactional import TransactionalAppSpec
 from .actions_planner import plan_actions, vm_states_of
 from .arbiter import ArbiterResult, make_arbiter
@@ -544,26 +543,27 @@ class UtilityDrivenController:
 
         ``included`` is the job list :func:`snapshot_jobs` collected, so
         it is index-aligned with the population columns and the
-        hypothetical rates -- no id-keyed lookups on this hot path.
+        hypothetical rates -- no id-keyed lookups on this hot path.  As
+        in :func:`snapshot_jobs`, the job's host and phase are read from
+        its private fields: this loop visits every live job every cycle.
         """
         requests = []
         append = requests.append
-        suspended = VmState.SUSPENDED
+        suspended = JobPhase.SUSPENDED
         trusted = JobRequest.trusted
         for job, rate, rem in zip(
             included, hypothetical.rates.tolist(), population.remaining.tolist()
         ):
             spec = job.spec
-            vm = job.vm
             append(
                 trusted(
                     spec.job_id,
-                    vm.vm_id,
+                    job.vm_id,
                     rate,
                     spec.speed_cap_mhz,
                     spec.memory_mb,
-                    vm.node_id,
-                    vm.state is suspended,
+                    job._node_id,
+                    job._phase is suspended,
                     spec.submit_time,
                     spec.importance,
                     rem,

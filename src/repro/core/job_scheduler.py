@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..cluster.vm import instance_vm_id
+from ..cluster.placement import instance_vm_id
 from ..errors import ConfigurationError
 from ..types import Cycles, Megabytes, Mhz, Seconds
 

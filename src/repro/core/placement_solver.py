@@ -57,8 +57,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..cluster.node import NodeSpec
-from ..cluster.placement import Placement
-from ..cluster.vm import instance_vm_id
+from ..cluster.placement import Placement, instance_vm_id
 from ..config import SolverConfig
 from ..errors import ConfigurationError
 from ..types import Mhz, WorkloadKind

@@ -37,8 +37,7 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 import numpy as np
 
 from ..cluster.node import NodeSpec
-from ..cluster.placement import Placement
-from ..cluster.vm import parse_instance_vm_id
+from ..cluster.placement import Placement, parse_instance_vm_id
 from ..config import ControllerConfig
 from ..errors import DecisionTimeoutError, DegradedModeError, ModelError
 from ..types import Seconds

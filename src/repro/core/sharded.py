@@ -376,7 +376,7 @@ class ShardedController:
                 # First sighting: a job already hosted on a known node
                 # belongs to that node's shard; anything else waits for
                 # headroom routing below.
-                node_id = job.vm.node_id
+                node_id = job.node_id
                 if node_id is not None and node_id in node_shard:
                     shard = node_shard[node_id]
                     routes[job.job_id] = shard

@@ -34,8 +34,7 @@ from ..cluster.actions import (
 )
 from ..cluster.cluster import Cluster
 from ..cluster.node import NodeSpec
-from ..cluster.placement import Placement
-from ..cluster.vm import parse_instance_vm_id
+from ..cluster.placement import Placement, parse_instance_vm_id
 import numpy as np
 
 from ..codec import Sample, dumps_json, encode
@@ -445,7 +444,7 @@ class ExperimentRunner:
             spec.job_id: Job(spec) for spec in scenario.job_specs
         }
         self._vm_to_job: dict[str, str] = {
-            job.vm.vm_id: job_id for job_id, job in self._jobs.items()
+            job.vm_id: job_id for job_id, job in self._jobs.items()
         }
         # The live set: submitted jobs that are not completed or
         # cancelled, in trace order.  Jobs enter it from the arrival list
@@ -721,8 +720,8 @@ class ExperimentRunner:
         self._completion_events.pop(job_id, None)
         job.complete(t)
         self._live.pop(job_id, None)
-        if job.vm.vm_id in self._placement:
-            self._placement.remove(job.vm.vm_id)
+        if job.vm_id in self._placement:
+            self._placement.remove(job.vm_id)
         self._recorder.bump("jobs_completed")
         self._recorder.record(
             "job_achieved_utility", t, JobUtility().achieved(job)

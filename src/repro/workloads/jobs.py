@@ -2,11 +2,24 @@
 
 A job has a fixed amount of CPU work (MHz·s), a speed cap (its "maximum
 speed permits it to use a single processor"), a memory footprint and a
-completion-time goal relative to its submission.  It runs inside a VM
-(:class:`~repro.cluster.vm.VirtualMachine`) that the controller starts,
-suspends, resumes and migrates; the :class:`Job` adds fluid work
-accounting on top of the VM lifecycle: progress accrues continuously at
-the granted CPU rate, so remaining work at any instant is exact.
+completion-time goal relative to its submission.  It runs inside one VM,
+and the :class:`Job` *is* that VM's record: its placement id
+(:attr:`Job.vm_id`), its lifecycle phase, its host while running and its
+CPU grant (the fluid rate).  The controller starts, suspends, resumes and
+migrates it; progress accrues continuously at the granted rate, so
+remaining work at any instant is exact.
+
+The lifecycle::
+
+        PENDING ---start---> RUNNING ---suspend---> SUSPENDED
+                             RUNNING <---start----- SUSPENDED   (resume)
+                             RUNNING ---migrate---> RUNNING     (new host)
+        any live phase ---cancel---> CANCELLED
+        any live phase --complete--> COMPLETED
+
+COMPLETED and CANCELLED are terminal: every transition out of them,
+another ``cancel`` or ``complete`` included, raises
+:class:`~repro.errors.LifecycleError`.
 """
 
 from __future__ import annotations
@@ -16,9 +29,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..cluster.vm import VirtualMachine, VmState
 from ..errors import ConfigurationError, LifecycleError
-from ..types import Cycles, Megabytes, Mhz, Seconds, WorkloadKind
+from ..types import Cycles, Megabytes, Mhz, Seconds
 
 #: Tolerance (cycles) below which remaining work counts as zero.
 _WORK_EPS = 1e-6
@@ -110,24 +122,27 @@ class JobStats:
     cpu_time_integral: Cycles = field(default=0.0)
 
 
-class Job:
-    """Runtime state of a long-running job (spec + VM + fluid progress)."""
+#: Every phase but the terminal ones: ``cancel`` and ``complete`` leave these.
+_LIVE_PHASES = (JobPhase.PENDING, JobPhase.RUNNING, JobPhase.SUSPENDED)
 
-    __slots__ = ("spec", "vm", "_remaining", "_rate", "_last_update", "stats", "_cancelled")
+
+class Job:
+    """Runtime state of a long-running job: its VM's record plus fluid progress."""
+
+    __slots__ = (
+        "spec", "vm_id", "_phase", "_node_id", "_remaining", "_rate",
+        "_last_update", "stats",
+    )
 
     def __init__(self, spec: JobSpec) -> None:
         self.spec = spec
-        self.vm = VirtualMachine(
-            vm_id=f"vm-{spec.job_id}",
-            kind=WorkloadKind.LONG_RUNNING,
-            owner_id=spec.job_id,
-            memory_mb=spec.memory_mb,
-        )
+        self.vm_id = f"vm-{spec.job_id}"
+        self._phase = JobPhase.PENDING
+        self._node_id: Optional[str] = None
         self._remaining: Cycles = spec.total_work
         self._rate: Mhz = 0.0
         self._last_update: Seconds = spec.submit_time
         self.stats = JobStats()
-        self._cancelled = False
 
     # ------------------------------------------------------------------
     # Introspection
@@ -139,40 +154,19 @@ class Job:
 
     @property
     def phase(self) -> JobPhase:
-        """Externally visible state derived from VM state and progress."""
-        if self._cancelled:
-            return JobPhase.CANCELLED
-        if self.stats.completed_at is not None:
-            return JobPhase.COMPLETED
-        state = self.vm.state
-        if state is VmState.PENDING:
-            return JobPhase.PENDING
-        if state is VmState.RUNNING:
-            return JobPhase.RUNNING
-        if state is VmState.SUSPENDED:
-            return JobPhase.SUSPENDED
-        raise LifecycleError(f"job {self.job_id}: inconsistent VM state {state}")
+        """Current lifecycle phase."""
+        return self._phase
 
     @property
     def is_incomplete(self) -> bool:
         """Whether the job still demands CPU (not completed or cancelled).
 
         Checked for every job on every control cycle (population
-        snapshots), so it tests the terminal conditions directly instead
-        of deriving the full :attr:`phase` -- while keeping phase's
-        fail-fast on inconsistent VM states (e.g. a STOPPED VM on a
-        non-terminal job indicates a lifecycle bug).
+        snapshots), so it tests the stored phase against a module-level
+        tuple: reading ``JobPhase.X`` off the enum class costs more than
+        the whole membership test.
         """
-        if self._cancelled or self.stats.completed_at is not None:
-            return False
-        state = self.vm.state
-        if (
-            state is VmState.PENDING
-            or state is VmState.RUNNING
-            or state is VmState.SUSPENDED
-        ):
-            return True
-        raise LifecycleError(f"job {self.job_id}: inconsistent VM state {state}")
+        return self._phase in _LIVE_PHASES
 
     @property
     def remaining_work(self) -> Cycles:
@@ -181,13 +175,13 @@ class Job:
 
     @property
     def rate(self) -> Mhz:
-        """Current fluid progress rate in MHz."""
+        """Current fluid progress rate in MHz: the VM's CPU grant."""
         return self._rate
 
     @property
     def node_id(self) -> Optional[str]:
-        """Host node id while running."""
-        return self.vm.node_id
+        """Host node id while RUNNING, else ``None``."""
+        return self._node_id
 
     @property
     def last_update(self) -> Seconds:
@@ -232,35 +226,40 @@ class Job:
     def set_rate(self, t: Seconds, rate: Mhz) -> None:
         """Advance progress to ``t`` and switch to a new fluid rate.
 
-        The rate is clamped to the job's speed cap; a RUNNING VM is
-        required for any positive rate.
+        The rate is clamped to the job's speed cap; any positive rate
+        requires the RUNNING phase, and a negative or NaN rate is
+        rejected.
         """
         self.advance_to(t)
-        if rate < 0:
-            raise LifecycleError(f"job {self.job_id}: negative rate")
-        if rate > 0 and self.vm.state is not VmState.RUNNING:
+        if not rate >= 0:  # also rejects NaN
             raise LifecycleError(
-                f"job {self.job_id}: cannot make progress in state {self.vm.state}"
+                f"job {self.job_id}: rate must be non-negative, got {rate}"
+            )
+        if rate > 0 and self._phase is not JobPhase.RUNNING:
+            raise LifecycleError(
+                f"job {self.job_id}: cannot make progress in phase {self._phase}"
             )
         self._rate = min(float(rate), self.spec.speed_cap_mhz)
-        if self.vm.state is VmState.RUNNING:
-            self.vm.set_allocation(self._rate)
 
     # ------------------------------------------------------------------
-    # Lifecycle (delegates to the VM with job bookkeeping)
+    # Lifecycle
     # ------------------------------------------------------------------
     def start(self, t: Seconds, node_id: str, rate: Mhz = 0.0) -> None:
-        """Place the job on a node (first start or resume)."""
+        """PENDING or SUSPENDED -> RUNNING on ``node_id`` (first start or resume)."""
+        self._require("start", JobPhase.PENDING, JobPhase.SUSPENDED)
         self.advance_to(t)
-        self.vm.start(node_id)
+        self._phase = JobPhase.RUNNING
+        self._node_id = node_id
         if self.stats.started_at is None:
             self.stats.started_at = t
         self.set_rate(t, rate)
 
     def suspend(self, t: Seconds, work_lost: Cycles = 0.0) -> None:
         """Checkpoint and release the node; optionally lose recent progress."""
+        self._require("suspend", JobPhase.RUNNING)
         self.set_rate(t, 0.0)
-        self.vm.suspend()
+        self._phase = JobPhase.SUSPENDED
+        self._node_id = None
         if work_lost > 0:
             lost = min(work_lost, self.spec.total_work - self._remaining)
             self._remaining += lost
@@ -269,30 +268,40 @@ class Job:
 
     def migrate(self, t: Seconds, node_id: str, rate: Mhz = 0.0) -> None:
         """Move the running job to another node."""
+        self._require("migrate", JobPhase.RUNNING)
+        if node_id == self._node_id:
+            raise LifecycleError(f"job {self.job_id}: migration to its own host")
         self.set_rate(t, 0.0)
-        self.vm.migrate(node_id)
+        self._node_id = node_id
         self.stats.migrations += 1
         self.set_rate(t, rate)
 
     def complete(self, t: Seconds) -> None:
-        """Mark the job finished; remaining work must be zero."""
+        """Mark the job finished (terminal); remaining work must be zero."""
+        self._require("complete", *_LIVE_PHASES)
         self.advance_to(t)
         if self._remaining > _WORK_EPS:
             raise LifecycleError(
                 f"job {self.job_id}: completion with {self._remaining:.1f} MHz·s left"
             )
         self._rate = 0.0
+        self._phase = JobPhase.COMPLETED
+        self._node_id = None
         self.stats.completed_at = t
-        if self.vm.state is not VmState.STOPPED:
-            self.vm.stop()
 
     def cancel(self, t: Seconds) -> None:
         """Abort the job (terminal)."""
+        self._require("cancel", *_LIVE_PHASES)
         self.advance_to(t)
         self._rate = 0.0
-        self._cancelled = True
-        if self.vm.state is not VmState.STOPPED:
-            self.vm.stop()
+        self._phase = JobPhase.CANCELLED
+        self._node_id = None
+
+    def _require(self, transition: str, *phases: JobPhase) -> None:
+        if self._phase not in phases:
+            raise LifecycleError(
+                f"job {self.job_id}: cannot {transition} from phase {self._phase}"
+            )
 
     # ------------------------------------------------------------------
     # SLA outcomes

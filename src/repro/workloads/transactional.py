@@ -10,6 +10,11 @@ Its SLA is a mean response-time goal; utility is the goal-relative slack
 (:mod:`repro.utility.transactional`).  Performance as a function of the
 CPU power allocated to the application comes from the queueing model in
 :mod:`repro.perf.queueing`.
+
+Each instance runs in one VM, and an instance is nothing more than its
+node's CPU grant: :class:`TransactionalApp` keeps one ``node_id -> MHz``
+entry per hosting node, and the placement names that VM
+``tx:<app>@<node>`` (:func:`~repro.cluster.placement.instance_vm_id`).
 """
 
 from __future__ import annotations
@@ -18,9 +23,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Literal, Optional
 
-from ..cluster.vm import VirtualMachine, VmState
 from ..errors import ConfigurationError, LifecycleError
-from ..types import Cycles, Megabytes, Mhz, Seconds, WorkloadKind
+from ..types import Cycles, Megabytes, Mhz, Seconds
 from .profiles import IntensityProfile
 
 
@@ -124,15 +128,17 @@ class TransactionalAppSpec:
 class TransactionalApp:
     """Runtime state of a clustered web application.
 
-    Tracks the set of running instances (one VM per hosting node) and
-    delegates the arrival intensity to the configured profile.
+    Tracks the running instances (one VM per hosting node) as each
+    node's CPU grant, and delegates the arrival intensity to the
+    configured profile.
     """
 
     def __init__(self, spec: TransactionalAppSpec, profile: IntensityProfile) -> None:
         self.spec = spec
         self.profile = profile
-        self._instances: dict[str, VirtualMachine] = {}  # node_id -> VM
-        self._instance_seq = 0
+        #: node_id -> CPU grant (MHz), in start order (the order
+        #: total_allocation sums in).
+        self._instances: dict[str, Mhz] = {}
         #: Instance count when :meth:`instance_changes` was entered.
         self._batch_start: Optional[int] = None
 
@@ -165,14 +171,14 @@ class TransactionalApp:
         """Number of running instances."""
         return len(self._instances)
 
-    def start_instance(self, t: Seconds, node_id: str, cpu_mhz: Mhz = 0.0) -> VirtualMachine:
-        """Start a new instance on ``node_id``.
+    def start_instance(self, t: Seconds, node_id: str, cpu_mhz: Mhz = 0.0) -> None:
+        """Start a new instance on ``node_id`` with a ``cpu_mhz`` grant.
 
         Raises
         ------
         LifecycleError
-            If an instance already runs there or ``max_instances`` would be
-            exceeded.
+            If an instance already runs there, ``max_instances`` would be
+            exceeded or the grant is negative or NaN.
         """
         if node_id in self._instances:
             raise LifecycleError(
@@ -180,18 +186,9 @@ class TransactionalApp:
             )
         if self._batch_start is None:
             self._check_bounds(len(self._instances), len(self._instances) + 1)
-        self._instance_seq += 1
-        vm = VirtualMachine(
-            vm_id=f"vm-{self.app_id}-{self._instance_seq:04d}",
-            kind=WorkloadKind.TRANSACTIONAL,
-            owner_id=self.app_id,
-            memory_mb=self.spec.instance_memory_mb,
-        )
-        vm.start(node_id, cpu_mhz)
-        self._instances[node_id] = vm
-        return vm
+        self._instances[node_id] = self._grant(node_id, cpu_mhz)
 
-    def stop_instance(self, node_id: str) -> VirtualMachine:
+    def stop_instance(self, node_id: str) -> None:
         """Stop the instance on ``node_id``.
 
         Raises
@@ -204,9 +201,7 @@ class TransactionalApp:
             raise LifecycleError(f"app {self.app_id}: no instance on {node_id}")
         if self._batch_start is None:
             self._check_bounds(len(self._instances), len(self._instances) - 1)
-        vm = self._instances.pop(node_id)
-        vm.stop()
-        return vm
+        del self._instances[node_id]
 
     @contextmanager
     def instance_changes(self) -> Iterator[None]:
@@ -239,26 +234,31 @@ class TransactionalApp:
         if after > before and after > self.spec.max_instances:
             raise LifecycleError(f"app {self.app_id}: max_instances reached")
 
-    def evacuate_node(self, node_id: str) -> Optional[VirtualMachine]:
+    def evacuate_node(self, node_id: str) -> bool:
         """Forcefully drop the instance on a failed node (no minimum check).
 
-        Returns the stopped VM, or ``None`` if the node hosted no instance.
+        Returns whether the node hosted an instance.
         """
-        vm = self._instances.pop(node_id, None)
-        if vm is not None and vm.state is VmState.RUNNING:
-            vm.stop()
-        return vm
+        return self._instances.pop(node_id, None) is not None
 
     def set_instance_allocation(self, node_id: str, cpu_mhz: Mhz) -> None:
-        """Adjust the CPU share of the instance on ``node_id``."""
+        """Adjust the CPU grant of the instance on ``node_id``."""
         if node_id not in self._instances:
             raise LifecycleError(f"app {self.app_id}: no instance on {node_id}")
-        self._instances[node_id].set_allocation(cpu_mhz)
+        self._instances[node_id] = self._grant(node_id, cpu_mhz)
+
+    def _grant(self, node_id: str, cpu_mhz: Mhz) -> Mhz:
+        if not cpu_mhz >= 0:  # also rejects NaN
+            raise LifecycleError(
+                f"app {self.app_id}: CPU grant on {node_id} must be "
+                f"non-negative, got {cpu_mhz}"
+            )
+        return float(cpu_mhz)
 
     @property
     def total_allocation(self) -> Mhz:
         """Total CPU power currently granted across all instances."""
-        return sum(vm.cpu_allocation for vm in self._instances.values())
+        return sum(self._instances.values())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

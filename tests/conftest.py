@@ -6,8 +6,46 @@ import numpy as np
 import pytest
 
 from repro.cluster import NodeSpec, homogeneous_cluster
+from repro.core.resilient import ResilientController
+from repro.experiments.runner import ExperimentRunner
+from repro.faults.chaos import ChaosPolicy
 from repro.perf.jobmodel import JobPopulation
 from repro.workloads import Job, JobSpec
+
+
+def _injects_faults(policy) -> bool:
+    """Whether ``policy`` is, or wraps, a fault-injecting :class:`ChaosPolicy`."""
+    while isinstance(policy, ResilientController):
+        policy = policy.inner
+    return isinstance(policy, ChaosPolicy)
+
+
+@pytest.fixture(autouse=True)
+def strict_fallbacks(request, monkeypatch):
+    """Strict mode: a run that degraded on an exception fails the test.
+
+    Graceful degradation survives *injected* faults; it must not turn an
+    exception in ``decide()`` into a quietly degraded but passing run.  A
+    run whose policy injects faults (``chaos-utility``) is exempt, and so
+    is a test marked ``allow_fallback`` because it raises on purpose.
+    """
+    if request.node.get_closest_marker("allow_fallback") is not None:
+        return
+    run = ExperimentRunner.run
+
+    def strict_run(self):
+        result = run(self)
+        if not _injects_faults(self._policy):
+            raised = {
+                name: count
+                for name, count in result.recorder.counters.items()
+                if name.startswith("fallback:exception:")
+            }
+            if raised:
+                pytest.fail(f"decide() raised and the run degraded: {raised}")
+        return result
+
+    monkeypatch.setattr(ExperimentRunner, "run", strict_run)
 
 
 @pytest.fixture

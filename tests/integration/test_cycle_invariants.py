@@ -12,7 +12,8 @@ control cycle at time ``t``, checks that:
 * each pending rate event belongs to a RUNNING job;
 * work is conserved: ``cpu_time_integral + remaining_work - work_lost ==
   total_work`` for every job;
-* a job is RUNNING iff its VM is in the runner's placement;
+* a job is RUNNING iff its VM is in the runner's placement, and its
+  ``node_id`` is its placement entry's node (``None`` when not RUNNING);
 * each app's ``instance_nodes`` are the placement's ``tx:`` entries;
 * the placement fits the active, brownout-derated nodes.
 """
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.api import Experiment, available_scenarios
 from repro.baselines.registry import get_policy
-from repro.cluster.vm import parse_instance_vm_id
+from repro.cluster.placement import parse_instance_vm_id
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenario import NodeBrownout, NodeFailure
 from repro.workloads import JobPhase
@@ -85,16 +86,21 @@ class CheckedRunner(ExperimentRunner):
             assert self._jobs[job_id].phase is JobPhase.RUNNING, f"t={t}: {job_id}"
 
     def _check_jobs(self, t):
-        placed = self._placement.vm_ids()
+        placed = self._placement.by_vm()
         for job in self._jobs.values():
             stats = job.stats
             work = stats.cpu_time_integral + job.remaining_work - stats.work_lost
             assert math.isclose(work, job.spec.total_work, rel_tol=WORK_RTOL), (
                 f"t={t}: {job.job_id} accounts for {work} of {job.spec.total_work} MHz·s"
             )
+            entry = placed.get(job.vm_id)
             running = job.phase is JobPhase.RUNNING
-            assert running == (job.vm.vm_id in placed), (
+            assert running == (entry is not None), (
                 f"t={t}: {job.job_id} is {job.phase} but placed={not running}"
+            )
+            host = entry.node_id if running else None
+            assert job.node_id == host, (
+                f"t={t}: {job.job_id} is on {job.node_id}, placed on {host}"
             )
 
     def _check_placement(self, t):
@@ -143,10 +149,11 @@ def test_invariants_hold_on_a_trace_not_sorted_by_submit_time():
     assert result.recorder.counter("jobs_completed") > 0
 
 
-#: The smoke scenario's nodes, horizon and control cycle.
+#: The smoke scenario's nodes, horizon, control cycle and trace length.
 SMOKE_NODES = ("node000", "node001", "node002", "node003")
 SMOKE_HORIZON = 6_000.0
 SMOKE_CYCLE = 300.0
+SMOKE_JOBS = 20
 
 
 @st.composite
@@ -196,3 +203,34 @@ def test_invariants_hold_under_random_fault_schedules(schedule, shards):
     assert scenario.controller.control_cycle == SMOKE_CYCLE
     assert tuple(scenario.topology.build_cluster().node_ids) == SMOKE_NODES
     run_checked(scenario.with_failures(failures).with_brownouts(brownouts))
+
+
+@st.composite
+def arrival_traces(draw, size):
+    """``size`` submit times, in trace order: any instant, a control
+    cycle's (an arrival and a decision at the same time), or one of a few
+    burst instants that several jobs share.  Drawn independently, so the
+    trace is almost always out of submit order."""
+    instant = st.one_of(
+        st.floats(min_value=0.0, max_value=SMOKE_HORIZON),
+        st.integers(0, 20).map(lambda k: k * SMOKE_CYCLE),
+    )
+    bursts = draw(st.lists(instant, min_size=1, max_size=3))
+    submit = st.one_of(instant, st.sampled_from(bursts))
+    return draw(st.lists(submit, min_size=size, max_size=size))
+
+
+@settings(max_examples=25, deadline=None)
+@given(arrival_traces(SMOKE_JOBS))
+def test_invariants_hold_under_random_arrival_traces(submits):
+    """The smoke trace's jobs resubmitted at drawn instants: bursts of
+    equal submit times, times out of trace order and arrivals exactly at
+    a control-cycle boundary.  Each cycle must hand decide() the live
+    trace-order set and keep the placement consistent."""
+    scenario = Experiment.from_spec("smoke").materialize()
+    assert len(scenario.job_specs) == SMOKE_JOBS
+    specs = tuple(
+        dataclasses.replace(spec, submit_time=submit)
+        for spec, submit in zip(scenario.job_specs, submits)
+    )
+    run_checked(dataclasses.replace(scenario, job_specs=specs))

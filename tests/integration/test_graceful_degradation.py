@@ -94,6 +94,7 @@ def _scrubbed_payload(result):
 
 
 class TestInjectedControllerException:
+    @pytest.mark.allow_fallback
     def test_run_completes_and_records_fallback_telemetry(self):
         result = run_scenario(scenario_spec("smoke").materialize(), _flaky_factory)
         rec = result.recorder
@@ -194,6 +195,7 @@ class TestBrownoutTelemetry:
         assert series.value_at(3000.0) == 0.0
         assert result.summary_metrics()["brownout_fraction"] > 0.0
 
+    @pytest.mark.allow_fallback
     def test_degraded_run_keeps_placement_within_browned_capacity(self):
         # A brownout plus an injected exception: the degraded cycle must
         # clamp the last-known-good placement to the derated node.

@@ -48,7 +48,7 @@ class TestSmokeRun:
 
     def test_completed_jobs_freed_their_placement(self, result):
         completed_vms = {
-            j.vm.vm_id for j in result.jobs if j.phase is JobPhase.COMPLETED
+            j.vm_id for j in result.jobs if j.phase is JobPhase.COMPLETED
         }
         final_vms = {e.vm_id for e in result.final_placement}
         assert not (completed_vms & final_vms)

@@ -19,10 +19,10 @@ from repro.cluster import (
     StartVm,
     StopVm,
     SuspendVm,
-    VmState,
 )
 from repro.core import plan_actions
 from repro.types import WorkloadKind
+from repro.workloads import JobPhase
 
 _NODES = ["n0", "n1", "n2"]
 
@@ -33,7 +33,7 @@ def placement_pairs(draw):
     vm_ids = [f"vm{i}" for i in range(draw(st.integers(0, 12)))]
     prev_entries = []
     desired_entries = []
-    states: dict[str, VmState] = {}
+    states: dict[str, JobPhase] = {}
     for vm_id in vm_ids:
         kind = draw(st.sampled_from([WorkloadKind.TRANSACTIONAL,
                                      WorkloadKind.LONG_RUNNING]))
@@ -45,10 +45,10 @@ def placement_pairs(draw):
                 vm_id=vm_id, node_id=draw(st.sampled_from(_NODES)),
                 cpu_mhz=draw(st.floats(0.0, 3000.0)), memory_mb=mem, kind=kind,
             ))
-            states[vm_id] = VmState.RUNNING
+            states[vm_id] = JobPhase.RUNNING
         else:
             states[vm_id] = draw(
-                st.sampled_from([VmState.PENDING, VmState.SUSPENDED])
+                st.sampled_from([JobPhase.PENDING, JobPhase.SUSPENDED])
             )
         if in_desired:
             desired_entries.append(PlacementEntry(

@@ -137,7 +137,7 @@ def _run_trace(seed, controllers, n_cycles=10, on_decision=None):
     horizon = n_cycles * CYCLE
     nodes = _make_nodes(n_nodes)
     jobs = _make_jobs(rng, int(rng.integers(15, 40)), horizon)
-    jobs_by_vm = {j.vm.vm_id: j for j in jobs}
+    jobs_by_vm = {j.vm_id: j for j in jobs}
     placement = Placement()
     active = list(nodes)
     app_nodes = {"web": frozenset()}
@@ -149,8 +149,8 @@ def _run_trace(seed, controllers, n_cycles=10, on_decision=None):
                 job.advance_to(t)
                 if job.remaining_work <= 0.0:
                     job.complete(t)
-                    if job.vm.vm_id in placement:
-                        placement.remove(job.vm.vm_id)
+                    if job.vm_id in placement:
+                        placement.remove(job.vm_id)
 
         if k == fail_cycle:
             dead = active.pop(0)

@@ -139,7 +139,7 @@ def test_warm_equals_cold_over_random_trace_with_failure(seed):
     assert warm.control_state.warm and not cold.control_state.warm
 
     jobs = _make_jobs(rng, int(rng.integers(15, 40)), horizon)
-    jobs_by_vm = {j.vm.vm_id: j for j in jobs}
+    jobs_by_vm = {j.vm_id: j for j in jobs}
     placement = Placement()
     active = list(nodes)
     app_nodes = {"web": frozenset()}
@@ -154,8 +154,8 @@ def test_warm_equals_cold_over_random_trace_with_failure(seed):
                 job.advance_to(t)
                 if job.remaining_work <= 0.0:
                     job.complete(t)
-                    if job.vm.vm_id in placement:
-                        placement.remove(job.vm.vm_id)
+                    if job.vm_id in placement:
+                        placement.remove(job.vm_id)
 
         if k == fail_cycle:
             dead = active.pop(0)
@@ -224,7 +224,7 @@ def test_forced_invalidation_mid_trace_matches_cold():
     warm = UtilityDrivenController([app_spec])
     cold = UtilityDrivenController([app_spec], control_state=ControlState(warm=False))
     jobs = _make_jobs(rng, 20, 6 * CYCLE)
-    jobs_by_vm = {j.vm.vm_id: j for j in jobs}
+    jobs_by_vm = {j.vm_id: j for j in jobs}
     placement = Placement()
     for k in range(6):
         t = k * CYCLE

@@ -1,5 +1,7 @@
 """Unit tests for placement matrices and feasibility validation."""
 
+import math
+
 import pytest
 
 from repro.cluster import Placement, PlacementEntry, homogeneous_cluster
@@ -42,6 +44,14 @@ class TestPlacementCollection:
         p = Placement([entry("a", "n0", cpu=100.0)])
         p.update_cpu("a", 250.0)
         assert p.entry("a").cpu_mhz == 250.0
+
+    @pytest.mark.parametrize("cpu", [-500.0, math.nan])
+    def test_update_cpu_rejects_negative_and_nan(self, cpu):
+        p = Placement([entry("a", "n0", cpu=100.0)])
+        with pytest.raises(PlacementError, match="negative CPU grant"):
+            p.update_cpu("a", cpu)
+        assert p.entry("a").cpu_mhz == 100.0
+        assert p.cpu_used("n0") == 100.0
 
     def test_copy_is_independent(self):
         p = Placement([entry("a", "n0")])
@@ -98,6 +108,19 @@ class TestValidation:
         cluster = homogeneous_cluster(1)
         p = Placement([entry(f"v{i}", "node000", 100.0, 1200.0) for i in range(4)])
         with pytest.raises(PlacementError, match="memory"):
+            p.validate(cluster)
+
+    @pytest.mark.parametrize("cpu, mem, what", [
+        (math.nan, 1200.0, "CPU"),
+        (100.0, math.nan, "memory"),
+    ])
+    def test_nan_aggregate_detected(self, cpu, mem, what):
+        # ``place`` takes the grant unchecked for NaN; the feasibility
+        # predicate must still refuse the node it lands on.
+        cluster = homogeneous_cluster(1)
+        p = Placement()
+        p.place("a", "node000", cpu, mem, WorkloadKind.LONG_RUNNING)
+        with pytest.raises(PlacementError, match=what):
             p.validate(cluster)
 
     def test_unknown_node_detected(self):

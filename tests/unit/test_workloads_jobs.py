@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.cluster import VmState
 from repro.errors import ConfigurationError, LifecycleError
 from repro.workloads import JobPhase
 
@@ -71,6 +70,15 @@ class TestFluidProgress:
         with pytest.raises(LifecycleError):
             job.set_rate(0.0, 100.0)
 
+    @pytest.mark.parametrize("running", [False, True])
+    def test_nan_rate_rejected(self, running):
+        job = make_job()
+        if running:
+            job.start(0.0, "n0", 1000.0)
+        with pytest.raises(LifecycleError):
+            job.set_rate(0.0, math.nan)
+        assert job.rate == (1000.0 if running else 0.0)
+
     def test_predicted_completion(self):
         job = make_job(work=3_000_000.0)
         job.start(0.0, "n0", 1500.0)
@@ -136,8 +144,26 @@ class TestLifecycle:
         job.start(0.0, "n0", 100.0)
         job.cancel(10.0)
         assert job.phase is JobPhase.CANCELLED
-        assert job.vm.state is VmState.STOPPED
+        assert job.node_id is None
         assert not job.is_incomplete
+
+    def test_cancel_after_complete_rejected(self):
+        job = make_job(work=3_000_000.0)
+        job.start(0.0, "n0", 3000.0)
+        job.complete(1000.0)
+        with pytest.raises(LifecycleError, match="from phase completed"):
+            job.cancel(1100.0)
+        assert job.phase is JobPhase.COMPLETED
+        assert job.stats.completed_at == 1000.0
+
+    def test_complete_after_cancel_rejected(self):
+        job = make_job(work=3_000_000.0)
+        job.start(0.0, "n0", 3000.0)
+        job.cancel(1000.0)
+        with pytest.raises(LifecycleError, match="from phase cancelled"):
+            job.complete(1000.0)
+        assert job.phase is JobPhase.CANCELLED
+        assert job.stats.completed_at is None
 
 
 class TestSlaOutcomes:

@@ -1,5 +1,7 @@
 """Unit tests for the transactional application model."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError, LifecycleError
@@ -99,10 +101,9 @@ class TestInstances:
     def test_evacuate_ignores_min_instances(self):
         app = TransactionalApp(make_spec(min_instances=1), ConstantProfile(1.0))
         app.start_instance(0.0, "n0")
-        vm = app.evacuate_node("n0")
-        assert vm is not None
+        assert app.evacuate_node("n0") is True
         assert app.instance_count == 0
-        assert app.evacuate_node("n0") is None  # idempotent
+        assert app.evacuate_node("n0") is False  # idempotent
 
     def test_set_instance_allocation(self):
         app = TransactionalApp(make_spec(), ConstantProfile(1.0))
@@ -111,6 +112,16 @@ class TestInstances:
         assert app.total_allocation == 700.0
         with pytest.raises(LifecycleError):
             app.set_instance_allocation("ghost", 1.0)
+
+    def test_nan_grant_rejected(self):
+        app = TransactionalApp(make_spec(), ConstantProfile(1.0))
+        with pytest.raises(LifecycleError):
+            app.start_instance(0.0, "n0", math.nan)
+        assert app.instance_count == 0
+        app.start_instance(0.0, "n0", 100.0)
+        with pytest.raises(LifecycleError):
+            app.set_instance_allocation("n0", math.nan)
+        assert app.total_allocation == 100.0
 
 
 class TestWorkloadIntensity:
