@@ -171,8 +171,8 @@ def _time_decides(
 
     Repeated decides over a quasi-static state are exactly the
     steady-state regime of a deployed controller; with ``warm=True`` the
-    cross-cycle :class:`~repro.core.control_state.ControlState` engages
-    from the second call on (the warm-up call is the cold first cycle).
+    previous call's equalized level seeds each call from the second on
+    (the warm-up call is the cold first cycle).
     """
     controller, cluster, jobs, placement, app_nodes, t = build_state(
         num_nodes, num_jobs, warm=warm, shards=shards

@@ -14,7 +14,7 @@ from typing import Mapping, Optional, Sequence
 
 from ..cluster.node import NodeSpec
 from ..cluster.placement import Placement
-from ..core.actions_planner import plan_actions, vm_states_of
+from ..core.actions_planner import plan_actions
 from ..core.controller import (
     ControlDecision,
     ControlDiagnostics,
@@ -75,9 +75,7 @@ class BaselinePolicy(UtilityDrivenController):
             capacity=capacity,
             app_nodes=app_nodes,
         )
-        actions = plan_actions(
-            current_placement, solution.placement, vm_states_of(jobs, app_nodes)
-        )
+        actions = plan_actions(current_placement, solution.placement, jobs)
 
         satisfied_lr = solution.satisfied_lr_demand
         hypothetical = equalize_hypothetical_utility(population, satisfied_lr)

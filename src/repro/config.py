@@ -143,15 +143,14 @@ class ControllerConfig:
         ``backend`` name that picks the solver implementation from
         :mod:`repro.core.backends` (greedy heuristic vs optimal MILP).
     warm_start:
-        Whether the controller keeps a cross-cycle
-        :class:`~repro.core.control_state.ControlState` and offers the
-        previous cycle's converged equalization level to the next one as
-        the starting point of its level predictor (result-preserving:
-        every prediction is verified).  ``False`` reproduces the fully
-        stateless pipeline.
+        Whether the previous cycle's equalized level seeds the level
+        predictor of each cycle's first solve.  Result-preserving: every
+        prediction is verified, so a seed of any value gives the same
+        decision.  ``False`` starts every cycle cold.
     warm_demand_rtol:
-        Relative demand/population shift between consecutive cycles
-        beyond which the warm hints are dropped and the cycle runs cold.
+        Unread: no input change runs a cycle cold any more.  Still
+        declared and validated so existing spec files load; its removal
+        waits for a benchmark PR, whose spec file pins every field.
     warm_seed_depth:
         Unread: the equalizer now verifies its predicted level at a depth
         it derives itself.  Still declared and validated so existing

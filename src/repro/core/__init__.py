@@ -21,10 +21,10 @@ from .backends import (
 )
 from .milp_solver import MilpPlacementSolver
 from .arbiter import Arbiter, ArbiterResult, BisectionArbiter, StealingArbiter, make_arbiter
-from .control_state import ControlState, CycleFingerprint, CycleTelemetry
 from .controller import (
     ControlDecision,
     ControlDiagnostics,
+    CycleTelemetry,
     UtilityDrivenController,
     make_oracle,
     optimality_gap,
@@ -75,8 +75,6 @@ __all__ = [
     "ResilientController",
     "ControlDecision",
     "ControlDiagnostics",
-    "ControlState",
-    "CycleFingerprint",
     "CycleTelemetry",
     "EqualizerStats",
     "HypotheticalAllocation",

@@ -1,16 +1,16 @@
 """Diffing placements into executable action plans.
 
 The solver produces a *desired* placement; this module compares it with
-the incumbent placement and the current VM lifecycle phases and emits the
-ordered list of :mod:`repro.cluster.actions` that takes the data center
-from one to the other.  Resource-freeing actions (stops, suspends) come
+the incumbent placement and the lifecycle phases of the VMs that enter
+it, and emits the ordered list of :mod:`repro.cluster.actions` that
+takes the data center from one to the other.  Resource-freeing actions (stops, suspends) come
 first so that the subsequent starts and resumes land on nodes whose
 capacity has already been released within the same control cycle.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from ..cluster.actions import (
     AdjustCpu,
@@ -21,7 +21,7 @@ from ..cluster.actions import (
     StopVm,
     SuspendVm,
 )
-from ..cluster.placement import Placement, instance_vm_id
+from ..cluster.placement import Placement
 from ..errors import PlacementError
 from ..types import WorkloadKind
 from ..workloads.jobs import Job, JobPhase
@@ -30,25 +30,10 @@ from ..workloads.jobs import Job, JobPhase
 _ADJUST_EPS = 1e-6
 
 
-def vm_states_of(
-    jobs: Iterable[Job], app_nodes: Mapping[str, Iterable[str]]
-) -> dict[str, JobPhase]:
-    """The ``vm_states`` map :func:`plan_actions` needs, from a policy's inputs.
-
-    Each job's VM id with the job's current phase, and every running web
-    instance (one per node in ``app_nodes``) as RUNNING.
-    """
-    states = {job.vm_id: job.phase for job in jobs}
-    for app_id, nodes in app_nodes.items():
-        for node_id in nodes:
-            states[instance_vm_id(app_id, node_id)] = JobPhase.RUNNING
-    return states
-
-
 def plan_actions(
     previous: Placement,
     desired: Placement,
-    vm_states: Mapping[str, JobPhase],
+    jobs: Iterable[Job],
 ) -> list[PlacementAction]:
     """Compute the actions transforming ``previous`` into ``desired``.
 
@@ -58,11 +43,11 @@ def plan_actions(
         The placement currently in force.
     desired:
         The solver's new placement.
-    vm_states:
-        Lifecycle phase of every VM mentioned by either placement (a
-        web instance is RUNNING); an absent VM counts as PENDING.  Needed
-        to distinguish a first ``Start`` from a ``Resume`` of a suspended
-        VM.
+    jobs:
+        The jobs whose VMs either placement may hold.  A job's phase is
+        read only when its VM enters the desired placement, to tell a
+        first ``Start`` from a ``Resume`` of a suspended VM.  A VM that
+        enters with no job (a new web instance) starts.
 
     Returns
     -------
@@ -84,6 +69,7 @@ def plan_actions(
     adjustments: list[PlacementAction] = []
     old_entries = previous.by_vm()
     new_entries = desired.by_vm()
+    jobs_by_vm = {job.vm_id: job for job in jobs}
 
     # VMs leaving the placement.
     for vm_id in sorted(old_entries.keys() - new_entries.keys()):
@@ -107,7 +93,8 @@ def plan_actions(
             elif abs(old.cpu_mhz - new.cpu_mhz) > _ADJUST_EPS:
                 adjustments.append(AdjustCpu(vm_id, new.cpu_mhz))
             continue
-        state = vm_states.get(vm_id, JobPhase.PENDING)
+        job = jobs_by_vm.get(vm_id)
+        state = JobPhase.PENDING if job is None else job.phase
         if state is JobPhase.SUSPENDED:
             resumes.append(ResumeVm(vm_id, new.node_id, new.cpu_mhz))
         elif state is JobPhase.PENDING:

@@ -20,15 +20,18 @@ observations (:meth:`UtilityDrivenController.observe_app`) and asks for a
 decision (:meth:`UtilityDrivenController.decide`), exactly as a deployed
 controller would sit behind a monitoring pipeline.
 
-Since the incremental control plane (:mod:`repro.core.control_state`),
-``decide()`` is no longer stateless: a :class:`ControlState` persists
-across cycles, fingerprints each cycle's inputs, and -- when consecutive
-cycles are compatible -- warm-starts the equalizations from the previous
-converged level.  Warm starts are *verified* and therefore
-result-preserving: a warm cycle's placement is bit-identical to a cold
-one's (see the control-state module docstring).  Each cycle also reports
-:class:`~repro.core.control_state.CycleTelemetry`: per-stage wall-times
-and equalizer cache statistics, which the experiment runner records.
+Like the paper's controller, ``decide()`` recomputes the whole placement
+from the current state every cycle.  Besides its demand estimates, the
+controller carries one float across cycles: the previous cycle's
+equalized utility level.  With ``ControllerConfig.warm_start`` it seeds
+the level predictor of the cycle's first solve, and nothing ever drops
+it -- a node failure, a demand shift or a degraded cycle included.  A
+seed of any value is result-preserving, because every prediction is
+verified against the cold bisection's invariant
+(:meth:`~repro.core.hypothetical.HypotheticalEqualizer.seed_level`), so
+a warm cycle's placement is bit-identical to a cold one's.  Each cycle
+also reports :class:`CycleTelemetry`: per-stage wall-times and equalizer
+pass statistics, which the experiment runner records.
 """
 
 from __future__ import annotations
@@ -52,9 +55,8 @@ from ..utility.base import UtilityFunction
 from ..utility.transactional import TransactionalUtility
 from ..workloads.jobs import Job, JobPhase
 from ..workloads.transactional import TransactionalAppSpec
-from .actions_planner import plan_actions, vm_states_of
+from .actions_planner import plan_actions
 from .arbiter import ArbiterResult, make_arbiter
-from .control_state import ControlState, CycleFingerprint, CycleTelemetry
 from .demand import (
     LongRunningCurve,
     TransactionalAggregateCurve,
@@ -68,6 +70,45 @@ from .hypothetical import (
 from .backends import SolverBackend, make_solver
 from .job_scheduler import AppRequest, JobRequest
 from .placement_solver import PlacementSolution
+
+
+@dataclass(frozen=True, slots=True)
+class CycleTelemetry:
+    """Per-cycle control-plane telemetry, attached to the diagnostics.
+
+    Attributes
+    ----------
+    mode:
+        ``"warm"`` when the previous cycle's equalized level seeded this
+        cycle's first solve, ``"cold"`` otherwise (the first cycle, or
+        ``warm_start`` off).
+    stage_ms:
+        Wall-clock milliseconds per decide() stage (``demand``,
+        ``arbiter``, ``equalize``, ``requests``, ``solver``, ``planner``,
+        plus their sum under ``total``).
+    eq_evals / eq_cache_hits:
+        Vectorized passes over the population (exact consumed-curve
+        evaluations and the level predictor's Newton steps) / curve
+        evaluations served by the shared memo, across every
+        equalization of the cycle.
+    seed_hits / seed_misses:
+        Equalizations whose predicted level verified (the bisection
+        resumed at the prediction's node, or a retried neighbouring or
+        shallower one) versus those that fell back to the cold bracket.
+    """
+
+    mode: str
+    stage_ms: Mapping[str, float] = field(default_factory=dict)
+    eq_evals: int = 0
+    eq_cache_hits: int = 0
+    seed_hits: int = 0
+    seed_misses: int = 0
+
+    @property
+    def cache_hit_rate(self) -> float:
+        """Fraction of consumed-curve lookups served by the memo."""
+        lookups = self.eq_evals + self.eq_cache_hits
+        return self.eq_cache_hits / lookups if lookups else 0.0
 
 
 @dataclass(frozen=True)
@@ -191,12 +232,6 @@ class UtilityDrivenController:
         Optional utility shapes (default: the paper's linear utility).
         The job shape is applied to hypothetical slacks only through the
         long-running *mean*; the equalized level is shape-independent.
-    control_state:
-        Cross-cycle control-plane state.  Defaults to a fresh
-        :class:`~repro.core.control_state.ControlState` configured from
-        ``config`` (``warm_start`` / ``warm_demand_rtol``); pass one
-        explicitly to share or inspect it
-        (benchmarks drive warm and cold controllers this way).
     network:
         Optional :class:`~repro.netmodel.context.NetworkContext` binding
         the scenario's zone topology to the cluster's nodes.  Only
@@ -212,7 +247,6 @@ class UtilityDrivenController:
         app_specs: Sequence[TransactionalAppSpec],
         config: Optional[ControllerConfig] = None,
         tx_utility_shape: Optional[UtilityFunction] = None,
-        control_state: Optional[ControlState] = None,
         network: Optional[NetworkContext] = None,
     ) -> None:
         self.config = config or ControllerConfig()
@@ -222,10 +256,8 @@ class UtilityDrivenController:
             network if network is not None and self.config.latency_weight > 0
             else None
         )
-        self.control_state = control_state or ControlState(
-            warm=self.config.warm_start,
-            demand_rtol=self.config.warm_demand_rtol,
-        )
+        #: The last cycle's equalized level: the next cycle's seed.
+        self._level: Optional[float] = None
         self._specs = {spec.app_id: spec for spec in app_specs}
         self._utilities = {
             spec.app_id: TransactionalUtility(spec.rt_goal, tx_utility_shape)
@@ -319,7 +351,6 @@ class UtilityDrivenController:
         app_nodes:
             Per-app set of nodes currently hosting an instance.
         """
-        state = self.control_state
         t0 = perf_counter()
         included: list[Job] = []
         population = snapshot_jobs(jobs, t, included=included)
@@ -333,17 +364,9 @@ class UtilityDrivenController:
         capacity = effective_capacity(
             sum(n.cpu_capacity for n in nodes), self.config.capacity_efficiency
         )
-        fingerprint = CycleFingerprint.of(
-            nodes,
-            tuple(self._specs),
-            capacity,
-            tx_curve.max_utility_demand,
-            lr_curve.max_utility_demand,
-            len(population),
-        )
-        warm, cold_reason = state.begin_cycle(fingerprint)
-        if warm and state.lr_level is not None:
-            lr_curve.warm_seed(state.lr_level)
+        warm = self.config.warm_start and self._level is not None
+        if warm:
+            lr_curve.warm_seed(self._level)
         t1 = perf_counter()
 
         split = self._arbiter.split(capacity, tx_curve, lr_curve)
@@ -362,9 +385,7 @@ class UtilityDrivenController:
             nodes, app_requests, job_requests, lr_target=split.lr_allocation
         )
         t5 = perf_counter()
-        actions = plan_actions(
-            current_placement, solution.placement, vm_states_of(included, app_nodes)
-        )
+        actions = plan_actions(current_placement, solution.placement, included)
         t6 = perf_counter()
 
         # Background optimality oracle -- after the decision is final,
@@ -374,11 +395,10 @@ class UtilityDrivenController:
             nodes, app_requests, job_requests, split.lr_allocation, solution
         )
 
-        state.complete_cycle(fingerprint, hypothetical.utility_level)
+        self._level = hypothetical.utility_level
         eq_stats = lr_curve.equalizer.stats
         telemetry = CycleTelemetry(
             mode="warm" if warm else "cold",
-            reason=cold_reason,
             stage_ms={
                 "demand": (t1 - t0) * 1e3,
                 "arbiter": (t2 - t1) * 1e3,
@@ -420,10 +440,6 @@ class UtilityDrivenController:
             hypothetical=hypothetical,
             diagnostics=diagnostics,
         )
-
-    def invalidate(self, reason: str) -> None:
-        """Force the next cycle cold (``invalidated:<reason>``)."""
-        self.control_state.invalidate(reason)
 
     def close(self) -> None:
         """Nothing to release: the monolithic controller holds no resources."""

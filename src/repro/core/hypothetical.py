@@ -99,9 +99,10 @@ def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
 class EqualizerStats:
     """Consumed-curve evaluation accounting for one equalizer.
 
-    The control plane's telemetry (``repro.core.control_state``) reports
-    these per control cycle: how many vectorized passes over the
-    population actually ran (exact consumed-curve evaluations and the
+    The control plane's telemetry
+    (:class:`~repro.core.controller.CycleTelemetry`) reports these per
+    control cycle: how many vectorized passes over the population
+    actually ran (exact consumed-curve evaluations and the
     level predictor's Newton steps alike), how many evaluations the
     shared memo served, and how often a predicted level verified
     (the bisection resumed mid-tree) versus fell back to the cold

@@ -16,11 +16,11 @@ and guarantees the control loop three things:
 
 A *degraded cycle* keeps the last-known-good placement: entries on nodes
 that disappeared are dropped, per-node CPU is scaled down if a brownout
-shrank capacity, and no other action is taken.  The wrapped policy's
-warm state is invalidated so its next successful cycle re-derives a
-consistent view.  On the success path the wrapped policy's decision is
-returned untouched, so a fault-free run is bit-identical to an
-unwrapped one.
+shrank capacity, and no other action is taken.  The wrapped policy is
+not told: its next cycle recomputes the placement from the state it is
+handed, as every cycle does.  On the success path the wrapped policy's
+decision is returned untouched, so a fault-free run is bit-identical to
+an unwrapped one.
 
 ``ControllerConfig.max_consecutive_degraded`` bounds how long the system
 may stay degraded before the run is aborted with
@@ -124,20 +124,9 @@ class ResilientController:
             decision = dataclasses.replace(decision, diagnostics=diagnostics)
         return decision
 
-    def invalidate(self, reason: str) -> None:
-        """Force the wrapped policy's next cycle cold."""
-        self.inner.invalidate(reason)
-
     def close(self) -> None:
         """Release the wrapped policy's resources (shard pools)."""
         self.inner.close()
-
-    def __enter__(self) -> "ResilientController":
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        self.close()
-        return False
 
     # ------------------------------------------------------------------
     # Degraded cycle
@@ -167,13 +156,10 @@ class ResilientController:
                 f"{self._consecutive_degraded} consecutive degraded cycles "
                 f"(limit {limit}); last fallback: {reason} ({detail})"
             )
-        # The wrapped policy's warm state may not match the placement
-        # this cycle keeps: force its next cycle cold.
-        self.inner.invalidate("degraded")
         placement = self._last_known_good(current_placement, nodes)
-        # The fallback only drops or shrinks incumbent entries, so the
-        # planner never needs a VM's state to tell a start from a resume.
-        actions = plan_actions(current_placement, placement, {})
+        # The fallback only drops or shrinks incumbent entries, so no VM
+        # enters and the planner needs no job to tell a start from a resume.
+        actions = plan_actions(current_placement, placement, ())
         job_rates: dict[str, float] = {}
         app_allocations: dict[str, float] = {}
         for entry in placement:

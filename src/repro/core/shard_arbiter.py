@@ -13,8 +13,7 @@ Two pieces live here:
 * **Shard planning** -- a pluggable :class:`ShardPlanner` maps nodes to
   shard indices.  Assignments are *sticky*: once a node is assigned it
   never moves (so one shard's node failure cannot reshuffle another
-  shard's topology fingerprint and invalidate its warm
-  :class:`~repro.core.control_state.ControlState`).  Two planners are
+  shard's nodes, or the jobs they host, across shards).  Two planners are
   registered: :class:`RoundRobinShardPlanner` balances node counts, and
   :class:`ZoneShardPlanner` keeps topology zones together (the declared
   :class:`~repro.cluster.topology.NodeClass` zone when known, else the

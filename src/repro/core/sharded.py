@@ -8,8 +8,8 @@ scales it structurally:
 
 1. the topology is partitioned into ``ControllerConfig.shards`` shards
    by a pluggable :class:`~repro.core.shard_arbiter.ShardPlanner`
-   (assignments are sticky, so a node failure in one shard never touches
-   another shard's fingerprint);
+   (assignments are sticky, so a node failure in one shard never moves
+   another shard's nodes or jobs);
 2. jobs follow their hosting node's shard; jobs without a node
    (newly-submitted, suspended-by-failure) are routed once by the
    top-level :class:`~repro.core.shard_arbiter.ShardArbiter`, which
@@ -19,10 +19,9 @@ scales it structurally:
 3. each shard runs the full monolithic ``decide()`` over *its* nodes and
    jobs -- serially in-process or fanned over a persistent
    ``run_sweep``-style process pool (``ControllerConfig.shard_workers``)
-   -- with its own cross-cycle
-   :class:`~repro.core.control_state.ControlState` preserved for warm
-   starts (pooled sub-controllers round-trip through the pool, so warm
-   state survives and serial/pooled runs are byte-identical);
+   -- keeping its own previous equalized level as its warm seed
+   (pooled sub-controllers round-trip through the pool, so the level
+   survives and serial/pooled runs are byte-identical);
 4. the per-shard decisions are merged into one cluster-level
    :class:`~repro.core.controller.ControlDecision` whose placements are
    disjoint by construction (each shard only places on its own nodes).
@@ -58,8 +57,12 @@ from ..types import Mhz, Seconds
 from ..utility.base import UtilityFunction
 from ..workloads.jobs import Job, JobPhase
 from ..workloads.transactional import TransactionalAppSpec
-from .control_state import CycleTelemetry
-from .controller import ControlDecision, ControlDiagnostics, UtilityDrivenController
+from .controller import (
+    ControlDecision,
+    ControlDiagnostics,
+    CycleTelemetry,
+    UtilityDrivenController,
+)
 from .demand import effective_capacity
 from .hypothetical import HypotheticalAllocation
 from .placement_solver import PlacementSolution
@@ -97,10 +100,10 @@ def _decide_shard(
 
     Module-level so pool workers can unpickle it.  The sub-controller is
     returned alongside the decision because in the pooled path it is a
-    *copy* whose mutated state (demand trackers, warm
-    :class:`~repro.core.control_state.ControlState`) must replace the
-    parent's instance -- that round trip is what preserves warm starts
-    across pooled cycles and keeps serial and pooled runs byte-identical.
+    *copy* whose mutated state (demand trackers, the warm level) must
+    replace the parent's instance -- that round trip is what preserves
+    warm starts across pooled cycles and keeps serial and pooled runs
+    byte-identical.
     """
     _, controller, t, nodes, jobs, placement, app_nodes, observations = task
     for app_id, load, service_cycles in observations:
@@ -199,11 +202,6 @@ class ShardedController:
     def node_shard(self, node_id: str) -> Optional[int]:
         """Sticky shard index of ``node_id`` (``None`` if never seen)."""
         return self._node_shard.get(node_id)
-
-    def invalidate(self, reason: str) -> None:
-        """Force every shard's next cycle cold."""
-        for controller in self._controllers:
-            controller.invalidate(reason)
 
     # ------------------------------------------------------------------
     # PlacementPolicy interface
@@ -328,13 +326,6 @@ class ShardedController:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-
-    def __enter__(self) -> "ShardedController":
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        self.close()
-        return False
 
     # ------------------------------------------------------------------
     # Partitioning
@@ -596,12 +587,11 @@ def _merge_telemetry(decisions: list[ControlDecision], wall_ms: float) -> CycleT
     and ``overhead`` its excess over the summed shard totals
     (partitioning, routing, merging -- negative under a real worker
     pool, clamped at 0).  The cycle reports warm only when every shard
-    ran warm; a mixed cycle reports the first cold shard's reason.
+    ran warm.
     """
     stage_ms: dict[str, float] = {}
     eq_evals = eq_cache_hits = seed_hits = seed_misses = 0
     mode = "warm"
-    reason = ""
     for decision in decisions:
         telemetry = decision.diagnostics.telemetry
         for stage, ms in telemetry.stage_ms.items():
@@ -610,15 +600,13 @@ def _merge_telemetry(decisions: list[ControlDecision], wall_ms: float) -> CycleT
         eq_cache_hits += telemetry.eq_cache_hits
         seed_hits += telemetry.seed_hits
         seed_misses += telemetry.seed_misses
-        if telemetry.mode != "warm" and mode == "warm":
+        if telemetry.mode != "warm":
             mode = "cold"
-            reason = telemetry.reason
     shard_total = stage_ms.get("total", 0.0)
     stage_ms["overhead"] = max(wall_ms - shard_total, 0.0)
     stage_ms["total"] = wall_ms
     return CycleTelemetry(
         mode=mode,
-        reason=reason,
         stage_ms=stage_ms,
         eq_evals=eq_evals,
         eq_cache_hits=eq_cache_hits,

@@ -59,6 +59,10 @@ from ..workloads.jobs import Job, JobPhase
 from ..workloads.transactional import TransactionalApp
 from .scenario import Scenario
 
+#: ``JobPhase.RUNNING`` for the per-job loops of every cycle: a module
+#: global is cheaper to read than the enum class attribute.
+_RUNNING = JobPhase.RUNNING
+
 
 @runtime_checkable
 class PlacementPolicy(Protocol):
@@ -69,8 +73,8 @@ class PlacementPolicy(Protocol):
     :class:`~repro.core.sharded.ShardedController`,
     :class:`~repro.core.resilient.ResilientController` and
     :class:`~repro.faults.chaos.ChaosPolicy`.  A wrapper implements all
-    four methods by delegating explicitly, so a degraded cycle's
-    ``invalidate`` and the run's ``close`` reach the real controller.
+    three methods by delegating explicitly, so the run's ``close``
+    reaches the real controller.
     """
 
     def observe_app(
@@ -99,10 +103,6 @@ class PlacementPolicy(Protocol):
         removes entries from it as jobs complete and nodes fail in
         between.  A policy must not keep or reuse that object.
         """
-        ...
-
-    def invalidate(self, reason: str) -> None:
-        """Drop cross-cycle state: the next cycle runs cold."""
         ...
 
     def close(self) -> None:
@@ -211,10 +211,11 @@ class ExperimentResult:
 
         Control-plane telemetry (policies running the incremental control
         plane only; NaN otherwise): ``warm_cycle_fraction`` is the
-        share of cycles that ran warm, ``eq_cache_hit_rate`` the fraction
-        of consumed-curve lookups the equalizer's memo served, and
-        ``decide_ms_mean`` the mean decide() wall-time per cycle --
-        the one *nondeterministic* metric in this set (wall-clock).
+        share of cycles whose first solve the previous cycle's level
+        seeded, ``eq_cache_hit_rate`` the fraction of consumed-curve
+        lookups the equalizer's memo served, and ``decide_ms_mean`` the
+        mean decide() wall-time per cycle -- the one *nondeterministic*
+        metric in this set (wall-clock).
 
         Degradation telemetry: ``degraded_cycles`` counts cycles that
         fell back to the last-known-good placement,
@@ -418,7 +419,7 @@ class ExperimentRunner:
         if not isinstance(policy, PlacementPolicy):
             raise TypeError(
                 f"{type(policy).__name__} does not implement PlacementPolicy "
-                "(observe_app, decide, invalidate, close)"
+                "(observe_app, decide, close)"
             )
         if scenario.controller.resilient and not isinstance(
             policy, ResilientController
@@ -576,7 +577,7 @@ class ExperimentRunner:
 
     def _advance_running_jobs(self, t: Seconds) -> None:
         for job in self._live.values():
-            if job.phase is JobPhase.RUNNING:
+            if job.phase is _RUNNING:
                 job.advance_to(t)
 
     def _feed_observations(self, t: Seconds) -> None:
@@ -690,7 +691,7 @@ class ExperimentRunner:
         live = self._live
         for job_id in sorted(live):
             job = live[job_id]
-            if job.phase is JobPhase.RUNNING and job_id not in self._rate_events:
+            if job.phase is _RUNNING and job_id not in self._rate_events:
                 self._schedule_completion(job, t)
 
     def _schedule_completion(self, job: Job, t: Seconds) -> None:
@@ -864,8 +865,6 @@ class ExperimentRunner:
             rec.bump("eq_cache_hits_total", telemetry.eq_cache_hits)
             rec.bump("eq_seed_hits_total", telemetry.seed_hits)
             rec.bump("eq_seed_misses_total", telemetry.seed_misses)
-            if not warm and telemetry.reason:
-                rec.bump(f"invalidations:{telemetry.reason}")
 
         # Both oracle fields are NaN on cycles the oracle skipped or is
         # disabled for, so the series only carry real samples.
@@ -882,8 +881,6 @@ class ExperimentRunner:
             rec.record("shard_imbalance", t, diag.shard_imbalance)
             for shard, st in enumerate(diag.shard_telemetry):
                 rec.record(f"shard_ms:{shard}", t, st.stage_ms.get("total", math.nan))
-                if st.mode != "warm" and st.reason:
-                    rec.bump(f"invalidations:shard{shard}:{st.reason}")
 
         # ``brownout_fraction`` is recorded every cycle (0.0 while no
         # brownout is active) so its time average is well-defined for

@@ -31,9 +31,8 @@ class InjectedFaultError(ReproError):
 class ChaosPolicy:
     """Wrap ``inner`` and fail ``decide()`` with probability ``error_rate``.
 
-    The rest of the policy contract (``observe_app``, ``invalidate``,
-    ``close``) passes straight to the wrapped policy, so a degraded cycle
-    still forces the real controller cold.
+    The rest of the policy contract (``observe_app``, ``close``) passes
+    straight to the wrapped policy.
     """
 
     def __init__(
@@ -63,9 +62,6 @@ class ChaosPolicy:
                 f"chaos: injected decide() failure #{self.injected} at t={t:g}"
             )
         return self.inner.decide(t, **kwargs)
-
-    def invalidate(self, reason: str) -> None:
-        self.inner.invalidate(reason)
 
     def close(self) -> None:
         self.inner.close()

@@ -33,7 +33,9 @@ incremental control plane (``diag.telemetry`` set) record:
   wall-time per stage (``demand`` / ``arbiter`` / ``equalize`` /
   ``requests`` / ``solver`` / ``planner`` / ``total``), milliseconds;
 * ``cycle_warm`` series and ``warm_cycles`` / ``cold_cycles`` counters
-  -- ``telemetry.mode``;
+  -- ``telemetry.mode``: whether the previous cycle's equalized level
+  seeded the cycle's first solve (every cycle after the controller's
+  first completed one, unless ``warm_start`` is off);
 * ``eq_evals`` / ``eq_cache_hits`` series and ``eq_evals_total`` /
   ``eq_cache_hits_total`` counters -- ``telemetry.eq_evals`` /
   ``telemetry.eq_cache_hits``: vectorized passes over the population
@@ -41,9 +43,7 @@ incremental control plane (``diag.telemetry`` set) record:
   served by the equalizer's shared memo;
 * ``eq_seed_hits_total`` / ``eq_seed_misses_total`` counters --
   ``telemetry.seed_hits`` / ``telemetry.seed_misses``: equalizations
-  whose predicted level verified / fell back to the cold bracket;
-* ``invalidations:<reason>`` counters -- ``telemetry.reason`` of each
-  cold cycle (e.g. ``invalidations:topology-changed``).
+  whose predicted level verified / fell back to the cold bracket.
 
 Sharded runs (``ControllerConfig.shards > 1``; ``diag.shard_telemetry``
 non-empty) additionally record:
@@ -55,12 +55,6 @@ non-empty) additionally record:
 * ``shard_imbalance`` series -- ``diag.shard_imbalance``: spread
   (max - min) of the shards' local equalized utility levels at their
   budgets, the quantity cross-shard arrival routing drives down;
-* ``invalidations:shard<i>:<reason>`` counters --
-  ``shard_telemetry[i].reason``: per-shard cold-cycle causes.  The
-  unqualified ``invalidations:<reason>`` counter keeps its
-  cluster-level meaning (bumped once per cycle, with the first cold
-  shard's reason), so shard counters add detail without double-counting
-  a meaning change.
 * The merged ``stage_ms:<stage>`` series sums each stage across shards
   (aggregate work); ``stage_ms:total`` is the observed wall time of the
   whole sharded decide and ``stage_ms:overhead`` its excess over the

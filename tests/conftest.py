@@ -10,7 +10,7 @@ from repro.core.resilient import ResilientController
 from repro.experiments.runner import ExperimentRunner
 from repro.faults.chaos import ChaosPolicy
 from repro.perf.jobmodel import JobPopulation
-from repro.workloads import Job, JobSpec
+from repro.workloads import Job, JobPhase, JobSpec
 
 
 def _injects_faults(policy) -> bool:
@@ -22,12 +22,13 @@ def _injects_faults(policy) -> bool:
 
 @pytest.fixture(autouse=True)
 def strict_fallbacks(request, monkeypatch):
-    """Strict mode: a run that degraded on an exception fails the test.
+    """Strict mode: a run that recorded any ``fallback:*`` counter fails.
 
     Graceful degradation survives *injected* faults; it must not turn an
-    exception in ``decide()`` into a quietly degraded but passing run.  A
-    run whose policy injects faults (``chaos-utility``) is exempt, and so
-    is a test marked ``allow_fallback`` because it raises on purpose.
+    exception in ``decide()``, an infeasible decision or a solver failure
+    into a quietly degraded but passing run.  A run whose policy injects
+    faults (``chaos-utility``) is exempt, and so is a test marked
+    ``allow_fallback`` because it degrades on purpose.
     """
     if request.node.get_closest_marker("allow_fallback") is not None:
         return
@@ -36,13 +37,13 @@ def strict_fallbacks(request, monkeypatch):
     def strict_run(self):
         result = run(self)
         if not _injects_faults(self._policy):
-            raised = {
+            fallbacks = {
                 name: count
                 for name, count in result.recorder.counters.items()
-                if name.startswith("fallback:exception:")
+                if name.startswith("fallback:")
             }
-            if raised:
-                pytest.fail(f"decide() raised and the run degraded: {raised}")
+            if fallbacks:
+                pytest.fail(f"the run fell back: {fallbacks}")
         return result
 
     monkeypatch.setattr(ExperimentRunner, "run", strict_run)
@@ -93,6 +94,21 @@ def make_job_spec(
 def make_job(**kwargs) -> Job:
     """A runtime Job over :func:`make_job_spec`."""
     return Job(make_job_spec(**kwargs))
+
+
+def make_job_in(phase: JobPhase, **kwargs) -> Job:
+    """A :func:`make_job` job taken from PENDING into ``phase`` on ``n0``."""
+    job = make_job(**kwargs)
+    if phase is JobPhase.PENDING:
+        return job
+    job.start(0.0, "n0", job.spec.speed_cap_mhz)
+    if phase is JobPhase.SUSPENDED:
+        job.suspend(0.0)
+    elif phase is JobPhase.COMPLETED:
+        job.complete(job.spec.min_duration)
+    elif phase is JobPhase.CANCELLED:
+        job.cancel(0.0)
+    return job
 
 
 def make_population(

@@ -21,6 +21,7 @@ control cycle at time ``t``, checks that:
 import dataclasses
 import math
 from collections import defaultdict
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -29,8 +30,11 @@ from hypothesis import strategies as st
 from repro.api import Experiment, available_scenarios
 from repro.baselines.registry import get_policy
 from repro.cluster.placement import parse_instance_vm_id
-from repro.experiments.runner import ExperimentRunner
+from repro.core import plan_actions
+from repro.experiments.runner import ExperimentRunner, default_policy_factory
 from repro.experiments.scenario import NodeBrownout, NodeFailure
+from repro.sim.engine import ORDER_DEFAULT
+from repro.types import WorkloadKind
 from repro.workloads import JobPhase
 
 WORK_RTOL = 1e-9
@@ -234,3 +238,132 @@ def test_invariants_hold_under_random_arrival_traces(submits):
         for spec, submit in zip(scenario.job_specs, submits)
     )
     run_checked(dataclasses.replace(scenario, job_specs=specs))
+
+
+class _Move(NamedTuple):
+    t: float
+    vm_id: str
+    dst: str
+    cpu_mhz: float
+
+
+class _MigrateOnce:
+    """Test-only policy: the default controller, plus one migration.
+
+    At the first cycle from ``at`` on where some RUNNING job keeps its
+    host in the decided placement and another active node has room for
+    it -- its memory and some free CPU -- the job with the most remaining
+    work moves to the first such node, granted its CPU or the node's
+    free CPU if less, and the cycle is re-planned with
+    :func:`plan_actions`.
+    """
+
+    def __init__(self, inner, at):
+        self.inner = inner
+        self.at = at
+        self.moved = None
+
+    def observe_app(self, app_id, *, load, service_cycles=None):
+        self.inner.observe_app(app_id, load=load, service_cycles=service_cycles)
+
+    def close(self):
+        self.inner.close()
+
+    def decide(self, t, *, nodes, jobs, current_placement, app_nodes):
+        decision = self.inner.decide(
+            t,
+            nodes=nodes,
+            jobs=jobs,
+            current_placement=current_placement,
+            app_nodes=app_nodes,
+        )
+        if self.moved is not None or t < self.at:
+            return decision
+        placement = decision.placement
+        running = {job.vm_id: job for job in jobs if job.phase is JobPhase.RUNNING}
+        moves = []
+        for entry in placement:
+            incumbent = current_placement.get(entry.vm_id)
+            if (
+                entry.kind is not WorkloadKind.LONG_RUNNING
+                or entry.vm_id not in running
+                or incumbent is None
+                or incumbent.node_id != entry.node_id
+            ):
+                continue
+            for node in nodes:
+                free_cpu = node.cpu_capacity - placement.cpu_used(node.node_id)
+                free_memory = node.memory_mb - placement.memory_used(node.node_id)
+                if (
+                    node.node_id != entry.node_id
+                    and free_cpu > 0.0
+                    and entry.memory_mb <= free_memory
+                ):
+                    moves.append((entry, node.node_id, min(entry.cpu_mhz, free_cpu)))
+                    break
+        if not moves:
+            return decision
+        entry, dst, cpu = max(
+            moves, key=lambda move: running[move[0].vm_id].remaining_work
+        )
+        moved = placement.copy()
+        moved.remove(entry.vm_id)
+        moved.add(dataclasses.replace(entry, node_id=dst, cpu_mhz=cpu))
+        self.moved = _Move(t, entry.vm_id, dst, cpu)
+        return dataclasses.replace(
+            decision,
+            solution=dataclasses.replace(decision.solution, placement=moved),
+            actions=plan_actions(current_placement, moved, jobs),
+        )
+
+
+class _MigrationProbe(CheckedRunner):
+    """A :class:`CheckedRunner` that samples the migrated job's host and
+    rate right after the migrating cycle, halfway through the pause, and
+    just before and just after the pause's end."""
+
+    def __init__(self, scenario, mover):
+        super().__init__(scenario, lambda _: mover)
+        self.mover = mover
+        self.samples = {}
+
+    def _control_cycle(self, t):
+        super()._control_cycle(t)
+        move = self.mover.moved
+        if move is None or move.t != t:
+            return
+        job = self._job_of(move.vm_id)
+        end = t + self.scenario.costs.migrate_pause
+
+        def sample(name):
+            def probe(_):
+                self.samples[name] = (job.phase, job.node_id, job.rate)
+
+            return probe
+
+        sample("enacted")(t)
+        self._sim.at((t + end) / 2, sample("paused"), tag="probe")
+        self._sim.at(end, sample("before"), order=ORDER_DEFAULT - 1, tag="probe")
+        self._sim.at(end, sample("after"), order=ORDER_DEFAULT + 1, tag="probe")
+
+
+def test_a_migration_runs_through_the_runner():
+    """No registered scenario migrates a VM, so a test policy moves one
+    running job: the runner's ``MigrateVm`` path, ``Job.migrate`` and
+    the migration pause run under the per-cycle checks."""
+    scenario = Experiment.from_spec("smoke").materialize()
+    mover = _MigrateOnce(default_policy_factory(scenario), at=900.0)
+    runner = _MigrationProbe(scenario, mover)
+    result = runner.run()
+    assert runner.checked_cycles == result.cycles > 0
+
+    move = mover.moved
+    assert move is not None, "no running job could be moved"
+    assert result.action_log.migrations == 1
+    running = JobPhase.RUNNING
+    assert runner.samples == {
+        "enacted": (running, move.dst, 0.0),
+        "paused": (running, move.dst, 0.0),
+        "before": (running, move.dst, 0.0),
+        "after": (running, move.dst, move.cpu_mhz),
+    }

@@ -1,11 +1,11 @@
-"""Cache invalidation end-to-end: warm runs == cold runs, through failures.
+"""No invalidation end-to-end: warm runs == cold runs, through failures.
 
 The failure-recovery scenario kills and restores a node mid-run; the
-overload scenario ramps transactional demand far beyond capacity.  Both
-must (a) trigger the control plane's fingerprint invalidation -- topology
-change and demand shift respectively -- and (b) produce placements and
-metrics identical to a cold-started controller's, post-failure included:
-warm starts are verified and therefore result-preserving.
+overload scenario ramps transactional demand far beyond capacity.  The
+controller never drops its warm level, so every cycle after the first
+runs warm through both -- and still produces placements and metrics
+identical to a cold-started controller's: warm starts are verified and
+therefore result-preserving.
 """
 
 import math
@@ -48,33 +48,30 @@ def _assert_runs_identical(warm, cold):
         assert list(sa.values) == list(sb.values), name
 
 
-def test_failure_recovery_warm_matches_cold_and_invalidates():
+def _assert_warm_after_the_first_cycle(warm):
+    assert warm.recorder.counter("cold_cycles") == 1.0
+    assert warm.recorder.counter("warm_cycles") == warm.cycles - 1
+
+
+def test_failure_recovery_warm_matches_cold():
     warm = run_experiment("failure-recovery")
     cold = run_experiment(
         "failure-recovery", overrides={"controller.warm_start": False}
     )
     _assert_runs_identical(warm, cold)
 
-    counters = warm.recorder.counters
-    # The node failure and the restore must each force a cold cycle.
-    assert counters.get("invalidations:topology-changed", 0.0) >= 2
-    assert counters.get("warm_cycles", 0.0) > 0
+    # The node failure and the restore leave the controller warm.
+    assert warm.recorder.counter("node_failures") >= 1
+    _assert_warm_after_the_first_cycle(warm)
     assert warm.summary_metrics()["warm_cycle_fraction"] > 0.5
     # The cold run reports itself as fully cold.
     assert cold.recorder.counter("warm_cycles") == 0.0
     assert cold.summary_metrics()["warm_cycle_fraction"] == 0.0
 
 
-def test_overload_demand_shift_invalidates_and_matches_cold():
-    # The registry's overload ramp is smoothed by the demand estimator, so
-    # pin a tight fingerprint tolerance to exercise the demand-shift rule.
-    overrides = {"controller.warm_demand_rtol": 0.05}
-    warm = run_experiment("overload", overrides=overrides)
-    cold = run_experiment(
-        "overload", overrides={**overrides, "controller.warm_start": False}
-    )
+def test_overload_demand_shift_warm_matches_cold():
+    warm = run_experiment("overload")
+    cold = run_experiment("overload", overrides={"controller.warm_start": False})
     _assert_runs_identical(warm, cold)
 
-    counters = warm.recorder.counters
-    assert counters.get("invalidations:demand-shift", 0.0) >= 1
-    assert counters.get("warm_cycles", 0.0) > 0
+    _assert_warm_after_the_first_cycle(warm)

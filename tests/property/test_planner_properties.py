@@ -24,17 +24,19 @@ from repro.core import plan_actions
 from repro.types import WorkloadKind
 from repro.workloads import JobPhase
 
+from ..conftest import make_job_in
+
 _NODES = ["n0", "n1", "n2"]
 
 
 @st.composite
 def placement_pairs(draw):
-    """(previous placement, desired placement, vm lifecycle states)."""
-    vm_ids = [f"vm{i}" for i in range(draw(st.integers(0, 12)))]
+    """(previous placement, desired placement, the VMs' jobs)."""
     prev_entries = []
     desired_entries = []
-    states: dict[str, JobPhase] = {}
-    for vm_id in vm_ids:
+    jobs = []
+    for i in range(draw(st.integers(0, 12))):
+        vm_id = f"vm-j{i}"
         kind = draw(st.sampled_from([WorkloadKind.TRANSACTIONAL,
                                      WorkloadKind.LONG_RUNNING]))
         in_prev = draw(st.booleans())
@@ -45,17 +47,16 @@ def placement_pairs(draw):
                 vm_id=vm_id, node_id=draw(st.sampled_from(_NODES)),
                 cpu_mhz=draw(st.floats(0.0, 3000.0)), memory_mb=mem, kind=kind,
             ))
-            states[vm_id] = JobPhase.RUNNING
+            phase = JobPhase.RUNNING
         else:
-            states[vm_id] = draw(
-                st.sampled_from([JobPhase.PENDING, JobPhase.SUSPENDED])
-            )
+            phase = draw(st.sampled_from([JobPhase.PENDING, JobPhase.SUSPENDED]))
+        jobs.append(make_job_in(phase, job_id=f"j{i}"))
         if in_desired:
             desired_entries.append(PlacementEntry(
                 vm_id=vm_id, node_id=draw(st.sampled_from(_NODES)),
                 cpu_mhz=draw(st.floats(0.0, 3000.0)), memory_mb=mem, kind=kind,
             ))
-    return Placement(prev_entries), Placement(desired_entries), states
+    return Placement(prev_entries), Placement(desired_entries), jobs
 
 
 def replay(previous: Placement, actions) -> dict[str, tuple[str, float]]:
@@ -80,8 +81,8 @@ def replay(previous: Placement, actions) -> dict[str, tuple[str, float]]:
 @given(placement_pairs())
 @settings(max_examples=250, deadline=None)
 def test_replaying_actions_reconstructs_desired_placement(pair):
-    previous, desired, states = pair
-    actions = plan_actions(previous, desired, states)
+    previous, desired, jobs = pair
+    actions = plan_actions(previous, desired, jobs)
     final = replay(previous, actions)
     want = {e.vm_id: (e.node_id, e.cpu_mhz) for e in desired}
     assert set(final) == set(want)
@@ -94,8 +95,8 @@ def test_replaying_actions_reconstructs_desired_placement(pair):
 @given(placement_pairs())
 @settings(max_examples=250, deadline=None)
 def test_no_action_for_unchanged_vms(pair):
-    previous, desired, states = pair
-    actions = plan_actions(previous, desired, states)
+    previous, desired, jobs = pair
+    actions = plan_actions(previous, desired, jobs)
     touched = {a.vm_id for a in actions}
     for entry in previous:
         new = desired.get(entry.vm_id)

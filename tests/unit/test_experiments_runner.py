@@ -219,8 +219,5 @@ class TestPolicyContract:
             def decide(self, t, **kwargs):
                 raise AssertionError("never reached")
 
-            def invalidate(self, reason):
-                pass
-
         with pytest.raises(TypeError, match="PlacementPolicy"):
             ExperimentRunner(tiny_scenario(), lambda scenario: NoClose())
