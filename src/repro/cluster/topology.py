@@ -69,7 +69,7 @@ class NodeClass:
     network zone (see :mod:`repro.netmodel`): several classes may share a
     zone (e.g. two hardware generations in the same edge site).  When
     omitted, the class name doubles as the zone -- exactly the id-prefix
-    convention the zone shard planner and zone outages already use.
+    convention zone outages already use.
     """
 
     name: str

@@ -164,13 +164,14 @@ class ControllerConfig:
         newly-arrived jobs across shards through the top-level shard
         arbiter (:mod:`repro.core.shard_arbiter`).
     shard_workers:
-        Worker processes the sharded controller fans per-shard
-        ``decide()`` calls over (``1`` = in-process serial execution,
-        byte-identical to the pooled path).
+        Unread: every shard decides in the calling process, one after
+        another.  Still declared and validated so existing spec files
+        load; its removal waits for a benchmark PR, whose workload sets
+        it.
     shard_planner:
-        Name of the registered node-to-shard partitioning strategy
-        (``"round-robin"`` | ``"zone"``; see
-        :func:`repro.core.shard_arbiter.make_shard_planner`).
+        How nodes are assigned to shards.  Only ``"round-robin"`` is
+        accepted: each new node joins the least-populated shard
+        (:func:`repro.core.shard_arbiter.least_populated_shard`).
     resilient:
         Whether the experiment runner wraps the policy in
         :class:`repro.core.resilient.ResilientController`: every decision
@@ -265,8 +266,11 @@ class ControllerConfig:
             raise ConfigurationError("shards must be a positive integer")
         if not isinstance(self.shard_workers, int) or self.shard_workers < 1:
             raise ConfigurationError("shard_workers must be a positive integer")
-        if not self.shard_planner or not isinstance(self.shard_planner, str):
-            raise ConfigurationError("shard_planner must be a non-empty string")
+        if self.shard_planner != "round-robin":
+            raise ConfigurationError(
+                f"unknown shard planner {self.shard_planner!r} "
+                "(available: round-robin)"
+            )
         if self.decide_budget_ms is not None and self.decide_budget_ms <= 0:
             raise ConfigurationError("decide_budget_ms must be positive or None")
         if self.max_consecutive_degraded is not None and (

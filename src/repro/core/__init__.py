@@ -10,6 +10,12 @@ implementation from the backend registry (:mod:`repro.core.backends`) --
 (:class:`PlacementSolver`), ``"milp"`` for the optimal mixed-integer
 oracle (:class:`MilpPlacementSolver`) used in differential testing and
 optimality-gap measurement (:func:`make_oracle`, :func:`optimality_gap`).
+
+For large clusters :class:`ShardedController` partitions the nodes into
+shards and runs one monolithic ``decide()`` per shard, one after another
+in the calling process; :class:`ShardArbiter` routes arriving jobs
+across shards.  :class:`ResilientController` wraps any policy with a
+feasibility guard and a last-known-good fallback.
 """
 
 from .actions_planner import plan_actions
@@ -58,13 +64,8 @@ from .placement_solver import (
     water_fill,
 )
 from .shard_arbiter import (
-    RoundRobinShardPlanner,
     ShardArbiter,
-    ShardPlanner,
     ShardSplit,
-    ZoneShardPlanner,
-    available_shard_planners,
-    make_shard_planner,
     route_by_headroom,
 )
 from .resilient import ResilientController
@@ -109,11 +110,6 @@ __all__ = [
     "order_by_urgency",
     "split_runnable",
     "plan_actions",
-    "ShardPlanner",
-    "RoundRobinShardPlanner",
-    "ZoneShardPlanner",
-    "available_shard_planners",
-    "make_shard_planner",
     "ShardArbiter",
     "ShardSplit",
     "route_by_headroom",

@@ -163,12 +163,10 @@ class ControlDiagnostics:
     milp_retries: int = 0
     #: Sharded control plane (:class:`repro.core.sharded.ShardedController`
     #: with more than one shard; empty otherwise): each shard's own
-    #: telemetry in shard order, the spread (max - min) of the shards'
-    #: local equalized utility levels, and the ``BrokenProcessPool``
-    #: incidents absorbed this cycle (decisions are unaffected).
+    #: telemetry in shard order and the spread (max - min) of the
+    #: shards' local equalized utility levels.
     shard_telemetry: tuple[CycleTelemetry, ...] = ()
     shard_imbalance: float = 0.0
-    pool_failures: int = 0
 
 
 def _solution_value(solution: PlacementSolution) -> float:
@@ -440,9 +438,6 @@ class UtilityDrivenController:
             hypothetical=hypothetical,
             diagnostics=diagnostics,
         )
-
-    def close(self) -> None:
-        """Nothing to release: the monolithic controller holds no resources."""
 
     # ------------------------------------------------------------------
     # Internals

@@ -14,6 +14,9 @@ and guarantees the control loop three things:
   deadline is measured per cycle; overruns are counted, and with
   ``decide_budget_strict`` they degrade the cycle too.
 
+``observe_app`` passes straight to the wrapped policy; only ``decide()``
+is guarded.
+
 A *degraded cycle* keeps the last-known-good placement: entries on nodes
 that disappeared are dropped, per-node CPU is scaled down if a brownout
 shrank capacity, and no other action is taken.  The wrapped policy is
@@ -123,10 +126,6 @@ class ResilientController:
             )
             decision = dataclasses.replace(decision, diagnostics=diagnostics)
         return decision
-
-    def close(self) -> None:
-        """Release the wrapped policy's resources (shard pools)."""
-        self.inner.close()
 
     # ------------------------------------------------------------------
     # Degraded cycle

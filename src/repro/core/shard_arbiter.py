@@ -10,15 +10,11 @@ shards.
 
 Two pieces live here:
 
-* **Shard planning** -- a pluggable :class:`ShardPlanner` maps nodes to
-  shard indices.  Assignments are *sticky*: once a node is assigned it
-  never moves (so one shard's node failure cannot reshuffle another
-  shard's nodes, or the jobs they host, across shards).  Two planners are
-  registered: :class:`RoundRobinShardPlanner` balances node counts, and
-  :class:`ZoneShardPlanner` keeps topology zones together (the declared
-  :class:`~repro.cluster.topology.NodeClass` zone when known, else the
-  ``<zone>-NNN`` node-id prefix produced by
-  :meth:`repro.cluster.topology.NodeClass.node_ids`).
+* **Node partitioning** -- :func:`least_populated_shard` gives each node
+  seen for the first time the shard with the fewest nodes.  The caller
+  keeps the answer: once a node is assigned it never moves (so one
+  shard's node failure cannot reshuffle another shard's nodes, or the
+  jobs they host, across shards).
 
 * **Cross-shard CPU arbitration** -- :meth:`ShardArbiter.split` reuses
   the :class:`~repro.core.hypothetical.HypotheticalEqualizer` consumed-
@@ -35,7 +31,7 @@ Two pieces live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Protocol, Sequence
+from typing import Mapping, Sequence
 
 from ..errors import ConfigurationError
 from ..perf.jobmodel import JobPopulation
@@ -50,103 +46,19 @@ _SPLIT_ITERS = 48
 
 
 # ----------------------------------------------------------------------
-# Shard planning
+# Node partitioning
 # ----------------------------------------------------------------------
-class ShardPlanner(Protocol):
-    """Strategy assigning nodes to shard indices.
+def least_populated_shard(shards: int, assigned: Mapping[str, int]) -> int:
+    """Shard index for a node seen for the first time.
 
-    ``assign`` is called once per *unseen* node (in first-observation
-    order) and must return a shard index in ``[0, shards)``.  Planners
-    may inspect ``assigned`` -- the current node -> shard map -- but must
-    be deterministic functions of it and the node id: the sharded
-    controller replays assignment on every cycle's node list and relies
-    on identical answers across serial and pooled execution.
+    The node joins the shard that ``assigned`` (node -> shard) holds the
+    fewest nodes of; ties break toward the lowest index, so the initial
+    (sorted) batch of a homogeneous cluster lands round-robin.
     """
-
-    def assign(self, node_id: str, shards: int, assigned: dict[str, int]) -> int:
-        """Shard index for a node seen for the first time."""
-        ...
-
-
-class RoundRobinShardPlanner:
-    """Balance node counts: each new node joins the least-populated shard.
-
-    Ties break toward the lowest shard index, so the initial (sorted)
-    batch of a homogeneous cluster lands round-robin.
-    """
-
-    def assign(self, node_id: str, shards: int, assigned: dict[str, int]) -> int:
-        counts = [0] * shards
-        for shard in assigned.values():
-            counts[shard] += 1
-        return counts.index(min(counts))
-
-
-class ZoneShardPlanner:
-    """Keep topology zones together: shard by each node's zone.
-
-    The zone of a node comes from the declared node -> zone map when one
-    is provided (derived from :class:`~repro.cluster.topology.NodeClass`
-    ``zone`` attributes, see
-    :meth:`repro.api.spec.TopologySpec.zone_map`); nodes outside
-    the map fall back to the legacy id-prefix parse -- the node id up to
-    the trailing ``-NNN`` ordinal (:meth:`NodeClass.node_ids
-    <repro.cluster.topology.NodeClass.node_ids>` names nodes
-    ``<class>-<i:03d>``), ids without the pattern (e.g. homogeneous
-    ``node042``) being their own zone.  Zones map to shard indices in
-    discovery order modulo the shard count, so co-zoned nodes always
-    share a shard while zones spread across shards.
-    """
-
-    def __init__(self, node_zone: Optional[Mapping[str, str]] = None) -> None:
-        self._zones: dict[str, int] = {}
-        self._node_zone: dict[str, str] = dict(node_zone or {})
-
-    def zone_of(self, node_id: str) -> str:
-        zone = self._node_zone.get(node_id)
-        if zone is not None:
-            return zone
-        head, sep, tail = node_id.rpartition("-")
-        if sep and tail.isdigit():
-            return head
-        return node_id
-
-    def assign(self, node_id: str, shards: int, assigned: dict[str, int]) -> int:
-        zone = self.zone_of(node_id)
-        if zone not in self._zones:
-            self._zones[zone] = len(self._zones)
-        return self._zones[zone] % shards
-
-
-#: Registered planner factories (name -> constructor taking the optional
-#: node -> zone map; planners that do not use zones ignore it).
-_PLANNERS: dict[str, Callable[[Optional[Mapping[str, str]]], ShardPlanner]] = {
-    "round-robin": lambda node_zone=None: RoundRobinShardPlanner(),
-    "zone": lambda node_zone=None: ZoneShardPlanner(node_zone),
-}
-
-
-def available_shard_planners() -> list[str]:
-    """Registered shard-planner names, sorted."""
-    return sorted(_PLANNERS)
-
-
-def make_shard_planner(
-    name: str, node_zone: Optional[Mapping[str, str]] = None
-) -> ShardPlanner:
-    """Construct a registered shard planner by name.
-
-    ``node_zone`` -- the topology's declared node -> zone map -- is
-    forwarded to zone-aware planners and ignored by the rest.
-    """
-    try:
-        factory = _PLANNERS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown shard planner {name!r} "
-            f"(available: {', '.join(available_shard_planners())})"
-        ) from None
-    return factory(node_zone)
+    counts = [0] * shards
+    for shard in assigned.values():
+        counts[shard] += 1
+    return counts.index(min(counts))
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,16 @@
-"""Sharded hierarchical control plane: concurrent per-shard decide().
+"""Sharded hierarchical control plane: one monolithic decide() per shard.
 
 One :class:`~repro.core.controller.UtilityDrivenController` pass is
 O(jobs x nodes) in its placement stage; a single solver sweep over a
 1000-node cluster dominates the control cycle.  The
 :class:`ShardedController` keeps the paper's controller *unchanged* and
-scales it structurally:
+splits the problem structurally:
 
-1. the topology is partitioned into ``ControllerConfig.shards`` shards
-   by a pluggable :class:`~repro.core.shard_arbiter.ShardPlanner`
-   (assignments are sticky, so a node failure in one shard never moves
-   another shard's nodes or jobs);
+1. the topology is partitioned into ``ControllerConfig.shards`` shards:
+   each node seen for the first time joins the least-populated shard
+   (:func:`~repro.core.shard_arbiter.least_populated_shard`), and keeps
+   it, so a node failure in one shard never moves another shard's nodes
+   or jobs;
 2. jobs follow their hosting node's shard; jobs without a node
    (newly-submitted, suspended-by-failure) are routed once by the
    top-level :class:`~repro.core.shard_arbiter.ShardArbiter`, which
@@ -17,11 +18,8 @@ scales it structurally:
    hypothetical-utility consumed curve and steers arrivals toward the
    largest headroom;
 3. each shard runs the full monolithic ``decide()`` over *its* nodes and
-   jobs -- serially in-process or fanned over a persistent
-   ``run_sweep``-style process pool (``ControllerConfig.shard_workers``)
-   -- keeping its own previous equalized level as its warm seed
-   (pooled sub-controllers round-trip through the pool, so the level
-   survives and serial/pooled runs are byte-identical);
+   jobs, in the calling process and in shard order, keeping its own
+   previous equalized level as its warm seed;
 4. the per-shard decisions are merged into one cluster-level
    :class:`~repro.core.controller.ControlDecision` whose placements are
    disjoint by construction (each shard only places on its own nodes).
@@ -38,11 +36,9 @@ which is the intended sharded-front-end semantic.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from itertools import chain
-from time import perf_counter, sleep
+from time import perf_counter
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -66,56 +62,16 @@ from .controller import (
 from .demand import effective_capacity
 from .hypothetical import HypotheticalAllocation
 from .placement_solver import PlacementSolution
-from .shard_arbiter import ShardArbiter, ShardSplit, make_shard_planner, route_by_headroom
+from .shard_arbiter import (
+    ShardArbiter,
+    ShardSplit,
+    least_populated_shard,
+    route_by_headroom,
+)
 
 #: Job phases that participate in shard routing (completed/cancelled jobs
 #: are filtered by every shard's own snapshot anyway).
 _ROUTABLE_PHASES = (JobPhase.PENDING, JobPhase.RUNNING, JobPhase.SUSPENDED)
-
-#: Worker-pool fault tolerance: rebuild attempts within one decide() when
-#: the pool breaks (a worker was killed), linear backoff between attempts,
-#: and the consecutive-break budget after which the pool is abandoned and
-#: the controller runs serially for the rest of its life.  Retrying is
-#: state-safe because the parent's sub-controllers are only replaced from
-#: results -- a broken map mutated nothing, so resubmitting the same
-#: tasks reproduces the exact same decisions.
-_POOL_REBUILD_RETRIES = 2
-_POOL_BACKOFF_S = 0.05
-_POOL_PERMANENT_FAILURES = 3
-
-
-def _decide_shard(
-    task: tuple[
-        int,
-        UtilityDrivenController,
-        Seconds,
-        list[NodeSpec],
-        list[Job],
-        Placement,
-        dict[str, frozenset[str]],
-        list[tuple[str, float, Optional[float]]],
-    ],
-) -> tuple[UtilityDrivenController, ControlDecision]:
-    """One shard's cycle: replay observations, decide, return both.
-
-    Module-level so pool workers can unpickle it.  The sub-controller is
-    returned alongside the decision because in the pooled path it is a
-    *copy* whose mutated state (demand trackers, the warm level) must
-    replace the parent's instance -- that round trip is what preserves
-    warm starts across pooled cycles and keeps serial and pooled runs
-    byte-identical.
-    """
-    _, controller, t, nodes, jobs, placement, app_nodes, observations = task
-    for app_id, load, service_cycles in observations:
-        controller.observe_app(app_id, load=load, service_cycles=service_cycles)
-    decision = controller.decide(
-        t,
-        nodes=nodes,
-        jobs=jobs,
-        current_placement=placement,
-        app_nodes=app_nodes,
-    )
-    return controller, decision
 
 
 def _weighted(values: Sequence[float], weights: Sequence[float]) -> float:
@@ -127,20 +83,16 @@ def _weighted(values: Sequence[float], weights: Sequence[float]) -> float:
 
 
 class ShardedController:
-    """Hierarchical controller: shard planner + arbiter over monolithic cores.
+    """Hierarchical controller: sticky node shards + arbiter over monolithic cores.
 
     Drop-in :class:`~repro.experiments.runner.PlacementPolicy`; built by
     :func:`~repro.experiments.runner.default_policy_factory` whenever
     ``ControllerConfig.shards > 1``.
 
     Parameters mirror :class:`~repro.core.controller.UtilityDrivenController`;
-    the shard count, worker-pool size and planner come from ``config``
-    (``shards`` / ``shard_workers`` / ``shard_planner``).  The optional
-    ``network`` context is handed to every sub-controller (it pickles
-    with them across the worker pool) and to the zone shard planner,
-    which then groups by declared :class:`~repro.cluster.topology.NodeClass`
-    zones instead of the id-prefix parse; ``node_zone`` alone provides
-    that map for zoned topologies without a ``[network]`` block.
+    the shard count comes from ``config.shards``.  Every shard decides in
+    the calling process, so ``config.shard_workers`` is not read.  The
+    optional ``network`` context is handed to every sub-controller.
     """
 
     def __init__(
@@ -149,7 +101,6 @@ class ShardedController:
         config: Optional[ControllerConfig] = None,
         tx_utility_shape: Optional[UtilityFunction] = None,
         network: Optional[NetworkContext] = None,
-        node_zone: Optional[Mapping[str, str]] = None,
     ) -> None:
         self.config = config or ControllerConfig()
         self._app_ids = {spec.app_id for spec in app_specs}
@@ -168,11 +119,6 @@ class ShardedController:
             )
             for _ in range(self.config.shards)
         ]
-        if node_zone is None and network is not None:
-            node_zone = network.node_zone
-        self._planner = make_shard_planner(
-            self.config.shard_planner, node_zone=node_zone
-        )
         self._arbiter = ShardArbiter()
         #: Sticky node -> shard assignment (never reshuffled; see module doc).
         self._node_shard: dict[str, int] = {}
@@ -180,24 +126,11 @@ class ShardedController:
         self._routes: dict[str, int] = {}
         #: Observations buffered until decide() knows the shard capacities.
         self._pending_obs: list[tuple[str, float, Optional[float]]] = []
-        self._pool: Optional[ProcessPoolExecutor] = None
-        #: Consecutive BrokenProcessPool incidents; at
-        #: ``_POOL_PERMANENT_FAILURES`` the pool is abandoned for serial
-        #: execution (see module constants).
-        self._consecutive_pool_failures = 0
         #: Last cycle's cross-shard split / per-shard views (telemetry,
         #: tests); ``None`` before the first multi-shard cycle.
         self.last_split: Optional[ShardSplit] = None
         self.last_shard_nodes: Optional[list[list[NodeSpec]]] = None
         self.last_shard_decisions: Optional[list[ControlDecision]] = None
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def shards(self) -> int:
-        """Number of shards (sub-controllers)."""
-        return len(self._controllers)
 
     def node_shard(self, node_id: str) -> Optional[int]:
         """Sticky shard index of ``node_id`` (``None`` if never seen)."""
@@ -222,16 +155,6 @@ class ShardedController:
         self._pending_obs.append(
             (app_id, float(load), None if service_cycles is None else float(service_cycles))
         )
-
-    def estimated_load(self, app_id: str) -> float:
-        """Cluster-wide smoothed load estimate (sum of the shard estimates).
-
-        Reflects observations up to the last ``decide()`` (buffered
-        samples are folded in at decide time).
-        """
-        if app_id not in self._app_ids:
-            raise UnknownEntityError(f"unmanaged app {app_id!r}")
-        return sum(c.estimated_load(app_id) for c in self._controllers)
 
     def decide(
         self,
@@ -263,69 +186,36 @@ class ShardedController:
         t0 = perf_counter()
         shard_nodes = self._partition_nodes(nodes)
         shard_jobs, split, split_ran = self._partition_jobs(t, jobs, shard_nodes)
-        tasks = self._build_tasks(
-            t, shard_nodes, shard_jobs, current_placement, app_nodes
+        shard_placements, shard_app_nodes = self._partition_placement(
+            current_placement, app_nodes
         )
-        cycle_pool_failures = 0
-        results = None
-        if (
-            self.config.shard_workers > 1
-            and self._consecutive_pool_failures < _POOL_PERMANENT_FAILURES
-        ):
-            results, cycle_pool_failures = self._map_resilient(tasks)
-        if results is None:
-            results = [_decide_shard(task) for task in tasks]
+        shares = _capacity_shares(shard_nodes)
+        observations, self._pending_obs = self._pending_obs, []
         decisions: list[ControlDecision] = []
-        for s, (controller, decision) in enumerate(results):
-            self._controllers[s] = controller
-            decisions.append(decision)
+        for shard, controller in enumerate(self._controllers):
+            share = shares[shard]
+            for app_id, load, service_cycles in observations:
+                controller.observe_app(
+                    app_id,
+                    load=load if share == 1.0 else load * share,
+                    service_cycles=service_cycles,
+                )
+            decisions.append(
+                controller.decide(
+                    t,
+                    nodes=shard_nodes[shard],
+                    jobs=shard_jobs[shard],
+                    current_placement=shard_placements[shard],
+                    app_nodes=shard_app_nodes[shard],
+                )
+            )
         self.last_split = split
         self.last_shard_nodes = shard_nodes
         self.last_shard_decisions = decisions
         wall_ms = (perf_counter() - t0) * 1e3
         return _merge_decisions(
-            t,
-            decisions,
-            split,
-            split.iterations if split_ran else 0,
-            wall_ms,
-            cycle_pool_failures,
+            t, decisions, split, split.iterations if split_ran else 0, wall_ms
         )
-
-    def _map_resilient(
-        self, tasks: list[tuple]
-    ) -> tuple[Optional[list[tuple]], int]:
-        """Run the shard tasks on the pool, absorbing BrokenProcessPool.
-
-        Returns ``(results, incidents)``; ``results`` is ``None`` when
-        every attempt failed and the caller must run the tasks serially.
-        """
-        incidents = 0
-        for attempt in range(_POOL_REBUILD_RETRIES + 1):
-            try:
-                results = list(self._ensure_pool().map(_decide_shard, tasks))
-            except BrokenProcessPool:
-                incidents += 1
-                self._consecutive_pool_failures += 1
-                self._discard_pool()
-                if self._consecutive_pool_failures >= _POOL_PERMANENT_FAILURES:
-                    return None, incidents
-                sleep(_POOL_BACKOFF_S * (attempt + 1))
-                continue
-            self._consecutive_pool_failures = 0
-            return results, incidents
-        return None, incidents
-
-    def _discard_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-
-    def close(self) -> None:
-        """Shut the worker pool down (no-op when serial or already closed)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
     # ------------------------------------------------------------------
     # Partitioning
@@ -336,7 +226,7 @@ class ShardedController:
         for node in nodes:
             node_id = node.node_id
             if node_id not in node_shard:
-                node_shard[node_id] = self._planner.assign(node_id, shards, node_shard)
+                node_shard[node_id] = least_populated_shard(shards, node_shard)
         shard_nodes: list[list[NodeSpec]] = [[] for _ in range(shards)]
         for node in nodes:  # input order preserved within each shard
             shard_nodes[node_shard[node.node_id]].append(node)
@@ -400,14 +290,12 @@ class ShardedController:
                 shard_jobs[shard].append(job)
         return shard_jobs, split, split_ran
 
-    def _build_tasks(
+    def _partition_placement(
         self,
-        t: Seconds,
-        shard_nodes: list[list[NodeSpec]],
-        shard_jobs: list[list[Job]],
         current_placement: Placement,
         app_nodes: Mapping[str, frozenset[str]],
-    ) -> list[tuple]:
+    ) -> tuple[list[Placement], list[dict[str, frozenset[str]]]]:
+        """Each shard's slice of the incumbent placement and app hosts."""
         shards = len(self._controllers)
         node_shard = self._node_shard
         shard_placements = [Placement() for _ in range(shards)]
@@ -422,41 +310,20 @@ class ShardedController:
             }
             for shard in range(shards)
         ]
+        return shard_placements, shard_app_nodes
 
-        capacities = [sum(n.cpu_capacity for n in ns) for ns in shard_nodes]
-        total_capacity = sum(capacities)
-        observations, self._pending_obs = self._pending_obs, []
-        tasks = []
-        for shard in range(shards):
-            fraction = (
-                capacities[shard] / total_capacity
-                if total_capacity > 0
-                else 1.0 / shards
-            )
-            scaled = [
-                (app_id, load if fraction == 1.0 else load * fraction, cycles)
-                for app_id, load, cycles in observations
-            ]
-            tasks.append(
-                (
-                    shard,
-                    self._controllers[shard],
-                    t,
-                    shard_nodes[shard],
-                    shard_jobs[shard],
-                    shard_placements[shard],
-                    shard_app_nodes[shard],
-                    scaled,
-                )
-            )
-        return tasks
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=min(self.config.shard_workers, len(self._controllers))
-            )
-        return self._pool
+def _capacity_shares(shard_nodes: list[list[NodeSpec]]) -> list[float]:
+    """Each shard's fraction of the cycle's CPU capacity.
+
+    A cluster-wide load sample reaches each shard scaled by its share
+    (equal shares when no capacity is left).
+    """
+    capacities = [sum(n.cpu_capacity for n in ns) for ns in shard_nodes]
+    total = sum(capacities)
+    if total <= 0:
+        return [1.0 / len(shard_nodes)] * len(shard_nodes)
+    return [capacity / total for capacity in capacities]
 
 
 # ----------------------------------------------------------------------
@@ -468,7 +335,6 @@ def _merge_decisions(
     split: ShardSplit,
     split_iterations: int,
     wall_ms: float,
-    pool_failures: int,
 ) -> ControlDecision:
     """Fuse per-shard decisions into one cluster-level decision.
 
@@ -544,7 +410,6 @@ def _merge_decisions(
         telemetry=telemetry,
         shard_telemetry=tuple(d.diagnostics.telemetry for d in decisions),
         shard_imbalance=split.imbalance,
-        pool_failures=pool_failures,
         milp_retries=sum(d.diagnostics.milp_retries for d in decisions),
     )
     actions = tuple(chain.from_iterable(d.actions for d in decisions))
@@ -585,9 +450,8 @@ def _merge_telemetry(decisions: list[ControlDecision], wall_ms: float) -> CycleT
     Per-stage times are *summed* across shards (aggregate work); the
     ``total`` is the observed wall time of the whole sharded decide,
     and ``overhead`` its excess over the summed shard totals
-    (partitioning, routing, merging -- negative under a real worker
-    pool, clamped at 0).  The cycle reports warm only when every shard
-    ran warm.
+    (partitioning, routing, observation replay).  The cycle reports warm
+    only when every shard ran warm.
     """
     stage_ms: dict[str, float] = {}
     eq_evals = eq_cache_hits = seed_hits = seed_misses = 0
@@ -603,7 +467,7 @@ def _merge_telemetry(decisions: list[ControlDecision], wall_ms: float) -> CycleT
         if telemetry.mode != "warm":
             mode = "cold"
     shard_total = stage_ms.get("total", 0.0)
-    stage_ms["overhead"] = max(wall_ms - shard_total, 0.0)
+    stage_ms["overhead"] = wall_ms - shard_total
     stage_ms["total"] = wall_ms
     return CycleTelemetry(
         mode=mode,

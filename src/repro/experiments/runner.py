@@ -8,8 +8,9 @@ pauses), integrates fluid job progress, injects node failures, and records
 the time series the paper's figures are built from.
 
 The runner treats the decision maker as a black-box
-:class:`PlacementPolicy`, so the paper's utility-driven controller and
-every baseline run under identical conditions.
+:class:`PlacementPolicy` -- two methods, ``observe_app`` and ``decide``
+-- so the paper's utility-driven controller and every baseline run under
+identical conditions.
 """
 
 from __future__ import annotations
@@ -72,9 +73,8 @@ class PlacementPolicy(Protocol):
     (and every baseline in :mod:`repro.baselines`, by inheritance),
     :class:`~repro.core.sharded.ShardedController`,
     :class:`~repro.core.resilient.ResilientController` and
-    :class:`~repro.faults.chaos.ChaosPolicy`.  A wrapper implements all
-    three methods by delegating explicitly, so the run's ``close``
-    reaches the real controller.
+    :class:`~repro.faults.chaos.ChaosPolicy`.  A wrapper implements both
+    methods by delegating explicitly.
     """
 
     def observe_app(
@@ -103,10 +103,6 @@ class PlacementPolicy(Protocol):
         removes entries from it as jobs complete and nodes fail in
         between.  A policy must not keep or reuse that object.
         """
-        ...
-
-    def close(self) -> None:
-        """Release resources (worker pools) at the end of a run."""
         ...
 
 
@@ -145,19 +141,13 @@ def default_policy_factory(scenario: Scenario) -> PlacementPolicy:
     ``controller.latency_weight > 0``).
     """
     specs = [workload.spec for workload in scenario.apps]
-    node_zone = scenario.topology.zone_map()
     network = (
-        NetworkContext(scenario.network, node_zone)
+        NetworkContext(scenario.network, scenario.topology.zone_map())
         if scenario.network is not None
         else None
     )
     if scenario.controller.shards > 1:
-        return ShardedController(
-            specs,
-            scenario.controller,
-            network=network,
-            node_zone=node_zone or None,
-        )
+        return ShardedController(specs, scenario.controller, network=network)
     return UtilityDrivenController(specs, scenario.controller, network=network)
 
 
@@ -419,7 +409,7 @@ class ExperimentRunner:
         if not isinstance(policy, PlacementPolicy):
             raise TypeError(
                 f"{type(policy).__name__} does not implement PlacementPolicy "
-                "(observe_app, decide, close)"
+                "(observe_app, decide)"
             )
         if scenario.controller.resilient and not isinstance(
             policy, ResilientController
@@ -515,10 +505,7 @@ class ExperimentRunner:
                     order=ORDER_DEFAULT,
                     tag="node-brownout-end",
                 )
-        try:
-            self._sim.run(until=scenario.horizon)
-        finally:
-            self._policy.close()
+        self._sim.run(until=scenario.horizon)
         return ExperimentResult(
             scenario=scenario,
             recorder=self._recorder,
@@ -893,8 +880,6 @@ class ExperimentRunner:
             rec.bump(f"fallback:{diag.fallback_reason or 'unknown'}")
         if diag.deadline_overrun:
             rec.bump("decide_overruns")
-        if diag.pool_failures:
-            rec.bump("fallback:shard-pool", diag.pool_failures)
 
         # list.count compares enum members by identity, in C: no hashing.
         phases = [job.phase for job in self._live.values()]

@@ -31,8 +31,8 @@ class InjectedFaultError(ReproError):
 class ChaosPolicy:
     """Wrap ``inner`` and fail ``decide()`` with probability ``error_rate``.
 
-    The rest of the policy contract (``observe_app``, ``close``) passes
-    straight to the wrapped policy.
+    The rest of the policy contract (``observe_app``) passes straight to
+    the wrapped policy.
     """
 
     def __init__(
@@ -62,6 +62,3 @@ class ChaosPolicy:
                 f"chaos: injected decide() failure #{self.injected} at t={t:g}"
             )
         return self.inner.decide(t, **kwargs)
-
-    def close(self) -> None:
-        self.inner.close()

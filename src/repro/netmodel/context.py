@@ -8,8 +8,8 @@ model, see :func:`repro.perf.estimator.with_network_delay`) and *which
 nodes should new instances prefer* (turned into the solver's
 preferred-node ranking).
 
-Plain dict + frozen dataclass so the context pickles with the sharded
-controller's pool workers.
+A frozen dataclass over a plain dict: one context is shared, read-only,
+by every sub-controller of a sharded run.
 """
 
 from __future__ import annotations

@@ -30,9 +30,8 @@ the queueing response time, and ``in_zone_fraction(S)`` -- the user mass
 whose own zone is serving -- is the locality telemetry reported by the
 experiment runner.
 
-Both classes are frozen dataclasses over tuples, so instances hash,
-compare, and pickle (the sharded control plane ships them to pool
-workers).
+Both classes are frozen dataclasses over tuples, so instances hash and
+compare by value.
 """
 
 from __future__ import annotations

@@ -50,8 +50,9 @@ non-empty) additionally record:
 
 * ``shard_ms:<shard>`` series -- the ``total`` of
   ``shard_telemetry[shard].stage_ms``: each shard's own decide() wall
-  time (milliseconds; the shard index is the 0-based position assigned
-  by the shard planner);
+  time (milliseconds; the shard index is the 0-based shard a node
+  joins on first sight, see
+  :func:`repro.core.shard_arbiter.least_populated_shard`);
 * ``shard_imbalance`` series -- ``diag.shard_imbalance``: spread
   (max - min) of the shards' local equalized utility levels at their
   budgets, the quantity cross-shard arrival routing drives down;
@@ -78,9 +79,6 @@ Fault injection and graceful degradation additionally record:
   ``fallback:infeasible``, ``fallback:deadline``,
   ``fallback:model-error``); ``diag.fallback_detail`` carries the
   violation or exception text behind it;
-* ``fallback:shard-pool`` counter -- ``diag.pool_failures``:
-  BrokenProcessPool incidents the sharded controller absorbed without
-  degrading;
 * ``decide_overruns`` counter -- ``diag.deadline_overrun``: cycles that
   exceeded a configured ``decide_budget_ms``, including those a strict
   budget degraded (wall-clock, hence nondeterministic -- like the

@@ -266,9 +266,6 @@ class _MigrateOnce:
     def observe_app(self, app_id, *, load, service_cycles=None):
         self.inner.observe_app(app_id, load=load, service_cycles=service_cycles)
 
-    def close(self):
-        self.inner.close()
-
     def decide(self, t, *, nodes, jobs, current_placement, app_nodes):
         decision = self.inner.decide(
             t,

@@ -10,10 +10,10 @@ scrubbed.  A different seed must change the payload (the trace and noise
 streams actually consume the seed).
 
 The sharded control plane gets the same treatment: a 4-shard run must be
-deterministic, and serial (``shard_workers=1``) versus pooled
-(``shard_workers=2``) execution must serialize byte-identically -- the
-pool round-trips each shard's controller through pickle, so worker
-processes may not change a single decision.
+deterministic, and the ``shard_workers`` value must not change a byte of
+it.  Every shard decides in the calling process, so the field is unread;
+perfbench's ``scale-sharded`` workload still sets ``shard_workers=2`` and
+checks its outcome digest against a ``shard_workers=1`` run.
 """
 
 import json
@@ -76,7 +76,8 @@ def test_sharded_same_seed_is_byte_identical():
     assert first == second, "sharded path is not seed-deterministic"
 
 
-def test_sharded_serial_matches_pooled_workers():
-    serial = scrubbed_result_json(_sharded_spec(1))
-    pooled = scrubbed_result_json(_sharded_spec(2))
-    assert serial == pooled, "worker pool changed the sharded decisions"
+def test_shard_workers_changes_no_decision():
+    """``shard_workers`` is unread: 1 and 2 serialize byte-identically."""
+    one = scrubbed_result_json(_sharded_spec(1))
+    two = scrubbed_result_json(_sharded_spec(2))
+    assert one == two, "shard_workers changed the sharded decisions"

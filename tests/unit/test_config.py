@@ -27,6 +27,10 @@ class TestControllerConfig:
             {"exact_oracle": 7},
             {"exact_oracle_every": 0},
             {"exact_oracle_every": -1},
+            {"shards": 0},
+            {"shard_workers": 0},
+            {"shard_planner": "zone"},
+            {"shard_planner": ""},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

@@ -283,19 +283,6 @@ class TestDegradedModeLimit:
         assert degraded == [True, True, False, True, True]
 
 
-class TestLifecycle:
-    def test_close_delegates(self):
-        class Closeable(_FakePolicy):
-            closed = False
-
-            def close(self):
-                self.closed = True
-
-        inner = Closeable([])
-        ResilientController(inner).close()
-        assert inner.closed
-
-
 class TestConfigValidation:
     def test_budget_must_be_positive(self):
         from repro.errors import ConfigurationError

@@ -212,12 +212,9 @@ class TestCompletionMachinery:
 
 class TestPolicyContract:
     def test_policy_missing_a_contract_method_rejected(self):
-        class NoClose:
+        class NoDecide:
             def observe_app(self, app_id, *, load, service_cycles=None):
-                pass
-
-            def decide(self, t, **kwargs):
                 raise AssertionError("never reached")
 
         with pytest.raises(TypeError, match="PlacementPolicy"):
-            ExperimentRunner(tiny_scenario(), lambda scenario: NoClose())
+            ExperimentRunner(tiny_scenario(), lambda scenario: NoDecide())

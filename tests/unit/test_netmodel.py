@@ -6,7 +6,6 @@ import pytest
 
 from repro.api import TopologySpec
 from repro.cluster.topology import NodeClass
-from repro.core.shard_arbiter import ZoneShardPlanner, make_shard_planner
 from repro.errors import ConfigurationError, ModelError
 from repro.netmodel import NetworkAwareModel, NetworkContext, NetworkSpec, ZoneSpec
 from repro.perf.estimator import with_network_delay
@@ -276,28 +275,3 @@ class TestZoneMapFromClasses:
                 mhz_per_processor=2000.0, memory_mb=2000.0, zone="",
             )
 
-
-class TestZoneShardPlannerZoneOf:
-    def test_declared_map_wins_over_id_prefix(self):
-        planner = ZoneShardPlanner({"rack-a-000": "edge"})
-        assert planner.zone_of("rack-a-000") == "edge"
-
-    def test_falls_back_to_id_prefix_parse(self):
-        planner = ZoneShardPlanner()
-        assert planner.zone_of("rack-a-000") == "rack-a"
-        assert planner.zone_of("node042") == "node042"  # no -NNN ordinal
-
-    def test_make_shard_planner_forwards_the_map(self):
-        planner = make_shard_planner("zone", {"x-000": "edge"})
-        assert isinstance(planner, ZoneShardPlanner)
-        assert planner.zone_of("x-000") == "edge"
-        # Round-robin ignores the map but accepts it.
-        make_shard_planner("round-robin", {"x-000": "edge"})
-
-    def test_co_zoned_nodes_share_a_shard(self):
-        planner = ZoneShardPlanner({"a-000": "z1", "b-000": "z1", "c-000": "z2"})
-        assigned: dict[str, int] = {}
-        s1 = planner.assign("a-000", 2, assigned)
-        s2 = planner.assign("b-000", 2, assigned)
-        s3 = planner.assign("c-000", 2, assigned)
-        assert s1 == s2 != s3
