@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Container, Iterable, Iterator, KeysView, Mapping, Optional
+from typing import Container, Iterable, Iterator, Mapping, Optional
 
 from ..errors import PlacementError
 from ..types import Megabytes, Mhz, WorkloadKind
@@ -145,10 +145,6 @@ class Placement:
     def get(self, vm_id: str) -> Optional[PlacementEntry]:
         """Entry for ``vm_id`` or ``None`` when not placed."""
         return self._entries.get(vm_id)
-
-    def vm_ids(self) -> KeysView[str]:
-        """Live view of the placed VM ids (supports set algebra)."""
-        return self._entries.keys()
 
     def by_vm(self) -> Mapping[str, PlacementEntry]:
         """Live read-only view of VM id -> entry.

@@ -143,14 +143,15 @@ class ControllerConfig:
         ``backend`` name that picks the solver implementation from
         :mod:`repro.core.backends` (greedy heuristic vs optimal MILP).
     warm_start:
-        Whether the previous cycle's equalized level seeds the level
-        predictor of each cycle's first solve.  Result-preserving: every
-        prediction is verified, so a seed of any value gives the same
-        decision.  ``False`` starts every cycle cold.
+        Unread: no cycle's solve starts from an earlier cycle's level.
+        Still declared and validated so existing spec files load; its
+        removal waits for a benchmark PR, whose spec file pins every
+        field.
     warm_demand_rtol:
-        Unread: no input change runs a cycle cold any more.  Still
-        declared and validated so existing spec files load; its removal
-        waits for a benchmark PR, whose spec file pins every field.
+        Unread: no cycle's solve starts from an earlier cycle's level,
+        so no demand shift has one to drop.  Still declared and
+        validated so existing spec files load; its removal waits for a
+        benchmark PR, whose spec file pins every field.
     warm_seed_depth:
         Unread: the equalizer now verifies its predicted level at a depth
         it derives itself.  Still declared and validated so existing
@@ -170,8 +171,9 @@ class ControllerConfig:
         it.
     shard_planner:
         How nodes are assigned to shards.  Only ``"round-robin"`` is
-        accepted: each new node joins the least-populated shard
-        (:func:`repro.core.shard_arbiter.least_populated_shard`).
+        accepted: each new node joins the least-populated shard, ties to
+        the lowest index
+        (:meth:`repro.core.sharded.ShardedController._partition_nodes`).
     resilient:
         Whether the experiment runner wraps the policy in
         :class:`repro.core.resilient.ResilientController`: every decision

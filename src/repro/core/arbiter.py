@@ -20,21 +20,20 @@ Two interchangeable implementations with the same fixed point:
 The ABL-ARB ablation bench compares their costs and verifies fixed-point
 agreement.
 
-Warm starting
--------------
-Each ``gap`` probe runs a hypothetical-utility equalization.  Warm starts
-deliberately do **not** touch the search trajectory here -- changing the
-probe sequence would change which tolerance-satisfying split is returned,
-and with it the placement.  Instead the *curve* it hands in solves each
-probe cheaply: :class:`~repro.core.demand.LongRunningCurve`'s equalizer
-predicts the level by Newton steps from its previous probe's tangent
-(the first probe starts from the previous cycle's converged level) and
-resumes the bisection at the prediction's node only once that node
-verifies (see :class:`~repro.core.hypothetical.HypotheticalEqualizer`).
-The identical probe sequence gets cheaper and every utility stays
-bit-identical.  ``ArbiterResult.iterations`` still counts *logical* curve
-evaluations, so the ablation's cost metric is unaffected by what happens
-underneath.
+Cheap probes
+------------
+Each ``gap`` probe runs a hypothetical-utility equalization.  Nothing
+here shortens the search trajectory -- changing the probe sequence would
+change which tolerance-satisfying split is returned, and with it the
+placement.  Instead the *curve* it hands in solves each probe cheaply:
+:class:`~repro.core.demand.LongRunningCurve`'s equalizer predicts the
+level by Newton steps from its previous probe's tangent (the cycle's
+first probe starts from the least job ceiling) and resumes the bisection
+at the prediction's node only once that node verifies (see
+:class:`~repro.core.hypothetical.HypotheticalEqualizer`).  The identical
+probe sequence gets cheaper and every utility stays bit-identical.
+``ArbiterResult.iterations`` still counts *logical* curve evaluations,
+so the ablation's cost metric is unaffected by what happens underneath.
 """
 
 from __future__ import annotations

@@ -21,17 +21,11 @@ decision (:meth:`UtilityDrivenController.decide`), exactly as a deployed
 controller would sit behind a monitoring pipeline.
 
 Like the paper's controller, ``decide()`` recomputes the whole placement
-from the current state every cycle.  Besides its demand estimates, the
-controller carries one float across cycles: the previous cycle's
-equalized utility level.  With ``ControllerConfig.warm_start`` it seeds
-the level predictor of the cycle's first solve, and nothing ever drops
-it -- a node failure, a demand shift or a degraded cycle included.  A
-seed of any value is result-preserving, because every prediction is
-verified against the cold bisection's invariant
-(:meth:`~repro.core.hypothetical.HypotheticalEqualizer.seed_level`), so
-a warm cycle's placement is bit-identical to a cold one's.  Each cycle
-also reports :class:`CycleTelemetry`: per-stage wall-times and equalizer
-pass statistics, which the experiment runner records.
+from the current state every cycle.  Besides its smoothed demand
+estimates the controller carries nothing from one cycle into the next
+one's decision: no solve starts from a level an earlier cycle found.
+Each cycle also reports :class:`CycleTelemetry`: per-stage wall-times
+and equalizer pass statistics, which the experiment runner records.
 """
 
 from __future__ import annotations
@@ -78,10 +72,6 @@ class CycleTelemetry:
 
     Attributes
     ----------
-    mode:
-        ``"warm"`` when the previous cycle's equalized level seeded this
-        cycle's first solve, ``"cold"`` otherwise (the first cycle, or
-        ``warm_start`` off).
     stage_ms:
         Wall-clock milliseconds per decide() stage (``demand``,
         ``arbiter``, ``equalize``, ``requests``, ``solver``, ``planner``,
@@ -97,7 +87,6 @@ class CycleTelemetry:
         shallower one) versus those that fell back to the cold bracket.
     """
 
-    mode: str
     stage_ms: Mapping[str, float] = field(default_factory=dict)
     eq_evals: int = 0
     eq_cache_hits: int = 0
@@ -254,8 +243,6 @@ class UtilityDrivenController:
             network if network is not None and self.config.latency_weight > 0
             else None
         )
-        #: The last cycle's equalized level: the next cycle's seed.
-        self._level: Optional[float] = None
         self._specs = {spec.app_id: spec for spec in app_specs}
         self._utilities = {
             spec.app_id: TransactionalUtility(spec.rt_goal, tx_utility_shape)
@@ -362,9 +349,6 @@ class UtilityDrivenController:
         capacity = effective_capacity(
             sum(n.cpu_capacity for n in nodes), self.config.capacity_efficiency
         )
-        warm = self.config.warm_start and self._level is not None
-        if warm:
-            lr_curve.warm_seed(self._level)
         t1 = perf_counter()
 
         split = self._arbiter.split(capacity, tx_curve, lr_curve)
@@ -393,10 +377,8 @@ class UtilityDrivenController:
             nodes, app_requests, job_requests, split.lr_allocation, solution
         )
 
-        self._level = hypothetical.utility_level
         eq_stats = lr_curve.equalizer.stats
         telemetry = CycleTelemetry(
-            mode="warm" if warm else "cold",
             stage_ms={
                 "demand": (t1 - t0) * 1e3,
                 "arbiter": (t2 - t1) * 1e3,

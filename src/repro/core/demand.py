@@ -214,18 +214,8 @@ class LongRunningCurve:
 
     @property
     def equalizer(self) -> HypotheticalEqualizer:
-        """The shared equalization context (stats, warm level)."""
+        """The shared equalization context (pass statistics)."""
         return self._equalizer
-
-    def warm_seed(self, level: float) -> None:
-        """Start the equalizer's level predictor from a previous converged level.
-
-        Only a starting point: every prediction is verified against the
-        cold bisection's invariant, so every curve evaluation stays
-        bit-identical (see
-        :meth:`repro.core.hypothetical.HypotheticalEqualizer.seed_level`).
-        """
-        self._equalizer.seed_level(level)
 
     def equalize(self, allocation: Mhz) -> "HypotheticalAllocation":
         """Float-exact equalization at ``allocation``."""

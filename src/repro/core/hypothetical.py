@@ -175,7 +175,8 @@ class HypotheticalEqualizer:
     * **predict** -- a few safeguarded Newton steps on the consumed curve
       (:meth:`_predict`, its own cheaper arithmetic) estimate the level,
       starting from the tangent of this equalizer's previous solve, else
-      the warm level (:meth:`seed_level`), else the least job ceiling;
+      the caller's start level (:meth:`seed_level`), else the least job
+      ceiling;
     * **verify** -- the dyadic node containing the prediction (or, when
       Newton did not converge, the predictor's bracket), at the
       bisection's own depth but no deeper than where the node is still
@@ -201,14 +202,14 @@ class HypotheticalEqualizer:
         "_goals_abs", "_goal_lengths", "_remaining", "_t",
         "_no_work", "_has_no_work", "_slack", "_rates_buf", "_nonpos",
         "_u_lo0", "_u_hi0", "_u_min", "_u_safe", "_memo",
-        "_slack0", "_slack_floor", "_work_cap", "_warm_level", "_tangent",
+        "_slack0", "_slack_floor", "_work_cap", "_start_level", "_tangent",
     )
 
     def __init__(self, population: JobPopulation) -> None:
         self.population = population
         self.stats = EqualizerStats()
         self._memo: dict[float, float] = {}
-        self._warm_level: float | None = None
+        self._start_level: float | None = None
         self._tangent: tuple[float, float, float] | None = None
         n = self._n = len(population)
         if n == 0:
@@ -285,15 +286,16 @@ class HypotheticalEqualizer:
     def seed_level(self, level: float) -> None:
         """Offer a starting point for the level predictor.
 
-        ``level`` is typically the previous control cycle's converged
-        utility level.  The predictor starts there until this equalizer
+        ``level`` is typically a level the caller equalized for the same
+        population at a nearby allocation (the record step passes the
+        cycle's level).  The predictor starts there until this equalizer
         has solved once (afterwards it starts from that solve's tangent).
         Any value is safe, NaN and infinities included: a start outside
         the bracket is replaced, and a prediction is used only after it
         verifies, so results are bit-identical to an unseeded run (see
         the class docstring).
         """
-        self._warm_level = float(level)
+        self._start_level = float(level)
 
     def _consumed_at(self, u: float) -> float:
         """``Σ min(x_j(u), c_j)`` on reused buffers.
@@ -367,7 +369,7 @@ class HypotheticalEqualizer:
         """Safeguarded Newton estimate of the equalized level at ``allocation``.
 
         Starts from the tangent of this equalizer's previous solve, else
-        the warm level, else the least job ceiling.  A step that leaves
+        the start level, else the least job ceiling.  A step that leaves
         the bracket of evaluated levels, or a flat curve, bisects that
         bracket instead.  Stops once the step, or the correction Newton
         would make after it (:func:`_correction`), is small against the
@@ -386,8 +388,8 @@ class HypotheticalEqualizer:
             step = _newton_step(allocation, value, slope)
             if step == step:
                 u += step
-        elif self._warm_level is not None:
-            u = self._warm_level
+        elif self._start_level is not None:
+            u = self._start_level
         else:
             u = self._u_min
         if not lo < u < hi:  # outside the bracket, NaN or infinite

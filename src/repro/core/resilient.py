@@ -42,7 +42,7 @@ import numpy as np
 from ..cluster.node import NodeSpec
 from ..cluster.placement import Placement, parse_instance_vm_id
 from ..config import ControllerConfig
-from ..errors import DecisionTimeoutError, DegradedModeError, ModelError
+from ..errors import DegradedModeError, ModelError
 from ..types import Seconds
 from ..workloads.jobs import Job
 from .actions_planner import plan_actions
@@ -93,9 +93,6 @@ class ResilientController:
             )
         except DegradedModeError:
             raise
-        except DecisionTimeoutError as exc:
-            # A policy with an in-band deadline signalled it explicitly.
-            return self._degrade(t, nodes, current_placement, "deadline", exc)
         except ModelError as exc:
             # An exact backend failed to solve the cycle's instance
             # (e.g. a HiGHS solver error).  Same last-known-

@@ -1,4 +1,4 @@
-"""Top level of the sharded control plane: partition nodes, split CPU.
+"""Top level of the sharded control plane: split CPU across shards.
 
 The paper's control loop is two-level (a capacity arbiter over per-
 category application managers).  The sharded control plane
@@ -6,32 +6,26 @@ category application managers).  The sharded control plane
 clusters: the topology is partitioned into **shards**, each shard runs
 the existing monolithic controller over its own nodes and jobs, and this
 module's :class:`ShardArbiter` plays the capacity arbiter *across*
-shards.
+shards.  (Node partitioning stays with the caller,
+:meth:`repro.core.sharded.ShardedController._partition_nodes`: a node
+joins a shard once and never moves.)
 
-Two pieces live here:
-
-* **Node partitioning** -- :func:`least_populated_shard` gives each node
-  seen for the first time the shard with the fewest nodes.  The caller
-  keeps the answer: once a node is assigned it never moves (so one
-  shard's node failure cannot reshuffle another shard's nodes, or the
-  jobs they host, across shards).
-
-* **Cross-shard CPU arbitration** -- :meth:`ShardArbiter.split` reuses
-  the :class:`~repro.core.hypothetical.HypotheticalEqualizer` consumed-
-  curve machinery on the *shard-aggregated* curve: it bisects for the
-  single utility level ``u*`` at which the shards' summed (budget-
-  capped) consumptions exhaust the cluster budget, exactly as the
-  monolithic equalization bisects the per-job consumed curve.  The
-  per-shard allocations at ``u*`` price each shard's load; the residual
-  **headrooms** drive deterministic routing of newly-arrived jobs to the
-  least-loaded shard, and the spread of per-shard equalized levels is
-  reported as the ``shard_imbalance`` telemetry series.
+:meth:`ShardArbiter.split` reuses the
+:class:`~repro.core.hypothetical.HypotheticalEqualizer` consumed-curve
+machinery on the *shard-aggregated* curve: it bisects for the single
+utility level ``u*`` at which the shards' summed (budget-capped)
+consumptions exhaust the cluster budget, exactly as the monolithic
+equalization bisects the per-job consumed curve.  The per-shard
+allocations at ``u*`` price each shard's load; the residual
+**headrooms** drive deterministic routing of newly-arrived jobs to the
+least-loaded shard, and the spread of per-shard equalized levels is
+reported as the ``shard_imbalance`` telemetry series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ..errors import ConfigurationError
 from ..perf.jobmodel import JobPopulation
@@ -43,22 +37,6 @@ from .hypothetical import HypotheticalEqualizer
 #: from the shards' own float-exact equalizations -- so the monolithic
 #: coarse-evaluation depth is more than enough.
 _SPLIT_ITERS = 48
-
-
-# ----------------------------------------------------------------------
-# Node partitioning
-# ----------------------------------------------------------------------
-def least_populated_shard(shards: int, assigned: Mapping[str, int]) -> int:
-    """Shard index for a node seen for the first time.
-
-    The node joins the shard that ``assigned`` (node -> shard) holds the
-    fewest nodes of; ties break toward the lowest index, so the initial
-    (sorted) batch of a homogeneous cluster lands round-robin.
-    """
-    counts = [0] * shards
-    for shard in assigned.values():
-        counts[shard] += 1
-    return counts.index(min(counts))
 
 
 # ----------------------------------------------------------------------

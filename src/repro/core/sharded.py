@@ -7,10 +7,10 @@ O(jobs x nodes) in its placement stage; a single solver sweep over a
 splits the problem structurally:
 
 1. the topology is partitioned into ``ControllerConfig.shards`` shards:
-   each node seen for the first time joins the least-populated shard
-   (:func:`~repro.core.shard_arbiter.least_populated_shard`), and keeps
-   it, so a node failure in one shard never moves another shard's nodes
-   or jobs;
+   each node seen for the first time joins the shard with the fewest
+   nodes, ties to the lowest index (:meth:`ShardedController._partition_nodes`),
+   and keeps it, so a node failure in one shard never moves another
+   shard's nodes or jobs;
 2. jobs follow their hosting node's shard; jobs without a node
    (newly-submitted, suspended-by-failure) are routed once by the
    top-level :class:`~repro.core.shard_arbiter.ShardArbiter`, which
@@ -18,8 +18,7 @@ splits the problem structurally:
    hypothetical-utility consumed curve and steers arrivals toward the
    largest headroom;
 3. each shard runs the full monolithic ``decide()`` over *its* nodes and
-   jobs, in the calling process and in shard order, keeping its own
-   previous equalized level as its warm seed;
+   jobs, in the calling process and in shard order;
 4. the per-shard decisions are merged into one cluster-level
    :class:`~repro.core.controller.ControlDecision` whose placements are
    disjoint by construction (each shard only places on its own nodes).
@@ -65,7 +64,6 @@ from .placement_solver import PlacementSolution
 from .shard_arbiter import (
     ShardArbiter,
     ShardSplit,
-    least_populated_shard,
     route_by_headroom,
 )
 
@@ -221,12 +219,23 @@ class ShardedController:
     # Partitioning
     # ------------------------------------------------------------------
     def _partition_nodes(self, nodes: Sequence[NodeSpec]) -> list[list[NodeSpec]]:
+        """Each node's sticky shard, and the nodes per shard.
+
+        A node seen for the first time joins the shard that holds the
+        fewest nodes so far, ties to the lowest index, so the initial
+        (sorted) batch of a homogeneous cluster lands round-robin.
+        """
         shards = len(self._controllers)
         node_shard = self._node_shard
+        counts = [0] * shards
+        for shard in node_shard.values():
+            counts[shard] += 1
         for node in nodes:
             node_id = node.node_id
             if node_id not in node_shard:
-                node_shard[node_id] = least_populated_shard(shards, node_shard)
+                shard = counts.index(min(counts))
+                node_shard[node_id] = shard
+                counts[shard] += 1
         shard_nodes: list[list[NodeSpec]] = [[] for _ in range(shards)]
         for node in nodes:  # input order preserved within each shard
             shard_nodes[node_shard[node.node_id]].append(node)
@@ -450,12 +459,10 @@ def _merge_telemetry(decisions: list[ControlDecision], wall_ms: float) -> CycleT
     Per-stage times are *summed* across shards (aggregate work); the
     ``total`` is the observed wall time of the whole sharded decide,
     and ``overhead`` its excess over the summed shard totals
-    (partitioning, routing, observation replay).  The cycle reports warm
-    only when every shard ran warm.
+    (partitioning, routing, observation replay).
     """
     stage_ms: dict[str, float] = {}
     eq_evals = eq_cache_hits = seed_hits = seed_misses = 0
-    mode = "warm"
     for decision in decisions:
         telemetry = decision.diagnostics.telemetry
         for stage, ms in telemetry.stage_ms.items():
@@ -464,13 +471,10 @@ def _merge_telemetry(decisions: list[ControlDecision], wall_ms: float) -> CycleT
         eq_cache_hits += telemetry.eq_cache_hits
         seed_hits += telemetry.seed_hits
         seed_misses += telemetry.seed_misses
-        if telemetry.mode != "warm":
-            mode = "cold"
     shard_total = stage_ms.get("total", 0.0)
     stage_ms["overhead"] = wall_ms - shard_total
     stage_ms["total"] = wall_ms
     return CycleTelemetry(
-        mode=mode,
         stage_ms=stage_ms,
         eq_evals=eq_evals,
         eq_cache_hits=eq_cache_hits,

@@ -58,15 +58,6 @@ class ShapeValidationError(ReproError):
     """
 
 
-class DecisionTimeoutError(ReproError):
-    """A control cycle overran its ``decide_budget_ms`` deadline.
-
-    Raised by :class:`repro.core.resilient.ResilientController` when the
-    wrapped policy exceeds the configured decision budget and
-    ``decide_budget_strict`` is set; non-strict overruns are only counted.
-    """
-
-
 class DegradedModeError(ReproError):
     """The control plane stayed degraded for too many consecutive cycles.
 

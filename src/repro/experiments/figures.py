@@ -7,16 +7,12 @@
 
 Both figures come from a single run of the paper scenario; this module
 extracts the series, renders them as terminal plots and CSV, and runs the
-shape validation.  Usable as a library (the benches import it) and as a
-CLI::
-
-    python -m repro.experiments.figures --figure both --scale 1.0
+shape validation.  The benches import it, and
+``examples/paper_experiment.py`` is its command line.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -102,57 +98,3 @@ def run_paper_experiment(
     result = run_scenario(scenario, policy_factory)
     report = validate_paper_run(result)
     return result, report
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    """CLI entry point (also installed as ``repro-experiment``)."""
-    parser = argparse.ArgumentParser(
-        description="Reproduce the HPDC'08 evaluation figures."
-    )
-    parser.add_argument("--figure", choices=["1", "2", "both"], default="both")
-    parser.add_argument("--scale", type=float, default=1.0, help="cluster scale factor")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument(
-        "--csv-dir", type=Path, default=None, help="write figure CSVs to this directory"
-    )
-    parser.add_argument(
-        "--no-validate", action="store_true", help="skip shape validation"
-    )
-    args = parser.parse_args(argv)
-
-    result, report = run_paper_experiment(scale=args.scale, seed=args.seed)
-
-    if args.figure in ("1", "both"):
-        print(render_figure1(result))
-        print()
-    if args.figure in ("2", "both"):
-        print(render_figure2(result))
-        print()
-
-    outcomes = result.job_outcomes()
-    print(
-        f"cycles={result.cycles}  jobs completed={outcomes['completed']:.0f}"
-        f"/{outcomes['submitted']:.0f}  mean achieved utility="
-        f"{outcomes['mean_utility']:.3f}"
-    )
-    log = result.action_log
-    print(
-        f"actions: starts={log.starts} stops={log.stops} suspends={log.suspensions} "
-        f"resumes={log.resumptions} migrations={log.migrations}"
-    )
-
-    if args.csv_dir is not None:
-        args.csv_dir.mkdir(parents=True, exist_ok=True)
-        write_csv(figure1_series(result), args.csv_dir / "figure1.csv")
-        write_csv(figure2_series(result), args.csv_dir / "figure2.csv")
-        print(f"CSV written to {args.csv_dir}")
-
-    if not args.no_validate:
-        print("\nShape validation:")
-        print(report.summary())
-        return 0 if report.passed else 1
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI glue
-    sys.exit(main())

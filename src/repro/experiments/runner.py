@@ -200,12 +200,13 @@ class ExperimentResult:
         cycles.
 
         Control-plane telemetry (policies running the incremental control
-        plane only; NaN otherwise): ``warm_cycle_fraction`` is the
-        share of cycles whose first solve the previous cycle's level
-        seeded, ``eq_cache_hit_rate`` the fraction of consumed-curve
-        lookups the equalizer's memo served, and ``decide_ms_mean`` the
-        mean decide() wall-time per cycle -- the one *nondeterministic*
-        metric in this set (wall-clock).
+        plane only; NaN otherwise): ``eq_cache_hit_rate`` is the
+        fraction of consumed-curve lookups the equalizer's memo served,
+        and ``decide_ms_mean`` the mean decide() wall-time per cycle --
+        the one *nondeterministic* metric in this set (wall-clock).
+        ``warm_cycle_fraction`` reads 0.0: no solve is seeded from an
+        earlier cycle's level.  The key stays because ``perfbench``
+        reads it.
 
         Degradation telemetry: ``degraded_cycles`` counts cycles that
         fell back to the last-known-good placement,
@@ -235,9 +236,9 @@ class ExperimentResult:
         outcome = job_outcome_stats(self.jobs, horizon)
         tx_u = rec.series("tx_utility").time_average(0.0, horizon)
         lr_u = rec.series("lr_utility").time_average(0.0, horizon)
-        telem_cycles = rec.counter("warm_cycles") + rec.counter("cold_cycles")
         eq_lookups = rec.counter("eq_evals_total") + rec.counter("eq_cache_hits_total")
-        if rec.has_series("stage_ms:total"):
+        has_telemetry = rec.has_series("stage_ms:total")
+        if has_telemetry:
             decide_ms = float(rec.series("stage_ms:total").values.mean())
         else:
             decide_ms = math.nan
@@ -253,11 +254,7 @@ class ExperimentResult:
             "mean_job_utility": outcome.mean_utility,
             "disruptive_actions": float(self.action_log.disruptive_total),
             "cycles": float(self.cycles),
-            "warm_cycle_fraction": (
-                rec.counter("warm_cycles") / telem_cycles
-                if telem_cycles
-                else math.nan
-            ),
+            "warm_cycle_fraction": 0.0 if has_telemetry else math.nan,
             "eq_cache_hit_rate": (
                 rec.counter("eq_cache_hits_total") / eq_lookups
                 if eq_lookups
@@ -843,11 +840,8 @@ class ExperimentRunner:
         if telemetry is not None:
             for stage, ms in telemetry.stage_ms.items():
                 rec.record(f"stage_ms:{stage}", t, ms)
-            warm = telemetry.mode == "warm"
-            rec.record("cycle_warm", t, 1.0 if warm else 0.0)
             rec.record("eq_evals", t, telemetry.eq_evals)
             rec.record("eq_cache_hits", t, telemetry.eq_cache_hits)
-            rec.bump("warm_cycles" if warm else "cold_cycles")
             rec.bump("eq_evals_total", telemetry.eq_evals)
             rec.bump("eq_cache_hits_total", telemetry.eq_cache_hits)
             rec.bump("eq_seed_hits_total", telemetry.seed_hits)

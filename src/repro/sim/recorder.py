@@ -32,10 +32,6 @@ incremental control plane (``diag.telemetry`` set) record:
 * ``stage_ms:<stage>`` series -- ``telemetry.stage_ms``: decide()
   wall-time per stage (``demand`` / ``arbiter`` / ``equalize`` /
   ``requests`` / ``solver`` / ``planner`` / ``total``), milliseconds;
-* ``cycle_warm`` series and ``warm_cycles`` / ``cold_cycles`` counters
-  -- ``telemetry.mode``: whether the previous cycle's equalized level
-  seeded the cycle's first solve (every cycle after the controller's
-  first completed one, unless ``warm_start`` is off);
 * ``eq_evals`` / ``eq_cache_hits`` series and ``eq_evals_total`` /
   ``eq_cache_hits_total`` counters -- ``telemetry.eq_evals`` /
   ``telemetry.eq_cache_hits``: vectorized passes over the population
@@ -52,7 +48,7 @@ non-empty) additionally record:
   ``shard_telemetry[shard].stage_ms``: each shard's own decide() wall
   time (milliseconds; the shard index is the 0-based shard a node
   joins on first sight, see
-  :func:`repro.core.shard_arbiter.least_populated_shard`);
+  :meth:`repro.core.sharded.ShardedController._partition_nodes`);
 * ``shard_imbalance`` series -- ``diag.shard_imbalance``: spread
   (max - min) of the shards' local equalized utility levels at their
   budgets, the quantity cross-shard arrival routing drives down;

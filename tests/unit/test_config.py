@@ -12,6 +12,9 @@ class TestControllerConfig:
         assert config.control_cycle == 600.0
         assert config.arbiter == "bisection"
         assert config.lr_metric == "mean"
+        assert config.warm_start is True
+        assert config.warm_demand_rtol == 0.35
+        assert config.warm_seed_depth == 8
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -31,6 +34,8 @@ class TestControllerConfig:
             {"shard_workers": 0},
             {"shard_planner": "zone"},
             {"shard_planner": ""},
+            {"warm_demand_rtol": -1.0},
+            {"warm_seed_depth": 0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

@@ -4,7 +4,8 @@ import pytest
 
 from repro.cluster import Placement, homogeneous_cluster
 from repro.config import ControllerConfig
-from repro.core import UtilityDrivenController
+from repro.core import CycleTelemetry, UtilityDrivenController
+from repro.core.hypothetical import HypotheticalEqualizer
 from repro.errors import UnknownEntityError
 from repro.workloads import ConstantProfile, TransactionalAppSpec
 
@@ -210,3 +211,29 @@ class TestConfig:
         jobs = [make_job(job_id=f"j{i}") for i in range(20)]
         decision = decide(controller, jobs)
         assert decision.diagnostics.equalized
+
+
+class TestCycleTelemetry:
+    def test_cache_hit_rate(self):
+        t = CycleTelemetry(eq_evals=30, eq_cache_hits=10)
+        assert t.cache_hit_rate == pytest.approx(0.25)
+        assert CycleTelemetry().cache_hit_rate == 0.0
+
+
+class TestNoCrossCycleState:
+    @pytest.mark.parametrize("warm_start", [True, False])
+    def test_no_solve_is_seeded_from_a_previous_cycle(
+        self, monkeypatch, warm_start
+    ):
+        # ``warm_start`` is unread: every cycle's first solve starts
+        # where an unseeded one does, whatever the earlier cycles found.
+        seeds = []
+        monkeypatch.setattr(
+            HypotheticalEqualizer, "seed_level", lambda self, level: seeds.append(level)
+        )
+        controller = make_controller(warm_start=warm_start)
+        jobs = [make_job(job_id=f"j{i}") for i in range(20)]
+        for k in range(3):
+            controller.observe_app("web", load=70.0)
+            decide(controller, jobs, t=600.0 * k)
+        assert seeds == []

@@ -1,4 +1,4 @@
-"""Unit tests for figure extraction, CSV export and the CLI."""
+"""Unit tests for figure extraction, rendering and CSV export."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from repro.experiments import (
     run_scenario,
     write_csv,
 )
-from repro.experiments.figures import main
 
 
 @pytest.fixture(scope="module")
@@ -51,21 +50,3 @@ class TestCsvExport:
         assert header == "time,transactional,long_running"
         assert np.allclose(loaded[:, 0], data["time"])
 
-
-class TestCli:
-    def test_scaled_run_with_csv(self, tmp_path, capsys):
-        code = main([
-            "--figure", "both", "--scale", "0.2", "--seed", "42",
-            "--csv-dir", str(tmp_path),
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "Figure 1" in out
-        assert "Shape validation" in out
-        assert (tmp_path / "figure1.csv").exists()
-        assert (tmp_path / "figure2.csv").exists()
-
-    def test_no_validate_flag(self, capsys):
-        code = main(["--figure", "1", "--scale", "0.2", "--no-validate"])
-        assert code == 0
-        assert "Shape validation" not in capsys.readouterr().out
