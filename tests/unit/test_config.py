@@ -12,6 +12,9 @@ class TestControllerConfig:
         assert config.control_cycle == 600.0
         assert config.arbiter == "bisection"
         assert config.lr_metric == "mean"
+
+    def test_warm_field_defaults(self):
+        config = ControllerConfig()
         assert config.warm_start is True
         assert config.warm_demand_rtol == 0.35
         assert config.warm_seed_depth == 8
