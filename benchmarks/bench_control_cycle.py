@@ -48,7 +48,7 @@ from repro.cluster.placement import instance_vm_id
 from repro.config import ControllerConfig
 from repro.core import ShardedController, UtilityDrivenController
 from repro.types import WorkloadKind
-from repro.workloads import Job, JobSpec, TransactionalAppSpec
+from repro.workloads import Job, JobSpec, JobTable, TransactionalAppSpec
 
 #: (nodes, jobs) grid points.  The first is the CI smoke point; the
 #: 100x1000 point is the acceptance anchor quoted in perf PRs; 200x2000
@@ -96,21 +96,28 @@ def build_state(
         controller = UtilityDrivenController([spec], config)
     controller.observe_app("web", load=210.0, service_cycles=300.0)
 
-    jobs = []
+    # Draw each job's spec, then its rate if it starts, as before; then
+    # build one table, as the runner does, and start the jobs.
+    specs = []
+    starts = []
     node_ids = cluster.node_ids
     slots: dict[str, int] = {}
     for i in range(num_jobs):
         submit = float(rng.uniform(0.0, t))
-        job = Job(JobSpec(
+        specs.append(JobSpec(
             job_id=f"j{i:04d}", submit_time=submit, total_work=45e6,
             speed_cap_mhz=3000.0, memory_mb=1200.0, completion_goal=60_000.0,
         ))
         node = node_ids[i % num_nodes]
         if slots.get(node, 0) < 3:
-            job.start(submit, node, float(rng.uniform(500.0, 3000.0)))
-            job.advance_to(t)
+            starts.append((i, node, float(rng.uniform(500.0, 3000.0))))
             slots[node] = slots.get(node, 0) + 1
-        jobs.append(job)
+    table = JobTable(specs)
+    jobs = [Job(spec, table, row) for row, spec in enumerate(specs)]
+    for row, node, rate in starts:
+        job = jobs[row]
+        job.start(job.spec.submit_time, node, rate)
+        job.advance_to(t)
 
     placement = Placement()
     app_nodes = {"web": frozenset(node_ids)}

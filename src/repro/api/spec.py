@@ -84,6 +84,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar, Mapping, Optional, Union
@@ -393,6 +394,8 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise SpecValidationError("name: must be non-empty")
+        if not math.isfinite(self.horizon):
+            raise SpecValidationError(f"horizon: must be finite, got {self.horizon}")
         if self.horizon <= 0:
             raise SpecValidationError("horizon: must be positive")
         if not self.apps:

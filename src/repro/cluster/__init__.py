@@ -16,7 +16,7 @@ from .actions import (
     DISRUPTIVE_ACTIONS,
     ActionCosts,
     ActionLog,
-    AdjustCpu,
+    CpuGrants,
     MigrateVm,
     PlacementAction,
     ResumeVm,
@@ -49,7 +49,7 @@ __all__ = [
     "SuspendVm",
     "ResumeVm",
     "MigrateVm",
-    "AdjustCpu",
+    "CpuGrants",
     "DISRUPTIVE_ACTIONS",
     "homogeneous_cluster",
     "NodeClass",

@@ -3,10 +3,12 @@
 The controller's decisions are enacted through a small vocabulary of
 actions, mirroring the control mechanisms the paper leverages (start/stop
 of application instances, job start, suspension, resumption, migration and
-hypervisor share adjustment).  Each action type carries a cost model --
-:class:`ActionCosts` -- charged by the experiment runner when the action is
-applied: suspending loses the work done since the last checkpoint,
-migrating pauses the VM for a transfer period, and so on.
+hypervisor share adjustment).  Each structural change is one action
+object; a plan's CPU share adjustments travel together as one
+:class:`CpuGrants` record, which the runner applies in one pass.  The
+:class:`ActionCosts` model is charged by the experiment runner when an
+action is applied: suspending loses the work done since the last
+checkpoint, migrating pauses the VM for a transfer period, and so on.
 """
 
 from __future__ import annotations
@@ -62,15 +64,29 @@ class MigrateVm:
 
 
 @dataclass(frozen=True, slots=True)
-class AdjustCpu:
-    """Change the hypervisor CPU share of a RUNNING VM in place."""
+class CpuGrants:
+    """New hypervisor CPU shares for RUNNING VMs, changed in place.
 
-    vm_id: str
-    cpu_mhz: Mhz
+    ``cpu_mhz[i]`` is the share of ``vm_ids[i]``, in plan order.  A plan
+    holds at most one record, as its last action; each VM's grant counts
+    as one adjustment.
+    """
+
+    vm_ids: tuple[str, ...]
+    cpu_mhz: tuple[Mhz, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.vm_ids) != len(self.cpu_mhz):
+            raise ConfigurationError(
+                f"CpuGrants: {len(self.vm_ids)} VM ids but {len(self.cpu_mhz)} grants"
+            )
+
+    def __len__(self) -> int:
+        return len(self.vm_ids)
 
 
 #: Any placement-change action.
-PlacementAction = Union[StartVm, StopVm, SuspendVm, ResumeVm, MigrateVm, AdjustCpu]
+PlacementAction = Union[StartVm, StopVm, SuspendVm, ResumeVm, MigrateVm, CpuGrants]
 
 #: Actions that count against the controller's change budget.  Pure share
 #: adjustments are free: the hypervisor applies them without disturbing the VM.
@@ -129,11 +145,11 @@ class ActionLog:
     def count(self, actions: Sequence[PlacementAction]) -> None:
         """Add one control cycle's action list to the tally.
 
-        Tallies by exact action type in one C-level pass (CPU adjustments
-        are nearly every action of a cycle).
+        Tallies by exact action type; a :class:`CpuGrants` record adds
+        one adjustment per VM it grants.
         """
         by_type = Counter(map(type, actions))
-        self.adjustments += by_type[AdjustCpu]
+        self.adjustments += sum(len(a) for a in actions if type(a) is CpuGrants)
         self.starts += by_type[StartVm]
         self.stops += by_type[StopVm]
         self.suspensions += by_type[SuspendVm]

@@ -5,7 +5,9 @@ the incumbent placement and the lifecycle phases of the VMs that enter
 it, and emits the ordered list of :mod:`repro.cluster.actions` that
 takes the data center from one to the other.  Resource-freeing actions (stops, suspends) come
 first so that the subsequent starts and resumes land on nodes whose
-capacity has already been released within the same control cycle.
+capacity has already been released within the same control cycle.  The
+CPU share changes of VMs that stay put come last, as one
+:class:`~repro.cluster.actions.CpuGrants` record.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..cluster.actions import (
-    AdjustCpu,
+    CpuGrants,
     MigrateVm,
     PlacementAction,
     ResumeVm,
@@ -53,7 +55,8 @@ def plan_actions(
     -------
     list
         Actions ordered: stops, suspends, migrations, resumes, starts,
-        CPU adjustments.
+        then one :class:`CpuGrants` record of the CPU adjustments (none
+        when no share changes), in VM id order.
 
     Raises
     ------
@@ -66,7 +69,8 @@ def plan_actions(
     migrations: list[PlacementAction] = []
     resumes: list[PlacementAction] = []
     starts: list[PlacementAction] = []
-    adjustments: list[PlacementAction] = []
+    grant_vms: list[str] = []
+    grant_mhz: list[float] = []
     old_entries = previous.by_vm()
     new_entries = desired.by_vm()
     jobs_by_vm = {job.vm_id: job for job in jobs}
@@ -91,7 +95,8 @@ def plan_actions(
                     MigrateVm(vm_id, old.node_id, new.node_id, new.cpu_mhz)
                 )
             elif abs(old.cpu_mhz - new.cpu_mhz) > _ADJUST_EPS:
-                adjustments.append(AdjustCpu(vm_id, new.cpu_mhz))
+                grant_vms.append(vm_id)
+                grant_mhz.append(new.cpu_mhz)
             continue
         job = jobs_by_vm.get(vm_id)
         state = JobPhase.PENDING if job is None else job.phase
@@ -105,4 +110,7 @@ def plan_actions(
                 f"SUSPENDED, found {state}"
             )
 
-    return [*stops, *suspends, *migrations, *resumes, *starts, *adjustments]
+    actions = [*stops, *suspends, *migrations, *resumes, *starts]
+    if grant_vms:
+        actions.append(CpuGrants(tuple(grant_vms), tuple(grant_mhz)))
+    return actions

@@ -47,7 +47,7 @@ from ..perf.jobmodel import JobPopulation, snapshot_jobs
 from ..types import Mhz, Seconds
 from ..utility.base import UtilityFunction
 from ..utility.transactional import TransactionalUtility
-from ..workloads.jobs import Job, JobPhase
+from ..workloads.jobs import SUSPENDED_CODE, Job, gather
 from ..workloads.transactional import TransactionalAppSpec
 from .actions_planner import plan_actions
 from .arbiter import ArbiterResult, make_arbiter
@@ -536,16 +536,20 @@ class UtilityDrivenController:
 
         ``included`` is the job list :func:`snapshot_jobs` collected, so
         it is index-aligned with the population columns and the
-        hypothetical rates -- no id-keyed lookups on this hot path.  As
-        in :func:`snapshot_jobs`, the job's host and phase are read from
-        its private fields: this loop visits every live job every cycle.
+        hypothetical rates -- no id-keyed lookups on this hot path.  The
+        suspended flags come from one gather of the jobs' phase column,
+        and the host from the job's private field: this loop visits every
+        live job every cycle.
         """
         requests = []
         append = requests.append
-        suspended = JobPhase.SUSPENDED
         trusted = JobRequest.trusted
-        for job, rate, rem in zip(
-            included, hypothetical.rates.tolist(), population.remaining.tolist()
+        (phases,) = gather(included, ("phase",))
+        for job, rate, rem, was_suspended in zip(
+            included,
+            hypothetical.rates.tolist(),
+            population.remaining.tolist(),
+            (phases == SUSPENDED_CODE).tolist(),
         ):
             spec = job.spec
             append(
@@ -556,7 +560,7 @@ class UtilityDrivenController:
                     spec.speed_cap_mhz,
                     spec.memory_mb,
                     job._node_id,
-                    job._phase is suspended,
+                    was_suspended,
                     spec.submit_time,
                     spec.importance,
                     rem,

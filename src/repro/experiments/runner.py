@@ -19,13 +19,14 @@ import contextlib
 import csv
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Protocol, Sequence, runtime_checkable
 
 from ..analysis.stats import job_outcome_stats
 from ..cluster.actions import (
     ActionLog,
-    AdjustCpu,
+    CpuGrants,
     MigrateVm,
     PlacementAction,
     ResumeVm,
@@ -56,13 +57,9 @@ from ..sim.rng import RngRegistry
 from ..types import Seconds
 from ..utility.longrunning import JobUtility
 from ..utility.transactional import TransactionalUtility
-from ..workloads.jobs import Job, JobPhase
+from ..workloads.jobs import LIVE_CODES, RUNNING_CODE, Job, JobPhase, JobTable
 from ..workloads.transactional import TransactionalApp
 from .scenario import Scenario
-
-#: ``JobPhase.RUNNING`` for the per-job loops of every cycle: a module
-#: global is cheaper to read than the enum class attribute.
-_RUNNING = JobPhase.RUNNING
 
 
 @runtime_checkable
@@ -394,6 +391,14 @@ class ExperimentRunner:
     those to ``decide()`` and scans only those, and creates a completion
     event only for a completion that can fire before the next control
     cycle.  Both leave every simulated outcome bit-identical.
+
+    Every job is a view of one row of the run's
+    :class:`~repro.workloads.jobs.JobTable`, in trace order, and the live
+    set is a mask over the rows.  Each cycle's progress integration,
+    completion predictions, phase counts and the plan's
+    :class:`~repro.cluster.actions.CpuGrants` are one vector pass over the
+    table, element by element the arithmetic of the scalar
+    :class:`~repro.workloads.jobs.Job` methods.
     """
 
     def __init__(
@@ -428,21 +433,23 @@ class ExperimentRunner:
         self._tx_utilities = {
             w.spec.app_id: TransactionalUtility(w.spec.rt_goal) for w in scenario.apps
         }
-        self._jobs: dict[str, Job] = {
-            spec.job_id: Job(spec) for spec in scenario.job_specs
-        }
-        self._vm_to_job: dict[str, str] = {
-            job.vm_id: job_id for job_id, job in self._jobs.items()
-        }
+        specs = scenario.job_specs
+        self._table = table = JobTable(specs)
+        jobs = [Job(spec, table, row) for row, spec in enumerate(specs)]
+        self._jobs: dict[str, Job] = {job.spec.job_id: job for job in jobs}
+        # The jobs by row, for C-level gathers of the live ones.
+        self._jobs_by_row = np.empty(len(jobs), dtype=object)
+        self._jobs_by_row[:] = jobs
+        self._vm_rows: dict[str, int] = {job.vm_id: job.row for job in jobs}
         # The live set: submitted jobs that are not completed or
-        # cancelled, in trace order.  Jobs enter it from the arrival list
-        # (stable by submit time, so ties keep trace order) at the first
-        # control cycle at or after their submission and leave it on
-        # completion or a StopVm.
-        self._trace_rank = {job_id: rank for rank, job_id in enumerate(self._jobs)}
-        self._arrivals = sorted(self._jobs.values(), key=lambda j: j.spec.submit_time)
+        # cancelled, a mask over the rows (trace order).  Jobs enter it
+        # at the first control cycle at or after their submission, in
+        # one step from the submit-time order, and leave it on completion
+        # or a StopVm.
+        self._arrival_rows = np.argsort(table.submit, kind="stable")
+        self._arrival_times = table.submit[self._arrival_rows]
         self._next_arrival = 0
-        self._live: dict[str, Job] = {}
+        self._live = np.zeros(len(jobs), dtype=bool)
         self._placement = Placement()
         self._completion_events: dict[str, Event] = {}
         self._rate_events: dict[str, Event] = {}
@@ -522,7 +529,7 @@ class ExperimentRunner:
         decision = self._policy.decide(
             t,
             nodes=self._cluster.active_nodes(),
-            jobs=list(self._live.values()),
+            jobs=self._live_jobs(),
             current_placement=self._placement,
             app_nodes=self._app_nodes(),
         )
@@ -539,30 +546,28 @@ class ExperimentRunner:
     def _admit_arrivals(self, t: Seconds) -> None:
         """Move every job submitted by ``t`` into the live set.
 
-        The live set stays in trace order, because the population
-        snapshot's column order fixes the order of its float sums: an
-        arrival that precedes the last live job in the trace (a trace
-        not sorted by submit time) re-sorts it.
+        The live set is a mask over the table's rows, so it stays in
+        trace order: the population snapshot's column order fixes the
+        order of its float sums.
         """
-        arrivals, live, rank = self._arrivals, self._live, self._trace_rank
-        resort = False
-        i = self._next_arrival
-        while i < len(arrivals) and arrivals[i].spec.submit_time <= t:
-            job = arrivals[i]
-            i += 1
-            if not job.is_incomplete:
-                continue
-            if live and not resort:
-                resort = rank[job.job_id] < rank[next(reversed(live))]
-            live[job.job_id] = job
-        self._next_arrival = i
-        if resort:
-            self._live = dict(sorted(live.items(), key=lambda item: rank[item[0]]))
+        times, start = self._arrival_times, self._next_arrival
+        if start == len(times) or times[start] > t:
+            return
+        end = int(np.searchsorted(times, t, side="right"))
+        rows = self._arrival_rows[start:end]
+        self._live[rows] = self._table.phase[rows] < LIVE_CODES
+        self._next_arrival = end
+
+    def _live_jobs(self) -> list[Job]:
+        """The live jobs, in trace order."""
+        return self._jobs_by_row[self._live].tolist()
+
+    def _running_rows(self) -> np.ndarray:
+        """Rows of the live RUNNING jobs, in trace order."""
+        return (self._live & (self._table.phase == RUNNING_CODE)).nonzero()[0]
 
     def _advance_running_jobs(self, t: Seconds) -> None:
-        for job in self._live.values():
-            if job.phase is _RUNNING:
-                job.advance_to(t)
+        self._table.advance(self._running_rows(), t)
 
     def _feed_observations(self, t: Seconds) -> None:
         noise = self.scenario.noise
@@ -594,26 +599,12 @@ class ExperimentRunner:
                 self._apply(action, t)
 
     def _apply(self, action: PlacementAction, t: Seconds) -> None:
-        # Dispatch on the exact action type, CPU adjustments first: they
-        # are nearly every action of a cycle.
         kind = type(action)
         costs = self.scenario.costs
-        if kind is AdjustCpu:
-            job_id = self._vm_to_job.get(action.vm_id)
-            if job_id is None:
-                app_id, node_id = self._parse_instance(action.vm_id)
-                self._apps[app_id].set_instance_allocation(node_id, action.cpu_mhz)
-            elif job_id in self._rate_events:
-                # Still in a start/resume/migrate pause: retarget the
-                # pending rate instead of applying it early.
-                pending = self._rate_events.pop(job_id)
-                when = pending.time
-                pending.cancel()
-                self._schedule_rate(self._jobs[job_id], when, action.cpu_mhz)
-            else:
-                self._jobs[job_id].set_rate(t, action.cpu_mhz)
+        if kind is CpuGrants:
+            self._grant(action, t)
         elif kind is StartVm:
-            if action.vm_id in self._vm_to_job:
+            if action.vm_id in self._vm_rows:
                 job = self._job_of(action.vm_id)
                 job.start(t, action.node_id, 0.0)
                 self._schedule_rate(job, t + costs.start_delay, action.cpu_mhz)
@@ -621,11 +612,11 @@ class ExperimentRunner:
                 app_id, node_id = self._parse_instance(action.vm_id)
                 self._apps[app_id].start_instance(t, node_id, action.cpu_mhz)
         elif kind is StopVm:
-            if action.vm_id in self._vm_to_job:
-                job_id = self._vm_to_job[action.vm_id]
-                self._cancel_events(job_id)
-                self._jobs[job_id].cancel(t)
-                self._live.pop(job_id, None)
+            if action.vm_id in self._vm_rows:
+                job = self._job_of(action.vm_id)
+                self._cancel_events(job.job_id)
+                job.cancel(t)
+                self._live[job.row] = False
             else:
                 app_id, node_id = self._parse_instance(action.vm_id)
                 self._apps[app_id].stop_instance(node_id)
@@ -646,6 +637,39 @@ class ExperimentRunner:
             self._schedule_rate(job, t + costs.migrate_pause, action.cpu_mhz)
         else:  # pragma: no cover - exhaustive over the action union
             raise SimulationError(f"unknown action {action!r}")
+
+    def _grant(self, grants: CpuGrants, t: Seconds) -> None:
+        """Apply a plan's CPU grants, the jobs' in one pass over the table.
+
+        A job's grant does what :meth:`Job.set_rate` does.  Instance
+        grants, and grants to jobs still in a start, resume or migrate
+        pause, go one at a time in record order: a paused job's pending
+        rate is retargeted instead of applied early.
+        """
+        mhz = np.array(grants.cpu_mhz, dtype=float)
+        rows = np.fromiter(
+            map(self._vm_rows.get, grants.vm_ids, repeat(-1)), np.intp, len(grants)
+        )
+        held = rows < 0  # instances
+        if self._rate_events:
+            paused = np.zeros(len(self._live), dtype=bool)
+            paused[[self._jobs[job_id].row for job_id in self._rate_events]] = True
+            held |= paused[rows]  # an instance's -1 reads a row, but is held already
+        if np.count_nonzero(held):
+            for i in held.nonzero()[0].tolist():
+                vm_id, cpu = grants.vm_ids[i], grants.cpu_mhz[i]
+                if vm_id not in self._vm_rows:
+                    app_id, node_id = self._parse_instance(vm_id)
+                    self._apps[app_id].set_instance_allocation(node_id, cpu)
+                    continue
+                job = self._job_of(vm_id)
+                pending = self._rate_events.pop(job.job_id)
+                when = pending.time
+                pending.cancel()
+                self._schedule_rate(job, when, cpu)
+            direct = ~held
+            rows, mhz = rows[direct], mhz[direct]
+        self._table.set_rates(rows, mhz, t)
 
     def _schedule_rate(self, job: Job, when: Seconds, rate: float) -> None:
         def fire(t2: Seconds, job_id: str = job.job_id) -> None:
@@ -670,27 +694,48 @@ class ExperimentRunner:
     # Completions
     # ------------------------------------------------------------------
     def _reschedule_completions(self, t: Seconds) -> None:
-        # Sorted by job id, not trace order: the order fixes the tie
-        # order of simultaneous completions (``job10000`` < ``job9999``).
-        live = self._live
-        for job_id in sorted(live):
-            job = live[job_id]
-            if job.phase is _RUNNING and job_id not in self._rate_events:
-                self._schedule_completion(job, t)
+        """Re-predict the completion of every live RUNNING job without a
+        pending rate event, in one pass.
 
-    def _schedule_completion(self, job: Job, t: Seconds) -> None:
+        Only the jobs that complete within the cycle or hold a completion
+        event get their event replaced or cancelled.  They go in job-id
+        order, not trace order: the order fixes the tie order of
+        simultaneous completions (``job10000`` < ``job9999``).
+        """
+        jobs = self._jobs
+        eligible = self._live & (self._table.phase == RUNNING_CODE)
+        for job_id in self._rate_events:
+            eligible[jobs[job_id].row] = False
+        rows = eligible.nonzero()[0]
+        when = self._table.predicted_completion(rows, t)
+        due = ~(when > t + self.scenario.controller.control_cycle)
+        touched = dict(zip(rows[due].tolist(), when[due].tolist()))
+        for job_id in self._completion_events:
+            row = jobs[job_id].row
+            if eligible[row] and row not in touched:
+                touched[row] = when.item(int(np.searchsorted(rows, row)))
+        jobs_by_row, ids = self._jobs_by_row, self._table.job_ids
+        for row in sorted(touched, key=ids.__getitem__):
+            self._schedule_completion(jobs_by_row[row], t, touched[row])
+
+    def _schedule_completion(
+        self, job: Job, t: Seconds, when: Optional[Seconds] = None
+    ) -> None:
         """(Re)schedule ``job``'s completion, if it falls within one cycle.
 
-        A completion predicted after ``t + control_cycle`` gets no event:
-        the next control cycle, or the action or failure that touches the
-        job first, would cancel it before it could fire.  The bound is
-        inclusive and the same float the simulator computes for the next
-        cycle, where completions fire first (``ORDER_COMPLETION``).
+        ``when`` is the job's predicted completion at ``t``, when the
+        caller has it already.  A completion predicted after
+        ``t + control_cycle`` gets no event: the next control cycle, or
+        the action or failure that touches the job first, would cancel it
+        before it could fire.  The bound is inclusive and the same float
+        the simulator computes for the next cycle, where completions fire
+        first (``ORDER_COMPLETION``).
         """
         event = self._completion_events.pop(job.job_id, None)
         if event is not None and not event.fired:
             event.cancel()
-        when = job.predicted_completion(t)
+        if when is None:
+            when = job.predicted_completion(t)
         if when > t + self.scenario.controller.control_cycle:
             return
         self._completion_events[job.job_id] = self._sim.at(
@@ -704,7 +749,7 @@ class ExperimentRunner:
         job = self._jobs[job_id]
         self._completion_events.pop(job_id, None)
         job.complete(t)
-        self._live.pop(job_id, None)
+        self._live[job.row] = False
         if job.vm_id in self._placement:
             self._placement.remove(job.vm_id)
         self._recorder.bump("jobs_completed")
@@ -719,7 +764,7 @@ class ExperimentRunner:
         self._cluster.fail_node(node_id)
         costs = self.scenario.costs
         for entry in list(self._placement.entries_on(node_id)):
-            if entry.vm_id in self._vm_to_job:
+            if entry.vm_id in self._vm_rows:
                 job = self._job_of(entry.vm_id)
                 self._cancel_events(job.job_id)
                 if job.phase is JobPhase.RUNNING:
@@ -764,7 +809,7 @@ class ExperimentRunner:
         noise = self.scenario.noise
         solution = decision.solution
 
-        population = snapshot_jobs(self._live.values(), t)
+        population = snapshot_jobs(self._live_jobs(), t)
         satisfied_lr = solution.satisfied_lr_demand
         rec.record("lr_allocation", t, satisfied_lr)
         rec.record("lr_demand", t, longrunning_max_utility_demand(population))
@@ -875,18 +920,20 @@ class ExperimentRunner:
         if diag.deadline_overrun:
             rec.bump("decide_overruns")
 
-        # list.count compares enum members by identity, in C: no hashing.
-        phases = [job.phase for job in self._live.values()]
-        rec.record("jobs_running", t, phases.count(JobPhase.RUNNING))
-        rec.record("jobs_suspended", t, phases.count(JobPhase.SUSPENDED))
-        rec.record("jobs_pending", t, phases.count(JobPhase.PENDING))
+        # Live rows hold the three live phase codes, in PHASES order.
+        pending, running, suspended = np.bincount(
+            self._table.phase[self._live], minlength=LIVE_CODES
+        ).tolist()
+        rec.record("jobs_running", t, running)
+        rec.record("jobs_suspended", t, suspended)
+        rec.record("jobs_pending", t, pending)
         rec.record("jobs_completed_series", t, rec.counter("jobs_completed"))
 
     # ------------------------------------------------------------------
     # Small helpers
     # ------------------------------------------------------------------
     def _job_of(self, vm_id: str) -> Job:
-        return self._jobs[self._vm_to_job[vm_id]]
+        return self._jobs_by_row[self._vm_rows[vm_id]]
 
     @staticmethod
     def _parse_instance(vm_id: str) -> tuple[str, str]:

@@ -1,22 +1,24 @@
-"""Vectorized job-population snapshots and completion predictions.
+"""Vectorized job-population snapshots.
 
 The controller's hot path (hypothetical-utility equalization, Section 2 of
 the paper) operates on the whole incomplete-job population every control
 cycle.  To keep that O(n) with numpy instead of a Python loop per job,
 this module extracts the population state into a column-oriented
-:class:`JobPopulation` snapshot.
+:class:`JobPopulation` snapshot, gathered from the jobs'
+:class:`~repro.workloads.jobs.JobTable` rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Optional
 
 import numpy as np
 
 from ..errors import ModelError
 from ..types import Seconds
-from ..workloads.jobs import Job
+from ..workloads.jobs import LIVE_CODES, Job, gather
 
 
 @dataclass(frozen=True)
@@ -55,13 +57,14 @@ class JobPopulation:
             arr = getattr(self, name)
             if arr.shape != (n,):
                 raise ModelError(f"JobPopulation.{name} has shape {arr.shape}, want ({n},)")
-        if n:
-            if np.any(self.remaining < 0):
-                raise ModelError("negative remaining work in population snapshot")
-            if np.any(self.caps <= 0):
-                raise ModelError("non-positive speed cap in population snapshot")
-            if np.any(self.goal_lengths <= 0):
-                raise ModelError("non-positive goal length in population snapshot")
+        # np.count_nonzero, not np.any: two snapshots a cycle build one,
+        # and on a few jobs np.any's dispatch costs more than the test.
+        if np.count_nonzero(self.remaining < 0):
+            raise ModelError("negative remaining work in population snapshot")
+        if np.count_nonzero(self.caps <= 0):
+            raise ModelError("non-positive speed cap in population snapshot")
+        if np.count_nonzero(self.goal_lengths <= 0):
+            raise ModelError("non-positive goal length in population snapshot")
 
     def __len__(self) -> int:
         return len(self.job_ids)
@@ -105,56 +108,52 @@ def snapshot_jobs(
 
     Jobs are advanced conceptually to ``t`` (progress since their last
     update is accounted for without mutating them).  Completed, cancelled
-    and not-yet-submitted jobs are excluded.
+    and not-yet-submitted jobs are excluded.  The columns are gathered
+    from the jobs' :class:`~repro.workloads.jobs.JobTable` rows, one
+    gather per column when the jobs share a table; the projection
+    ``max(remaining - rate * (t - last_update), 0)`` is the scalar
+    arithmetic, element by element.
 
     When ``included`` is given, the :class:`Job` objects that made it
     into the snapshot are appended to it, in snapshot (column) order --
     callers that need the jobs alongside the columns (the controller's
     request builder) then avoid a second filtered pass keyed by id.
     """
-    ids: list[str] = []
-    remaining: list[float] = []
-    caps: list[float] = []
-    goals_abs: list[float] = []
-    goal_lengths: list[float] = []
-    importance: list[float] = []
-    # Bound the append methods once: this loop visits every job every
-    # control cycle and is the controller's main O(population) pass.
-    add_id = ids.append
-    add_rem = remaining.append
-    add_cap = caps.append
-    add_goal = goals_abs.append
-    add_len = goal_lengths.append
-    add_imp = importance.append
-    add_job = included.append if included is not None else None
-    for job in jobs:
-        spec = job.spec
-        if spec.submit_time > t or not job.is_incomplete:
-            continue
-        # Private-field reads (the public properties are trivial
-        # accessors): this loop touches every job every control cycle
-        # and the attribute-protocol overhead is measurable at scale.
-        last_update = job._last_update
-        if t < last_update:
-            raise ModelError(
-                f"job {job.job_id}: snapshot time {t} precedes last update "
-                f"{last_update}"
-            )
-        rem = max(job._remaining - job._rate * (t - last_update), 0.0)
-        if add_job is not None:
-            add_job(job)
-        add_id(spec.job_id)
-        add_rem(rem)
-        add_cap(spec.speed_cap_mhz)
-        add_goal(spec.absolute_goal)
-        add_len(spec.completion_goal)
-        add_imp(spec.importance)
+    if not isinstance(jobs, (list, tuple)):
+        jobs = list(jobs)
+    columns = gather(jobs, _SNAPSHOT_COLUMNS)
+    submit, phase = columns[0], columns[1]
+    kept = ~(submit > t) & (phase < LIVE_CODES)
+    if np.count_nonzero(kept) < len(jobs):
+        index = kept.nonzero()[0]
+        jobs = [jobs[i] for i in index.tolist()]
+        columns = [column[index] for column in columns]
+    submit, _, last_update, remaining, rate, caps, goal_lengths, importance = columns
+    late = t < last_update
+    if np.count_nonzero(late):
+        i = int(late.argmax())
+        raise ModelError(
+            f"job {jobs[i].job_id}: snapshot time {t} precedes last update "
+            f"{last_update.item(i)}"
+        )
+    remaining = remaining - rate * (t - last_update)
+    remaining[remaining < 0.0] = 0.0  # max(x, 0.0), signed zeros included
+    if included is not None:
+        included.extend(jobs)
     return JobPopulation(
         time=t,
-        job_ids=tuple(ids),
-        remaining=np.asarray(remaining, dtype=float),
-        caps=np.asarray(caps, dtype=float),
-        goals_abs=np.asarray(goals_abs, dtype=float),
-        goal_lengths=np.asarray(goal_lengths, dtype=float),
-        importance=np.asarray(importance, dtype=float),
+        job_ids=tuple(map(_job_id_of, jobs)),
+        remaining=remaining,
+        caps=caps,
+        goals_abs=submit + goal_lengths,
+        goal_lengths=goal_lengths,
+        importance=importance,
     )
+
+
+#: The table columns :func:`snapshot_jobs` gathers, in unpacking order.
+_SNAPSHOT_COLUMNS = (
+    "submit", "phase", "last_update", "remaining", "rate", "cap", "goal_len",
+    "importance",
+)
+_job_id_of = attrgetter("spec.job_id")

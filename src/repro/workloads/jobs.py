@@ -9,6 +9,13 @@ CPU grant (the fluid rate).  The controller starts, suspends, resumes and
 migrates it; progress accrues continuously at the granted rate, so
 remaining work at any instant is exact.
 
+A job's numbers live in one row of a :class:`JobTable`: numpy columns
+holding every job of a run, so the runner integrates progress, predicts
+completions and applies CPU grants in one vector pass over many rows.
+:class:`Job` is a view of its row; ``Job(spec)`` makes a one-row table.
+The vector passes do, element by element, the IEEE operations of the
+scalar methods.
+
 The lifecycle::
 
         PENDING ---start---> RUNNING ---suspend---> SUSPENDED
@@ -26,8 +33,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from ..errors import ConfigurationError, LifecycleError
 from ..types import Cycles, Megabytes, Mhz, Seconds
@@ -59,6 +69,8 @@ class JobSpec:
         Service-class label (for differentiation experiments).
     importance:
         Weight used when aggregating utility across jobs (>= 0).
+
+    Every numeric field must be finite.
     """
 
     job_id: str
@@ -73,18 +85,26 @@ class JobSpec:
     def __post_init__(self) -> None:
         if not self.job_id:
             raise ConfigurationError("job_id must be non-empty")
-        if self.submit_time < 0:
-            raise ConfigurationError(f"job {self.job_id}: negative submit_time")
-        if self.total_work <= 0:
-            raise ConfigurationError(f"job {self.job_id}: total_work must be positive")
-        if self.speed_cap_mhz <= 0:
-            raise ConfigurationError(f"job {self.job_id}: speed cap must be positive")
-        if self.memory_mb <= 0:
-            raise ConfigurationError(f"job {self.job_id}: memory must be positive")
-        if self.completion_goal <= 0:
-            raise ConfigurationError(f"job {self.job_id}: goal must be positive")
-        if self.importance < 0:
-            raise ConfigurationError(f"job {self.job_id}: negative importance")
+        # Each chained test fails for NaN and for inf too.  A trace
+        # builds thousands of specs, so the tests stay inline.
+        inf = math.inf
+        if not 0 <= self.submit_time < inf:
+            self._reject("submit_time", "finite and non-negative")
+        if not 0 < self.total_work < inf:
+            self._reject("total_work", "finite and positive")
+        if not 0 < self.speed_cap_mhz < inf:
+            self._reject("speed_cap_mhz", "finite and positive")
+        if not 0 < self.memory_mb < inf:
+            self._reject("memory_mb", "finite and positive")
+        if not 0 < self.completion_goal < inf:
+            self._reject("completion_goal", "finite and positive")
+        if not 0 <= self.importance < inf:
+            self._reject("importance", "finite and non-negative")
+
+    def _reject(self, name: str, rule: str) -> None:
+        raise ConfigurationError(
+            f"job {self.job_id}: {name} must be {rule}, got {getattr(self, name)}"
+        )
 
     @property
     def min_duration(self) -> Seconds:
@@ -110,16 +130,209 @@ class JobPhase(enum.Enum):
         return self.value
 
 
-@dataclass(slots=True)
-class JobStats:
-    """Lifetime statistics gathered for reporting."""
+#: A job's ``phase`` code is its phase's index here.  The live phases
+#: come first, so a code below :data:`LIVE_CODES` is a live job.
+PHASES = (
+    JobPhase.PENDING,
+    JobPhase.RUNNING,
+    JobPhase.SUSPENDED,
+    JobPhase.COMPLETED,
+    JobPhase.CANCELLED,
+)
+PENDING_CODE, RUNNING_CODE, SUSPENDED_CODE, COMPLETED_CODE, CANCELLED_CODE = range(5)
+LIVE_CODES = COMPLETED_CODE
 
-    started_at: Optional[Seconds] = None
-    completed_at: Optional[Seconds] = None
-    suspensions: int = 0
-    migrations: int = 0
-    work_lost: Cycles = 0.0
-    cpu_time_integral: Cycles = field(default=0.0)
+
+class JobTable:
+    """The numeric state of many jobs: one row per job, one numpy column per field.
+
+    Static columns: ``submit``, ``cap``, ``goal_len`` and ``importance``
+    (the specs' submit time, speed cap, goal length and importance).
+    State columns: ``remaining``, ``rate``, ``last_update``,
+    ``cpu_integral`` and the ``phase`` code (:data:`PHASES`).  Stats
+    columns: ``started_at`` and ``completed_at`` (NaN until set),
+    ``suspensions``, ``migrations`` and ``work_lost``.
+
+    The table holds no reference to its :class:`Job` views, so dropping
+    the views and the table frees them without a cycle collection.
+    """
+
+    __slots__ = (
+        "job_ids", "submit", "cap", "goal_len", "importance",
+        "remaining", "rate", "last_update", "cpu_integral", "phase",
+        "started_at", "completed_at", "suspensions", "migrations", "work_lost",
+    )
+
+    def __init__(self, specs: Iterable[JobSpec]) -> None:
+        specs = list(specs)
+        n = len(specs)
+        self.job_ids = tuple([spec.job_id for spec in specs])
+        # One pass over the specs; the transpose's rows are contiguous.
+        static = np.array(
+            [
+                (s.submit_time, s.total_work, s.speed_cap_mhz, s.completion_goal, s.importance)
+                for s in specs
+            ],
+            dtype=float,
+        ).reshape(n, 5).T.copy()
+        self.submit, self.remaining, self.cap, self.goal_len, self.importance = static
+        self.last_update = self.submit.copy()
+        self.rate = np.zeros(n)
+        self.cpu_integral = np.zeros(n)
+        self.phase = np.zeros(n, dtype=np.int8)
+        self.started_at = np.full(n, math.nan)
+        self.completed_at = np.full(n, math.nan)
+        self.suspensions = np.zeros(n, dtype=np.int64)
+        self.migrations = np.zeros(n, dtype=np.int64)
+        self.work_lost = np.zeros(n)
+
+    # ------------------------------------------------------------------
+    # Vector passes: each does what the named Job method does per row.
+    # They test masks with ``np.count_nonzero``: on the few rows of a
+    # small run, ``ndarray.any`` costs more than the arithmetic.
+    # ------------------------------------------------------------------
+    def advance(self, rows: np.ndarray, t: Seconds) -> None:
+        """:meth:`Job.advance_to` ``t`` for every row of ``rows``."""
+        last = self.last_update[rows]
+        late = t < last
+        if np.count_nonzero(late):
+            self._raise_late(rows, last, late, t)
+        self._advance(rows, last, t)
+
+    def _advance(self, rows: np.ndarray, last: np.ndarray, t: Seconds) -> None:
+        remaining = self.remaining[rows]
+        done = self.rate[rows] * (t - last)
+        # np.minimum and Python's min differ only in which of two equal
+        # zeros they return, and either adds nothing to the integral.
+        self.cpu_integral[rows] += np.minimum(done, remaining)
+        remaining = remaining - done
+        # Zeroing every value <= eps also does ``max(x, 0.0)``.
+        remaining[remaining <= _WORK_EPS] = 0.0
+        self.remaining[rows] = remaining
+        self.last_update[rows] = t
+
+    def predicted_completion(self, rows: np.ndarray, t: Seconds) -> np.ndarray:
+        """:meth:`Job.predicted_completion` at ``t`` for every row of ``rows``."""
+        last = self.last_update[rows]
+        late = t < last
+        if np.count_nonzero(late):
+            job_id = self.job_ids[rows[late.argmax()]]
+            raise LifecycleError(f"job {job_id}: prediction time {t} precedes last update")
+        rate = self.rate[rows]
+        # Unclamped: a negative remainder is <= eps and predicts ``t``,
+        # as ``max(x, 0.0)`` would.
+        remaining = self.remaining[rows] - rate * (t - last)
+        left = np.full(len(rows), math.inf)
+        with np.errstate(over="ignore"):  # a tiny rate: inf, as in Python
+            np.divide(remaining, rate, out=left, where=~(rate <= 0))
+        when = t + left
+        when[remaining <= _WORK_EPS] = t
+        return when
+
+    def set_rates(self, rows: np.ndarray, mhz: np.ndarray, t: Seconds) -> None:
+        """:meth:`Job.set_rate` ``(t, mhz[i])`` for every row ``rows[i]``.
+
+        The rows' checks all run before any row changes; a failing pass
+        raises the error :meth:`Job.set_rate` raises for the first
+        failing row.
+        """
+        last = self.last_update[rows]
+        late = t < last
+        negative = ~(mhz >= 0)  # also NaN
+        idle = (mhz > 0) & (self.phase[rows] != RUNNING_CODE)
+        failing = late | negative | idle
+        if np.count_nonzero(failing):
+            i = int(failing.argmax())
+            if late[i]:
+                self._raise_late(rows, last, late, t)
+            job_id = self.job_ids[rows[i]]
+            if negative[i]:
+                raise LifecycleError(
+                    f"job {job_id}: rate must be non-negative, got {mhz.item(i)}"
+                )
+            raise LifecycleError(
+                f"job {job_id}: cannot make progress in phase "
+                f"{PHASES[self.phase.item(rows[i])]}"
+            )
+        self._advance(rows, last, t)
+        # Exact: the grants are non-negative and the caps positive, so a
+        # tie is two equal positive values.
+        self.rate[rows] = np.minimum(mhz, self.cap[rows])
+
+    def _raise_late(
+        self, rows: np.ndarray, last: np.ndarray, late: np.ndarray, t: Seconds
+    ) -> None:
+        i = int(late.argmax())
+        raise LifecycleError(
+            f"job {self.job_ids[rows[i]]}: advance to {t} precedes last update "
+            f"{last.item(i)}"
+        )
+
+
+#: The views' table and row, read in C by :func:`gather`.
+_table_of = attrgetter("table")
+_row_of = attrgetter("row")
+_NO_JOBS = JobTable(())
+
+
+def gather(jobs: Sequence[Job], names: Sequence[str]) -> list[np.ndarray]:
+    """The ``names`` columns of ``jobs``' rows, in list order.
+
+    One fancy-index gather per column when the jobs share a table, as
+    every runner list does; one row at a time otherwise (hand-built lists
+    of ``Job(spec)``, each a one-row table).
+    """
+    tables = set(map(_table_of, jobs))
+    if len(tables) <= 1:
+        table = tables.pop() if tables else _NO_JOBS
+        rows = np.fromiter(map(_row_of, jobs), np.intp, len(jobs))
+        return [getattr(table, name)[rows] for name in names]
+    return [
+        np.array([getattr(job.table, name)[job.row] for job in jobs])
+        for name in names
+    ]
+
+
+class JobStats:
+    """Lifetime statistics gathered for reporting: a read-only view of a row."""
+
+    __slots__ = ("_table", "_row")
+
+    def __init__(self, table: JobTable, row: int) -> None:
+        self._table = table
+        self._row = row
+
+    @property
+    def started_at(self) -> Optional[Seconds]:
+        """First start time, ``None`` before it."""
+        t = self._table.started_at.item(self._row)
+        return None if math.isnan(t) else t
+
+    @property
+    def completed_at(self) -> Optional[Seconds]:
+        """Completion time, ``None`` before it."""
+        t = self._table.completed_at.item(self._row)
+        return None if math.isnan(t) else t
+
+    @property
+    def suspensions(self) -> int:
+        """Times suspended."""
+        return self._table.suspensions.item(self._row)
+
+    @property
+    def migrations(self) -> int:
+        """Times migrated."""
+        return self._table.migrations.item(self._row)
+
+    @property
+    def work_lost(self) -> Cycles:
+        """Work given back by suspensions, MHz·s."""
+        return self._table.work_lost.item(self._row)
+
+    @property
+    def cpu_time_integral(self) -> Cycles:
+        """Work done, MHz·s."""
+        return self._table.cpu_integral.item(self._row)
 
 
 #: Every phase but the terminal ones: ``cancel`` and ``complete`` leave these.
@@ -127,22 +340,31 @@ _LIVE_PHASES = (JobPhase.PENDING, JobPhase.RUNNING, JobPhase.SUSPENDED)
 
 
 class Job:
-    """Runtime state of a long-running job: its VM's record plus fluid progress."""
+    """A long-running job: its VM's record, a view of row ``row`` of ``table``.
 
-    __slots__ = (
-        "spec", "vm_id", "_phase", "_node_id", "_remaining", "_rate",
-        "_last_update", "stats",
-    )
+    ``Job(spec)`` makes a one-row table of its own.  The spec, the VM id
+    and the host are Python attributes; every other property and mutator
+    reads and writes the row.  Reads return Python scalars
+    (``ndarray.item``), so the scalar methods do Python float arithmetic
+    and raise Python's errors.
+    """
 
-    def __init__(self, spec: JobSpec) -> None:
+    __slots__ = ("spec", "vm_id", "_node_id", "table", "row")
+
+    def __init__(
+        self, spec: JobSpec, table: Optional[JobTable] = None, row: int = 0
+    ) -> None:
+        if table is None:
+            table = JobTable((spec,))
+        elif table.job_ids[row] != spec.job_id:
+            raise ConfigurationError(
+                f"job {spec.job_id}: row {row} of its table holds {table.job_ids[row]}"
+            )
         self.spec = spec
         self.vm_id = f"vm-{spec.job_id}"
-        self._phase = JobPhase.PENDING
         self._node_id: Optional[str] = None
-        self._remaining: Cycles = spec.total_work
-        self._rate: Mhz = 0.0
-        self._last_update: Seconds = spec.submit_time
-        self.stats = JobStats()
+        self.table = table
+        self.row = row
 
     # ------------------------------------------------------------------
     # Introspection
@@ -155,28 +377,22 @@ class Job:
     @property
     def phase(self) -> JobPhase:
         """Current lifecycle phase."""
-        return self._phase
+        return PHASES[self.table.phase.item(self.row)]
 
     @property
     def is_incomplete(self) -> bool:
-        """Whether the job still demands CPU (not completed or cancelled).
-
-        Checked for every job on every control cycle (population
-        snapshots), so it tests the stored phase against a module-level
-        tuple: reading ``JobPhase.X`` off the enum class costs more than
-        the whole membership test.
-        """
-        return self._phase in _LIVE_PHASES
+        """Whether the job still demands CPU (not completed or cancelled)."""
+        return self.table.phase.item(self.row) < LIVE_CODES
 
     @property
     def remaining_work(self) -> Cycles:
         """Remaining work in MHz·s as of the last update."""
-        return self._remaining
+        return self.table.remaining.item(self.row)
 
     @property
     def rate(self) -> Mhz:
         """Current fluid progress rate in MHz: the VM's CPU grant."""
-        return self._rate
+        return self.table.rate.item(self.row)
 
     @property
     def node_id(self) -> Optional[str]:
@@ -186,42 +402,50 @@ class Job:
     @property
     def last_update(self) -> Seconds:
         """Time up to which progress has been integrated."""
-        return self._last_update
+        return self.table.last_update.item(self.row)
+
+    @property
+    def stats(self) -> JobStats:
+        """Lifetime statistics, a view of the row."""
+        return JobStats(self.table, self.row)
 
     def predicted_completion(self, at: Optional[Seconds] = None) -> Seconds:
         """Completion time if the current rate held forever (``inf`` at rate 0).
 
         ``at`` defaults to the last progress-update time.
         """
-        t = self._last_update if at is None else at
-        if t < self._last_update:
+        table, row = self.table, self.row
+        last = table.last_update.item(row)
+        rate = table.rate.item(row)
+        t = last if at is None else at
+        if t < last:
             raise LifecycleError(
                 f"job {self.job_id}: prediction time {t} precedes last update"
             )
-        remaining = max(self._remaining - self._rate * (t - self._last_update), 0.0)
+        remaining = max(table.remaining.item(row) - rate * (t - last), 0.0)
         if remaining <= _WORK_EPS:
             return t
-        if self._rate <= 0:
+        if rate <= 0:
             return math.inf
-        return t + remaining / self._rate
+        return t + remaining / rate
 
     # ------------------------------------------------------------------
     # Fluid progress
     # ------------------------------------------------------------------
     def advance_to(self, t: Seconds) -> None:
         """Integrate progress up to time ``t`` at the current rate."""
-        if t < self._last_update:
+        table, row = self.table, self.row
+        last = table.last_update.item(row)
+        if t < last:
             raise LifecycleError(
-                f"job {self.job_id}: advance to {t} precedes last update "
-                f"{self._last_update}"
+                f"job {self.job_id}: advance to {t} precedes last update {last}"
             )
-        dt = t - self._last_update
-        done = self._rate * dt
-        self.stats.cpu_time_integral += min(done, self._remaining)
-        self._remaining = max(self._remaining - done, 0.0)
-        if self._remaining <= _WORK_EPS:
-            self._remaining = 0.0
-        self._last_update = t
+        remaining = table.remaining.item(row)
+        done = table.rate.item(row) * (t - last)
+        table.cpu_integral[row] = table.cpu_integral.item(row) + min(done, remaining)
+        remaining = max(remaining - done, 0.0)
+        table.remaining[row] = 0.0 if remaining <= _WORK_EPS else remaining
+        table.last_update[row] = t
 
     def set_rate(self, t: Seconds, rate: Mhz) -> None:
         """Advance progress to ``t`` and switch to a new fluid rate.
@@ -235,11 +459,12 @@ class Job:
             raise LifecycleError(
                 f"job {self.job_id}: rate must be non-negative, got {rate}"
             )
-        if rate > 0 and self._phase is not JobPhase.RUNNING:
+        code = self.table.phase.item(self.row)
+        if rate > 0 and code != RUNNING_CODE:
             raise LifecycleError(
-                f"job {self.job_id}: cannot make progress in phase {self._phase}"
+                f"job {self.job_id}: cannot make progress in phase {PHASES[code]}"
             )
-        self._rate = min(float(rate), self.spec.speed_cap_mhz)
+        self.table.rate[self.row] = min(float(rate), self.spec.speed_cap_mhz)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -248,23 +473,26 @@ class Job:
         """PENDING or SUSPENDED -> RUNNING on ``node_id`` (first start or resume)."""
         self._require("start", JobPhase.PENDING, JobPhase.SUSPENDED)
         self.advance_to(t)
-        self._phase = JobPhase.RUNNING
+        table, row = self.table, self.row
+        table.phase[row] = RUNNING_CODE
         self._node_id = node_id
-        if self.stats.started_at is None:
-            self.stats.started_at = t
+        if math.isnan(table.started_at[row]):
+            table.started_at[row] = t
         self.set_rate(t, rate)
 
     def suspend(self, t: Seconds, work_lost: Cycles = 0.0) -> None:
         """Checkpoint and release the node; optionally lose recent progress."""
         self._require("suspend", JobPhase.RUNNING)
         self.set_rate(t, 0.0)
-        self._phase = JobPhase.SUSPENDED
+        table, row = self.table, self.row
+        table.phase[row] = SUSPENDED_CODE
         self._node_id = None
         if work_lost > 0:
-            lost = min(work_lost, self.spec.total_work - self._remaining)
-            self._remaining += lost
-            self.stats.work_lost += lost
-        self.stats.suspensions += 1
+            remaining = table.remaining.item(row)
+            lost = min(work_lost, self.spec.total_work - remaining)
+            table.remaining[row] = remaining + lost
+            table.work_lost[row] = table.work_lost.item(row) + lost
+        table.suspensions[row] += 1
 
     def migrate(self, t: Seconds, node_id: str, rate: Mhz = 0.0) -> None:
         """Move the running job to another node."""
@@ -273,34 +501,37 @@ class Job:
             raise LifecycleError(f"job {self.job_id}: migration to its own host")
         self.set_rate(t, 0.0)
         self._node_id = node_id
-        self.stats.migrations += 1
+        self.table.migrations[self.row] += 1
         self.set_rate(t, rate)
 
     def complete(self, t: Seconds) -> None:
         """Mark the job finished (terminal); remaining work must be zero."""
         self._require("complete", *_LIVE_PHASES)
         self.advance_to(t)
-        if self._remaining > _WORK_EPS:
+        table, row = self.table, self.row
+        remaining = table.remaining.item(row)
+        if remaining > _WORK_EPS:
             raise LifecycleError(
-                f"job {self.job_id}: completion with {self._remaining:.1f} MHz·s left"
+                f"job {self.job_id}: completion with {remaining:.1f} MHz·s left"
             )
-        self._rate = 0.0
-        self._phase = JobPhase.COMPLETED
+        table.rate[row] = 0.0
+        table.phase[row] = COMPLETED_CODE
         self._node_id = None
-        self.stats.completed_at = t
+        table.completed_at[row] = t
 
     def cancel(self, t: Seconds) -> None:
         """Abort the job (terminal)."""
         self._require("cancel", *_LIVE_PHASES)
         self.advance_to(t)
-        self._rate = 0.0
-        self._phase = JobPhase.CANCELLED
+        self.table.rate[self.row] = 0.0
+        self.table.phase[self.row] = CANCELLED_CODE
         self._node_id = None
 
     def _require(self, transition: str, *phases: JobPhase) -> None:
-        if self._phase not in phases:
+        phase = PHASES[self.table.phase.item(self.row)]
+        if phase not in phases:
             raise LifecycleError(
-                f"job {self.job_id}: cannot {transition} from phase {self._phase}"
+                f"job {self.job_id}: cannot {transition} from phase {phase}"
             )
 
     # ------------------------------------------------------------------
@@ -309,9 +540,10 @@ class Job:
     @property
     def flow_time(self) -> Optional[Seconds]:
         """Submission-to-completion time, once completed."""
-        if self.stats.completed_at is None:
+        completed_at = self.stats.completed_at
+        if completed_at is None:
             return None
-        return self.stats.completed_at - self.spec.submit_time
+        return completed_at - self.spec.submit_time
 
     @property
     def tardiness(self) -> Optional[Seconds]:
@@ -324,5 +556,5 @@ class Job:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Job({self.job_id}, {self.phase.value}, "
-            f"remaining={self._remaining:.0f} MHz·s, rate={self._rate:.0f} MHz)"
+            f"remaining={self.remaining_work:.0f} MHz·s, rate={self.rate:.0f} MHz)"
         )

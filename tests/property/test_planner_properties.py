@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import (
-    AdjustCpu,
+    CpuGrants,
     MigrateVm,
     Placement,
     PlacementEntry,
@@ -72,9 +72,11 @@ def replay(previous: Placement, actions) -> dict[str, tuple[str, float]]:
             node, _ = state[action.vm_id]
             assert node == action.src_node_id, "migration from wrong host"
             state[action.vm_id] = (action.dst_node_id, action.cpu_mhz)
-        elif isinstance(action, AdjustCpu):
-            node, _ = state[action.vm_id]
-            state[action.vm_id] = (node, action.cpu_mhz)
+        elif isinstance(action, CpuGrants):
+            assert action is actions[-1], "grants record before the last action"
+            for vm_id, cpu_mhz in zip(action.vm_ids, action.cpu_mhz):
+                node, _ = state[vm_id]
+                state[vm_id] = (node, cpu_mhz)
     return state
 
 
@@ -97,7 +99,11 @@ def test_replaying_actions_reconstructs_desired_placement(pair):
 def test_no_action_for_unchanged_vms(pair):
     previous, desired, jobs = pair
     actions = plan_actions(previous, desired, jobs)
-    touched = {a.vm_id for a in actions}
+    touched = set()
+    for action in actions:
+        touched.update(
+            action.vm_ids if isinstance(action, CpuGrants) else (action.vm_id,)
+        )
     for entry in previous:
         new = desired.get(entry.vm_id)
         if (

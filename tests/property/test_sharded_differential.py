@@ -95,7 +95,7 @@ def _assert_decisions_identical(a, b, cycle):
 def _apply_decision(decision, jobs_by_vm, t):
     """Enact a decision instantly (no virtualization delays)."""
     from repro.cluster.actions import (
-        AdjustCpu,
+        CpuGrants,
         MigrateVm,
         ResumeVm,
         StartVm,
@@ -104,6 +104,12 @@ def _apply_decision(decision, jobs_by_vm, t):
     )
 
     for action in decision.actions:
+        if isinstance(action, CpuGrants):
+            for vm_id, cpu_mhz in zip(action.vm_ids, action.cpu_mhz):
+                job = jobs_by_vm.get(vm_id)
+                if job is not None:  # web instances: no job state to evolve
+                    job.set_rate(t, cpu_mhz)
+            continue
         job = jobs_by_vm.get(action.vm_id)
         if job is None:
             continue  # web instance actions: no job state to evolve
@@ -117,8 +123,6 @@ def _apply_decision(decision, jobs_by_vm, t):
             job.suspend(t)
         elif isinstance(action, StopVm):
             job.cancel(t)
-        elif isinstance(action, AdjustCpu):
-            job.set_rate(t, action.cpu_mhz)
 
 
 def _run_trace(seed, controllers, n_cycles=10, on_decision=None):

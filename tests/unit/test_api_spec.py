@@ -8,6 +8,7 @@ node classes, plus validation errors that name the offending field.
 
 import copy
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -168,6 +169,45 @@ class TestFailuresAndProfiles:
         assert rebuilt.jobs.templates == spec.jobs.templates
         classes = {job.job_class for job in rebuilt.materialize().job_specs}
         assert classes == {"gold", "silver"}
+
+
+class TestNonFiniteValues:
+    """NaN or inf in a job parameter or the horizon fails before the run.
+
+    Each of these once ran silently on ``smoke``: NaN utilities with no
+    degraded cycle, 20 jobs counted as submitted while only the two
+    submitted at t=0 ran, a run of zero cycles, or a run without end.
+    """
+
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            ("template.total_work", math.nan, "total_work"),
+            ("template.total_work", math.inf, "total_work"),
+            ("template.speed_cap_mhz", math.nan, "speed_cap_mhz"),
+            ("template.goal_factor", math.nan, "completion_goal"),
+            ("template.importance", math.nan, "importance"),
+            ("template.importance", math.inf, "importance"),
+            ("mean_interarrival", math.nan, "submit_time"),
+        ],
+    )
+    def test_job_parameter_rejected(self, path, value, field):
+        data = scenario_spec("smoke").to_dict()
+        *parents, key = path.split(".")
+        table = data["jobs"]
+        for parent in parents:
+            table = table[parent]
+        table[key] = value
+        spec = ScenarioSpec.from_dict(data)
+        with pytest.raises(ConfigurationError, match=rf"job job\d+: {field} must be finite"):
+            spec.materialize()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_horizon_rejected(self, value):
+        data = scenario_spec("smoke").to_dict()
+        data["horizon"] = value
+        with pytest.raises(SpecValidationError, match="horizon: must be finite"):
+            ScenarioSpec.from_dict(data)
 
 
 class TestValidationErrors:

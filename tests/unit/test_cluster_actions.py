@@ -5,7 +5,7 @@ import pytest
 from repro.cluster import (
     ActionCosts,
     ActionLog,
-    AdjustCpu,
+    CpuGrants,
     MigrateVm,
     ResumeVm,
     StartVm,
@@ -41,7 +41,7 @@ class TestActionLog:
             SuspendVm("c"),
             ResumeVm("d", "n1", 100.0),
             MigrateVm("e", "n0", "n1", 100.0),
-            AdjustCpu("f", 50.0),
+            CpuGrants(("f",), (50.0,)),
         ])
         assert log.starts == 1
         assert log.stops == 1
@@ -50,15 +50,21 @@ class TestActionLog:
         assert log.migrations == 1
         assert log.adjustments == 1
 
+    def test_grants_count_one_adjustment_per_vm(self):
+        log = ActionLog()
+        log.count([CpuGrants(("f", "g", "h"), (50.0, 60.0, 70.0))])
+        log.count([CpuGrants(("f",), (55.0,)), CpuGrants(("g",), (65.0,))])
+        assert log.adjustments == 5
+
     def test_disruptive_total_excludes_adjustments(self):
         log = ActionLog()
-        log.count([AdjustCpu("f", 50.0), StartVm("a", "n0", 1.0)])
+        log.count([StartVm("a", "n0", 1.0), CpuGrants(("f",), (50.0,))])
         assert log.disruptive_total == 1
 
     def test_by_cycle_records_each_call(self):
         log = ActionLog()
         log.count([StartVm("a", "n0", 1.0)])
-        log.count([AdjustCpu("f", 50.0)])
+        log.count([CpuGrants(("f",), (50.0,))])
         assert log.by_cycle == [1, 0]
 
     def test_accumulates_across_cycles(self):
@@ -66,3 +72,16 @@ class TestActionLog:
         log.count([StartVm("a", "n0", 1.0)])
         log.count([StartVm("b", "n1", 1.0)])
         assert log.starts == 2
+
+
+class TestCpuGrants:
+    def test_length_is_the_number_of_vms(self):
+        assert len(CpuGrants(("a", "b"), (1.0, 2.0))) == 2
+
+    def test_compares_by_value(self):
+        assert CpuGrants(("a",), (1.0,)) == CpuGrants(("a",), (1.0,))
+        assert CpuGrants(("a",), (1.0,)) != CpuGrants(("a",), (2.0,))
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ConfigurationError):
+            CpuGrants(("a", "b"), (1.0,))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import (
-    AdjustCpu,
+    CpuGrants,
     MigrateVm,
     Placement,
     PlacementEntry,
@@ -75,7 +75,21 @@ class TestChanges:
         prev = Placement([entry("a", "n0", 800.0)])
         new = Placement([entry("a", "n0", 1200.0)])
         actions = plan_actions(prev, new, ())
-        assert actions == [AdjustCpu(vm_id="a", cpu_mhz=1200.0)]
+        assert actions == [CpuGrants(vm_ids=("a",), cpu_mhz=(1200.0,))]
+
+    def test_cpu_changes_are_one_last_record(self):
+        prev = Placement([entry("b", "n0", 800.0), entry("a", "n1", 500.0)])
+        new = Placement([
+            entry("b", "n0", 900.0), entry("a", "n1", 600.0),
+            entry("vm-c", "n2"),
+        ])
+        actions = plan_actions(
+            prev, new, [make_job_in(JobPhase.PENDING, job_id="c")]
+        )
+        assert actions == [
+            StartVm(vm_id="vm-c", node_id="n2", cpu_mhz=1000.0),
+            CpuGrants(vm_ids=("a", "b"), cpu_mhz=(600.0, 900.0)),
+        ]
 
     def test_unchanged_entry_produces_nothing(self):
         placement = Placement([entry("a", "n0", 800.0)])

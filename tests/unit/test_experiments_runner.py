@@ -13,7 +13,7 @@ import pytest
 from repro.api import TopologySpec, scenario_spec
 from repro.cluster import (
     ActionCosts,
-    AdjustCpu,
+    CpuGrants,
     MigrateVm,
     ResumeVm,
     StartVm,
@@ -105,15 +105,45 @@ class TestJobActions:
         runner._apply(StartVm("vm-j0", "node000", 3000.0), t=0.0)
         # Before the 10 s start delay elapses, the next decision trims the
         # share; the new rate must apply at the original un-pause time.
-        runner._apply(AdjustCpu("vm-j0", 1200.0), t=5.0)
+        runner._enact([CpuGrants(("vm-j0",), (1200.0,))], t=5.0)
         runner._sim.run(until=10.0)
         assert job(runner).rate == 1200.0
 
     def test_adjust_running_job(self, runner):
         runner._apply(StartVm("vm-j0", "node000", 3000.0), t=0.0)
         runner._sim.run(until=50.0)
-        runner._apply(AdjustCpu("vm-j0", 700.0), t=50.0)
+        runner._enact([CpuGrants(("vm-j0",), (700.0,))], t=50.0)
         assert job(runner).rate == 700.0
+
+    def test_one_record_grants_an_instance_a_running_and_a_paused_job(self):
+        scenario = dataclasses.replace(
+            tiny_scenario(),
+            job_specs=(
+                make_job_spec(job_id="j0", work=30_000_000.0, goal=40_000.0),
+                make_job_spec(job_id="j1", work=30_000_000.0, goal=40_000.0),
+            ),
+        )
+        runner = ExperimentRunner(scenario)
+        runner._apply(StartVm("tx:webapp@node000", "node000", 4000.0), t=0.0)
+        runner._apply(StartVm("vm-j0", "node000", 3000.0), t=0.0)
+        runner._sim.run(until=10.0)  # j0's start delay elapses
+        runner._apply(StartVm("vm-j1", "node001", 3000.0), t=10.0)
+        runner._enact(
+            [CpuGrants(("tx:webapp@node000", "vm-j0", "vm-j1"), (2500.0, 1500.0, 1200.0))],
+            t=15.0,
+        )
+        assert runner._apps["webapp"].total_allocation == 2500.0
+        assert job(runner, "j0").rate == 1500.0
+        assert job(runner, "j0").last_update == 15.0
+        assert job(runner, "j1").rate == 0.0  # paused until t=20
+        runner._sim.run(until=20.0)
+        assert job(runner, "j1").rate == 1200.0
+
+    def test_bad_grant_rejected(self, runner):
+        runner._apply(StartVm("vm-j0", "node000", 3000.0), t=0.0)
+        runner._sim.run(until=10.0)
+        with pytest.raises(LifecycleError, match="rate must be non-negative"):
+            runner._enact([CpuGrants(("vm-j0",), (float("nan"),))], t=20.0)
 
     def test_stop_cancels_job(self, runner):
         runner._apply(StartVm("vm-j0", "node000", 3000.0), t=0.0)
@@ -128,7 +158,7 @@ class TestInstanceActions:
         app = runner._apps["webapp"]
         assert app.instance_nodes == ["node000"]
         assert app.total_allocation == 4000.0
-        runner._apply(AdjustCpu("tx:webapp@node000", 2500.0), t=1.0)
+        runner._enact([CpuGrants(("tx:webapp@node000",), (2500.0,))], t=1.0)
         assert app.total_allocation == 2500.0
         runner._apply(StartVm("tx:webapp@node001", "node001", 1000.0), t=2.0)
         runner._apply(StopVm("tx:webapp@node000"), t=3.0)

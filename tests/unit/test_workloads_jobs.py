@@ -32,6 +32,23 @@ class TestJobSpec:
         with pytest.raises(ConfigurationError):
             make_job_spec(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "kwarg, field",
+        [
+            ("submit", "submit_time"),
+            ("work", "total_work"),
+            ("cap", "speed_cap_mhz"),
+            ("mem", "memory_mb"),
+            ("goal", "completion_goal"),
+            ("importance", "importance"),
+        ],
+    )
+    def test_non_finite_parameter_rejected(self, kwarg, field, value):
+        # NaN passes every ``x <= 0`` test, and inf every lower bound.
+        with pytest.raises(ConfigurationError, match=rf"job j0: {field} must be finite"):
+            make_job_spec(**{kwarg: value})
+
 
 class TestFluidProgress:
     def test_progress_accrues_at_rate(self):
