@@ -10,12 +10,18 @@ model partial degradation: the node stays active but every lookup returns
 a spec whose per-processor speed is derated to the brownout fraction, so
 controllers and placement validation see the reduced capacity without any
 special-casing.
+
+The live view -- the active nodes' (derated) specs in registration order,
+their id map and the active capacity sums -- is kept, not rebuilt per
+query: every control cycle reads it, and only the four health calls
+change it, each recomputing it with the same sums in the same order.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 from ..errors import ConfigurationError, UnknownEntityError
 from ..types import Megabytes, Mhz
@@ -35,6 +41,18 @@ class Cluster:
             raise ConfigurationError("cluster must contain at least one node")
         self._failed: set[str] = set()
         self._brownout: dict[str, float] = {}
+        self._refresh_live()
+
+    def _refresh_live(self) -> None:
+        """Recompute the live view after a health change."""
+        failed = self._failed
+        nominal = [n for nid, n in self._nodes.items() if nid not in failed]
+        live = [self._effective(n) for n in nominal]
+        self._live = live
+        self._live_by_id = {n.node_id: n for n in live}
+        self._total_cpu = sum(n.cpu_capacity for n in live)
+        self._total_memory = sum(n.memory_mb for n in live)
+        self._nominal_cpu = sum(n.cpu_capacity for n in nominal)
 
     # ------------------------------------------------------------------
     # Lookup
@@ -82,11 +100,13 @@ class Cluster:
         """Mark ``node_id`` as failed; its capacity disappears."""
         self.node(node_id)  # validate
         self._failed.add(node_id)
+        self._refresh_live()
 
     def restore_node(self, node_id: str) -> None:
         """Return a previously failed node to service."""
         self.node(node_id)  # validate
         self._failed.discard(node_id)
+        self._refresh_live()
 
     def is_active(self, node_id: str) -> bool:
         """Whether the node is registered and not failed."""
@@ -99,11 +119,12 @@ class Cluster:
 
     def active_nodes(self) -> list[NodeSpec]:
         """All healthy nodes (brownout-derated), in registration order."""
-        return [
-            self._effective(n)
-            for nid, n in self._nodes.items()
-            if nid not in self._failed
-        ]
+        return list(self._live)
+
+    @property
+    def active_node_map(self) -> Mapping[str, NodeSpec]:
+        """Read-only id -> spec map of :meth:`active_nodes`."""
+        return MappingProxyType(self._live_by_id)
 
     # ------------------------------------------------------------------
     # Brownouts
@@ -118,12 +139,14 @@ class Cluster:
             self._brownout.pop(node_id, None)
         else:
             self._brownout[node_id] = fraction
+        self._refresh_live()
 
     def clear_brownout(self, node_id: str) -> None:
         """Restore ``node_id`` to its nominal CPU speed."""
         if node_id not in self._nodes:
             raise UnknownEntityError(f"unknown node {node_id!r}")
         self._brownout.pop(node_id, None)
+        self._refresh_live()
 
     def brownout_fraction(self, node_id: str) -> float:
         """Current speed fraction of ``node_id`` (1.0 when not browned out)."""
@@ -134,14 +157,9 @@ class Cluster:
     @property
     def brownout_capacity_fraction(self) -> float:
         """Fraction of active *nominal* CPU currently shed by brownouts."""
-        nominal = sum(
-            n.cpu_capacity
-            for nid, n in self._nodes.items()
-            if nid not in self._failed
-        )
-        if nominal <= 0:
+        if self._nominal_cpu <= 0:
             return 0.0
-        return 1.0 - self.total_cpu_capacity / nominal
+        return 1.0 - self._total_cpu / self._nominal_cpu
 
     # ------------------------------------------------------------------
     # Aggregate capacity
@@ -149,12 +167,12 @@ class Cluster:
     @property
     def total_cpu_capacity(self) -> Mhz:
         """Sum of CPU power over *active* nodes, in MHz."""
-        return sum(n.cpu_capacity for n in self.active_nodes())
+        return self._total_cpu
 
     @property
     def total_memory(self) -> Megabytes:
         """Sum of memory over *active* nodes, in MB."""
-        return sum(n.memory_mb for n in self.active_nodes())
+        return self._total_memory
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

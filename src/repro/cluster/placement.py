@@ -12,22 +12,25 @@ the actions planner (:mod:`repro.core.actions_planner`) diffs it against
 the previous one.  The experiment runner then adopts the new one as its
 incumbent and removes entries from it as jobs complete and nodes fail.
 
-The structure is **indexed by node**: alongside the VM-id map it maintains
-per-node entry tables and running CPU/memory aggregates, updated on every
-:meth:`Placement.add` / :meth:`Placement.remove` / :meth:`Placement.update_cpu`.
-That turns :meth:`entries_on`, :meth:`cpu_used`, :meth:`memory_used`,
-:meth:`by_node` and :meth:`validate` -- the queries on the solver's, the
-actions planner's, the runner's and the recorder's hot paths -- from
-full-table scans into O(per-node) lookups.  The aggregates are maintained
-incrementally (sums drift by float round-off only, orders of magnitude
-below the validation tolerance).
+The structure is **rows of columns**: one row per VM in insertion order
+(VM id, node, CPU grant, memory, kind), with a VM-id -> row index.  A
+removal leaves a hole; a VM placed again gets a new row at the end, as a
+re-inserted dict key would.  The solver appends whole batches with
+:meth:`Placement.place_many`, the planner diffs two placements' columns
+row by row (:meth:`Placement.columns`), and the per-node CPU and memory
+sums behind :meth:`cpu_used`, :meth:`memory_used` and :meth:`violation`
+are computed in one pass over the live rows, in row order, the first
+time they are read after a change: fresh left-to-right sums.
+:class:`PlacementEntry` values are made on request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import le, lt
 from types import MappingProxyType
-from typing import Container, Iterable, Iterator, Mapping, Optional
+from typing import Container, Iterable, Iterator, Mapping, Optional, Sequence
 
 from ..errors import PlacementError
 from ..types import Megabytes, Mhz, WorkloadKind
@@ -56,13 +59,12 @@ def parse_instance_vm_id(vm_id: str) -> Optional[tuple[str, str]]:
 class PlacementEntry:
     """One VM's assignment: where it runs and what it is granted.
 
-    Immutable by convention (``Placement`` replaces entries, never
-    mutates them -- see :meth:`with_cpu`); not ``frozen=True`` because
-    the solver constructs one to two entries per placed VM every control
-    cycle and frozen-dataclass construction costs ~2.3x
-    (``object.__setattr__`` per field) on that hot path.
-    ``unsafe_hash`` keeps the field-based hash a frozen dataclass would
-    have generated, consistent with ``__eq__``.
+    A value made on request from a :class:`Placement`'s row, immutable by
+    convention; not ``frozen=True`` because every read of a placement
+    builds one and frozen-dataclass construction costs ~2.3x
+    (``object.__setattr__`` per field).  ``unsafe_hash`` keeps the
+    field-based hash a frozen dataclass would have generated, consistent
+    with ``__eq__``.
     """
 
     vm_id: str
@@ -72,9 +74,9 @@ class PlacementEntry:
     kind: WorkloadKind
 
     def __post_init__(self) -> None:
-        if self.cpu_mhz < 0:
+        if not self.cpu_mhz >= 0:  # also rejects NaN
             raise PlacementError(f"vm {self.vm_id}: negative CPU grant")
-        if self.memory_mb <= 0:
+        if not self.memory_mb > 0:
             raise PlacementError(f"vm {self.vm_id}: non-positive memory footprint")
 
     @classmethod
@@ -88,10 +90,10 @@ class PlacementEntry:
     ) -> "PlacementEntry":
         """Validation-free constructor for fields checked already.
 
-        :meth:`with_cpu` rebuilds an entry per boosted job every control
-        cycle from fields its source entry validated; re-checking them is
-        pure overhead.  External callers must use the normal constructor:
-        this one skips ``__post_init__``.
+        A placement makes an entry from its columns on every read, whose
+        fields its insert paths checked; re-checking them is pure
+        overhead.  External callers must use the normal constructor: this
+        one skips ``__post_init__``.
         """
         self = object.__new__(cls)
         self.vm_id = vm_id
@@ -101,85 +103,104 @@ class PlacementEntry:
         self.kind = kind
         return self
 
-    def with_cpu(self, cpu_mhz: Mhz) -> "PlacementEntry":
-        """Copy of this entry with a different CPU grant.
-
-        Trusted construction: this runs once per boosted job per control
-        cycle, and every field but the grant was validated when ``self``
-        was built (the water-fill grants it receives are non-negative).
-        """
-        return PlacementEntry.trusted(
-            self.vm_id, self.node_id, cpu_mhz, self.memory_mb, self.kind
-        )
-
 
 class Placement:
-    """Immutable-by-convention map of VM id -> :class:`PlacementEntry`."""
+    """Immutable-by-convention map of VM id -> :class:`PlacementEntry`,
+    stored as rows of columns."""
 
-    __slots__ = ("_entries", "_node_entries", "_node_cpu", "_node_mem")
+    __slots__ = ("_rows", "_vm", "_node", "_cpu", "_mem", "_kind", "_sums")
 
     def __init__(self, entries: Iterable[PlacementEntry] = ()) -> None:
-        self._entries: dict[str, PlacementEntry] = {}
-        #: node_id -> (vm_id -> entry), in insertion order per node.
-        self._node_entries: dict[str, dict[str, PlacementEntry]] = {}
-        #: node_id -> running CPU / memory totals (keys mirror _node_entries).
-        self._node_cpu: dict[str, float] = {}
-        self._node_mem: dict[str, float] = {}
-        for entry in entries:
-            if entry.vm_id in self._entries:
-                raise PlacementError(f"vm {entry.vm_id} placed twice")
-            self._insert(entry)
+        #: VM id -> row, in row order; a removed VM's row is a hole.
+        self._rows: dict[str, int] = {}
+        self._vm: list[str] = []
+        self._node: list[str] = []
+        self._cpu: list[Mhz] = []
+        self._mem: list[Megabytes] = []
+        self._kind: list[WorkloadKind] = []
+        #: (node -> CPU sum, node -> memory sum), None after a change.
+        self._sums: Optional[tuple[dict[str, float], dict[str, float]]] = None
+        for e in entries:
+            if e.vm_id in self._rows:
+                raise PlacementError(f"vm {e.vm_id} placed twice")
+            self._append(e.vm_id, e.node_id, e.cpu_mhz, e.memory_mb, e.kind)
 
     # ------------------------------------------------------------------
     # Collection protocol
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[PlacementEntry]:
-        return iter(self._entries.values())
+        # Entries are made up front: a removal may renumber the rows.
+        return iter([self._entry(row) for row in self._rows.values()])
 
     def __contains__(self, vm_id: str) -> bool:
-        return vm_id in self._entries
+        return vm_id in self._rows
 
     def get(self, vm_id: str) -> Optional[PlacementEntry]:
         """Entry for ``vm_id`` or ``None`` when not placed."""
-        return self._entries.get(vm_id)
+        row = self._rows.get(vm_id)
+        return None if row is None else self._entry(row)
 
     def by_vm(self) -> Mapping[str, PlacementEntry]:
-        """Live read-only view of VM id -> entry.
-
-        The action planner diffs two placements through this every control
-        cycle, in one pass and without a method call per VM.
-        """
-        return MappingProxyType(self._entries)
+        """Read-only VM id -> entry map, in row order (a snapshot)."""
+        return MappingProxyType(
+            {vm_id: self._entry(row) for vm_id, row in self._rows.items()}
+        )
 
     def entry(self, vm_id: str) -> PlacementEntry:
         """Entry for ``vm_id``; raises :class:`PlacementError` if absent."""
+        return self._entry(self._row(vm_id))
+
+    def columns(
+        self,
+    ) -> tuple[Mapping[str, int], Sequence[str], Sequence[Mhz], Sequence[WorkloadKind]]:
+        """``(rows, nodes, cpu, kinds)``: the raw columns.
+
+        ``rows`` maps each placed VM id to its row, in row order; row
+        ``r`` of each column belongs to it.  Rows missing from ``rows``
+        are holes left by removals.  The actions planner diffs two
+        placements through this, without an entry per VM.  The caller
+        must not modify them: they are the placement's own (a read-only
+        proxy would make every lookup a method call).
+        """
+        return self._rows, self._node, self._cpu, self._kind
+
+    def _row(self, vm_id: str) -> int:
         try:
-            return self._entries[vm_id]
+            return self._rows[vm_id]
         except KeyError:
             raise PlacementError(f"vm {vm_id!r} is not placed") from None
+
+    def _entry(self, row: int) -> PlacementEntry:
+        return PlacementEntry.trusted(
+            self._vm[row], self._node[row], self._cpu[row], self._mem[row],
+            self._kind[row],
+        )
 
     # ------------------------------------------------------------------
     # Builders
     # ------------------------------------------------------------------
     def copy(self) -> "Placement":
-        """Shallow copy (entries are frozen, so this is a safe snapshot)."""
+        """Independent copy (entries are values, so this is a safe snapshot)."""
         clone = Placement.__new__(Placement)
-        clone._entries = dict(self._entries)
-        clone._node_entries = {
-            node_id: dict(entries) for node_id, entries in self._node_entries.items()
-        }
-        clone._node_cpu = dict(self._node_cpu)
-        clone._node_mem = dict(self._node_mem)
+        clone._rows = dict(self._rows)
+        clone._vm = list(self._vm)
+        clone._node = list(self._node)
+        clone._cpu = list(self._cpu)
+        clone._mem = list(self._mem)
+        clone._kind = list(self._kind)
+        clone._sums = self._sums  # never mutated, only replaced
         return clone
 
     def add(self, entry: PlacementEntry) -> None:
         """Insert a new entry; the VM must not already be placed."""
-        if entry.vm_id in self._entries:
+        if entry.vm_id in self._rows:
             raise PlacementError(f"vm {entry.vm_id} already placed")
-        self._insert(entry)
+        self._append(
+            entry.vm_id, entry.node_id, entry.cpu_mhz, entry.memory_mb, entry.kind
+        )
 
     def place(
         self,
@@ -192,94 +213,146 @@ class Placement:
         """:meth:`add` a new entry built from these fields, in one call.
 
         Checks the fields as the :class:`PlacementEntry` constructor does,
-        with the same errors, and builds the entry without a constructor
-        call: the placement solver records every placed VM through this,
-        thousands per control cycle.
+        with the same errors, without building an entry.
         """
-        if cpu_mhz < 0:
+        if not cpu_mhz >= 0:  # also rejects NaN
             raise PlacementError(f"vm {vm_id}: negative CPU grant")
-        if memory_mb <= 0:
+        if not memory_mb > 0:
             raise PlacementError(f"vm {vm_id}: non-positive memory footprint")
-        if vm_id in self._entries:
+        if vm_id in self._rows:
             raise PlacementError(f"vm {vm_id} already placed")
-        entry = object.__new__(PlacementEntry)
-        entry.vm_id = vm_id
-        entry.node_id = node_id
-        entry.cpu_mhz = cpu_mhz
-        entry.memory_mb = memory_mb
-        entry.kind = kind
-        self._insert(entry)
+        self._append(vm_id, node_id, cpu_mhz, memory_mb, kind)
+
+    def place_many(
+        self,
+        vm_ids: Sequence[str],
+        node_ids: Sequence[str],
+        cpu_mhz: Sequence[Mhz],
+        memory_mb: Sequence[Megabytes],
+        kind: WorkloadKind,
+    ) -> None:
+        """:meth:`place` each row of these columns, in order, in one call.
+
+        Raises what the first failing :meth:`place` call would, and then
+        places none of the rows.
+        """
+        count = len(vm_ids)
+        start = len(self._vm)
+        new_rows = dict(zip(vm_ids, range(start, start + count)))
+        if not (
+            len(new_rows) == count
+            and self._rows.keys().isdisjoint(new_rows)
+            and all(map(le, repeat(0.0), cpu_mhz))  # NaN fails too
+            and all(map(lt, repeat(0.0), memory_mb))
+        ):
+            # The first failing row, with place()'s error for it.
+            probe = Placement()
+            probe._rows = dict(self._rows)
+            for row in range(count):
+                probe.place(vm_ids[row], node_ids[row], cpu_mhz[row], memory_mb[row], kind)
+        self._rows.update(new_rows)
+        self._vm.extend(vm_ids)
+        self._node.extend(node_ids)
+        self._cpu.extend(cpu_mhz)
+        self._mem.extend(memory_mb)
+        self._kind.extend(repeat(kind, count))
+        self._sums = None
 
     def remove(self, vm_id: str) -> PlacementEntry:
         """Remove and return the entry for ``vm_id``."""
-        try:
-            entry = self._entries.pop(vm_id)
-        except KeyError:
-            raise PlacementError(f"vm {vm_id!r} is not placed") from None
-        node_id = entry.node_id
-        node_entries = self._node_entries[node_id]
-        del node_entries[vm_id]
-        if node_entries:
-            self._node_cpu[node_id] -= entry.cpu_mhz
-            self._node_mem[node_id] -= entry.memory_mb
-        else:
-            # Dropping emptied nodes keeps aggregates drift-free across
-            # long churn and keeps by_node() free of empty groups.
-            del self._node_entries[node_id]
-            del self._node_cpu[node_id]
-            del self._node_mem[node_id]
+        row = self._row(vm_id)
+        del self._rows[vm_id]
+        self._sums = None
+        entry = self._entry(row)
+        if len(self._vm) > 2 * len(self._rows) + 64:
+            self._compact()
         return entry
 
     def update_cpu(self, vm_id: str, cpu_mhz: Mhz) -> None:
         """Replace the CPU grant of an existing entry."""
         if not cpu_mhz >= 0:  # also rejects NaN
             raise PlacementError(f"vm {vm_id}: negative CPU grant")
-        old = self.entry(vm_id)
-        new = old.with_cpu(cpu_mhz)
-        self._entries[vm_id] = new
-        self._node_entries[old.node_id][vm_id] = new
-        self._node_cpu[old.node_id] += new.cpu_mhz - old.cpu_mhz
+        self._cpu[self._row(vm_id)] = cpu_mhz
+        self._sums = None
 
-    def _insert(self, entry: PlacementEntry) -> None:
-        self._entries[entry.vm_id] = entry
-        node_entries = self._node_entries.get(entry.node_id)
-        if node_entries is None:
-            self._node_entries[entry.node_id] = {entry.vm_id: entry}
-            self._node_cpu[entry.node_id] = entry.cpu_mhz
-            self._node_mem[entry.node_id] = entry.memory_mb
-        else:
-            node_entries[entry.vm_id] = entry
-            self._node_cpu[entry.node_id] += entry.cpu_mhz
-            self._node_mem[entry.node_id] += entry.memory_mb
+    def _append(
+        self,
+        vm_id: str,
+        node_id: str,
+        cpu_mhz: Mhz,
+        memory_mb: Megabytes,
+        kind: WorkloadKind,
+    ) -> None:
+        self._rows[vm_id] = len(self._vm)
+        self._vm.append(vm_id)
+        self._node.append(node_id)
+        self._cpu.append(cpu_mhz)
+        self._mem.append(memory_mb)
+        self._kind.append(kind)
+        self._sums = None
+
+    def _compact(self) -> None:
+        """Drop the holes, keeping the rows' order."""
+        live = list(self._rows.values())
+        for name in ("_vm", "_node", "_cpu", "_mem", "_kind"):
+            setattr(self, name, list(map(getattr(self, name).__getitem__, live)))
+        self._rows = dict(zip(self._vm, range(len(live))))
 
     # ------------------------------------------------------------------
     # Per-node aggregation
     # ------------------------------------------------------------------
+    def _node_sums(self) -> tuple[dict[str, float], dict[str, float]]:
+        """Per-node CPU and memory sums of the live rows, in row order.
+
+        One pass over the rows: each sum is Python's left-to-right
+        ``sum`` over the node's rows, nodes keyed in the order of their
+        first row.  (An ``np.add.at`` version measured no faster at any
+        size: numbering the nodes costs what the loop does.)
+        """
+        sums = self._sums
+        if sums is None:
+            nodes, cpu, mem = self._node, self._cpu, self._mem
+            if len(self._rows) < len(nodes):  # holes
+                live = list(self._rows.values())
+                nodes = [nodes[row] for row in live]
+                cpu = [cpu[row] for row in live]
+                mem = [mem[row] for row in live]
+            cpu_sum: dict[str, float] = {}
+            mem_sum: dict[str, float] = {}
+            for node_id, grant, footprint in zip(nodes, cpu, mem):
+                cpu_sum[node_id] = cpu_sum.get(node_id, 0.0) + grant
+                mem_sum[node_id] = mem_sum.get(node_id, 0.0) + footprint
+            sums = self._sums = (cpu_sum, mem_sum)
+        return sums
+
     def entries_on(self, node_id: str) -> list[PlacementEntry]:
-        """All entries hosted on ``node_id``."""
-        node_entries = self._node_entries.get(node_id)
-        return list(node_entries.values()) if node_entries else []
+        """All entries hosted on ``node_id``, in row order (a scan of the rows)."""
+        nodes = self._node
+        return [self._entry(row) for row in self._rows.values() if nodes[row] == node_id]
 
     def cpu_used(self, node_id: str) -> Mhz:
         """Total CPU granted on ``node_id``."""
-        return self._node_cpu.get(node_id, 0.0)
+        return self._node_sums()[0].get(node_id, 0.0)
 
     def memory_used(self, node_id: str) -> Megabytes:
         """Total memory occupied on ``node_id``."""
-        return self._node_mem.get(node_id, 0.0)
+        return self._node_sums()[1].get(node_id, 0.0)
 
     def total_cpu(self, kind: Optional[WorkloadKind] = None) -> Mhz:
         """Total CPU granted, optionally restricted to one workload kind."""
-        if kind is None:
-            return sum(self._node_cpu.values())
-        return sum(e.cpu_mhz for e in self._entries.values() if e.kind is kind)
+        cpu, kinds = self._cpu, self._kind
+        return sum(
+            cpu[row]
+            for row in self._rows.values()
+            if kind is None or kinds[row] is kind
+        )
 
     def by_node(self) -> Mapping[str, list[PlacementEntry]]:
-        """Entries grouped by hosting node."""
-        return {
-            node_id: list(entries.values())
-            for node_id, entries in self._node_entries.items()
-        }
+        """Entries grouped by hosting node, nodes in order of first row."""
+        grouped: dict[str, list[PlacementEntry]] = {}
+        for row in self._rows.values():
+            grouped.setdefault(self._node[row], []).append(self._entry(row))
+        return grouped
 
     # ------------------------------------------------------------------
     # Validation
@@ -293,10 +366,11 @@ class Placement:
         spec.  A hosting node missing from it is reported as failed when
         listed in ``failed``, as unknown otherwise; a live node must hold
         its CPU and memory within a float-round-off tolerance, and a NaN
-        aggregate counts as over it.  Returns the first violation found,
-        in O(nodes used).
+        sum counts as over it.  Returns the first violation found, nodes
+        in the order of their first row.
         """
-        for node_id, cpu in self._node_cpu.items():
+        cpu_sums, mem_sums = self._node_sums()
+        for (node_id, cpu), memory in zip(cpu_sums.items(), mem_sums.values()):
             node = nodes.get(node_id)
             if node is None:
                 state = "failed" if node_id in failed else "unknown"
@@ -306,7 +380,6 @@ class Placement:
                     f"node {node_id!r} CPU overcommitted: "
                     f"{cpu:.1f} > {node.cpu_capacity:.1f} MHz"
                 )
-            memory = self._node_mem[node_id]
             if not memory <= node.memory_mb * (1 + _EPS) + _EPS:
                 return (
                     f"node {node_id!r} memory overcommitted: "
@@ -322,14 +395,9 @@ class Placement:
         PlacementError
             With the first :meth:`violation` found.
         """
-        live = {
-            node_id: cluster.node(node_id)
-            for node_id in self._node_entries
-            if cluster.is_active(node_id)
-        }
-        violation = self.violation(live, cluster.failed_node_ids)
+        violation = self.violation(cluster.active_node_map, cluster.failed_node_ids)
         if violation is not None:
             raise PlacementError(violation)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Placement({len(self._entries)} VMs, {self.total_cpu():.0f} MHz)"
+        return f"Placement({len(self._rows)} VMs, {self.total_cpu():.0f} MHz)"

@@ -18,9 +18,13 @@ Its rules:
   null.
 * **``dict[str, T]`` is a table** whose keys keep their order; each
   value decodes at ``path.key``.
+* **A ``float`` is finite.**  Decoding rejects NaN and infinities
+  (which JSON and TOML readers accept) by dotted path, so no spec file,
+  ``--set`` override or :meth:`~repro.api.spec.ScenarioSpec.with_overrides`
+  value carries one into a run.
 * **:data:`Sample` is a float that may be NaN.**  Strict JSON has no
   NaN, so :func:`dumps_json` writes non-finite floats as ``null`` and a
-  ``Sample`` decodes ``null`` back to NaN.
+  ``Sample`` decodes ``null`` back to NaN; saved results need both.
 
 This module imports nothing from :mod:`repro` but :mod:`repro.errors`,
 so every layer can use it without an import cycle.
@@ -78,7 +82,7 @@ def decode(tp: object, data: object, path: str) -> object:
     prepended (``scenario.controller.solver: change_penalty_mhz ...``).
     """
     if tp == Sample:
-        return math.nan if data is None else decode(float, data, path)
+        return math.nan if data is None else _decode_scalar(float, data, path)
     origin = typing.get_origin(tp)
     if origin is Union:
         return _decode_union(typing.get_args(tp), data, path)
@@ -115,15 +119,22 @@ def decode(tp: object, data: object, path: str) -> object:
     if dataclasses.is_dataclass(tp):
         return _decode_dataclass(tp, data, path)
     if tp in _SCALARS:
-        # bool is an int subclass: a bool is only ever a bool.
-        is_bool = isinstance(data, bool)
-        allowed = (int, float) if tp is float else tp
-        if is_bool is not (tp is bool) or not isinstance(data, allowed):
-            raise SpecValidationError(
-                f"{path}: expected {_SCALARS[tp]}, got {type(data).__name__}"
-            )
-        return float(data) if tp is float else data
+        value = _decode_scalar(tp, data, path)
+        if tp is float and not math.isfinite(value):
+            raise SpecValidationError(f"{path}: must be finite, got {value}")
+        return value
     raise TypeError(f"{path}: no codec for type {tp!r}")
+
+
+def _decode_scalar(tp: type, data: object, path: str) -> object:
+    # bool is an int subclass: a bool is only ever a bool.
+    is_bool = isinstance(data, bool)
+    allowed = (int, float) if tp is float else tp
+    if is_bool is not (tp is bool) or not isinstance(data, allowed):
+        raise SpecValidationError(
+            f"{path}: expected {_SCALARS[tp]}, got {type(data).__name__}"
+        )
+    return float(data) if tp is float else data
 
 
 def dumps_json(data: object) -> str:

@@ -54,6 +54,7 @@ from .job_scheduler import (
     AppRequest,
     EvictionPolicy,
     JobRequest,
+    JobRequests,
     order_by_urgency,
     split_runnable,
 )
@@ -105,6 +106,7 @@ __all__ = [
     "make_oracle",
     "optimality_gap",
     "JobRequest",
+    "JobRequests",
     "AppRequest",
     "EvictionPolicy",
     "order_by_urgency",

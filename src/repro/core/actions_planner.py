@@ -8,10 +8,19 @@ first so that the subsequent starts and resumes land on nodes whose
 capacity has already been released within the same control cycle.  The
 CPU share changes of VMs that stay put come last, as one
 :class:`~repro.cluster.actions.CpuGrants` record.
+
+The diff is one VM-id-ordered pass over the two placements' columns
+(:meth:`~repro.cluster.placement.Placement.columns`), reading each VM's
+node and grant by row; no entry is built.  A version that mapped the
+rows in one C-level pass and compared node and CPU as arrays measured
+no faster on 1000-node placements and up to 1.75x slower on small ones:
+the sort, the id lookups and the action records cost the same either
+way, and the array conversions come on top.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable
 
 from ..cluster.actions import (
@@ -30,6 +39,8 @@ from ..workloads.jobs import Job, JobPhase
 
 #: CPU adjustments smaller than this (MHz) are not worth an action.
 _ADJUST_EPS = 1e-6
+
+_vm_id_of = attrgetter("vm_id")
 
 
 def plan_actions(
@@ -64,51 +75,57 @@ def plan_actions(
         If a VM enters the desired placement in a phase other than
         PENDING or SUSPENDED (e.g. a completed or cancelled job).
     """
-    stops: list[PlacementAction] = []
-    suspends: list[PlacementAction] = []
+    old_rows, old_nodes, old_cpu, old_kinds = previous.columns()
+    new_rows, new_nodes, new_cpu, _ = desired.columns()
     migrations: list[PlacementAction] = []
     resumes: list[PlacementAction] = []
     starts: list[PlacementAction] = []
     grant_vms: list[str] = []
     grant_mhz: list[float] = []
-    old_entries = previous.by_vm()
-    new_entries = desired.by_vm()
-    jobs_by_vm = {job.vm_id: job for job in jobs}
-
-    # VMs leaving the placement.
-    for vm_id in sorted(old_entries.keys() - new_entries.keys()):
-        if old_entries[vm_id].kind is WorkloadKind.LONG_RUNNING:
-            # A job removed from the placement is checkpointed, not killed;
-            # completed jobs are removed by the runner outside the planner.
-            suspends.append(SuspendVm(vm_id))
-        else:
-            stops.append(StopVm(vm_id))
+    jobs_by_vm = None
 
     # VMs entering or changing within the placement, in one id-ordered
-    # pass over the desired entries.
-    for vm_id in sorted(new_entries):
-        new = new_entries[vm_id]
-        if vm_id in old_entries:
-            old = old_entries[vm_id]
-            if old.node_id != new.node_id:
+    # pass over the desired rows.
+    old_row = old_rows.get
+    for vm_id in sorted(new_rows):
+        row = new_rows[vm_id]
+        was = old_row(vm_id)
+        if was is not None:
+            if old_nodes[was] != new_nodes[row]:
                 migrations.append(
-                    MigrateVm(vm_id, old.node_id, new.node_id, new.cpu_mhz)
+                    MigrateVm(vm_id, old_nodes[was], new_nodes[row], new_cpu[row])
                 )
-            elif abs(old.cpu_mhz - new.cpu_mhz) > _ADJUST_EPS:
+            elif abs(old_cpu[was] - new_cpu[row]) > _ADJUST_EPS:
                 grant_vms.append(vm_id)
-                grant_mhz.append(new.cpu_mhz)
+                grant_mhz.append(new_cpu[row])
             continue
+        if jobs_by_vm is None:
+            jobs_by_vm = dict(zip(map(_vm_id_of, jobs), jobs))
         job = jobs_by_vm.get(vm_id)
         state = JobPhase.PENDING if job is None else job.phase
         if state is JobPhase.SUSPENDED:
-            resumes.append(ResumeVm(vm_id, new.node_id, new.cpu_mhz))
+            resumes.append(ResumeVm(vm_id, new_nodes[row], new_cpu[row]))
         elif state is JobPhase.PENDING:
-            starts.append(StartVm(vm_id, new.node_id, new.cpu_mhz))
+            starts.append(StartVm(vm_id, new_nodes[row], new_cpu[row]))
         else:
             raise PlacementError(
                 f"vm {vm_id}: desired placement requires state PENDING or "
                 f"SUSPENDED, found {state}"
             )
+
+    # VMs leaving the placement: any incumbent VM that did not stay.
+    stops: list[PlacementAction] = []
+    suspends: list[PlacementAction] = []
+    staying = len(new_rows) - len(resumes) - len(starts)
+    if staying < len(old_rows):
+        for vm_id in sorted(old_rows.keys() - new_rows.keys()):
+            if old_kinds[old_rows[vm_id]] is WorkloadKind.LONG_RUNNING:
+                # A job removed from the placement is checkpointed, not
+                # killed; completed jobs are removed by the runner outside
+                # the planner.
+                suspends.append(SuspendVm(vm_id))
+            else:
+                stops.append(StopVm(vm_id))
 
     actions = [*stops, *suspends, *migrations, *resumes, *starts]
     if grant_vms:

@@ -25,7 +25,7 @@ from ..cluster.node import NodeSpec
 from ..config import SolverConfig
 from ..errors import ConfigurationError
 from ..types import Mhz
-from .job_scheduler import AppRequest, JobRequest
+from .job_scheduler import AppRequest, JobRequest, JobRequests
 from .milp_solver import MilpPlacementSolver
 from .placement_solver import PlacementSolution, PlacementSolver
 
@@ -37,10 +37,15 @@ class SolverBackend(Protocol):
         self,
         nodes: Sequence[NodeSpec],
         apps: Sequence[AppRequest],
-        jobs: Sequence[JobRequest],
+        jobs: JobRequests | Sequence[JobRequest],
         lr_target: Optional[Mhz] = None,
     ) -> PlacementSolution:
-        """Compute a feasible placement for one control cycle."""
+        """Compute a feasible placement for one control cycle.
+
+        ``jobs`` is the controller's columnar :class:`JobRequests` record
+        or any sequence of :class:`JobRequest` (a record iterates as its
+        rows).
+        """
         ...
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from time import perf_counter
 from typing import Mapping, Optional, Sequence
 
@@ -62,8 +63,11 @@ from .hypothetical import (
     longrunning_max_utility_demand,
 )
 from .backends import SolverBackend, make_solver
-from .job_scheduler import AppRequest, JobRequest
+from .job_scheduler import AppRequest, JobRequests
 from .placement_solver import PlacementSolution
+
+_job_id_of = attrgetter("spec.job_id")
+_vm_id_of = attrgetter("vm_id")
 
 
 @dataclass(frozen=True, slots=True)
@@ -428,7 +432,7 @@ class UtilityDrivenController:
         self,
         nodes: Sequence[NodeSpec],
         app_requests: Sequence[AppRequest],
-        job_requests: Sequence[JobRequest],
+        job_requests: JobRequests,
         lr_target: Mhz,
         solution: PlacementSolution,
     ) -> tuple[float, float, str, int]:
@@ -531,39 +535,27 @@ class UtilityDrivenController:
         included: Sequence[Job],
         population: JobPopulation,
         hypothetical: HypotheticalAllocation,
-    ) -> list[JobRequest]:
-        """Requests for the snapshot's jobs, in snapshot order.
+    ) -> JobRequests:
+        """The snapshot's requests as one columnar record, in snapshot order.
 
         ``included`` is the job list :func:`snapshot_jobs` collected, so
         it is index-aligned with the population columns and the
-        hypothetical rates -- no id-keyed lookups on this hot path.  The
-        suspended flags come from one gather of the jobs' phase column,
-        and the host from the job's private field: this loop visits every
-        live job every cycle.
+        hypothetical rates: the targets and remaining work are those
+        arrays, the other numbers one gather of the job table's columns.
         """
-        requests = []
-        append = requests.append
-        trusted = JobRequest.trusted
-        (phases,) = gather(included, ("phase",))
-        for job, rate, rem, was_suspended in zip(
-            included,
-            hypothetical.rates.tolist(),
-            population.remaining.tolist(),
-            (phases == SUSPENDED_CODE).tolist(),
-        ):
-            spec = job.spec
-            append(
-                trusted(
-                    spec.job_id,
-                    job.vm_id,
-                    rate,
-                    spec.speed_cap_mhz,
-                    spec.memory_mb,
-                    job._node_id,
-                    was_suspended,
-                    spec.submit_time,
-                    spec.importance,
-                    rem,
-                )
-            )
-        return requests
+        cap, memory, submit, importance, rank, phase = gather(
+            included, ("cap", "memory", "submit", "importance", "rank", "phase")
+        )
+        return JobRequests(
+            job_id=list(map(_job_id_of, included)),
+            vm_id=list(map(_vm_id_of, included)),
+            current_node=[job._node_id for job in included],
+            target_rate=hypothetical.rates,
+            speed_cap=cap,
+            memory_mb=memory,
+            submit_time=submit,
+            importance=importance,
+            remaining_work=population.remaining,
+            was_suspended=phase == SUSPENDED_CODE,
+            id_rank=rank,
+        )

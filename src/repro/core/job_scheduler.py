@@ -7,20 +7,27 @@ jobs actually run.  The policies here order jobs by **urgency** -- the
 equalized target rate itself: a job that needs more MHz to hold the common
 utility level is closer to violating its SLA -- and decide when a waiting
 job is urgent enough to evict (suspend) a running one.
+
+One cycle's job requests travel as one :class:`JobRequests` record: a
+column per :class:`JobRequest` field, in the snapshot's order, which the
+controller fills from gathers of the job table and the greedy solver
+reads as arrays.  ``requests[i]`` is row ``i`` as a :class:`JobRequest`,
+and iterating the record yields the rows, which is how the MILP backend,
+the baselines' request lists and the tests see requests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from ..cluster.placement import instance_vm_id
 from ..errors import ConfigurationError
 from ..types import Cycles, Megabytes, Mhz, Seconds
+from ..workloads.jobs import id_rank
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -28,11 +35,10 @@ class JobRequest:
     """One incomplete job's placement request for a control cycle.
 
     Immutable by convention (nothing in the pipeline mutates requests);
-    not ``frozen=True`` because the controller rebuilds one instance per
-    incomplete job every control cycle and frozen-dataclass construction
-    costs ~2.3x (``object.__setattr__`` per field) on that hot path.
-    ``unsafe_hash`` keeps the field-based hash a frozen dataclass would
-    have generated, consistent with ``__eq__``.
+    not ``frozen=True`` because frozen-dataclass construction costs ~2.3x
+    (``object.__setattr__`` per field) and :class:`JobRequests` builds a
+    row on every index.  ``unsafe_hash`` keeps the field-based hash a
+    frozen dataclass would have generated, consistent with ``__eq__``.
 
     Attributes
     ----------
@@ -82,42 +88,6 @@ class JobRequest:
         if self.remaining_work < 0:
             raise ConfigurationError(f"job {self.job_id}: negative remaining work")
 
-    @classmethod
-    def trusted(
-        cls,
-        job_id: str,
-        vm_id: str,
-        target_rate: Mhz,
-        speed_cap: Mhz,
-        memory_mb: Megabytes,
-        current_node: Optional[str],
-        was_suspended: bool,
-        submit_time: Seconds,
-        importance: float,
-        remaining_work: Cycles,
-    ) -> "JobRequest":
-        """Validation-free constructor for the controller's hot path.
-
-        The controller builds one request per incomplete job every control
-        cycle from values whose invariants are already enforced upstream
-        (spec validation for caps/memory, the equalizer's non-negative
-        rates, the snapshot's clamped remaining work), so re-checking them
-        per request is pure overhead.  External callers must use the
-        normal constructor: this one skips ``__post_init__``.
-        """
-        self = object.__new__(cls)
-        self.job_id = job_id
-        self.vm_id = vm_id
-        self.target_rate = target_rate
-        self.speed_cap = speed_cap
-        self.memory_mb = memory_mb
-        self.current_node = current_node
-        self.was_suspended = was_suspended
-        self.submit_time = submit_time
-        self.importance = importance
-        self.remaining_work = remaining_work
-        return self
-
     @property
     def urgency(self) -> float:
         """Urgency key: the equalized target rate (higher = more at risk)."""
@@ -127,6 +97,113 @@ class JobRequest:
     def min_remaining_time(self) -> Seconds:
         """Fastest possible time to completion (at the speed cap)."""
         return self.remaining_work / self.speed_cap
+
+
+#: The float columns of :class:`JobRequests`, in :class:`JobRequest` field order.
+_FLOAT_COLUMNS = (
+    "target_rate", "speed_cap", "memory_mb", "submit_time", "importance",
+    "remaining_work",
+)
+
+
+class JobRequests:
+    """One cycle's job requests as columns, in snapshot order.
+
+    ``job_id``, ``vm_id`` and ``current_node`` are lists; ``target_rate``,
+    ``speed_cap``, ``memory_mb``, ``submit_time``, ``importance`` and
+    ``remaining_work`` float arrays; ``was_suspended`` a bool array; and
+    ``id_rank`` each row's rank in job-id order (ids sort as strings).
+    Only the ranks' order counts: they need not run from 0.
+
+    ``requests[i]`` is row ``i`` as a :class:`JobRequest`, and iteration
+    yields the rows, so the record stands wherever a sequence of requests
+    does.  The columns are not checked: :meth:`of` builds the record from
+    requests that checked themselves, and the controller fills it from
+    values checked upstream (spec validation for caps and memory, the
+    equalizer's non-negative rates, the snapshot's clamped remaining work).
+    """
+
+    __slots__ = (
+        "job_id", "vm_id", "current_node", *_FLOAT_COLUMNS, "was_suspended", "id_rank",
+    )
+
+    def __init__(
+        self,
+        job_id: list[str],
+        vm_id: list[str],
+        current_node: list[Optional[str]],
+        target_rate: np.ndarray,
+        speed_cap: np.ndarray,
+        memory_mb: np.ndarray,
+        submit_time: np.ndarray,
+        importance: np.ndarray,
+        remaining_work: np.ndarray,
+        was_suspended: np.ndarray,
+        id_rank: np.ndarray,
+    ) -> None:
+        self.job_id = job_id
+        self.vm_id = vm_id
+        self.current_node = current_node
+        self.target_rate = target_rate
+        self.speed_cap = speed_cap
+        self.memory_mb = memory_mb
+        self.submit_time = submit_time
+        self.importance = importance
+        self.remaining_work = remaining_work
+        self.was_suspended = was_suspended
+        self.id_rank = id_rank
+
+    @classmethod
+    def of(cls, requests: Sequence[JobRequest]) -> "JobRequests":
+        """``requests`` as one record (a record is returned as it is)."""
+        if isinstance(requests, JobRequests):
+            return requests
+        rows = list(requests)
+        job_ids = [r.job_id for r in rows]
+        floats = (
+            np.array(
+                [[getattr(r, name) for name in _FLOAT_COLUMNS] for r in rows],
+                dtype=float,
+            )
+            .reshape(len(rows), len(_FLOAT_COLUMNS))
+            .T.copy()
+        )
+        return cls(
+            job_ids,
+            [r.vm_id for r in rows],
+            [r.current_node for r in rows],
+            *floats,
+            np.array([r.was_suspended for r in rows], dtype=bool),
+            id_rank(job_ids),
+        )
+
+    def __len__(self) -> int:
+        return len(self.job_id)
+
+    def __getitem__(self, i: int) -> JobRequest:
+        return JobRequest(
+            self.job_id[i],
+            self.vm_id[i],
+            self.target_rate.item(i),
+            self.speed_cap.item(i),
+            self.memory_mb.item(i),
+            self.current_node[i],
+            self.was_suspended.item(i),
+            self.submit_time.item(i),
+            self.importance.item(i),
+            self.remaining_work.item(i),
+        )
+
+    def __iter__(self) -> Iterator[JobRequest]:
+        return map(self.__getitem__, range(len(self.job_id)))
+
+    def urgency_order(self, rows: np.ndarray) -> np.ndarray:
+        """``rows`` most urgent first, as :func:`order_by_urgency` orders them."""
+        return rows[
+            np.lexsort(
+                (self.id_rank[rows], self.submit_time[rows], -self.target_rate[rows])
+            )
+        ]
 
 
 @dataclass(frozen=True, slots=True)
@@ -269,51 +346,67 @@ class EvictionPolicy:
         over the not-yet-discarded candidates (pinned by a regression
         test and the solver equivalence suite).
         """
-        return VictimIndex(self, running)
-
-
-#: Victim preference key ``(urgency, submit_time, job_id)``.
-_victim_order = attrgetter("target_rate", "submit_time", "job_id")
+        requests = JobRequests.of(running)
+        return VictimIndex(self, requests, np.arange(len(requests)))
 
 
 class VictimIndex:
     """Vectorized eviction-victim lookup for one solver pass.
 
-    Candidates are pre-sorted by the victim preference key
-    ``(urgency, submit_time, job_id)``; a query masks the columnar
-    eligibility arrays and takes the first hit, which is exactly the
-    ``min`` the policy's scan would return (job ids make the key a
-    strict total order).  :meth:`discard` drops an evicted victim.
+    The candidates are rows of one :class:`JobRequests` record, sorted
+    by the victim preference key ``(urgency, submit_time, job_id)``; a
+    query masks the columnar eligibility arrays and takes the first hit,
+    which is exactly the ``min`` the policy's scan would return (job ids
+    make the key a strict total order).  :meth:`discard` drops an
+    evicted victim.
     """
 
-    __slots__ = ("_candidates", "_memory", "_threshold", "_eligible", "_slots")
+    __slots__ = ("_requests", "_candidates", "_slot", "_memory", "_threshold", "_eligible")
 
-    def __init__(self, policy: EvictionPolicy, running: Sequence[JobRequest]) -> None:
-        # The preference key reads the urgency's field (the target rate).
-        ordered = sorted(running, key=_victim_order)
-        self._candidates = ordered
-        self._slots = {r.job_id: i for i, r in enumerate(ordered)}
-        self._memory = np.array([r.memory_mb for r in ordered], dtype=float)
+    def __init__(
+        self, policy: EvictionPolicy, requests: JobRequests, rows: np.ndarray
+    ) -> None:
+        # The preference key reads the urgency's column (the target rate).
+        urgency = requests.target_rate[rows]
+        order = np.lexsort(
+            (requests.id_rank[rows], requests.submit_time[rows], urgency)
+        )
+        candidates = rows[order]
+        self._requests = requests
+        self._candidates = candidates
+        self._slot = np.full(len(requests), -1, dtype=np.intp)
+        self._slot[candidates] = np.arange(len(candidates))
+        self._memory = requests.memory_mb[candidates]
         # should_evict's urgency test, with the victim-side product hoisted,
         # and its completion test (min_remaining_time), column-wise: the
         # same IEEE products and quotients as the per-request properties.
-        urgency = np.array([r.target_rate for r in ordered], dtype=float)
-        self._threshold = urgency * (1.0 + policy.margin)
-        remaining = np.array([r.remaining_work for r in ordered], dtype=float)
-        caps = np.array([r.speed_cap for r in ordered], dtype=float)
-        self._eligible = remaining / caps > policy.protect_completion
+        self._threshold = urgency[order] * (1.0 + policy.margin)
+        self._eligible = (
+            requests.remaining_work[candidates] / requests.speed_cap[candidates]
+            > policy.protect_completion
+        )
 
-    def pick(self, waiting: JobRequest) -> Optional[JobRequest]:
-        """First (least-preferred-to-keep) eligible victim for ``waiting``."""
+    def pick_row(self, urgency: float, memory_mb: Megabytes) -> Optional[int]:
+        """Record row of the first eligible victim for a waiting job with
+        this urgency and footprint, or ``None``."""
         mask = (
             self._eligible
-            & (self._memory >= waiting.memory_mb)
-            & (waiting.urgency > self._threshold)
+            & (self._memory >= memory_mb)
+            & (urgency > self._threshold)
         )
         if not mask.any():
             return None
-        return self._candidates[int(np.argmax(mask))]
+        return self._candidates.item(int(np.argmax(mask)))
+
+    def pick(self, waiting: JobRequest) -> Optional[JobRequest]:
+        """First (least-preferred-to-keep) eligible victim for ``waiting``."""
+        row = self.pick_row(waiting.urgency, waiting.memory_mb)
+        return None if row is None else self._requests[row]
+
+    def discard_row(self, row: int) -> None:
+        """Remove the candidate at record row ``row`` from future picks."""
+        self._eligible[self._slot[row]] = False
 
     def discard(self, victim: JobRequest) -> None:
         """Remove an evicted candidate from future picks."""
-        self._eligible[self._slots[victim.job_id]] = False
+        self.discard_row(self._requests.job_id.index(victim.job_id))

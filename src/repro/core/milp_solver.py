@@ -82,7 +82,13 @@ from ..cluster.placement import Placement, PlacementEntry
 from ..config import SolverConfig
 from ..errors import ModelError
 from ..types import Mhz, WorkloadKind
-from .job_scheduler import AppRequest, JobRequest, order_by_urgency, split_runnable
+from .job_scheduler import (
+    AppRequest,
+    JobRequest,
+    JobRequests,
+    order_by_urgency,
+    split_runnable,
+)
 from .placement_solver import PlacementSolution
 
 #: Binary variables above this value are read as 1.
@@ -111,7 +117,7 @@ class MilpPlacementSolver:
         self,
         nodes: Sequence[NodeSpec],
         apps: Sequence[AppRequest],
-        jobs: Sequence[JobRequest],
+        jobs: JobRequests | Sequence[JobRequest],
         lr_target: Optional[Mhz] = None,
     ) -> PlacementSolution:
         """Compute an optimal feasible placement for one cycle.
@@ -122,6 +128,7 @@ class MilpPlacementSolver:
         (aggregate job CPU may exceed the sum of per-job targets up to
         speed caps, bounded by the larger of ``lr_target`` and that sum).
         """
+        jobs = list(jobs)  # the rows of a JobRequests record
         node_list = sorted(nodes, key=lambda n: n.node_id)
         solution = PlacementSolution(
             placement=Placement(), job_rates={}, app_allocations={}

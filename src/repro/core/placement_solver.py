@@ -31,26 +31,38 @@ placements (regression tests rely on this).
 
 Scaling
 -------
-Each placed VM costs one cheap step: the residual node capacities are
-plain float lists (:class:`_ClusterState`), read and written per VM with
-the seed's float arithmetic, and each entry goes into the placement with
-one :meth:`~repro.cluster.placement.Placement.place` call.  The
-per-request node-selection queries (:meth:`PlacementSolver._best_node_for`,
+The solver takes one cycle's job requests as a
+:class:`~repro.core.job_scheduler.JobRequests` record (columns in the
+snapshot's order) and keeps each request row's node and grant in arrays
+(:class:`_JobState`).  Retention and the per-node water-fill are one vector
+pass over the retained rows in (node, job id) order, whose per-node sums
+and residuals (``np.add.at``, ``np.subtract.at``) are the sequential
+float operations of a per-node loop; below ``_RETAIN_VECTOR_MIN``
+retained jobs that loop runs instead, being faster there.  An
+application's share goes over its existing instances (fair pass, then
+greedy pass) as array passes from ``_WEB_VECTOR_MIN`` instances, the
+running share being a ``np.subtract.accumulate`` until it binds.
+Retained jobs and each application's instances enter the placement in
+one :meth:`~repro.cluster.placement.Placement.place_many` call each.
+Admission, eviction picks, migrations and instance starts and stops keep
+their per-request loops over the columns; the residual node capacities
+are plain float lists (:class:`_ClusterState`) read and written per
+placed VM with the seed's float arithmetic.  The per-request
+node-selection queries (:meth:`PlacementSolver._best_node_for`,
 :meth:`PlacementSolver._node_with_room`, the new-instance candidate
 order) are vectorized reductions over numpy copies of the residuals,
-which admission and rebalance keep in step with their own changes,
-instead of per-request Python ``sorted`` scans.  The reductions
-replicate the documented lexicographic tie-break keys *exactly* -- a
-maintained heap could not serve the two-dimensional (CPU, memory, id)
-keys without re-scanning -- so the optimized solver is bit-for-bit
-identical to the seed implementation, entry insertion order included
-(enforced by ``tests/property/test_solver_equivalence.py``), while a
-2000-job / 200-node cycle costs milliseconds.
+which admission and rebalance keep in step with their own changes.  The
+reductions replicate the documented lexicographic tie-break keys
+*exactly*, so the solver is bit-for-bit identical to the seed
+implementation, entry insertion order included (enforced by
+``tests/property/test_solver_equivalence.py``; each vector pass also has
+a ``float.hex`` differential in ``tests/property/test_columns.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import attrgetter
 from typing import Optional, Sequence
 
@@ -65,8 +77,8 @@ from .job_scheduler import (
     AppRequest,
     EvictionPolicy,
     JobRequest,
-    order_by_urgency,
-    split_runnable,
+    JobRequests,
+    VictimIndex,
 )
 
 #: Allocation slivers below this many MHz are treated as zero.
@@ -75,15 +87,21 @@ _MHZ_EPS = 1e-6
 #: Sort keys for the solver's deterministic orderings: identical orders to
 #: the former lambdas, without the per-element Python-frame cost.
 _by_app_id = attrgetter("app_id")
-_by_job_id = attrgetter("job_id")
 _by_node_id = attrgetter("node_id")
-_by_vm_id = attrgetter("vm_id")
 
 #: Population size beyond which water-fill orders targets with numpy's
 #: stable argsort (identical order to the Python sort, smaller constant)
 #: and the boost phase gathers headroom into arrays.  Below it plain
 #: Python is faster for the solver's per-node fills (a handful of jobs).
 _WATER_FILL_VECTOR_MIN = 128
+
+#: Retained-job count from which retention runs as one vector pass;
+#: below it a per-node Python loop over the same columns is faster.
+_RETAIN_VECTOR_MIN = 80
+
+#: Instance count from which an app's share goes over its instances in
+#: array passes; below it the per-instance loops are faster.
+_WEB_VECTOR_MIN = 64
 
 
 class _ClusterState:
@@ -184,6 +202,177 @@ def water_fill(targets: Sequence[Mhz], capacity: Mhz) -> list[Mhz]:
     return alloc
 
 
+def _retain_vector(
+    pos: np.ndarray, want: np.ndarray, memory: np.ndarray, state: _ClusterState
+) -> list[Mhz]:
+    """The retained rows' grants, node by node, updating ``state``.
+
+    ``pos`` holds each row's node position, ascending.  ``np.add.at``
+    and ``np.subtract.at`` apply unbuffered, in index order, so the
+    per-node sums and residuals are the sequential ``sum`` and
+    ``cpu -= grant`` of :func:`_retain_scalar`.
+    """
+    cpu, mem = state.arrays()
+    sums = np.zeros(len(cpu))
+    np.add.at(sums, pos, want)
+    # Rare: water_fill returns fitting targets unchanged.
+    for i in np.flatnonzero(~(sums <= cpu)).tolist():
+        lo, hi = np.searchsorted(pos, (i, i + 1)).tolist()
+        want[lo:hi] = water_fill(want[lo:hi].tolist(), cpu.item(i))
+    np.subtract.at(cpu, pos, want)
+    np.subtract.at(mem, pos, memory)
+    short = mem[pos] < -1e-6
+    if short.any():
+        i = pos.item(int(short.argmax()))
+        raise _retained_memory_error(state.ids[i], mem.item(i))
+    want[want < 0.0] = 0.0  # as _place_job clamps
+    state.cpu, state.mem = cpu.tolist(), mem.tolist()
+    return want.tolist()
+
+
+def _retain_scalar(
+    pos: list[int], want: list[Mhz], memory: list[float], state: _ClusterState
+) -> list[Mhz]:
+    """:func:`_retain_vector` for a few rows, one node at a time."""
+    cpu, mem = state.cpu, state.mem
+    granted: list[Mhz] = []
+    start, count = 0, len(pos)
+    while start < count:
+        i = pos[start]
+        end = start + 1
+        while end < count and pos[end] == i:
+            end += 1
+        grants = want[start:end]
+        node_cpu = cpu[i]
+        if not sum(grants) <= node_cpu:  # water_fill returns fitting targets
+            grants = water_fill(grants, node_cpu)
+        node_mem = mem[i]
+        for footprint, grant in zip(memory[start:end], grants):
+            node_mem -= footprint
+            node_cpu -= grant
+            granted.append(0.0 if grant < 0.0 else grant)  # as _place_job clamps
+        cpu[i] = node_cpu
+        mem[i] = node_mem
+        if node_mem < -1e-6:
+            raise _retained_memory_error(state.ids[i], node_mem)
+        start = end
+    return granted
+
+
+def _retained_memory_error(node_id: str, residual: float) -> ConfigurationError:
+    # Memory feasibility is inherited from the previous (validated)
+    # placement; a defensive check still guards solver-input bugs.  Web
+    # reservations raised already, so the first node in id order to fall
+    # short is the one a scan of all would name.
+    return ConfigurationError(
+        f"node {node_id}: retained jobs exceed memory ({residual:.1f} MB)"
+    )
+
+
+def _share_over_instances(
+    instance_nodes: list[str], remaining: Mhz, state: _ClusterState
+) -> tuple[dict[str, Mhz], Mhz]:
+    """An app's share over its existing instances: a fair first pass, then
+    a greedy pass (most free CPU first) while a share is left.
+
+    Returns each instance's grant and the share left, taking the grants
+    from ``state.cpu``.  From ``_WEB_VECTOR_MIN`` instances both passes
+    run as :func:`_share_vector`.
+    """
+    if len(instance_nodes) >= _WEB_VECTOR_MIN:
+        return _share_vector(instance_nodes, remaining, state)
+    cpu, pos = state.cpu, state.pos
+    grants: dict[str, Mhz] = {}
+    if instance_nodes:
+        fair = remaining / len(instance_nodes)
+        for node_id in instance_nodes:
+            i = pos[node_id]
+            give = min(cpu[i], fair, remaining)
+            grants[node_id] = give
+            cpu[i] -= give
+            remaining -= give
+        if not remaining <= _MHZ_EPS:
+            for node_id in sorted(instance_nodes, key=lambda n: -cpu[pos[n]]):
+                if remaining <= _MHZ_EPS:
+                    break
+                i = pos[node_id]
+                give = min(cpu[i], remaining)
+                grants[node_id] += give
+                cpu[i] -= give
+                remaining -= give
+    return grants, remaining
+
+
+def _share_vector(
+    instance_nodes: list[str], remaining: Mhz, state: _ClusterState
+) -> tuple[dict[str, Mhz], Mhz]:
+    """:func:`_share_over_instances` as array passes, bit for bit.
+
+    Each pass's grant is a ``min`` with the share still left.  Until that
+    share binds, the grant is the ``min`` of the other terms, and the
+    shares left are the sequential subtractions ``np.subtract.accumulate``
+    performs; from the first instance where it binds (or the greedy pass
+    stops) the scalar loop finishes.
+    """
+    cpu = state.cpu
+    idx = [state.pos[node_id] for node_id in instance_nodes]
+    free = np.array([cpu[i] for i in idx])
+    count = len(idx)
+    fair = remaining / count
+    # Fair pass: min(cpu, fair, remaining), instances in id order.
+    give = np.where(fair < free, fair, free)
+    left = np.subtract.accumulate(np.concatenate(([remaining], give)))
+    binds = np.flatnonzero(left[:-1] < give)
+    done = binds.item(0) if len(binds) else count
+    free[:done] -= give[:done]
+    remaining = left.item(done)
+    for j in range(done, count):
+        f = free.item(j)
+        g = min(f, fair, remaining)
+        give[j] = g
+        free[j] = f - g
+        remaining -= g
+    # Greedy pass: min(cpu, remaining), most free CPU first (stable, so
+    # id order among equals), while more than a sliver is left.
+    if not remaining <= _MHZ_EPS:
+        order = np.argsort(-free, kind="stable")
+        take = free[order]
+        left = np.subtract.accumulate(np.concatenate(([remaining], take)))
+        stops = np.flatnonzero((left[:-1] <= _MHZ_EPS) | (left[:-1] < take))
+        done = stops.item(0) if len(stops) else count
+        head = order[:done]
+        give[head] += take[:done]
+        free[head] -= take[:done]
+        remaining = left.item(done)
+        for j in order[done:].tolist():
+            if remaining <= _MHZ_EPS:
+                break
+            f = free.item(j)
+            g = min(f, remaining)
+            give[j] = give.item(j) + g
+            free[j] = f - g
+            remaining -= g
+    for i, f in zip(idx, free.tolist()):
+        cpu[i] = f
+    return dict(zip(instance_nodes, give.tolist())), remaining
+
+
+class _JobState:
+    """One solve's job requests and where the solve has put each row.
+
+    ``node`` holds each request row's node position (``-1`` while not
+    placed) and ``grant`` its CPU grant; every phase that places, moves
+    or evicts a job keeps both in step with the placement.
+    """
+
+    __slots__ = ("requests", "node", "grant")
+
+    def __init__(self, requests: JobRequests, host: np.ndarray) -> None:
+        self.requests = requests
+        self.node = host.copy()
+        self.grant = np.zeros(len(requests))
+
+
 class PlacementSolver:
     """Stateless solver: call :meth:`solve` once per control cycle."""
 
@@ -198,13 +387,15 @@ class PlacementSolver:
         self,
         nodes: Sequence[NodeSpec],
         apps: Sequence[AppRequest],
-        jobs: Sequence[JobRequest],
+        jobs: JobRequests | Sequence[JobRequest],
         lr_target: Optional[Mhz] = None,
     ) -> PlacementSolution:
         """Compute a feasible placement for one cycle.
 
         ``nodes`` must be the *active* nodes; requests referring to other
         nodes are treated as displaced (their VMs need re-placement).
+        ``jobs`` is one :class:`JobRequests` record or any sequence of
+        :class:`JobRequest`, converted once on entry.
 
         ``lr_target`` is the arbiter's aggregate long-running share.  When
         memory slots prevent placing every job, the share intended for the
@@ -215,6 +406,7 @@ class PlacementSolver:
         ``None`` disables redistribution (each job is capped at its own
         target; used by baselines that set explicit per-job rates).
         """
+        requests = JobRequests.of(jobs)
         state = _ClusterState(nodes)
         solution = PlacementSolution(
             placement=Placement(), job_rates={}, app_allocations={}
@@ -230,17 +422,29 @@ class PlacementSolver:
         # job decisions, so admissions cannot squat on it.
         self._reserve_web_memory(app_instances, state)
 
-        running, waiting = self._partition_jobs(jobs, state)
-        self._retain_and_waterfill(running, state, solution)
-        waiting = order_by_urgency(waiting)
-        runnable, deferred = split_runnable(waiting, self.config.min_job_rate)
-        solution.deferred_jobs = [r.job_id for r in deferred]
+        # A request whose host is an active node is retained; any other
+        # (no host, or a failed one) is displaced and waits.
+        host = np.fromiter(
+            map(state.pos.get, requests.current_node, repeat(-1)),
+            np.intp,
+            len(requests),
+        )
+        job_state = _JobState(requests, host)
+        running = self._retain_and_waterfill(job_state, state, solution)
+        waiting = requests.urgency_order(np.flatnonzero(host < 0))
+        targets = requests.target_rate[waiting]
+        min_rate = self.config.min_job_rate
+        runnable = waiting[targets >= min_rate].tolist()
+        job_id = requests.job_id.__getitem__
+        solution.deferred_jobs = list(map(job_id, waiting[targets < min_rate].tolist()))
 
-        leftover = self._admit(runnable, state, solution, budget)
-        leftover = self._evict_and_admit(leftover, running, state, solution, budget)
-        solution.unplaced_jobs = [r.job_id for r in leftover]
-        self._rebalance(running, state, solution, budget)
-        self._boost_jobs(jobs, state, solution, lr_target)
+        leftover = self._admit(job_state, runnable, state, solution, budget)
+        leftover = self._evict_and_admit(
+            job_state, leftover, running, state, solution, budget
+        )
+        solution.unplaced_jobs = list(map(job_id, leftover))
+        self._rebalance(job_state, running, state, solution, budget)
+        self._boost_jobs(job_state, state, solution, lr_target)
         self._place_web(app_instances, state, solution, budget)
         return solution
 
@@ -263,75 +467,54 @@ class PlacementSolver:
                     )
 
     @staticmethod
-    def _partition_jobs(
-        jobs: Sequence[JobRequest], state: _ClusterState
-    ) -> tuple[list[JobRequest], list[JobRequest]]:
-        """Split into (retained running, waiting) requests, each in job-id order.
-
-        Jobs whose recorded host is not an active node are displaced and
-        join the waiting set.
-        """
-        running: list[JobRequest] = []
-        waiting: list[JobRequest] = []
-        pos = state.pos
-        for request in sorted(jobs, key=_by_job_id):
-            if request.current_node is not None and request.current_node in pos:
-                running.append(request)
-            else:
-                waiting.append(request)
-        return running, waiting
-
-    @staticmethod
     def _retain_and_waterfill(
-        running: list[JobRequest],
-        state: _ClusterState,
-        solution: PlacementSolution,
-    ) -> None:
-        """Phases 1-2: keep running jobs in place, grant CPU by water-fill."""
-        by_node: dict[str, list[JobRequest]] = {}
-        for request in running:
-            by_node.setdefault(request.current_node, []).append(request)
-        cpu, mem, pos = state.cpu, state.mem, state.pos
-        place = solution.placement.place
-        job_rates = solution.job_rates
-        long_running = WorkloadKind.LONG_RUNNING
-        for node_id in sorted(by_node):
-            i = pos[node_id]
-            # ``running`` is in job-id order, so each node's members are.
-            members = by_node[node_id]
-            grants = [min(r.target_rate, r.speed_cap) for r in members]
-            node_cpu = cpu[i]
-            if not sum(grants) <= node_cpu:  # water_fill returns fitting targets
-                grants = water_fill(grants, node_cpu)
-            node_mem = mem[i]
-            for request, grant in zip(members, grants):
-                node_mem -= request.memory_mb
-                node_cpu -= grant
-                if grant < 0.0:  # as _place_job clamps
-                    grant = 0.0
-                place(request.vm_id, node_id, grant, request.memory_mb, long_running)
-                job_rates[request.job_id] = grant
-            cpu[i] = node_cpu
-            mem[i] = node_mem
-            # Memory feasibility is inherited from the previous (validated)
-            # placement; a defensive check still guards solver-input bugs.
-            # Web reservations raised already, so this node, the first in
-            # id order to fall short, is the one a scan of all would name.
-            if node_mem < -1e-6:
-                raise ConfigurationError(
-                    f"node {node_id}: retained jobs exceed memory "
-                    f"({node_mem:.1f} MB)"
-                )
+        jobs: _JobState, state: _ClusterState, solution: PlacementSolution
+    ) -> np.ndarray:
+        """Phases 1-2: keep running jobs in place, grant CPU by water-fill.
+
+        One pass over the retained rows, ordered by (node, job id): each
+        grant is ``min(target, cap)``; a node whose grants sum past its
+        CPU shares it by :func:`water_fill` instead.  The retained jobs
+        enter the placement in one bulk insert.  Returns the retained
+        rows in that order.
+        """
+        requests = jobs.requests
+        rows = np.flatnonzero(jobs.node >= 0)
+        rows = rows[np.lexsort((requests.id_rank[rows], jobs.node[rows]))]
+        if not len(rows):
+            return rows
+        pos = jobs.node[rows]
+        want = np.minimum(requests.target_rate[rows], requests.speed_cap[rows])
+        memory = requests.memory_mb[rows]
+        pos_list, footprints = pos.tolist(), memory.tolist()
+        if len(rows) >= _RETAIN_VECTOR_MIN:
+            granted = _retain_vector(pos, want, memory, state)
+        else:
+            granted = _retain_scalar(pos_list, want.tolist(), footprints, state)
+        jobs.grant[rows] = granted
+        row_list = rows.tolist()
+        solution.placement.place_many(
+            list(map(requests.vm_id.__getitem__, row_list)),
+            list(map(state.ids.__getitem__, pos_list)),
+            granted,
+            footprints,
+            WorkloadKind.LONG_RUNNING,
+        )
+        solution.job_rates.update(
+            zip(map(requests.job_id.__getitem__, row_list), granted)
+        )
+        return rows
 
     def _admit(
         self,
-        runnable: list[JobRequest],
+        jobs: _JobState,
+        runnable: list[int],
         state: _ClusterState,
         solution: PlacementSolution,
         budget: list[Optional[int]],
-    ) -> list[JobRequest]:
+    ) -> list[int]:
         """Phase 3: place waiting jobs, most urgent first.  Returns leftovers."""
-        leftover: list[JobRequest] = []
+        leftover: list[int] = []
         if not runnable:
             return leftover
         # While no admission succeeds the node state is frozen, so one
@@ -341,82 +524,88 @@ class PlacementSolver:
         # memory slots; this makes each such failure O(1) instead of a
         # full node scan, with exactly the same outcome.
         min_rate = self.config.min_job_rate
+        requests = jobs.requests
         cpu, mem = state.cpu, state.mem
         cpu_arr, mem_arr = state.arrays()
         max_fit_mem: Optional[float] = None  # None = stale, recompute
-        for request in runnable:
+        rows = np.array(runnable, dtype=np.intp)
+        for row, target, cap, memory in zip(
+            runnable,
+            requests.target_rate[rows].tolist(),
+            requests.speed_cap[rows].tolist(),
+            requests.memory_mb[rows].tolist(),
+        ):
             if not self._budget_allows(budget, 1):
-                leftover.append(request)
+                leftover.append(row)
                 continue
             if max_fit_mem is None:
                 eligible = np.where(cpu_arr >= min_rate, mem_arr, -np.inf)
                 max_fit_mem = float(eligible.max()) if eligible.size else -np.inf
-            if (
-                request.memory_mb > max_fit_mem
-                or min(request.target_rate, request.speed_cap) < min_rate
-            ):
+            want = min(target, cap)
+            if memory > max_fit_mem or want < min_rate:
                 # _best_node_for would scan and return None: no node has
                 # both the memory and a grant reaching min_job_rate.
-                leftover.append(request)
+                leftover.append(row)
                 continue
-            i = self._best_node_for(request, cpu_arr, mem_arr)
+            i = self._best_node_for(want, memory, cpu_arr, mem_arr)
             if i is None:
-                leftover.append(request)
+                leftover.append(row)
                 continue
             max_fit_mem = None  # placement below mutates the state
-            grant = min(request.target_rate, request.speed_cap, cpu[i])
-            mem[i] -= request.memory_mb
+            grant = min(target, cap, cpu[i])
+            mem[i] -= memory
             cpu[i] -= grant
             cpu_arr[i] = cpu[i]
             mem_arr[i] = mem[i]
-            self._place_job(solution, request, state.ids[i], grant)
+            self._place_job(jobs, solution, row, i, state.ids[i], grant)
             self._spend(budget, 1)
             solution.changes += 1
         return leftover
 
     def _evict_and_admit(
         self,
-        leftover: list[JobRequest],
-        running: list[JobRequest],
+        jobs: _JobState,
+        leftover: list[int],
+        running: np.ndarray,
         state: _ClusterState,
         solution: PlacementSolution,
         budget: list[Optional[int]],
-    ) -> list[JobRequest]:
+    ) -> list[int]:
         """Phase 4: displace clearly less urgent running jobs."""
-        still_unplaced: list[JobRequest] = []
+        still_unplaced: list[int] = []
         if not leftover:
             return still_unplaced
         # Only jobs retained this cycle (not freshly admitted) are victims.
         # The index is built once and maintained across requests (the
         # seed rebuilt the candidate list per request and scanned it in
         # full: O(requests x running)).
-        victims = self._eviction.victim_index(
-            [r for r in running if r.job_id in solution.job_rates]
-        )
+        requests = jobs.requests
+        victims = VictimIndex(self._eviction, requests, running)
         cpu, mem = state.cpu, state.mem
         evictions = 0
-        for request in leftover:
+        for row in leftover:
             if evictions >= self.config.max_evictions:
-                still_unplaced.append(request)
+                still_unplaced.append(row)
                 continue
-            victim = victims.pick(request)
+            target = requests.target_rate.item(row)
+            memory = requests.memory_mb.item(row)
+            victim = victims.pick_row(target, memory)
             if victim is None or not self._budget_allows(budget, 2):
-                still_unplaced.append(request)
+                still_unplaced.append(row)
                 continue
-            victim_node = victim.current_node
-            assert victim_node is not None
-            i = state.pos[victim_node]
+            i = jobs.node.item(victim)
             # Undo the victim's placement.
-            mem[i] += victim.memory_mb
-            cpu[i] += solution.job_rates.pop(victim.job_id)
-            solution.placement.remove(victim.vm_id)
-            solution.evicted_jobs.append(victim.job_id)
-            victims.discard(victim)
+            mem[i] += requests.memory_mb.item(victim)
+            cpu[i] += solution.job_rates.pop(requests.job_id[victim])
+            solution.placement.remove(requests.vm_id[victim])
+            solution.evicted_jobs.append(requests.job_id[victim])
+            victims.discard_row(victim)
+            jobs.node[victim] = -1
             # Place the more urgent job in the freed slot.
-            grant = min(request.target_rate, request.speed_cap, cpu[i])
-            mem[i] -= request.memory_mb
+            grant = min(target, requests.speed_cap.item(row), cpu[i])
+            mem[i] -= memory
             cpu[i] -= grant
-            self._place_job(solution, request, victim_node, grant)
+            self._place_job(jobs, solution, row, i, state.ids[i], grant)
             self._spend(budget, 2)
             solution.changes += 2
             evictions += 1
@@ -424,58 +613,56 @@ class PlacementSolver:
 
     def _rebalance(
         self,
-        running: list[JobRequest],
+        jobs: _JobState,
+        running: np.ndarray,
         state: _ClusterState,
         solution: PlacementSolution,
         budget: list[Optional[int]],
     ) -> None:
         """Phase 5: migrate starved running jobs to roomier nodes."""
-        if self.config.max_migrations == 0:
+        if self.config.max_migrations == 0 or not len(running):
             return
-        starved: list[tuple[float, JobRequest]] = []
-        job_rates = solution.job_rates
-        deficit_ratio = self.config.migration_deficit
-        for request in running:
-            granted = job_rates.get(request.job_id)
-            if granted is None:  # evicted above
-                continue
-            target = min(request.target_rate, request.speed_cap)
-            if target > 0 and granted < target * deficit_ratio:
-                starved.append((target - granted, request))
-        if not starved:
+        requests = jobs.requests
+        rows = running[jobs.node[running] >= 0]  # not evicted above
+        target = np.minimum(requests.target_rate[rows], requests.speed_cap[rows])
+        granted = jobs.grant[rows]
+        starved = (target > 0) & (granted < target * self.config.migration_deficit)
+        if not starved.any():
             return
-        starved.sort(key=lambda pair: (-pair[0], pair[1].job_id))
+        rows, target = rows[starved], target[starved]
+        # Largest deficit first, job ids breaking ties.
+        order = np.lexsort((requests.id_rank[rows], -(target - granted[starved])))
         cpu, mem = state.cpu, state.mem
         cpu_arr, mem_arr = state.arrays()
         migrated = 0
-        for deficit, request in starved:
+        for row, want in zip(rows[order].tolist(), target[order].tolist()):
             if migrated >= self.config.max_migrations:
                 break
             if not self._budget_allows(budget, 1):
                 break
-            target = min(request.target_rate, request.speed_cap)
-            dest = self._node_with_room(request, cpu_arr, mem_arr, need_cpu=target)
-            if dest is None or state.ids[dest] == request.current_node:
+            memory = requests.memory_mb.item(row)
+            dest = self._node_with_room(memory, cpu_arr, mem_arr, need_cpu=want)
+            src = jobs.node.item(row)
+            if dest is None or dest == src:
                 continue
-            src = state.pos[request.current_node]  # type: ignore[index]
-            mem[src] += request.memory_mb
-            cpu[src] += job_rates.pop(request.job_id)
-            solution.placement.remove(request.vm_id)
-            grant = min(target, cpu[dest])
-            mem[dest] -= request.memory_mb
+            mem[src] += memory
+            cpu[src] += solution.job_rates.pop(requests.job_id[row])
+            solution.placement.remove(requests.vm_id[row])
+            grant = min(want, cpu[dest])
+            mem[dest] -= memory
             cpu[dest] -= grant
             for i in (src, dest):
                 cpu_arr[i] = cpu[i]
                 mem_arr[i] = mem[i]
-            self._place_job(solution, request, state.ids[dest], grant)
-            solution.migrated_jobs.append(request.job_id)
+            self._place_job(jobs, solution, row, dest, state.ids[dest], grant)
+            solution.migrated_jobs.append(requests.job_id[row])
             self._spend(budget, 1)
             solution.changes += 1
             migrated += 1
 
     @staticmethod
     def _boost_jobs(
-        jobs: Sequence[JobRequest],
+        jobs: _JobState,
         state: _ClusterState,
         solution: PlacementSolution,
         lr_target: Optional[Mhz],
@@ -483,49 +670,48 @@ class PlacementSolver:
         """Redistribute the unplaced long-running share to placed jobs.
 
         Raises placed jobs' grants toward their speed caps (water-filling
-        the headroom per node) until either the aggregate ``lr_target`` is
-        consumed or every placed job is capped.  Free: pure CPU-share
-        adjustment, no placement change.
+        the headroom per node, nodes in id order, each node's jobs in VM
+        id order) until either the aggregate ``lr_target`` is consumed or
+        every placed job is capped.  Free: pure CPU-share adjustment, no
+        placement change.
         """
         if lr_target is None:
             return
         room = lr_target - sum(solution.job_rates.values())
         if room <= _MHZ_EPS:
             return
-        caps = {r.vm_id: r.speed_cap for r in jobs}
-        job_ids = {r.vm_id: r.job_id for r in jobs}
+        # Each node's placed jobs, nodes in id (= position) order.
+        by_node: dict[int, list[int]] = {}
+        for row, i in enumerate(jobs.node.tolist()):
+            if i >= 0:
+                by_node.setdefault(i, []).append(row)
+        requests = jobs.requests
+        vm_ids, job_ids = requests.vm_id, requests.job_id
+        caps, grants = requests.speed_cap, jobs.grant
         cpu = state.cpu
         placement = solution.placement
-        for i, node_id in enumerate(state.ids):
+        for i in sorted(by_node):
             if room <= _MHZ_EPS:
                 break
-            entries = sorted(
-                (e for e in placement.entries_on(node_id) if e.vm_id in caps),
-                key=_by_vm_id,
-            )
-            if not entries:
-                continue
-            if len(entries) >= _WATER_FILL_VECTOR_MIN:
-                cap_arr = np.fromiter(
-                    (caps[e.vm_id] for e in entries), dtype=float, count=len(entries)
-                )
-                cpu_arr = np.fromiter(
-                    (e.cpu_mhz for e in entries), dtype=float, count=len(entries)
-                )
+            members = sorted(by_node[i], key=vm_ids.__getitem__)
+            if len(members) >= _WATER_FILL_VECTOR_MIN:
                 # Back to Python floats: the residuals stay plain floats.
-                headroom = np.maximum(cap_arr - cpu_arr, 0.0).tolist()
+                headroom = np.maximum(caps[members] - grants[members], 0.0).tolist()
             else:
-                headroom = [max(caps[e.vm_id] - e.cpu_mhz, 0.0) for e in entries]
+                headroom = [
+                    max(caps.item(r) - grants.item(r), 0.0) for r in members
+                ]
             # Residuals can carry -1e-14-scale float dust after repeated
             # subtraction; clamp before sharing.
             budget_here = max(min(cpu[i], room), 0.0)
             extra = water_fill(headroom, budget_here)
-            for entry, boost in zip(entries, extra):
+            for r, boost in zip(members, extra):
                 if boost <= _MHZ_EPS:
                     continue
-                new_grant = entry.cpu_mhz + boost
-                placement.update_cpu(entry.vm_id, new_grant)
-                solution.job_rates[job_ids[entry.vm_id]] = new_grant
+                new_grant = grants.item(r) + boost
+                placement.update_cpu(vm_ids[r], new_grant)
+                solution.job_rates[job_ids[r]] = new_grant
+                grants[r] = new_grant
                 cpu[i] -= boost
                 room -= boost
 
@@ -538,30 +724,10 @@ class PlacementSolver:
     ) -> None:
         """Phase 6: distribute app targets over instances; start/stop instances."""
         cpu, mem, pos = state.cpu, state.mem, state.pos
-        place = solution.placement.place
         for app, instance_nodes in app_instances:
-            remaining = app.target_allocation
-            grants: dict[str, Mhz] = {}
-
-            # Fair first pass over existing instances, greedy second pass
-            # (most free CPU first) while a share is left.
-            if instance_nodes:
-                fair = remaining / len(instance_nodes)
-                for node_id in instance_nodes:
-                    i = pos[node_id]
-                    give = min(cpu[i], fair, remaining)
-                    grants[node_id] = give
-                    cpu[i] -= give
-                    remaining -= give
-                if not remaining <= _MHZ_EPS:
-                    for node_id in sorted(instance_nodes, key=lambda n: -cpu[pos[n]]):
-                        if remaining <= _MHZ_EPS:
-                            break
-                        i = pos[node_id]
-                        give = min(cpu[i], remaining)
-                        grants[node_id] += give
-                        cpu[i] -= give
-                        remaining -= give
+            grants, remaining = _share_over_instances(
+                instance_nodes, app.target_allocation, state
+            )
 
             # Start new instances while a meaningful share is unplaced.
             threshold = max(
@@ -603,34 +769,47 @@ class PlacementSolver:
                         solution.changes += 1
                         count -= 1
 
-            # Record placement entries (memory was reserved up front for
-            # retained instances and at start time for new ones).
-            total = 0.0
-            for node_id, grant in sorted(grants.items()):
-                place(
-                    instance_vm_id(app.app_id, node_id),
-                    node_id,
-                    grant,
-                    app.instance_memory_mb,
-                    WorkloadKind.TRANSACTIONAL,
-                )
-                total += grant
-            solution.app_allocations[app.app_id] = total
+            # Record placement entries, in node-id order (memory was
+            # reserved up front for retained instances and at start time
+            # for new ones).
+            node_ids = sorted(grants)
+            given = list(map(grants.__getitem__, node_ids))
+            prefix = instance_vm_id(app.app_id, "")  # an id is prefix + node id
+            solution.placement.place_many(
+                [prefix + node_id for node_id in node_ids],
+                node_ids,
+                given,
+                [app.instance_memory_mb] * len(node_ids),
+                WorkloadKind.TRANSACTIONAL,
+            )
+            solution.app_allocations[app.app_id] = sum(given, 0.0)
 
     # ------------------------------------------------------------------
     # Small utilities
     # ------------------------------------------------------------------
     @staticmethod
     def _place_job(
-        solution: PlacementSolution, request: JobRequest, node_id: str, grant: Mhz
+        jobs: _JobState,
+        solution: PlacementSolution,
+        row: int,
+        node: int,
+        node_id: str,
+        grant: Mhz,
     ) -> None:
         # The grant is clamped non-negative: max(grant, 0.0), NaN kept.
         if grant < 0.0:
             grant = 0.0
+        requests = jobs.requests
         solution.placement.place(
-            request.vm_id, node_id, grant, request.memory_mb, WorkloadKind.LONG_RUNNING
+            requests.vm_id[row],
+            node_id,
+            grant,
+            requests.memory_mb.item(row),
+            WorkloadKind.LONG_RUNNING,
         )
-        solution.job_rates[request.job_id] = grant
+        solution.job_rates[requests.job_id[row]] = grant
+        jobs.node[row] = node
+        jobs.grant[row] = grant
 
     @staticmethod
     def _start_candidates(app: AppRequest, state: _ClusterState) -> list[str]:
@@ -651,7 +830,7 @@ class PlacementSolver:
         return candidates
 
     def _best_node_for(
-        self, request: JobRequest, cpu: np.ndarray, mem: np.ndarray
+        self, want: Mhz, memory: float, cpu: np.ndarray, mem: np.ndarray
     ) -> Optional[int]:
         """Index of the node giving the job the most CPU (ties: less spare
         memory, id).
@@ -660,11 +839,10 @@ class PlacementSolver:
         over the residual arrays: maximize the achievable grant, then
         prefer the tightest memory fit, then the smallest id (node order
         is id-sorted, so "first index" is the id tie-break).  Identical to
-        the seed's scan.
+        the seed's scan.  ``want`` is the job's ``min(target, cap)``.
         """
-        want = min(request.target_rate, request.speed_cap)
         grant = np.minimum(cpu, want)
-        ok = (mem >= request.memory_mb) & (grant >= self.config.min_job_rate)
+        ok = (mem >= memory) & (grant >= self.config.min_job_rate)
         if not ok.any():
             return None
         masked = np.where(ok, grant, -np.inf)
@@ -674,7 +852,7 @@ class PlacementSolver:
 
     @staticmethod
     def _node_with_room(
-        request: JobRequest, cpu: np.ndarray, mem: np.ndarray, need_cpu: Mhz
+        memory: float, cpu: np.ndarray, mem: np.ndarray, need_cpu: Mhz
     ) -> Optional[int]:
         """Index of a node that can host the job at its full target, or ``None``.
 
@@ -682,7 +860,7 @@ class PlacementSolver:
         the first index attaining the maximal free CPU among feasible
         nodes (``argmax`` returns the earliest, i.e. smallest id).
         """
-        ok = (mem >= request.memory_mb) & (cpu >= need_cpu)
+        ok = (mem >= memory) & (cpu >= need_cpu)
         if not ok.any():
             return None
         masked = np.where(ok, cpu, -np.inf)

@@ -20,6 +20,7 @@ import csv
 import math
 from dataclasses import dataclass
 from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Protocol, Sequence, runtime_checkable
 
@@ -441,6 +442,7 @@ class ExperimentRunner:
         self._jobs_by_row = np.empty(len(jobs), dtype=object)
         self._jobs_by_row[:] = jobs
         self._vm_rows: dict[str, int] = {job.vm_id: job.row for job in jobs}
+        self._instance_ids: dict[str, tuple[str, str]] = {}
         # The live set: submitted jobs that are not completed or
         # cancelled, a mask over the rows (trace order).  Jobs enter it
         # at the first control cycle at or after their submission, in
@@ -641,35 +643,54 @@ class ExperimentRunner:
     def _grant(self, grants: CpuGrants, t: Seconds) -> None:
         """Apply a plan's CPU grants, the jobs' in one pass over the table.
 
-        A job's grant does what :meth:`Job.set_rate` does.  Instance
-        grants, and grants to jobs still in a start, resume or migrate
-        pause, go one at a time in record order: a paused job's pending
-        rate is retargeted instead of applied early.
+        A job's grant does what :meth:`Job.set_rate` does.  Each app's
+        instance grants go in one call (they schedule no event); grants
+        to jobs still in a start, resume or migrate pause go one at a
+        time in record order: a paused job's pending rate is retargeted
+        instead of applied early.
         """
-        mhz = np.array(grants.cpu_mhz, dtype=float)
+        vm_ids, cpu_mhz = grants.vm_ids, grants.cpu_mhz
+        mhz = np.array(cpu_mhz, dtype=float)
         rows = np.fromiter(
-            map(self._vm_rows.get, grants.vm_ids, repeat(-1)), np.intp, len(grants)
+            map(self._vm_rows.get, vm_ids, repeat(-1)), np.intp, len(grants)
         )
         held = rows < 0  # instances
+        if np.count_nonzero(held):
+            self._grant_instances(vm_ids, cpu_mhz, held.nonzero()[0])
         if self._rate_events:
             paused = np.zeros(len(self._live), dtype=bool)
             paused[[self._jobs[job_id].row for job_id in self._rate_events]] = True
-            held |= paused[rows]  # an instance's -1 reads a row, but is held already
+            retarget = paused[rows] & ~held  # an instance's -1 reads a row
+            if np.count_nonzero(retarget):
+                for i in retarget.nonzero()[0].tolist():
+                    job = self._job_of(vm_ids[i])
+                    pending = self._rate_events.pop(job.job_id)
+                    when = pending.time
+                    pending.cancel()
+                    self._schedule_rate(job, when, cpu_mhz[i])
+                held |= retarget
         if np.count_nonzero(held):
-            for i in held.nonzero()[0].tolist():
-                vm_id, cpu = grants.vm_ids[i], grants.cpu_mhz[i]
-                if vm_id not in self._vm_rows:
-                    app_id, node_id = self._parse_instance(vm_id)
-                    self._apps[app_id].set_instance_allocation(node_id, cpu)
-                    continue
-                job = self._job_of(vm_id)
-                pending = self._rate_events.pop(job.job_id)
-                when = pending.time
-                pending.cancel()
-                self._schedule_rate(job, when, cpu)
             direct = ~held
             rows, mhz = rows[direct], mhz[direct]
         self._table.set_rates(rows, mhz, t)
+
+    def _grant_instances(
+        self, vm_ids: Sequence[str], cpu_mhz: Sequence[float], at: np.ndarray
+    ) -> None:
+        """Apply the instance grants at record positions ``at``, one call per app."""
+        at = at.tolist()
+        instances = list(map(self._instance_of, map(vm_ids.__getitem__, at)))
+        mhz = list(map(cpu_mhz.__getitem__, at))
+        app_ids = dict.fromkeys(map(itemgetter(0), instances))  # record order
+        for app_id in app_ids:
+            mine = (
+                range(len(at))
+                if len(app_ids) == 1
+                else [k for k, (app, _) in enumerate(instances) if app == app_id]
+            )
+            self._apps[app_id].set_instance_allocations(
+                [instances[k][1] for k in mine], [mhz[k] for k in mine]
+            )
 
     def _schedule_rate(self, job: Job, when: Seconds, rate: float) -> None:
         def fire(t2: Seconds, job_id: str = job.job_id) -> None:
@@ -934,6 +955,13 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
     def _job_of(self, vm_id: str) -> Job:
         return self._jobs_by_row[self._vm_rows[vm_id]]
+
+    def _instance_of(self, vm_id: str) -> tuple[str, str]:
+        """:meth:`_parse_instance`, remembered per id (apps x nodes at most)."""
+        instance = self._instance_ids.get(vm_id)
+        if instance is None:
+            instance = self._instance_ids[vm_id] = self._parse_instance(vm_id)
+        return instance
 
     @staticmethod
     def _parse_instance(vm_id: str) -> tuple[str, str]:

@@ -146,8 +146,11 @@ LIVE_CODES = COMPLETED_CODE
 class JobTable:
     """The numeric state of many jobs: one row per job, one numpy column per field.
 
-    Static columns: ``submit``, ``cap``, ``goal_len`` and ``importance``
-    (the specs' submit time, speed cap, goal length and importance).
+    Static columns: ``submit``, ``cap``, ``goal_len``, ``importance`` and
+    ``memory`` (the specs' submit time, speed cap, goal length, importance
+    and memory footprint), and ``rank``, each row's position in job-id
+    order among the table's rows (ids sort as strings: ``job10000`` <
+    ``job9999``).
     State columns: ``remaining``, ``rate``, ``last_update``,
     ``cpu_integral`` and the ``phase`` code (:data:`PHASES`).  Stats
     columns: ``started_at`` and ``completed_at`` (NaN until set),
@@ -158,7 +161,7 @@ class JobTable:
     """
 
     __slots__ = (
-        "job_ids", "submit", "cap", "goal_len", "importance",
+        "job_ids", "submit", "cap", "goal_len", "importance", "memory", "rank",
         "remaining", "rate", "last_update", "cpu_integral", "phase",
         "started_at", "completed_at", "suspensions", "migrations", "work_lost",
     )
@@ -170,12 +173,19 @@ class JobTable:
         # One pass over the specs; the transpose's rows are contiguous.
         static = np.array(
             [
-                (s.submit_time, s.total_work, s.speed_cap_mhz, s.completion_goal, s.importance)
+                (
+                    s.submit_time, s.total_work, s.speed_cap_mhz,
+                    s.completion_goal, s.importance, s.memory_mb,
+                )
                 for s in specs
             ],
             dtype=float,
-        ).reshape(n, 5).T.copy()
-        self.submit, self.remaining, self.cap, self.goal_len, self.importance = static
+        ).reshape(n, 6).T.copy()
+        (
+            self.submit, self.remaining, self.cap, self.goal_len,
+            self.importance, self.memory,
+        ) = static
+        self.rank = id_rank(self.job_ids)
         self.last_update = self.submit.copy()
         self.rate = np.zeros(n)
         self.cpu_integral = np.zeros(n)
@@ -269,9 +279,18 @@ class JobTable:
         )
 
 
+def id_rank(job_ids: Sequence[str]) -> np.ndarray:
+    """Each id's position in string order (``job10000`` < ``job9999``)."""
+    order = sorted(range(len(job_ids)), key=job_ids.__getitem__)
+    rank = np.empty(len(job_ids), dtype=np.intp)
+    rank[order] = np.arange(len(job_ids))
+    return rank
+
+
 #: The views' table and row, read in C by :func:`gather`.
 _table_of = attrgetter("table")
 _row_of = attrgetter("row")
+_job_id_of = attrgetter("spec.job_id")
 _NO_JOBS = JobTable(())
 
 
@@ -280,7 +299,9 @@ def gather(jobs: Sequence[Job], names: Sequence[str]) -> list[np.ndarray]:
 
     One fancy-index gather per column when the jobs share a table, as
     every runner list does; one row at a time otherwise (hand-built lists
-    of ``Job(spec)``, each a one-row table).
+    of ``Job(spec)``, each a one-row table).  A table's ``rank`` orders
+    only its own rows, so across several tables the jobs' ranks come
+    from sorting their ids.
     """
     tables = set(map(_table_of, jobs))
     if len(tables) <= 1:
@@ -288,7 +309,9 @@ def gather(jobs: Sequence[Job], names: Sequence[str]) -> list[np.ndarray]:
         rows = np.fromiter(map(_row_of, jobs), np.intp, len(jobs))
         return [getattr(table, name)[rows] for name in names]
     return [
-        np.array([getattr(job.table, name)[job.row] for job in jobs])
+        id_rank(list(map(_job_id_of, jobs)))
+        if name == "rank"
+        else np.array([getattr(job.table, name)[job.row] for job in jobs])
         for name in names
     ]
 

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Literal, Optional
+from itertools import repeat
+from operator import le
+from typing import Iterator, Literal, Optional, Sequence
 
 from ..errors import ConfigurationError, LifecycleError
 from ..types import Cycles, Megabytes, Mhz, Seconds
@@ -246,6 +248,27 @@ class TransactionalApp:
         if node_id not in self._instances:
             raise LifecycleError(f"app {self.app_id}: no instance on {node_id}")
         self._instances[node_id] = self._grant(node_id, cpu_mhz)
+
+    def set_instance_allocations(
+        self, node_ids: Sequence[str], cpu_mhz: Sequence[Mhz]
+    ) -> None:
+        """:meth:`set_instance_allocation` for each pair, in one call.
+
+        Every pair is checked first: a failing call raises what the first
+        failing :meth:`set_instance_allocation` would, and changes
+        nothing.  The instances keep their order, so
+        :attr:`total_allocation` keeps its summation order.
+        """
+        instances = self._instances
+        if not (
+            all(map(instances.__contains__, node_ids))
+            and all(map(le, repeat(0.0), cpu_mhz))  # NaN fails too
+        ):
+            for node_id, cpu in zip(node_ids, cpu_mhz):
+                if node_id not in instances:
+                    raise LifecycleError(f"app {self.app_id}: no instance on {node_id}")
+                self._grant(node_id, cpu)
+        instances.update(zip(node_ids, map(float, cpu_mhz)))
 
     def _grant(self, node_id: str, cpu_mhz: Mhz) -> Mhz:
         if not cpu_mhz >= 0:  # also rejects NaN

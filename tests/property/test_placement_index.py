@@ -1,10 +1,12 @@
-"""Property tests for the indexed ``Placement``.
+"""Property tests for the columnar ``Placement``.
 
-The per-node entry tables and CPU/memory aggregates are maintained
-incrementally on ``add``/``remove``/``update_cpu``; these tests drive a
-``Placement`` through random operation sequences and assert that every
-indexed query matches a brute-force recompute over the entries.
+A placement keeps its VMs as rows of columns and computes the per-node
+queries from the live rows; these tests drive a ``Placement`` through
+random ``add``/``remove``/``update_cpu`` sequences and assert that every
+per-node query matches a brute-force recompute over the entries.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -85,7 +87,7 @@ def test_aggregates_match_brute_force(ops):
             assert removed == model.entries.pop(vm_id)
         elif op == "update_cpu" and vm_id in model.entries:
             placement.update_cpu(vm_id, cpu)
-            model.entries[vm_id] = model.entries[vm_id].with_cpu(cpu)
+            model.entries[vm_id] = dataclasses.replace(model.entries[vm_id], cpu_mhz=cpu)
 
     assert len(placement) == len(model.entries)
     assert sorted(e.vm_id for e in placement) == sorted(model.entries)
@@ -128,7 +130,7 @@ def test_validate_agrees_with_brute_force_check(ops):
             del model.entries[vm_id]
         elif op == "update_cpu" and vm_id in model.entries:
             placement.update_cpu(vm_id, cpu)
-            model.entries[vm_id] = model.entries[vm_id].with_cpu(cpu)
+            model.entries[vm_id] = dataclasses.replace(model.entries[vm_id], cpu_mhz=cpu)
 
     eps = 1e-6
     over = any(
@@ -136,8 +138,8 @@ def test_validate_agrees_with_brute_force_check(ops):
         or model.memory_used(n.node_id) > n.memory_mb * (1 + eps) + eps
         for n in cluster.active_nodes()
     )
-    # The incremental aggregates drift from the brute-force sums by float
-    # round-off only; stay clear of the exact tolerance boundary.
+    # Stay clear of the exact tolerance boundary, where a summation order
+    # other than the placement's would decide the outcome.
     near_boundary = any(
         abs(model.cpu_used(n.node_id) - n.cpu_capacity) < 1e-3
         or abs(model.memory_used(n.node_id) - n.memory_mb) < 1e-3

@@ -13,9 +13,13 @@ feasibility.
 node's entry order and the order of the rate and allocation maps.  They
 fix the order of float sums downstream -- the per-node CPU totals that
 ``ResilientController._last_known_good`` scales on a brownout, and the
-satisfied demand the runner records.
+satisfied demand the runner records.  A placement's per-node CPU and
+memory totals are fresh left-to-right sums over the node's entries in
+row order, so each must equal that sum over the reference's entries.
 """
 
+import functools
+import operator
 import sys
 from pathlib import Path
 
@@ -102,18 +106,35 @@ def _random_instance(rng: np.random.Generator):
     return nodes, apps, jobs, lr_target, config
 
 
+def _left_sum(values):
+    return functools.reduce(operator.add, values, 0.0)
+
+
+def _node_sums(placement, entries_from=None):
+    """Per node: ``(cpu_used, memory_used)`` of ``placement``, or with
+    ``entries_from``, that placement's entries on the node summed left
+    to right."""
+    source = placement if entries_from is None else entries_from
+    sums = {}
+    for node_id in sorted({e.node_id for e in source}):
+        if entries_from is None:
+            sums[node_id] = (placement.cpu_used(node_id), placement.memory_used(node_id))
+        else:
+            entries = entries_from.entries_on(node_id)
+            sums[node_id] = (
+                _left_sum(e.cpu_mhz for e in entries),
+                _left_sum(e.memory_mb for e in entries),
+            )
+    return {node: (cpu.hex(), mem.hex()) for node, (cpu, mem) in sums.items()}
+
+
 def _solution_tuple(solution):
     placement = solution.placement
     entries = [
         (e.vm_id, e.node_id, e.cpu_mhz, e.memory_mb, e.kind) for e in placement
     ]
     by_node = [
-        (
-            node_id,
-            [e.vm_id for e in placement.entries_on(node_id)],
-            placement.cpu_used(node_id),
-            placement.memory_used(node_id),
-        )
+        (node_id, [e.vm_id for e in placement.entries_on(node_id)])
         for node_id in sorted({e.node_id for e in placement})
     ]
     return (
@@ -132,16 +153,29 @@ def _solution_tuple(solution):
 
 
 def _solve_or_error(solver, nodes, apps, jobs, lr_target):
-    """Solution tuple, or the exception both solvers must agree on.
+    """The solution, or the exception both solvers must agree on.
 
     The seed solver has float-dust edges (e.g. a -1e-13 residual turned
     web grant) that raise; equivalence then means raising the *same*
     error, not avoiding it.
     """
     try:
-        return _solution_tuple(solver.solve(nodes, apps, jobs, lr_target=lr_target))
+        return solver.solve(nodes, apps, jobs, lr_target=lr_target)
     except Exception as exc:  # noqa: BLE001 - compared verbatim below
         return (type(exc).__name__, str(exc))
+
+
+def _assert_equivalent(new, ref):
+    """``new`` equals the reference solution ``ref`` bit for bit, and its
+    per-node totals equal left-to-right sums of ``ref``'s entries."""
+    if isinstance(ref, tuple) or isinstance(new, tuple):
+        assert new == ref
+        return
+    # Placements compare bit-for-bit: grants are floats, == is exact.
+    assert _solution_tuple(new) == _solution_tuple(ref)
+    assert _node_sums(new.placement) == _node_sums(
+        new.placement, entries_from=ref.placement
+    )
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -153,9 +187,7 @@ def test_randomized_equivalence_with_seed_solver(seed):
     ref = _solve_or_error(
         reference_solver.PlacementSolver(config), nodes, apps, jobs, lr_target
     )
-
-    # Placements compare bit-for-bit: grants are floats, == is exact.
-    assert new == ref
+    _assert_equivalent(new, ref)
 
 
 def _scale_instance(rng: np.random.Generator):
@@ -223,7 +255,7 @@ def test_scale_shaped_equivalence():
     ref = reference_solver.PlacementSolver(config).solve(
         nodes, apps, jobs, lr_target=lr_target
     )
-    assert _solution_tuple(new) == _solution_tuple(ref)
+    _assert_equivalent(new, ref)
     # The instance exercises every phase that changes the placement.
     assert len(new.job_rates) > 500 and len(new.unplaced_jobs) > 500
     assert new.evicted_jobs and new.started_instances and new.stopped_instances
@@ -255,7 +287,7 @@ def test_eviction_heavy_equivalence():
         nodes, [], jobs, lr_target=None
     )
     assert new.evicted_jobs == ref.evicted_jobs
-    assert _solution_tuple(new) == _solution_tuple(ref)
+    _assert_equivalent(new, ref)
     assert new.evicted_jobs  # the scenario actually evicts
 
 

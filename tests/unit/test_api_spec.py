@@ -7,8 +7,10 @@ node classes, plus validation errors that name the offending field.
 """
 
 import copy
+import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -172,12 +174,26 @@ class TestFailuresAndProfiles:
 
 
 class TestNonFiniteValues:
-    """NaN or inf in a job parameter or the horizon fails before the run.
+    """NaN or inf in any float field fails in ``from_dict``, naming the field.
 
     Each of these once ran silently on ``smoke``: NaN utilities with no
-    degraded cycle, 20 jobs counted as submitted while only the two
-    submitted at t=0 ran, a run of zero cycles, or a run without end.
+    degraded cycle, every cycle degraded, jobs that never ran, a run that
+    stopped after one cycle and reported success, a run of zero cycles,
+    or a run without end.
     """
+
+    @staticmethod
+    def _rejected(path, value):
+        data = scenario_spec("smoke").to_dict()
+        *parents, key = path.split(".")
+        table = data
+        for parent in parents:
+            name, _, index = parent.partition("[")
+            table = table[name] if not index else table[name][int(index[:-1])]
+        table[key] = value
+        dotted = re.escape(f"scenario.{path}")
+        with pytest.raises(SpecValidationError, match=rf"^{dotted}: must be finite"):
+            ScenarioSpec.from_dict(data)
 
     @pytest.mark.parametrize(
         "path, value, field",
@@ -192,15 +208,55 @@ class TestNonFiniteValues:
         ],
     )
     def test_job_parameter_rejected(self, path, value, field):
-        data = scenario_spec("smoke").to_dict()
+        # from_dict stops each at the spec's own field.  Set on the spec
+        # object past the codec, JobSpec still refuses it at materialize(),
+        # naming its own ``field``.
+        self._rejected(f"jobs.{path}", value)
+        spec = scenario_spec("smoke")
         *parents, key = path.split(".")
-        table = data["jobs"]
+        owners = [spec.jobs]
         for parent in parents:
-            table = table[parent]
-        table[key] = value
-        spec = ScenarioSpec.from_dict(data)
+            owners.append(getattr(owners[-1], parent))
+        changed = dataclasses.replace(owners.pop(), **{key: value})
+        for parent, owner in zip(reversed(parents), reversed(owners)):
+            changed = dataclasses.replace(owner, **{parent: changed})
+        spec = dataclasses.replace(spec, jobs=changed)
         with pytest.raises(ConfigurationError, match=rf"job job\d+: {field} must be finite"):
             spec.materialize()
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("topology.mhz_per_processor", math.nan),
+            ("topology.mhz_per_processor", math.inf),
+            ("topology.memory_mb", math.nan),
+            ("apps[0].instance_memory_mb", math.nan),
+            ("controller.control_cycle", math.nan),
+            ("controller.control_cycle", math.inf),
+            ("controller.solver.min_job_rate", math.nan),
+            ("controller.solver.min_job_rate", math.inf),
+            ("noise.service_cycles_rel_std", math.nan),
+            ("noise.service_cycles_rel_std", math.inf),
+            ("apps[0].rt_goal", math.nan),
+            ("apps[0].rt_goal", math.inf),
+            ("apps[0].mean_service_cycles", math.nan),
+            ("apps[0].request_cap_mhz", math.nan),
+            ("noise.response_time_rel_std", math.nan),
+            ("noise.response_time_rel_std", math.inf),
+            ("costs.start_delay", math.nan),
+            ("controller.solver.eviction_margin", math.nan),
+            ("controller.solver.protect_completion", math.nan),
+            ("controller.solver.change_penalty_mhz", math.nan),
+            ("costs.suspend_checkpoint_loss", math.nan),
+            ("costs.resume_delay", math.nan),
+            ("costs.migrate_pause", math.nan),
+            ("jobs.rate_drop_time", math.nan),
+            ("apps[0].think_time", math.nan),
+            ("apps[0].profile.value", math.nan),
+        ],
+    )
+    def test_float_field_rejected(self, path, value):
+        self._rejected(path, value)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_horizon_rejected(self, value):
@@ -208,6 +264,13 @@ class TestNonFiniteValues:
         data["horizon"] = value
         with pytest.raises(SpecValidationError, match="horizon: must be finite"):
             ScenarioSpec.from_dict(data)
+
+    def test_override_rejected(self):
+        spec = scenario_spec("smoke")
+        with pytest.raises(
+            SpecValidationError, match=r"controller\.control_cycle: must be finite"
+        ):
+            spec.with_overrides({"controller.control_cycle": math.nan})
 
 
 class TestValidationErrors:

@@ -1,6 +1,12 @@
 """Unit tests for the cluster container and health tracking."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Cluster, NodeSpec, homogeneous_cluster
 from repro.errors import ConfigurationError, UnknownEntityError
@@ -70,3 +76,84 @@ class TestHealth:
         cluster = homogeneous_cluster(2)
         cluster.restore_node(cluster.node_ids[0])  # never failed
         assert cluster.is_active(cluster.node_ids[0])
+
+
+class TestCachedLiveView:
+    """The live view kept across health changes equals one rebuilt from scratch."""
+
+    NODES = [
+        NodeSpec(f"n{i}", processors, mhz, memory)
+        for i, (processors, mhz, memory) in enumerate(
+            [(4, 3000.0, 4000.0), (2, 2400.0, 8000.0), (8, 1800.0, 16000.0),
+             (4, 3300.0, 4000.0), (1, 2000.0, 2000.0)]
+        )
+    ]
+
+    @staticmethod
+    def _from_scratch(failed, brownout):
+        nominal = [n for n in TestCachedLiveView.NODES if n.node_id not in failed]
+        live = [
+            dataclasses.replace(
+                n, mhz_per_processor=n.mhz_per_processor * brownout[n.node_id]
+            )
+            if n.node_id in brownout
+            else n
+            for n in nominal
+        ]
+        total_cpu = sum(n.cpu_capacity for n in live)
+        nominal_cpu = sum(n.cpu_capacity for n in nominal)
+        fraction = 0.0 if nominal_cpu <= 0 else 1.0 - total_cpu / nominal_cpu
+        return live, total_cpu, sum(n.memory_mb for n in live), fraction
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["fail", "restore", "brownout", "clear"]),
+                st.integers(0, 4),
+                st.floats(0.05, 1.0),
+            ),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_recomputation(self, steps):
+        cluster = Cluster(self.NODES)
+        failed: set[str] = set()
+        brownout: dict[str, float] = {}
+        for op, index, fraction in steps:
+            node_id = self.NODES[index].node_id
+            if op == "fail":
+                cluster.fail_node(node_id)
+                failed.add(node_id)
+            elif op == "restore":
+                cluster.restore_node(node_id)
+                failed.discard(node_id)
+            elif op == "brownout":
+                cluster.set_brownout(node_id, fraction)
+                if fraction == 1.0:
+                    brownout.pop(node_id, None)
+                else:
+                    brownout[node_id] = fraction
+            else:
+                cluster.clear_brownout(node_id)
+                brownout.pop(node_id, None)
+            live, total_cpu, total_memory, shed = self._from_scratch(failed, brownout)
+            assert cluster.active_nodes() == live
+            assert dict(cluster.active_node_map) == {n.node_id: n for n in live}
+            assert cluster.total_cpu_capacity == total_cpu
+            assert cluster.total_memory == total_memory
+            assert cluster.brownout_capacity_fraction == shed
+
+    def test_active_nodes_is_a_new_list(self):
+        cluster = Cluster(self.NODES)
+        cluster.active_nodes().clear()
+        assert len(cluster.active_nodes()) == len(self.NODES)
+
+    def test_copies_keep_the_live_view(self):
+        cluster = Cluster(self.NODES)
+        cluster.fail_node("n1")
+        cluster.set_brownout("n2", 0.5)
+        for clone in (pickle.loads(pickle.dumps(cluster)), copy.deepcopy(cluster)):
+            assert clone.active_nodes() == cluster.active_nodes()
+            assert dict(clone.active_node_map) == dict(cluster.active_node_map)
+            assert clone.brownout_capacity_fraction == cluster.brownout_capacity_fraction

@@ -1,6 +1,7 @@
 """Unit tests for placement matrices and feasibility validation."""
 
 import math
+import pickle
 
 import pytest
 
@@ -115,11 +116,14 @@ class TestValidation:
         (100.0, math.nan, "memory"),
     ])
     def test_nan_aggregate_detected(self, cpu, mem, what):
-        # ``place`` takes the grant unchecked for NaN; the feasibility
-        # predicate must still refuse the node it lands on.
+        # Every checked insert path rejects a NaN (TestNanRejected); an
+        # entry built unchecked can still carry one, and the feasibility
+        # predicate must refuse the node it lands on.
         cluster = homogeneous_cluster(1)
         p = Placement()
-        p.place("a", "node000", cpu, mem, WorkloadKind.LONG_RUNNING)
+        p.add(
+            PlacementEntry.trusted("a", "node000", cpu, mem, WorkloadKind.LONG_RUNNING)
+        )
         with pytest.raises(PlacementError, match=what):
             p.validate(cluster)
 
@@ -135,3 +139,76 @@ class TestValidation:
         p = Placement([entry("a", "node000")])
         with pytest.raises(PlacementError, match="failed node"):
             p.validate(cluster)
+
+
+@pytest.mark.parametrize("cpu, mem, message", [
+    (math.nan, 1200.0, "negative CPU grant"),
+    (100.0, math.nan, "non-positive memory footprint"),
+])
+class TestNanRejected:
+    """A NaN grant or footprint fails on every checked insert path."""
+
+    def test_entry_constructor(self, cpu, mem, message):
+        with pytest.raises(PlacementError, match=message):
+            PlacementEntry("a", "node000", cpu, mem, WorkloadKind.LONG_RUNNING)
+
+    def test_place(self, cpu, mem, message):
+        p = Placement()
+        with pytest.raises(PlacementError, match=message):
+            p.place("a", "node000", cpu, mem, WorkloadKind.LONG_RUNNING)
+        assert len(p) == 0
+
+    def test_place_many(self, cpu, mem, message):
+        p = Placement()
+        with pytest.raises(PlacementError, match=f"vm b: {message}"):
+            p.place_many(
+                ["a", "b"], ["node000", "node000"], [100.0, cpu], [1200.0, mem],
+                WorkloadKind.LONG_RUNNING,
+            )
+        assert len(p) == 0
+
+
+class TestRows:
+    """One row per VM in insertion order; removals leave holes."""
+
+    def test_a_replaced_vm_moves_to_the_end(self):
+        p = Placement([entry("a", "node000"), entry("b", "node001"), entry("c", "node000")])
+        p.remove("a")
+        p.place("a", "node001", 5.0, 100.0, WorkloadKind.LONG_RUNNING)
+        assert [e.vm_id for e in p] == ["b", "c", "a"]
+        assert [e.vm_id for e in p.entries_on("node001")] == ["b", "a"]
+        assert p.cpu_used("node001") == 1000.0 + 5.0
+
+    def test_iteration_and_order_survive_compaction(self):
+        ids = [f"v{i:03d}" for i in range(300)]
+        p = Placement()
+        p.place_many(ids, ["node000"] * 300, [1.0] * 300, [10.0] * 300,
+                     WorkloadKind.LONG_RUNNING)
+        seen = []
+        for e in p:  # removing while iterating renumbers the rows
+            seen.append(e.vm_id)
+            if e.vm_id < "v250":
+                p.remove(e.vm_id)
+        assert seen == ids
+        assert [e.vm_id for e in p] == ids[250:]
+        assert p.memory_used("node000") == 500.0
+
+    def test_copies_keep_rows_and_sums(self):
+        p = Placement([entry("a", "node000"), entry("b", "node001"), entry("c", "node000")])
+        p.remove("a")
+        assert p.cpu_used("node000") == 1000.0  # computes the sums
+        for clone in (p.copy(), pickle.loads(pickle.dumps(p))):
+            clone.update_cpu("c", 5.0)
+            assert [e.vm_id for e in clone] == ["b", "c"]
+            assert clone.cpu_used("node000") == 5.0
+        assert p.cpu_used("node000") == 1000.0  # the original is untouched
+
+    def test_place_many_rejects_duplicates_like_place(self):
+        p = Placement([entry("a", "node000")])
+        with pytest.raises(PlacementError, match="vm a already placed"):
+            p.place_many(["b", "a"], ["node000"] * 2, [1.0, 1.0], [10.0, 10.0],
+                         WorkloadKind.LONG_RUNNING)
+        with pytest.raises(PlacementError, match="vm c already placed"):
+            p.place_many(["c", "c"], ["node000"] * 2, [1.0, 1.0], [10.0, 10.0],
+                         WorkloadKind.LONG_RUNNING)
+        assert [e.vm_id for e in p] == ["a"]

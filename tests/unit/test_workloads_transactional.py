@@ -123,6 +123,27 @@ class TestInstances:
             app.set_instance_allocation("n0", math.nan)
         assert app.total_allocation == 100.0
 
+    def test_set_instance_allocations_in_one_call(self):
+        app = TransactionalApp(make_spec(), ConstantProfile(1.0))
+        for node_id in ("n2", "n0", "n1"):
+            app.start_instance(0.0, node_id, 100.0)
+        app.set_instance_allocations(["n1", "n2"], [300.0, 200])
+        assert app._instances == {"n2": 200.0, "n0": 100.0, "n1": 300.0}
+        assert list(app._instances) == ["n2", "n0", "n1"]  # order kept
+
+    @pytest.mark.parametrize("nodes, grants, message", [
+        (["n0", "ghost"], [1.0, 1.0], "no instance on ghost"),
+        (["n0", "n1"], [1.0, math.nan], "must be non-negative, got nan"),
+        (["n0", "n1"], [-1.0, 1.0], "must be non-negative, got -1.0"),
+    ])
+    def test_set_instance_allocations_checks_every_pair_first(self, nodes, grants, message):
+        app = TransactionalApp(make_spec(), ConstantProfile(1.0))
+        app.start_instance(0.0, "n0", 100.0)
+        app.start_instance(0.0, "n1", 100.0)
+        with pytest.raises(LifecycleError, match=message):
+            app.set_instance_allocations(nodes, grants)
+        assert app.total_allocation == 200.0
+
 
 class TestWorkloadIntensity:
     def test_arrival_rate_delegates_to_profile(self):
