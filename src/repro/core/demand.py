@@ -15,6 +15,11 @@ utility" (paper Figure 2).
   aggregate's utility.
 * :class:`LongRunningCurve` -- the job population through hypothetical
   utility equalization.
+
+Each curve also answers the inverse question approximately --
+:meth:`UtilityCurve.inverse`, the allocation at which it reaches a
+utility, the demand view of paper Figure 2 -- which only steers the
+arbiter's split prediction and never reaches a result.
 """
 
 from __future__ import annotations
@@ -45,6 +50,10 @@ LongRunningMetric = Literal["mean", "level"]
 #: always runs float-exact.
 _CURVE_EVAL_ITERS = 30
 
+#: Utility step of the backward difference that gives a transactional
+#: curve's inverse slope (:meth:`TransactionalCurve.inverse`).
+_SLOPE_STEP = 1e-6
+
 
 class UtilityCurve(Protocol):
     """Monotone utility-versus-allocation curve of one workload."""
@@ -63,6 +72,18 @@ class UtilityCurve(Protocol):
         """Predicted utility at the given aggregate allocation."""
         ...
 
+    def inverse(self, target: float) -> tuple[Mhz, float] | None:
+        """``(allocation, slope)``: approximately the least allocation at
+        which :meth:`utility` reaches ``target``, and its derivative in
+        ``target``.
+
+        The arbiter's split prediction steers by it; none of it reaches
+        a result.  ``(inf, 0.0)`` above the largest utility the curve
+        reaches; ``None`` when the curve cannot invert, or when its
+        computed :meth:`utility` is not known to be monotone.
+        """
+        ...
+
 
 class TransactionalCurve:
     """Utility curve of a single web application."""
@@ -76,6 +97,8 @@ class TransactionalCurve:
         self._model = model
         self._utility = utility_fn
         self._demand = model.max_utility_demand(rt_tolerance)
+        self._invertible = utility_fn.invertible and model.float_monotone
+        self._plateau: float | None = None
 
     @property
     def kind(self) -> WorkloadKind:
@@ -104,6 +127,27 @@ class TransactionalCurve:
     def max_utility(self) -> float:
         """The plateau utility value."""
         return self._utility.max_utility(self._model)
+
+    @property
+    def plateau(self) -> float:
+        """The largest utility the curve reaches: its utility at its
+        max-utility demand, a little below :meth:`max_utility`."""
+        if self._plateau is None:
+            self._plateau = self.utility(self._demand)
+        return self._plateau
+
+    def inverse(self, target: float) -> tuple[Mhz, float] | None:
+        """See :meth:`UtilityCurve.inverse`.  ``None`` unless the shape is
+        linear and the model's response time is monotone in floating
+        point; the slope is a backward difference of
+        :meth:`allocation_for_utility`."""
+        if not self._invertible:
+            return None
+        if not target <= self.plateau:  # also rejects NaN
+            return math.inf, 0.0
+        allocation = self.allocation_for_utility(target)
+        below = self.allocation_for_utility(target - _SLOPE_STEP)
+        return allocation, (allocation - below) / _SLOPE_STEP
 
 
 class TransactionalAggregateCurve:
@@ -144,12 +188,7 @@ class TransactionalAggregateCurve:
         if allocation >= self._demand:
             return [c.max_utility_demand for c in self._curves]
 
-        def consumed(level: float) -> float:
-            return sum(
-                min(c.allocation_for_utility(min(level, c.max_utility())), c.max_utility_demand)
-                for c in self._curves
-            )
-
+        consumed = self._consumed
         hi = max(c.max_utility() for c in self._curves)
         lo = hi - 1.0
         for _ in range(60):  # expand until feasible
@@ -172,6 +211,47 @@ class TransactionalAggregateCurve:
         return min(
             c.utility(share) for c, share in zip(self._curves, shares)
         ) if len(self._curves) > 1 else self._curves[0].utility(shares[0])
+
+    def _consumed(self, level: float) -> Mhz:
+        """The aggregate allocation that holds every app at utility
+        ``level``, each capped at its max-utility demand (the level
+        bisection of :meth:`split` runs on it)."""
+        return sum(
+            min(c.allocation_for_utility(min(level, c.max_utility())), c.max_utility_demand)
+            for c in self._curves
+        )
+
+    @property
+    def plateau(self) -> float:
+        """The largest utility the aggregate reaches: its utility at its
+        demand, the least of the apps' :attr:`TransactionalCurve.plateau`.
+
+        An app held at its max-utility demand sits below its nominal
+        :meth:`TransactionalCurve.max_utility`, and the aggregate's
+        utility is the least app utility, so the aggregate stays at this
+        value over a whole range of allocations below its demand.
+        """
+        return min(c.plateau for c in self._curves)
+
+    def allocation_for_utility(self, target: float) -> Mhz:
+        """The least aggregate allocation whose :meth:`utility` reaches
+        ``target``: inf above :attr:`plateau`, which no allocation
+        exceeds."""
+        if not target <= self.plateau:  # also rejects NaN
+            return math.inf
+        return self._consumed(target)
+
+    def inverse(self, target: float) -> tuple[Mhz, float] | None:
+        """See :meth:`UtilityCurve.inverse`: :meth:`allocation_for_utility`,
+        with the apps' slopes summed; ``None`` when an app cannot invert."""
+        slope = 0.0
+        for curve in self._curves:
+            app = curve.inverse(target)
+            if app is None:
+                return None
+            slope += app[1]
+        allocation = self.allocation_for_utility(target)
+        return allocation, (slope if allocation < math.inf else 0.0)
 
 
 class LongRunningCurve:
@@ -237,6 +317,12 @@ class LongRunningCurve:
             return 1.0
         return self.utility(self._demand + 1.0)
 
+    def inverse(self, target: float) -> tuple[Mhz, float] | None:
+        """See :meth:`UtilityCurve.inverse`: one predictor pass of the
+        equalizer (:meth:`HypotheticalEqualizer.predicted_allocation`),
+        counted in its stats."""
+        return self._equalizer.predicted_allocation(target, self._metric)
+
 
 def effective_capacity(total_capacity: Mhz, efficiency: float = 1.0) -> Mhz:
     """Capacity the arbiter may hand out.
@@ -248,6 +334,8 @@ def effective_capacity(total_capacity: Mhz, efficiency: float = 1.0) -> Mhz:
     """
     if not 0 < efficiency <= 1:
         raise ConfigurationError("efficiency must be in (0, 1]")
-    if total_capacity < 0 or math.isinf(total_capacity):
-        raise ConfigurationError("total_capacity must be finite and non-negative")
+    if not 0 <= total_capacity < math.inf:  # also rejects NaN
+        raise ConfigurationError(
+            f"total_capacity must be finite and non-negative, got {total_capacity}"
+        )
     return total_capacity * efficiency

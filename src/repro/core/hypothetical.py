@@ -31,6 +31,7 @@ The routine also powers two controller decisions:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,17 +97,70 @@ def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
     return float(np.dot(values, weights) / total_weight)
 
 
+class _MeanKnots:
+    """The importance-weighted mean of ``min(u, u_max_j)`` as a function
+    of the level ``u``: piecewise linear, with a knot at each job ceiling,
+    and inverted by :meth:`level_for`.
+
+    Built once per equalizer, on the first ``"mean"`` call of
+    :meth:`HypotheticalEqualizer.predicted_allocation`; the knots are
+    Python lists, so one inversion is a ``bisect`` and a few flops.
+    """
+
+    __slots__ = (
+        "monotone", "plateau", "_ceilings", "_values", "_below_w", "_below_wu", "_total",
+    )
+
+    def __init__(self, u_max: np.ndarray, weights: np.ndarray) -> None:
+        # Only non-negative weights make the mean non-decreasing in u.
+        self.monotone = bool((weights >= 0).all())
+        # The surplus metric, computed as metric_at computes it.
+        self.plateau = _weighted_mean(u_max, weights)
+        if not self.monotone:
+            return
+        if not float(weights.sum()) > 0:
+            weights = np.ones_like(u_max)  # _weighted_mean's unweighted mean
+        order = np.argsort(u_max, kind="stable")
+        ceilings = u_max[order]
+        w = weights[order]
+        total = float(w.sum())
+        # Knot k: jobs before it sit at their ceilings, the rest at u.
+        below_w = np.concatenate(([0.0], np.cumsum(w)[:-1]))
+        below_wu = np.concatenate(([0.0], np.cumsum(w * ceilings)[:-1]))
+        values = (below_wu + ceilings * (total - below_w)) / total
+        self._ceilings = ceilings.tolist()
+        self._values = values.tolist()
+        self._below_w = below_w.tolist()
+        self._below_wu = below_wu.tolist()
+        self._total = total
+
+    def level_for(self, target: float) -> tuple[float, float]:
+        """``(u, du/dtarget)`` with mean ``target`` at ``u``, for a
+        ``target`` no higher than :attr:`plateau`."""
+        k = bisect_left(self._values, target)
+        if k == len(self._values):  # above the last knot by rounding only
+            k -= 1
+        rest = self._total - self._below_w[k]
+        if not rest > 0:
+            return self._ceilings[k], 0.0
+        level = min((target * self._total - self._below_wu[k]) / rest, self._ceilings[k])
+        if k > 0:
+            level = max(level, self._ceilings[k - 1])
+        return level, self._total / rest
+
+
 class EqualizerStats:
     """Consumed-curve evaluation accounting for one equalizer.
 
     The control plane's telemetry
     (:class:`~repro.core.controller.CycleTelemetry`) reports these per
     control cycle: how many vectorized passes over the population
-    actually ran (exact consumed-curve evaluations and the
-    level predictor's Newton steps alike), how many evaluations the
-    shared memo served, and how often a predicted level verified
-    (the bisection resumed mid-tree) versus fell back to the cold
-    bracket.
+    actually ran (exact consumed-curve evaluations, the level
+    predictor's Newton steps and the arbiter's split prediction
+    (:meth:`HypotheticalEqualizer.predicted_allocation`) alike), how
+    many evaluations the shared memo served, and how often a predicted
+    level verified (the bisection resumed mid-tree) versus fell back to
+    the cold bracket.
     """
 
     __slots__ = ("evals", "cache_hits", "seed_hits", "seed_misses")
@@ -203,6 +257,7 @@ class HypotheticalEqualizer:
         "_no_work", "_has_no_work", "_slack", "_rates_buf", "_nonpos",
         "_u_lo0", "_u_hi0", "_u_min", "_u_safe", "_memo",
         "_slack0", "_slack_floor", "_work_cap", "_start_level", "_tangent",
+        "_knots",
     )
 
     def __init__(self, population: JobPopulation) -> None:
@@ -211,6 +266,7 @@ class HypotheticalEqualizer:
         self._memo: dict[float, float] = {}
         self._start_level: float | None = None
         self._tangent: tuple[float, float, float] | None = None
+        self._knots: _MeanKnots | None = None
         n = self._n = len(population)
         if n == 0:
             return
@@ -282,6 +338,44 @@ class HypotheticalEqualizer:
         if self._n == 0:
             return 0.0
         return self._consumed(u)
+
+    def predicted_allocation(
+        self, target: float, metric: str
+    ) -> tuple[Mhz, float] | None:
+        """Approximate inverse of :meth:`metric_at`: the allocation at which
+        the ``"mean"`` or ``"level"`` scalar reaches ``target``, and its
+        derivative in ``target``.
+
+        One predictor pass (:meth:`_curve_and_slope`, counted in
+        :attr:`stats`) at the level whose metric is ``target``, so the
+        result only steers a prediction -- the arbiter's
+        (:class:`~repro.core.arbiter.BisectionArbiter`) -- and never
+        reaches a result.  ``(0.0, 0.0)`` at or below the metric of the
+        search floor (every allocation reaches it), ``(inf, 0.0)`` above
+        the surplus metric (no allocation does), and ``None`` for a
+        ``"mean"`` over a negative or NaN importance, which is not
+        monotone in the level.
+        """
+        if self._n == 0:
+            return (0.0, 0.0) if target <= 1.0 else (math.inf, 0.0)
+        if metric == "level":
+            if not target <= self._u_hi0:  # also rejects NaN
+                return math.inf, 0.0
+            level, level_slope = target, 1.0
+        else:
+            knots = self._knots
+            if knots is None:
+                knots = self._knots = _MeanKnots(self._u_max, self._weights)
+            if not knots.monotone:
+                return None
+            if not target <= knots.plateau:  # also rejects NaN
+                return math.inf, 0.0
+            level, level_slope = knots.level_for(target)
+        if level <= self._u_lo0:
+            return 0.0, 0.0
+        self.stats.evals += 1
+        value, slope = self._curve_and_slope(level)
+        return value, slope * level_slope
 
     def seed_level(self, level: float) -> None:
         """Offer a starting point for the level predictor.

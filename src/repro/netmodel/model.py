@@ -59,6 +59,11 @@ class NetworkAwareModel:
     def min_response_time(self) -> Seconds:
         return self.inner.min_response_time + self.network_delay
 
+    @property
+    def float_monotone(self) -> bool:
+        # Adding a constant delay keeps a monotone response time monotone.
+        return self.inner.float_monotone
+
     def response_time(self, allocation: Mhz) -> Seconds:
         return self.inner.response_time(allocation) + self.network_delay
 

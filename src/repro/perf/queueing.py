@@ -109,6 +109,15 @@ class TransactionalPerfModel(Protocol):
         """Response-time floor (single request at the speed cap)."""
         ...
 
+    @property
+    def float_monotone(self) -> bool:
+        """Whether :meth:`response_time` is non-increasing in the
+        allocation *as computed* in floating point, not only in exact
+        arithmetic, and :meth:`allocation_for_rt` is closed-form -- what
+        lets the arbiter skip probes whose outcome an earlier probe
+        implies (:class:`~repro.core.arbiter.BisectionArbiter`)."""
+        ...
+
 
 @dataclass(frozen=True)
 class OpenTransactionalModel:
@@ -139,6 +148,12 @@ class OpenTransactionalModel:
     @property
     def min_response_time(self) -> Seconds:
         return self.mean_service_cycles / self.request_cap_mhz
+
+    @property
+    def float_monotone(self) -> bool:
+        # Erlang C is monotone in exact arithmetic; its rounded value,
+        # through the incomplete gamma function, is not provably so.
+        return False
 
     @property
     def offered_load_mhz(self) -> Mhz:
@@ -235,6 +250,12 @@ class ClosedTransactionalModel:
     @property
     def min_response_time(self) -> Seconds:
         return self.mean_service_cycles / self.request_cap_mhz
+
+    @property
+    def float_monotone(self) -> bool:
+        # One division by the allocation, a subtraction and a ``max``:
+        # each is monotone after rounding.
+        return True
 
     @property
     def saturation_demand(self) -> Mhz:

@@ -54,7 +54,7 @@ class TransactionalUtility:
         Requires the linear shape (the default), whose inverse is trivial;
         other shapes raise :class:`ConfigurationError`.
         """
-        if not isinstance(self.shape, LinearUtility):
+        if not self.invertible:
             raise ConfigurationError(
                 "allocation_for_utility requires the linear utility shape"
             )
@@ -64,6 +64,12 @@ class TransactionalUtility:
         # slack = utility  =>  RT = goal * (1 - utility)
         rt_target = self.rt_goal * (1.0 - max(utility, self.shape.floor))
         return model.allocation_for_rt(rt_target)
+
+    @property
+    def invertible(self) -> bool:
+        """Whether :meth:`allocation_for_utility` can invert the shape
+        (the linear shape only)."""
+        return isinstance(self.shape, LinearUtility)
 
     def max_utility(self, model: TransactionalPerfModel) -> float:
         """Utility plateau: the value at the response-time floor."""

@@ -13,6 +13,20 @@ from repro.perf.jobmodel import JobPopulation
 from repro.workloads import Job, JobPhase, JobSpec
 
 
+pytest_plugins = ["pytester"]
+
+
+class FallbackFailure(AssertionError):
+    """Strict mode's failure: a run recorded ``fallback:*`` counters.
+
+    An exception rather than ``pytest.fail``'s outcome, so that it
+    pickles: a run in a forked worker process (``run_sweep(...,
+    workers=N)``) inherits the patched ``ExperimentRunner.run``, and the
+    sweep reports this failure inside the ``SweepPointError`` that the
+    parent raises, naming the grid point and the counters.
+    """
+
+
 def _injects_faults(policy) -> bool:
     """Whether ``policy`` is, or wraps, a fault-injecting :class:`ChaosPolicy`."""
     while isinstance(policy, ResilientController):
@@ -28,7 +42,9 @@ def strict_fallbacks(request, monkeypatch):
     exception in ``decide()``, an infeasible decision or a solver failure
     into a quietly degraded but passing run.  A run whose policy injects
     faults (``chaos-utility``) is exempt, and so is a test marked
-    ``allow_fallback`` because it degrades on purpose.
+    ``allow_fallback`` because it degrades on purpose.  The failure is a
+    :class:`FallbackFailure`, which also fails a run in a sweep's worker
+    process.
     """
     if request.node.get_closest_marker("allow_fallback") is not None:
         return
@@ -43,7 +59,7 @@ def strict_fallbacks(request, monkeypatch):
                 if name.startswith("fallback:")
             }
             if fallbacks:
-                pytest.fail(f"the run fell back: {fallbacks}")
+                raise FallbackFailure(f"the run fell back: {fallbacks}")
         return result
 
     monkeypatch.setattr(ExperimentRunner, "run", strict_run)

@@ -14,8 +14,15 @@ control cycle at time ``t``, checks that:
   total_work`` for every job;
 * a job is RUNNING iff its VM is in the runner's placement, and its
   ``node_id`` is its placement entry's node (``None`` when not RUNNING);
-* each app's ``instance_nodes`` are the placement's ``tx:`` entries;
+* each app's ``instance_nodes`` are the placement's ``tx:`` entries, and
+  every placement entry is on an active node;
 * the placement fits the active, brownout-derated nodes.
+
+The same checks, all but the fit, also run right after each node
+failure: the next decision would otherwise rebuild the placement and
+heal a fault handler's bookkeeping before any check saw it.  The fit
+waits for the next cycle, because a brownout's overcommit legitimately
+lasts until then.
 """
 
 import dataclasses
@@ -67,8 +74,15 @@ class CheckedRunner(ExperimentRunner):
         ), f"t={t}: decide() got {len(self._handed)} jobs, not the live trace-order set"
         self._check_events(t)
         self._check_jobs(t)
-        self._check_placement(t)
+        self._check_instances(t)
+        self._check_fit(t)
         self.checked_cycles += 1
+
+    def _fail_node(self, t, node_id):
+        super()._fail_node(t, node_id)
+        self._check_events(t)
+        self._check_jobs(t)
+        self._check_instances(t)
 
     def _check_events(self, t):
         pending = {"complete": {}, "rate": {}}
@@ -107,9 +121,13 @@ class CheckedRunner(ExperimentRunner):
                 f"t={t}: {job.job_id} is on {job.node_id}, placed on {host}"
             )
 
-    def _check_placement(self, t):
+    def _check_instances(self, t):
+        active = {node.node_id for node in self._cluster.active_nodes()}
         hosted = defaultdict(list)
         for entry in self._placement:
+            assert entry.node_id in active, (
+                f"t={t}: {entry.vm_id} is placed on {entry.node_id}, which is not active"
+            )
             instance = parse_instance_vm_id(entry.vm_id)
             if instance is not None:
                 hosted[instance[0]].append(instance[1])
@@ -118,6 +136,8 @@ class CheckedRunner(ExperimentRunner):
                 f"t={t}: {app_id} instances disagree with the placement"
             )
         assert not hosted, f"t={t}: instances of unknown apps {sorted(hosted)}"
+
+    def _check_fit(self, t):
         nodes = {node.node_id: node for node in self._cluster.active_nodes()}
         violation = self._placement.violation(nodes)
         assert violation is None, f"t={t}: {violation}"

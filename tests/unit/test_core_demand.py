@@ -143,3 +143,7 @@ class TestEffectiveCapacity:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ConfigurationError):
             effective_capacity(-1.0)
+
+    def test_nan_capacity_rejected(self):
+        with pytest.raises(ConfigurationError, match="non-negative, got nan"):
+            effective_capacity(math.nan)
