@@ -54,8 +54,10 @@ mathematical one:
   subtraction and a ``max``), a network delay (a constant added) and the
   linear utility shape (a difference, a division by the goal and a clip)
   are each monotone after rounding, so ``U_tx`` is non-decreasing; an
-  aggregate's shares come from a level bisection over the apps' monotone
-  inverses, and its utility is the least app utility;
+  aggregate's shares come from a level bisection over the apps' inverses,
+  monotone unless an app's ``rt_tolerance`` lies below the default 5%
+  (its inverse then drops at its ceiling), and its utility is the least
+  app utility;
 * ``capacity − a`` is non-increasing in ``a``;
 * the long-running curve's depth-30 level is the unique node of one
   fixed dyadic tree with ``consumed(lo) <= c < consumed(hi)`` on a
@@ -65,10 +67,13 @@ mathematical one:
   each job's ceiling followed by a dot product with non-negative weights.
 
 Where that is not established a curve's ``inverse`` returns ``None`` --
-a non-linear utility shape, the open model's Erlang-C response time, a
-``"mean"`` over a negative importance -- and the split runs the same
-replay with nothing settled in advance, which is the plain bisection:
-its own probes never settle a later midpoint.  Each probe stays cheap
+a non-linear utility shape, the open model's Erlang-C response time, an
+aggregate over an app with an ``rt_tolerance`` below 5%, a ``"mean"``
+over a negative importance -- and the split runs the same replay with
+nothing settled in advance, which is the plain bisection: its own probes
+never settle a later midpoint, so this needs no monotonicity.  The
+transactional inverse is asked first, so a split whose transactional
+curve declines pays no predictor pass.  Each probe stays cheap
 underneath: :class:`~repro.core.demand.LongRunningCurve`'s equalizer
 predicts the level from its previous probe's tangent and resumes the
 bisection at the prediction's node once that node verifies (see
@@ -329,8 +334,10 @@ def _predicted_band(
     top = v = v_hi
     for _ in range(_PREDICT_STEPS):
         tx = tx_curve.inverse(v)
+        if tx is None:  # before the long-running inverse's predictor pass
+            return None
         lr = lr_curve.inverse(v)
-        if tx is None or lr is None:
+        if lr is None:
             return None
         (a_tx, s_tx), (a_lr, s_lr) = tx, lr
         excess = a_tx + a_lr - capacity

@@ -165,6 +165,7 @@ class TransactionalAggregateCurve:
             raise ConfigurationError("aggregate needs at least one app curve")
         self._curves = list(curves)
         self._demand = sum(c.max_utility_demand for c in self._curves)
+        self._consumed_monotone: bool | None = None
 
     @property
     def kind(self) -> WorkloadKind:
@@ -243,13 +244,29 @@ class TransactionalAggregateCurve:
 
     def inverse(self, target: float) -> tuple[Mhz, float] | None:
         """See :meth:`UtilityCurve.inverse`: :meth:`allocation_for_utility`,
-        with the apps' slopes summed; ``None`` when an app cannot invert."""
+        with the apps' slopes summed; ``None`` when an app cannot invert,
+        or when :meth:`_consumed` is not monotone.
+
+        It is not when an app's demand exceeds its
+        :meth:`~TransactionalCurve.allocation_for_utility` at its ceiling:
+        that returns the model's demand at the default 5% response-time
+        tolerance, so an ``rt_tolerance`` below it makes the app's share
+        drop where the level reaches the ceiling, and the aggregate's
+        :meth:`utility` falls with it.
+        """
         slope = 0.0
         for curve in self._curves:
             app = curve.inverse(target)
             if app is None:
                 return None
             slope += app[1]
+        if self._consumed_monotone is None:
+            self._consumed_monotone = all(
+                c.allocation_for_utility(c.max_utility()) >= c.max_utility_demand
+                for c in self._curves
+            )
+        if not self._consumed_monotone:
+            return None
         allocation = self.allocation_for_utility(target)
         return allocation, (slope if allocation < math.inf else 0.0)
 

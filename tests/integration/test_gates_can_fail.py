@@ -6,7 +6,8 @@ that the gate fails on it, and how:
 * the solver equivalence suite (``tests/property/test_solver_equivalence.py``)
   sees a grant moved by one ulp in either retention pass;
 * the arbiter differential (``tests/property/test_arbiter_differential.py``)
-  sees a replay that skips one midpoint no probe settled;
+  sees a replay that skips one midpoint no probe settled, and a
+  prediction trusted over an aggregate whose utility is not monotone;
 * :class:`CheckedRunner` (``test_cycle_invariants.py``) names the
   invariant a planted bookkeeping bug breaks, also one that a node
   failure's handler leaves for the next decision to heal;
@@ -111,6 +112,18 @@ def test_arbiter_differential_sees_a_skipped_midpoint(monkeypatch):
     monkeypatch.setattr(arbiter_module._Probes, "settled", skipping)
     assert arbiter_differential.mismatches(cases)
     assert skipped
+
+
+def test_arbiter_differential_sees_a_prediction_over_a_non_monotone_aggregate():
+    """Under an ``rt_tolerance`` below the default the aggregate's level
+    bisection runs on a curve that drops at an app's ceiling; an aggregate
+    that inverts anyway steers the replay off the plain bisection."""
+    run = arbiter_differential.CAPTURED["multi-app-rt-tolerance-0.01"]
+    cases = arbiter_differential.capture_splits(*run)
+    assert arbiter_differential.mismatches(cases) == []
+    for _, tx_curve, _ in cases:
+        tx_curve._consumed_monotone = True  # the planted defect
+    assert arbiter_differential.mismatches(cases)
 
 
 # ----------------------------------------------------------------------

@@ -5,11 +5,13 @@ path from one approximate solve, probes three of its nodes exactly and
 replays the bisection, probing only the midpoints no probe settled.
 These properties pin it against the frozen plain bisection
 (``reference_arbiter.py``): random single apps and two-app aggregates
-under both long-running metrics, every split of short runs of three
-registered scenarios, and the same splits under a deliberately wrong
-prediction.  Each side gets its own fresh curves.  The probe count on
-``paper`` is pinned too, as a count: the exact long-running evaluations
-per equalized split.
+under both long-running metrics and any ``rt_tolerance``, every split of
+short runs of three registered scenarios (one of them also with an
+``rt_tolerance`` below the default, where an aggregate's utility is not
+monotone and the split must not trust a prediction), and the same splits
+under a deliberately wrong prediction.  Each side gets its own fresh
+curves.  The probe count on ``paper`` is pinned too, as a count: the
+exact long-running evaluations per equalized split.
 """
 
 import copy
@@ -38,7 +40,15 @@ from repro.utility.shapes import SigmoidUtility
 
 from .reference_arbiter import reference_split
 
-CAPTURED = ("paper", "chaos-soak", "multi-app-differentiation")
+#: The captured runs, by label: ``(scenario, spec overrides)``.
+CAPTURED = {
+    "paper": ("paper", {}),
+    "chaos-soak": ("chaos-soak", {}),
+    "multi-app-differentiation": ("multi-app-differentiation", {}),
+    "multi-app-rt-tolerance-0.01": (
+        "multi-app-differentiation", {"controller.rt_tolerance": 0.01}
+    ),
+}
 
 
 def split_fields(result) -> tuple:
@@ -73,10 +83,10 @@ def mismatches(cases, arbiter=None) -> list:
     return differ
 
 
-def capture_splits(name: str) -> list:
-    """Every arbiter split of a full run of scenario ``name``, as
-    ``(capacity, tx_curve, lr_curve)`` with the curves copied before the
-    split probes them."""
+def capture_splits(name: str, overrides=None) -> list:
+    """Every arbiter split of a full run of scenario ``name`` (with spec
+    ``overrides``), as ``(capacity, tx_curve, lr_curve)`` with the curves
+    copied before the split probes them."""
     cases = []
     original = BisectionArbiter.split
 
@@ -86,13 +96,13 @@ def capture_splits(name: str) -> list:
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(BisectionArbiter, "split", capturing)
-        run_scenario(Experiment.from_spec(name).materialize())
+        run_scenario(Experiment.from_spec(name, overrides=overrides).materialize())
     return cases
 
 
 @pytest.fixture(scope="module")
 def captured():
-    return {name: capture_splits(name) for name in CAPTURED}
+    return {label: capture_splits(*run) for label, run in CAPTURED.items()}
 
 
 # ----------------------------------------------------------------------
@@ -130,12 +140,13 @@ def app_curves(draw):
     clients = draw(st.floats(min_value=5.0, max_value=500.0))
     goal = draw(st.floats(min_value=0.15, max_value=2.0))
     delay = draw(st.sampled_from([0.0, 0.01, 0.05]))
+    rt_tolerance = draw(st.one_of(st.just(0.05), st.floats(min_value=0.001, max_value=0.3)))
 
     def build():
         model = ClosedTransactionalModel(clients, 0.2, 300.0, 3000.0)
         if delay:
             model = NetworkAwareModel(inner=model, network_delay=delay)
-        return TransactionalCurve(model, TransactionalUtility(goal + delay))
+        return TransactionalCurve(model, TransactionalUtility(goal + delay), rt_tolerance)
 
     return build
 
@@ -176,7 +187,7 @@ def test_other_tolerances_and_depths_equal_reference(case, tolerance, iterations
 # ----------------------------------------------------------------------
 # Captured cycles
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", CAPTURED)
+@pytest.mark.parametrize("name", list(CAPTURED))
 def test_captured_splits_equal_reference(captured, name):
     cases = captured[name]
     assert len(cases) > 50
@@ -200,6 +211,28 @@ def test_a_wrong_prediction_costs_probes_not_results(captured, monkeypatch):
     monkeypatch.setattr(arbiter_module, "_predicted_band", far_off)
     assert mismatches(cases) == []
     assert _exact_evaluations(cases, monkeypatch)[0] > honest[0]
+
+
+def test_a_transactional_curve_that_cannot_invert_costs_no_predictor_pass(
+    captured, monkeypatch
+):
+    """The split asks the long-running curve for no prediction once the
+    transactional one declines, and still equals the reference."""
+    calls = []
+    predicted_allocation = HypotheticalEqualizer.predicted_allocation
+
+    def counting(self, *args):
+        calls.append(None)
+        return predicted_allocation(self, *args)
+
+    monkeypatch.setattr(HypotheticalEqualizer, "predicted_allocation", counting)
+    cases = captured["paper"]
+    assert mismatches(cases) == []
+    assert calls
+    del calls[:]
+    monkeypatch.setattr(TransactionalCurve, "inverse", lambda self, target: None)
+    assert mismatches(cases) == []
+    assert calls == []
 
 
 def _exact_evaluations(cases, monkeypatch) -> tuple[int, int]:
@@ -238,9 +271,9 @@ def test_paper_probes_at_most_seven_per_equalized_split(captured, monkeypatch):
 # ----------------------------------------------------------------------
 # The curves' inverses
 # ----------------------------------------------------------------------
-def _closed_curve(clients=210.0, goal=0.4, shape=None):
+def _closed_curve(clients=210.0, goal=0.4, shape=None, rt_tolerance=0.05):
     model = ClosedTransactionalModel(clients, 0.2, 300.0, 3000.0)
-    return TransactionalCurve(model, TransactionalUtility(goal, shape))
+    return TransactionalCurve(model, TransactionalUtility(goal, shape), rt_tolerance)
 
 
 def test_inverses_agree_with_their_curves(captured):
@@ -266,6 +299,23 @@ def test_aggregate_is_flat_above_its_plateau():
     )
     assert aggregate.allocation_for_utility(math.nextafter(plateau, 2.0)) == math.inf
     assert aggregate.inverse(plateau + 0.01) == (math.inf, 0.0)
+
+
+@pytest.mark.parametrize("rt_tolerance", [0.001, 0.01, 0.049, 0.05, 0.2])
+def test_an_aggregate_whose_share_drops_at_a_ceiling_does_not_invert(rt_tolerance):
+    """Below the default 5% tolerance an app's demand exceeds its
+    allocation for its ceiling utility, so the aggregate's level
+    bisection runs on a curve that drops there; the app alone still
+    inverts."""
+    apps = [_closed_curve(210.0, rt_tolerance=rt_tolerance), _closed_curve(90.0, 0.8)]
+    ceiling = apps[0].max_utility()
+    below = apps[0].allocation_for_utility(math.nextafter(ceiling, 0.0))
+    at = apps[0].allocation_for_utility(ceiling)
+    drops = rt_tolerance < 0.05
+    assert (below > at) == drops
+    assert (at < apps[0].max_utility_demand) == drops
+    assert apps[0].inverse(0.1) is not None
+    assert (TransactionalAggregateCurve(apps).inverse(0.1) is None) == drops
 
 
 def test_a_curve_that_cannot_invert_says_so():
