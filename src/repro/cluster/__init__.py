@@ -1,6 +1,7 @@
 """Virtualized data-center substrate.
 
-Physical nodes (:class:`NodeSpec`), the managed :class:`Cluster`,
+Physical nodes (:class:`NodeSpec`, and :class:`NodeTable` for one live
+set of them as columns), the managed :class:`Cluster`,
 placement matrices (:class:`Placement`) with feasibility validation,
 placement-change actions with costs (:class:`ActionCosts`), and topology
 builders for homogeneous and class-based heterogeneous clusters.
@@ -25,7 +26,7 @@ from .actions import (
     SuspendVm,
 )
 from .cluster import Cluster
-from .node import NodeSpec
+from .node import NodeSpec, NodeTable
 from .placement import Placement, PlacementEntry
 from .topology import (
     PAPER_MHZ_PER_PROCESSOR,
@@ -38,6 +39,7 @@ from .topology import (
 
 __all__ = [
     "NodeSpec",
+    "NodeTable",
     "Cluster",
     "Placement",
     "PlacementEntry",

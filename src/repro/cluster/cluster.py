@@ -11,21 +11,27 @@ a spec whose per-processor speed is derated to the brownout fraction, so
 controllers and placement validation see the reduced capacity without any
 special-casing.
 
-The live view -- the active nodes' (derated) specs in registration order,
-their id map and the active capacity sums -- is kept, not rebuilt per
-query: every control cycle reads it, and only the four health calls
-change it, each recomputing it with the same sums in the same order.
+The live view is one :class:`~repro.cluster.node.NodeTable` -- the
+active nodes' (derated) specs in registration order, their id map and
+id-sorted capacity columns -- plus the active memory and nominal CPU
+sums.  It is kept, not rebuilt per query: every control cycle reads it
+(the runner hands :attr:`Cluster.node_table` to the policy and to
+:meth:`~repro.cluster.placement.Placement.validate`), and only the four
+health calls change it.  Each drops it, and the first read after builds
+a new table with the same sums in the same order, so health changes
+that follow each other before a read build one table, not one each.
+Between them the table is the same object.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Optional
 
 from ..errors import ConfigurationError, UnknownEntityError
 from ..types import Megabytes, Mhz
-from .node import NodeSpec
+from .node import NodeSpec, NodeTable
 
 
 class Cluster:
@@ -41,18 +47,25 @@ class Cluster:
             raise ConfigurationError("cluster must contain at least one node")
         self._failed: set[str] = set()
         self._brownout: dict[str, float] = {}
-        self._refresh_live()
+        #: The live view, None after a health change until the next read.
+        self._table: Optional[NodeTable] = None
+        self._total_memory: Megabytes = 0.0
+        self._nominal_cpu: Mhz = 0.0
 
     def _refresh_live(self) -> None:
-        """Recompute the live view after a health change."""
-        failed = self._failed
-        nominal = [n for nid, n in self._nodes.items() if nid not in failed]
-        live = [self._effective(n) for n in nominal]
-        self._live = live
-        self._live_by_id = {n.node_id: n for n in live}
-        self._total_cpu = sum(n.cpu_capacity for n in live)
-        self._total_memory = sum(n.memory_mb for n in live)
-        self._nominal_cpu = sum(n.cpu_capacity for n in nominal)
+        """Drop the live view after a health change."""
+        self._table = None
+
+    def _live(self) -> NodeTable:
+        """The live view's table, built on the first read after a change."""
+        table = self._table
+        if table is None:
+            failed = self._failed
+            nominal = [n for nid, n in self._nodes.items() if nid not in failed]
+            table = self._table = NodeTable(map(self._effective, nominal))
+            self._total_memory = sum(n.memory_mb for n in table)
+            self._nominal_cpu = sum(n.cpu_capacity for n in nominal)
+        return table
 
     # ------------------------------------------------------------------
     # Lookup
@@ -117,14 +130,21 @@ class Cluster:
         """Ids of currently failed nodes (copy)."""
         return set(self._failed)
 
+    @property
+    def node_table(self) -> NodeTable:
+        """The healthy nodes (brownout-derated) as one shared, read-only
+        table, specs in registration order; a new object after each
+        health change, the same one between them."""
+        return self._live()
+
     def active_nodes(self) -> list[NodeSpec]:
         """All healthy nodes (brownout-derated), in registration order."""
-        return list(self._live)
+        return list(self._live())
 
     @property
     def active_node_map(self) -> Mapping[str, NodeSpec]:
         """Read-only id -> spec map of :meth:`active_nodes`."""
-        return MappingProxyType(self._live_by_id)
+        return MappingProxyType(self._live().by_id)
 
     # ------------------------------------------------------------------
     # Brownouts
@@ -157,9 +177,10 @@ class Cluster:
     @property
     def brownout_capacity_fraction(self) -> float:
         """Fraction of active *nominal* CPU currently shed by brownouts."""
+        total_cpu = self._live().total_cpu
         if self._nominal_cpu <= 0:
             return 0.0
-        return 1.0 - self._total_cpu / self._nominal_cpu
+        return 1.0 - total_cpu / self._nominal_cpu
 
     # ------------------------------------------------------------------
     # Aggregate capacity
@@ -167,11 +188,12 @@ class Cluster:
     @property
     def total_cpu_capacity(self) -> Mhz:
         """Sum of CPU power over *active* nodes, in MHz."""
-        return self._total_cpu
+        return self._live().total_cpu
 
     @property
     def total_memory(self) -> Megabytes:
         """Sum of memory over *active* nodes, in MB."""
+        self._live()
         return self._total_memory
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

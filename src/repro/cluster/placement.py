@@ -19,27 +19,27 @@ re-inserted dict key would.  The solver appends whole batches with
 :meth:`Placement.place_many`, the planner diffs two placements' columns
 row by row (:meth:`Placement.columns`), and the per-node CPU and memory
 sums behind :meth:`cpu_used`, :meth:`memory_used` and :meth:`violation`
-are computed in one pass over the live rows, in row order, the first
+are one ``np.bincount`` pass over the live rows, in row order, the first
 time they are read after a change: fresh left-to-right sums.
-:class:`PlacementEntry` values are made on request.
+:meth:`violation` checks them against a
+:class:`~repro.cluster.node.NodeTable`'s fit columns in one vector
+compare.  :class:`PlacementEntry` values are made on request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import count, repeat
 from operator import le, lt
 from types import MappingProxyType
 from typing import Container, Iterable, Iterator, Mapping, Optional, Sequence
 
+import numpy as np
+
 from ..errors import PlacementError
 from ..types import Megabytes, Mhz, WorkloadKind
 from .cluster import Cluster
-from .node import NodeSpec
-
-#: CPU/memory slack tolerated by :meth:`Placement.violation`, to absorb
-#: float round-off.
-_EPS = 1e-6
+from .node import NodeSpec, NodeTable
 
 
 def instance_vm_id(app_id: str, node_id: str) -> str:
@@ -118,8 +118,8 @@ class Placement:
         self._cpu: list[Mhz] = []
         self._mem: list[Megabytes] = []
         self._kind: list[WorkloadKind] = []
-        #: (node -> CPU sum, node -> memory sum), None after a change.
-        self._sums: Optional[tuple[dict[str, float], dict[str, float]]] = None
+        #: (node -> its number, CPU sums, memory sums), None after a change.
+        self._sums: Optional[tuple[dict[str, int], np.ndarray, np.ndarray]] = None
         for e in entries:
             if e.vm_id in self._rows:
                 raise PlacementError(f"vm {e.vm_id} placed twice")
@@ -301,13 +301,14 @@ class Placement:
     # ------------------------------------------------------------------
     # Per-node aggregation
     # ------------------------------------------------------------------
-    def _node_sums(self) -> tuple[dict[str, float], dict[str, float]]:
+    def _node_sums(self) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
         """Per-node CPU and memory sums of the live rows, in row order.
 
-        One pass over the rows: each sum is Python's left-to-right
-        ``sum`` over the node's rows, nodes keyed in the order of their
-        first row.  (An ``np.add.at`` version measured no faster at any
-        size: numbering the nodes costs what the loop does.)
+        The hosting nodes are numbered in the order of their first row,
+        and ``np.bincount`` adds each node's rows in row order, starting
+        from 0.0: bit for bit Python's left-to-right ``sum`` over them.
+        Returns ``(node -> number, CPU sums, memory sums)``, the sums
+        indexed by number.
         """
         sums = self._sums
         if sums is None:
@@ -317,12 +318,13 @@ class Placement:
                 nodes = [nodes[row] for row in live]
                 cpu = [cpu[row] for row in live]
                 mem = [mem[row] for row in live]
-            cpu_sum: dict[str, float] = {}
-            mem_sum: dict[str, float] = {}
-            for node_id, grant, footprint in zip(nodes, cpu, mem):
-                cpu_sum[node_id] = cpu_sum.get(node_id, 0.0) + grant
-                mem_sum[node_id] = mem_sum.get(node_id, 0.0) + footprint
-            sums = self._sums = (cpu_sum, mem_sum)
+            number = dict(zip(dict.fromkeys(nodes), count()))
+            codes = np.fromiter(map(number.__getitem__, nodes), np.intp, len(nodes))
+            sums = self._sums = (
+                number,
+                np.bincount(codes, weights=cpu, minlength=len(number)),
+                np.bincount(codes, weights=mem, minlength=len(number)),
+            )
         return sums
 
     def entries_on(self, node_id: str) -> list[PlacementEntry]:
@@ -332,11 +334,15 @@ class Placement:
 
     def cpu_used(self, node_id: str) -> Mhz:
         """Total CPU granted on ``node_id``."""
-        return self._node_sums()[0].get(node_id, 0.0)
+        number, cpu, _ = self._node_sums()
+        i = number.get(node_id)
+        return 0.0 if i is None else cpu.item(i)
 
     def memory_used(self, node_id: str) -> Megabytes:
         """Total memory occupied on ``node_id``."""
-        return self._node_sums()[1].get(node_id, 0.0)
+        number, _, mem = self._node_sums()
+        i = number.get(node_id)
+        return 0.0 if i is None else mem.item(i)
 
     def total_cpu(self, kind: Optional[WorkloadKind] = None) -> Mhz:
         """Total CPU granted, optionally restricted to one workload kind."""
@@ -358,44 +364,56 @@ class Placement:
     # Validation
     # ------------------------------------------------------------------
     def violation(
-        self, nodes: Mapping[str, NodeSpec], failed: Container[str] = ()
+        self, nodes: Iterable[NodeSpec], failed: Container[str] = ()
     ) -> Optional[str]:
         """Why this placement does not fit ``nodes``, or ``None`` if it fits.
 
-        ``nodes`` maps each live node's id to its (brownout-derated)
-        spec.  A hosting node missing from it is reported as failed when
-        listed in ``failed``, as unknown otherwise; a live node must hold
-        its CPU and memory within a float-round-off tolerance, and a NaN
-        sum counts as over it.  Returns the first violation found, nodes
-        in the order of their first row.
+        ``nodes`` are the live (brownout-derated) node specs, best as the
+        cluster's :class:`~repro.cluster.node.NodeTable`; any other
+        sequence is converted with :meth:`NodeTable.of`.  A hosting node
+        missing from them is reported as failed when listed in
+        ``failed``, as unknown otherwise; a live node must hold its CPU
+        and memory within a float-round-off tolerance, and a NaN sum
+        counts as over it.  The per-node sums are checked against the
+        table's fit columns (:data:`~repro.cluster.node.FIT_TOLERANCE`)
+        in one vector compare; the message names the first violating node
+        in the order of first rows, and for it the first of these checks
+        that fails.
         """
-        cpu_sums, mem_sums = self._node_sums()
-        for (node_id, cpu), memory in zip(cpu_sums.items(), mem_sums.values()):
-            node = nodes.get(node_id)
-            if node is None:
-                state = "failed" if node_id in failed else "unknown"
-                return f"placement uses {state} node {node_id!r}"
-            if not cpu <= node.cpu_capacity * (1 + _EPS) + _EPS:
-                return (
-                    f"node {node_id!r} CPU overcommitted: "
-                    f"{cpu:.1f} > {node.cpu_capacity:.1f} MHz"
-                )
-            if not memory <= node.memory_mb * (1 + _EPS) + _EPS:
-                return (
-                    f"node {node_id!r} memory overcommitted: "
-                    f"{memory:.1f} > {node.memory_mb:.1f} MB"
-                )
-        return None
+        table = NodeTable.of(nodes)
+        number, cpu_sums, mem_sums = self._node_sums()
+        # A node the table does not have is at -1: the fit columns' NaN.
+        at = np.fromiter(map(table.pos.get, number, repeat(-1)), np.intp, len(number))
+        cpu_fits = cpu_sums <= table.cpu_fit[at]
+        fits = cpu_fits & (mem_sums <= table.mem_fit[at])
+        if fits.all():
+            return None
+        first = int(fits.argmin())
+        node_id = list(number)[first]
+        node = table.by_id.get(node_id)
+        if node is None:
+            state = "failed" if node_id in failed else "unknown"
+            return f"placement uses {state} node {node_id!r}"
+        if not cpu_fits[first]:
+            return (
+                f"node {node_id!r} CPU overcommitted: "
+                f"{cpu_sums.item(first):.1f} > {node.cpu_capacity:.1f} MHz"
+            )
+        return (
+            f"node {node_id!r} memory overcommitted: "
+            f"{mem_sums.item(first):.1f} > {node.memory_mb:.1f} MB"
+        )
 
     def validate(self, cluster: Cluster) -> None:
-        """Check feasibility against ``cluster``'s live nodes.
+        """Check feasibility against ``cluster``'s live nodes (its
+        :attr:`~repro.cluster.cluster.Cluster.node_table`).
 
         Raises
         ------
         PlacementError
             With the first :meth:`violation` found.
         """
-        violation = self.violation(cluster.active_node_map, cluster.failed_node_ids)
+        violation = self.violation(cluster.node_table, cluster.failed_node_ids)
         if violation is not None:
             raise PlacementError(violation)
 

@@ -55,8 +55,8 @@ mathematical one:
   linear utility shape (a difference, a division by the goal and a clip)
   are each monotone after rounding, so ``U_tx`` is non-decreasing; an
   aggregate's shares come from a level bisection over the apps' inverses,
-  monotone unless an app's ``rt_tolerance`` lies below the default 5%
-  (its inverse then drops at its ceiling), and its utility is the least
+  each monotone up to and through its ceiling (where it stays at the
+  app's demand, at any ``rt_tolerance``), and its utility is the least
   app utility;
 * ``capacity − a`` is non-increasing in ``a``;
 * the long-running curve's depth-30 level is the unique node of one
@@ -67,16 +67,15 @@ mathematical one:
   each job's ceiling followed by a dot product with non-negative weights.
 
 Where that is not established a curve's ``inverse`` returns ``None`` --
-a non-linear utility shape, the open model's Erlang-C response time, an
-aggregate over an app with an ``rt_tolerance`` below 5%, a ``"mean"``
-over a negative importance -- and the split runs the same replay with
-nothing settled in advance, which is the plain bisection: its own probes
-never settle a later midpoint, so this needs no monotonicity.  The
-transactional inverse is asked first, so a split whose transactional
-curve declines pays no predictor pass.  Each probe stays cheap
-underneath: :class:`~repro.core.demand.LongRunningCurve`'s equalizer
-predicts the level from its previous probe's tangent and resumes the
-bisection at the prediction's node once that node verifies (see
+a non-linear utility shape, the open model's Erlang-C response time, a
+``"mean"`` over a negative importance -- and the split runs the same
+replay with nothing settled in advance, which is the plain bisection:
+its own probes never settle a later midpoint, so this needs no
+monotonicity.  The transactional inverse is asked first, so a split
+whose transactional curve declines pays no predictor pass.  Each probe
+stays cheap underneath: :class:`~repro.core.demand.LongRunningCurve`'s
+equalizer predicts the level from its previous probe's tangent and
+resumes the bisection at the prediction's node once that node verifies (see
 :class:`~repro.core.hypothetical.HypotheticalEqualizer`), and every
 utility stays bit-identical.  ``ArbiterResult.iterations`` still counts
 the plain bisection's *logical* curve evaluations, so the ablation's

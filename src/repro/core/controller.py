@@ -38,7 +38,7 @@ from time import perf_counter
 from typing import Mapping, Optional, Sequence
 
 from ..cluster.actions import PlacementAction
-from ..cluster.node import NodeSpec
+from ..cluster.node import NodeSpec, NodeTable
 from ..cluster.placement import Placement
 from ..config import ControllerConfig, SolverConfig
 from ..errors import UnknownEntityError
@@ -330,7 +330,9 @@ class UtilityDrivenController:
         t:
             Decision time (seconds).
         nodes:
-            The *active* nodes.
+            The *active* nodes: the cluster's
+            :class:`~repro.cluster.node.NodeTable`, or any node sequence
+            (converted once).
         jobs:
             The live jobs: submitted, not completed or cancelled, in
             trace order.  Any other job is filtered out.
@@ -341,6 +343,7 @@ class UtilityDrivenController:
             Per-app set of nodes currently hosting an instance.
         """
         t0 = perf_counter()
+        nodes = NodeTable.of(nodes)
         included: list[Job] = []
         population = snapshot_jobs(jobs, t, included=included)
         tx_curves = self._tx_curves(app_nodes)
@@ -350,9 +353,7 @@ class UtilityDrivenController:
             else TransactionalAggregateCurve(tx_curves)
         )
         lr_curve = LongRunningCurve(population, self.config.lr_metric)
-        capacity = effective_capacity(
-            sum(n.cpu_capacity for n in nodes), self.config.capacity_efficiency
-        )
+        capacity = effective_capacity(nodes.total_cpu, self.config.capacity_efficiency)
         t1 = perf_counter()
 
         split = self._arbiter.split(capacity, tx_curve, lr_curve)

@@ -98,6 +98,7 @@ class TransactionalCurve:
         self._utility = utility_fn
         self._demand = model.max_utility_demand(rt_tolerance)
         self._invertible = utility_fn.invertible and model.float_monotone
+        self._ceiling: float | None = None
         self._plateau: float | None = None
 
     @property
@@ -119,14 +120,22 @@ class TransactionalCurve:
         return self._utility.of_allocation(self._model, allocation)
 
     def allocation_for_utility(self, target: float) -> Mhz:
-        """Smallest allocation reaching ``target`` utility (capped at demand)."""
+        """Smallest allocation reaching ``target`` utility (capped at demand).
+
+        At or above :meth:`max_utility` that is the curve's own demand, at
+        its ``rt_tolerance``: the allocation never drops at the ceiling.
+        """
+        if target >= self.max_utility() and self._utility.invertible:
+            return self._demand
         return min(
             self._utility.allocation_for_utility(self._model, target), self._demand
         )
 
     def max_utility(self) -> float:
         """The plateau utility value."""
-        return self._utility.max_utility(self._model)
+        if self._ceiling is None:
+            self._ceiling = self._utility.max_utility(self._model)
+        return self._ceiling
 
     @property
     def plateau(self) -> float:
@@ -165,7 +174,6 @@ class TransactionalAggregateCurve:
             raise ConfigurationError("aggregate needs at least one app curve")
         self._curves = list(curves)
         self._demand = sum(c.max_utility_demand for c in self._curves)
-        self._consumed_monotone: bool | None = None
 
     @property
     def kind(self) -> WorkloadKind:
@@ -244,15 +252,11 @@ class TransactionalAggregateCurve:
 
     def inverse(self, target: float) -> tuple[Mhz, float] | None:
         """See :meth:`UtilityCurve.inverse`: :meth:`allocation_for_utility`,
-        with the apps' slopes summed; ``None`` when an app cannot invert,
-        or when :meth:`_consumed` is not monotone.
+        with the apps' slopes summed; ``None`` when an app cannot invert.
 
-        It is not when an app's demand exceeds its
-        :meth:`~TransactionalCurve.allocation_for_utility` at its ceiling:
-        that returns the model's demand at the default 5% response-time
-        tolerance, so an ``rt_tolerance`` below it makes the app's share
-        drop where the level reaches the ceiling, and the aggregate's
-        :meth:`utility` falls with it.
+        :meth:`_consumed` is monotone in the level: each app's
+        :meth:`~TransactionalCurve.allocation_for_utility` is, up to and
+        through its ceiling, where it stays at the app's demand.
         """
         slope = 0.0
         for curve in self._curves:
@@ -260,13 +264,6 @@ class TransactionalAggregateCurve:
             if app is None:
                 return None
             slope += app[1]
-        if self._consumed_monotone is None:
-            self._consumed_monotone = all(
-                c.allocation_for_utility(c.max_utility()) >= c.max_utility_demand
-                for c in self._curves
-            )
-        if not self._consumed_monotone:
-            return None
         allocation = self.allocation_for_utility(target)
         return allocation, (slope if allocation < math.inf else 0.0)
 

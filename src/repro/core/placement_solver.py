@@ -46,9 +46,11 @@ Retained jobs and each application's instances enter the placement in
 one :meth:`~repro.cluster.placement.Placement.place_many` call each.
 Admission, eviction picks, migrations and instance starts and stops keep
 their per-request loops over the columns; the residual node capacities
-are plain float lists (:class:`_ClusterState`) read and written per
-placed VM with the seed's float arithmetic.  The per-request
-node-selection queries (:meth:`PlacementSolver._best_node_for`,
+are plain float lists (:class:`_ClusterState`, copied from the
+:class:`~repro.cluster.node.NodeTable`'s id-sorted columns, so a solve
+sorts no nodes) read and written per placed VM with the seed's float
+arithmetic.  The per-request node-selection queries
+(:meth:`PlacementSolver._best_node_for`,
 :meth:`PlacementSolver._node_with_room`, the new-instance candidate
 order) are vectorized reductions over numpy copies of the residuals,
 which admission and rebalance keep in step with their own changes.  The
@@ -64,11 +66,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..cluster.node import NodeSpec
+from ..cluster.node import NodeSpec, NodeTable
 from ..cluster.placement import Placement, instance_vm_id
 from ..config import SolverConfig
 from ..errors import ConfigurationError
@@ -87,7 +89,6 @@ _MHZ_EPS = 1e-6
 #: Sort keys for the solver's deterministic orderings: identical orders to
 #: the former lambdas, without the per-element Python-frame cost.
 _by_app_id = attrgetter("app_id")
-_by_node_id = attrgetter("node_id")
 
 #: Population size beyond which water-fill orders targets with numpy's
 #: stable argsort (identical order to the Python sort, smaller constant)
@@ -107,22 +108,24 @@ _WEB_VECTOR_MIN = 64
 class _ClusterState:
     """Residual per-node capacity during solving.
 
-    Node order is fixed at construction: ids sorted ascending.  CPU and
-    memory residuals are plain float lists, read and written once or
-    twice per placed VM (the seed's per-object float arithmetic, at a
-    fraction of a numpy scalar access's cost).  The vectorized node
-    queries work on a numpy copy (:meth:`arrays`) that their phase keeps
-    in step with each change it makes.
+    Node order is the :class:`~repro.cluster.node.NodeTable`'s: ids
+    sorted ascending.  ``ids`` and ``pos`` are the table's own (shared,
+    read-only); the CPU and memory residuals start as copies of its
+    columns, as plain float lists read and written once or twice per
+    placed VM (the seed's per-object float arithmetic, at a fraction of a
+    numpy scalar access's cost).  The vectorized node queries work on a
+    numpy copy (:meth:`arrays`) that their phase keeps in step with each
+    change it makes.
     """
 
     __slots__ = ("ids", "pos", "cpu", "mem")
 
     def __init__(self, nodes: Sequence[NodeSpec]) -> None:
-        ordered = sorted(nodes, key=_by_node_id)
-        self.ids: list[str] = [n.node_id for n in ordered]
-        self.pos: dict[str, int] = {nid: i for i, nid in enumerate(self.ids)}
-        self.cpu: list[float] = [float(n.cpu_capacity) for n in ordered]
-        self.mem: list[float] = [float(n.memory_mb) for n in ordered]
+        table = NodeTable.of(nodes)
+        self.ids: Sequence[str] = table.ids
+        self.pos: Mapping[str, int] = table.pos
+        self.cpu: list[float] = table.cpu.tolist()
+        self.mem: list[float] = table.mem.tolist()
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Float64 copies of the CPU and memory residuals."""
@@ -517,16 +520,20 @@ class PlacementSolver:
         leftover: list[int] = []
         if not runnable:
             return leftover
-        # While no admission succeeds the node state is frozen, so one
-        # reduction over it bounds every later query: a request needing
-        # more memory than any minimally-fast node offers cannot fit.
-        # Admission runs over *hundreds* of requests that mostly fail on
-        # memory slots; this makes each such failure O(1) instead of a
-        # full node scan, with exactly the same outcome.
+        # Between admissions the node state is frozen, so one reduction
+        # over it bounds every later query: a request needing more memory
+        # than any node that can still grant min_job_rate offers cannot
+        # fit.  Admission runs over *hundreds* of requests that mostly
+        # fail on memory slots; this makes each such failure O(1) instead
+        # of a full node scan, with exactly the same outcome.  The bound
+        # is the max of a column -- each node's memory where it can grant
+        # min_job_rate, -inf elsewhere -- kept in step with one scalar
+        # write per admission.
         min_rate = self.config.min_job_rate
         requests = jobs.requests
         cpu, mem = state.cpu, state.mem
         cpu_arr, mem_arr = state.arrays()
+        fit_mem = np.where(cpu_arr >= min_rate, mem_arr, -np.inf)
         max_fit_mem: Optional[float] = None  # None = stale, recompute
         rows = np.array(runnable, dtype=np.intp)
         for row, target, cap, memory in zip(
@@ -539,8 +546,7 @@ class PlacementSolver:
                 leftover.append(row)
                 continue
             if max_fit_mem is None:
-                eligible = np.where(cpu_arr >= min_rate, mem_arr, -np.inf)
-                max_fit_mem = float(eligible.max()) if eligible.size else -np.inf
+                max_fit_mem = fit_mem.max().item() if len(fit_mem) else -np.inf
             want = min(target, cap)
             if memory > max_fit_mem or want < min_rate:
                 # _best_node_for would scan and return None: no node has
@@ -551,12 +557,13 @@ class PlacementSolver:
             if i is None:
                 leftover.append(row)
                 continue
-            max_fit_mem = None  # placement below mutates the state
             grant = min(target, cap, cpu[i])
             mem[i] -= memory
             cpu[i] -= grant
             cpu_arr[i] = cpu[i]
             mem_arr[i] = mem[i]
+            fit_mem[i] = mem[i] if cpu[i] >= min_rate else -np.inf
+            max_fit_mem = None
             self._place_job(jobs, solution, row, i, state.ids[i], grant)
             self._spend(budget, 1)
             solution.changes += 1
@@ -835,12 +842,23 @@ class PlacementSolver:
         """Index of the node giving the job the most CPU (ties: less spare
         memory, id).
 
-        Vectorized lexicographic minimum of ``(-grant, mem, node_id)``
-        over the residual arrays: maximize the achievable grant, then
-        prefer the tightest memory fit, then the smallest id (node order
-        is id-sorted, so "first index" is the id tie-break).  Identical to
-        the seed's scan.  ``want`` is the job's ``min(target, cap)``.
+        The lexicographic minimum of ``(-grant, mem, node_id)`` over the
+        residual arrays, among nodes with the memory whose grant
+        ``min(cpu, want)`` reaches ``min_job_rate``: maximize the grant,
+        then prefer the tightest memory fit, then the smallest id (node
+        order is id-sorted, so "first index" is the id tie-break).
+        Identical to the seed's scan.  ``want`` is the job's
+        ``min(target, cap)``, so no grant exceeds it: when some node with
+        the memory can grant all of it -- nearly always -- those nodes
+        are the most-grant set, and one mask and one ``argmin`` pick among
+        them.  Only otherwise does the most-grant scan run.
         """
+        if not (want >= self.config.min_job_rate and len(cpu)):  # NaN too
+            return None
+        full = np.where((cpu >= want) & (mem >= memory), mem, np.inf)
+        i = int(full.argmin())
+        if full.item(i) < np.inf:
+            return i
         grant = np.minimum(cpu, want)
         ok = (mem >= memory) & (grant >= self.config.min_job_rate)
         if not ok.any():

@@ -9,7 +9,10 @@ and guarantees the control loop three things:
   cycle's live node set with
   :meth:`repro.cluster.placement.Placement.violation` -- the predicate
   behind ``Placement.validate`` -- *before* the runner enacts it; an
-  infeasible decision degrades the cycle.
+  infeasible decision degrades the cycle.  The guard hands ``violation``
+  the ``nodes`` it was given: the runner's
+  :class:`~repro.cluster.node.NodeTable`, whose columns the check reads
+  directly (any other sequence is converted once).
 * **Bounded decide time accounting:** an optional ``decide_budget_ms``
   deadline is measured per cycle; overruns are counted, and with
   ``decide_budget_strict`` they degrade the cycle too.
@@ -39,7 +42,7 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..cluster.node import NodeSpec
+from ..cluster.node import NodeSpec, NodeTable
 from ..cluster.placement import Placement, parse_instance_vm_id
 from ..config import ControllerConfig
 from ..errors import DegradedModeError, ModelError
@@ -113,7 +116,7 @@ class ResilientController:
                 "deadline",
                 f"decide took {elapsed_ms:.3f} ms, budget {budget:g} ms",
             )
-        violation = decision.placement.violation({n.node_id: n for n in nodes})
+        violation = decision.placement.violation(nodes)
         if violation is not None:
             return self._degrade(t, nodes, current_placement, "infeasible", violation)
         self._consecutive_degraded = 0
@@ -140,6 +143,7 @@ class ResilientController:
         ``reason`` names the ``fallback:<reason>`` counter; ``cause`` is
         the violation text or the exception behind it.
         """
+        nodes = NodeTable.of(nodes)
         detail = (
             f"{type(cause).__name__}: {cause}"
             if isinstance(cause, Exception)
@@ -181,7 +185,7 @@ class ResilientController:
         )
         diagnostics = ControlDiagnostics(
             time=t,
-            capacity=float(sum(n.cpu_capacity for n in nodes)),
+            capacity=float(nodes.total_cpu),
             tx_demand=math.nan,
             lr_demand=math.nan,
             tx_target=math.nan,
@@ -205,10 +209,10 @@ class ResilientController:
         )
 
     def _last_known_good(
-        self, current_placement: Placement, nodes: Sequence[NodeSpec]
+        self, current_placement: Placement, nodes: NodeTable
     ) -> Placement:
         """The incumbent placement restricted to live capacity."""
-        specs = {n.node_id: n for n in nodes}
+        specs = nodes.by_id
         placement = Placement()
         for entry in current_placement:
             if entry.node_id in specs:

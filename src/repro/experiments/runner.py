@@ -92,8 +92,10 @@ class PlacementPolicy(Protocol):
     ) -> ControlDecision:
         """Produce the cycle's placement decision.
 
-        ``jobs`` are the live jobs: submitted, not completed or
-        cancelled, in trace order.
+        ``nodes`` are the active nodes, as the cluster's shared
+        :class:`~repro.cluster.node.NodeTable` (a read-only sequence of
+        specs in registration order).  ``jobs`` are the live jobs:
+        submitted, not completed or cancelled, in trace order.
 
         The runner takes ownership of the returned placement
         (``decision.placement``): it becomes the runner's incumbent,
@@ -530,7 +532,7 @@ class ExperimentRunner:
         self._feed_observations(t)
         decision = self._policy.decide(
             t,
-            nodes=self._cluster.active_nodes(),
+            nodes=self._cluster.node_table,
             jobs=self._live_jobs(),
             current_placement=self._placement,
             app_nodes=self._app_nodes(),

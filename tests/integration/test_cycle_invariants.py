@@ -138,8 +138,7 @@ class CheckedRunner(ExperimentRunner):
         assert not hosted, f"t={t}: instances of unknown apps {sorted(hosted)}"
 
     def _check_fit(self, t):
-        nodes = {node.node_id: node for node in self._cluster.active_nodes()}
-        violation = self._placement.violation(nodes)
+        violation = self._placement.violation(self._cluster.node_table)
         assert violation is None, f"t={t}: {violation}"
 
 

@@ -7,16 +7,24 @@ that the gate fails on it, and how:
   sees a grant moved by one ulp in either retention pass;
 * the arbiter differential (``tests/property/test_arbiter_differential.py``)
   sees a replay that skips one midpoint no probe settled, and a
-  prediction trusted over an aggregate whose utility is not monotone;
+  prediction trusted over an aggregate whose utility is not monotone
+  (an app's share planted to drop at its ceiling);
 * :class:`CheckedRunner` (``test_cycle_invariants.py``) names the
-  invariant a planted bookkeeping bug breaks, also one that a node
+  invariant a planted bookkeeping bug breaks -- a host off its entry, an
+  entry left on a failed node, a missing instance, work lost by a
+  skipped advance, a stale completion event -- also one that a node
   failure's handler leaves for the next decision to heal;
+* the feasibility guard (:class:`~repro.core.resilient.ResilientController`)
+  degrades a cycle whose solver overcommits one node by one ulp past the
+  tolerance, naming the node, and without the guard the runner's
+  ``Placement.validate`` raises the same text;
 * strict mode (``tests/conftest.py``) fails a test whose run falls back,
   also when the run happens in a sweep's worker process;
 * the golden gate's ``regen.compare`` names a changed action count and
   a completion time moved past its tolerance;
 * perfbench's ``outcome_digest`` changes when one simulated sample moves
-  by one ulp, and not when a wall-clock series does.
+  by one ulp or a summary metric changes, and not when a wall-clock
+  series does.
 
 No test edits a gate, its bounds or its data.
 """
@@ -24,6 +32,7 @@ No test edits a gate, its bounds or its data.
 import copy
 import importlib.util
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -31,14 +40,23 @@ import numpy as np
 import pytest
 
 from repro.api import Experiment
+from repro.cluster.node import FIT_TOLERANCE, NodeTable
 from repro.cluster.placement import Placement, parse_instance_vm_id
-from repro.core import PlacementSolver
+from repro.core import PlacementSolver, TransactionalCurve
 from repro.core import arbiter as arbiter_module
 from repro.core import placement_solver
-from repro.experiments.runner import ExperimentRunner, default_policy_factory, run_scenario
+from repro.core.resilient import ResilientController
+from repro.errors import PlacementError
+from repro.experiments.runner import (
+    ExperimentResult,
+    ExperimentRunner,
+    default_policy_factory,
+    run_scenario,
+)
 from repro.experiments.scenario import NodeFailure
 from repro.experiments.sweeps import SweepPointError, default_metrics, run_sweep
 from repro.sim.recorder import Series
+from repro.workloads.jobs import JobTable
 
 from tests.golden import regen
 from tests.integration.test_cycle_invariants import run_checked
@@ -114,15 +132,24 @@ def test_arbiter_differential_sees_a_skipped_midpoint(monkeypatch):
     assert skipped
 
 
-def test_arbiter_differential_sees_a_prediction_over_a_non_monotone_aggregate():
-    """Under an ``rt_tolerance`` below the default the aggregate's level
-    bisection runs on a curve that drops at an app's ceiling; an aggregate
-    that inverts anyway steers the replay off the plain bisection."""
+def test_arbiter_differential_sees_a_prediction_over_a_non_monotone_aggregate(
+    monkeypatch,
+):
+    """Under an ``rt_tolerance`` below the default, an app's allocation
+    planted to drop at its ceiling (to its model's demand at the default
+    5% tolerance, as it once did) makes the aggregate's utility fall
+    there; the aggregate still inverts, and its prediction steers the
+    replay off the plain bisection."""
     run = arbiter_differential.CAPTURED["multi-app-rt-tolerance-0.01"]
     cases = arbiter_differential.capture_splits(*run)
     assert arbiter_differential.mismatches(cases) == []
-    for _, tx_curve, _ in cases:
-        tx_curve._consumed_monotone = True  # the planted defect
+
+    def dropping(curve, target):  # the planted defect
+        return min(
+            curve._utility.allocation_for_utility(curve._model, target), curve._demand
+        )
+
+    monkeypatch.setattr(TransactionalCurve, "allocation_for_utility", dropping)
     assert arbiter_differential.mismatches(cases)
 
 
@@ -191,6 +218,62 @@ def test_checked_runner_sees_an_instance_missing_from_the_placement(monkeypatch)
         run_checked(_smoke())
 
 
+def _once_after_a_cycle(monkeypatch, defect):
+    """Run ``defect(runner, t)`` after each base control cycle, before
+    CheckedRunner's checks, until it returns True."""
+    original = ExperimentRunner._control_cycle
+    done = []
+
+    def planted(runner, t):
+        original(runner, t)
+        if not done and defect(runner, t):
+            done.append(t)
+
+    monkeypatch.setattr(ExperimentRunner, "_control_cycle", planted)
+    return done
+
+
+def test_checked_runner_sees_work_lost_by_a_skipped_advance(monkeypatch):
+    """One advance that moves a running job's remaining work but skips
+    its CPU-time integral breaks work conservation."""
+    original = JobTable.advance
+    skipped = []
+
+    def skipping(table, rows, t):
+        if skipped or not len(rows) or t < 1_000.0:
+            return original(table, rows, t)
+        row = rows.item(0)
+        integral = table.cpu_integral.item(row)
+        original(table, rows, t)
+        if table.cpu_integral.item(row) != integral:
+            table.cpu_integral[row] = integral  # the planted defect
+            skipped.append(table.job_ids[row])
+        return None
+
+    monkeypatch.setattr(JobTable, "advance", skipping)
+    with pytest.raises(AssertionError, match=r"accounts for \S+ of \S+ MHz·s"):
+        run_checked(_smoke())
+    assert skipped
+
+
+def test_checked_runner_sees_a_stale_completion_event(monkeypatch):
+    """A completion event that stays in the queue after the registry
+    dropped it -- a later cancel would miss it -- fails the event-registry
+    check."""
+
+    def forget_one(runner, t):
+        if not runner._completion_events:
+            return False
+        job_id = next(iter(runner._completion_events))
+        del runner._completion_events[job_id]  # the event stays queued
+        return True
+
+    done = _once_after_a_cycle(monkeypatch, forget_one)
+    with pytest.raises(AssertionError, match=r"t=\S+: completion registry"):
+        run_checked(_smoke())
+    assert done
+
+
 @pytest.mark.parametrize("at", [1_000.0, 1_200.0])
 def test_checked_runner_checks_right_after_a_node_failure(monkeypatch, at):
     """A failure handler that only marks the node failed -- no suspend,
@@ -206,6 +289,75 @@ def test_checked_runner_checks_right_after_a_node_failure(monkeypatch, at):
         AssertionError, match=rf"t={at}: \S+ is placed on node000, which is not active"
     ):
         run_checked(scenario)
+
+
+# ----------------------------------------------------------------------
+# The feasibility guard and the runner's check
+# ----------------------------------------------------------------------
+def _overcommit(placement, nodes):
+    """Grow the last entry on the placement's first host until that
+    node's CPU sum is one ulp past ``Placement.violation``'s tolerance;
+    returns the host."""
+    eps = FIT_TOLERANCE
+    node_id = next(iter(placement)).node_id
+    capacity = NodeTable.of(nodes).by_id[node_id].cpu_capacity
+    target = math.nextafter(capacity * (1 + eps) + eps, math.inf)
+    vm_id = placement.entries_on(node_id)[-1].vm_id
+    cpu = placement.entry(vm_id).cpu_mhz + (target - placement.cpu_used(node_id))
+    for _ in range(64):
+        placement.update_cpu(vm_id, cpu)
+        used = placement.cpu_used(node_id)
+        if used == target:
+            return node_id
+        cpu = math.nextafter(cpu, math.inf if used < target else -math.inf)
+    raise AssertionError(f"could not land {node_id}'s CPU sum on {target!r}")
+
+
+def _plant_an_overcommit(monkeypatch):
+    """The first solve that places anything overcommits one node."""
+    original = PlacementSolver.solve
+    planted = []
+
+    def solve(solver, nodes, *args, **kwargs):
+        solution = original(solver, nodes, *args, **kwargs)
+        if not planted and len(solution.placement):
+            planted.append(_overcommit(solution.placement, nodes))
+        return solution
+
+    monkeypatch.setattr(PlacementSolver, "solve", solve)
+    return planted
+
+
+@pytest.mark.allow_fallback  # the guard degrades the planted cycle
+def test_guard_and_validate_report_a_one_ulp_overcommit(monkeypatch):
+    """The guard degrades the planted cycle with ``fallback:infeasible``,
+    naming the node; with the guard off, the runner's
+    ``Placement.validate`` raises the same text."""
+    planted = _plant_an_overcommit(monkeypatch)
+    causes = []
+    degrade = ResilientController._degrade
+
+    def spying(controller, t, nodes, current, reason, cause):
+        causes.append((reason, cause))
+        return degrade(controller, t, nodes, current, reason, cause)
+
+    monkeypatch.setattr(ResilientController, "_degrade", spying)
+    result = run_scenario(_smoke())
+    (node_id,) = planted
+    assert result.recorder.counter("fallback:infeasible") == 1
+    ((reason, cause),) = causes
+    assert reason == "infeasible"
+    assert re.fullmatch(rf"node {node_id!r} CPU overcommitted: \S+ > \S+ MHz", cause)
+
+    del planted[:]
+    unguarded = Experiment.from_spec(
+        "smoke", overrides={"controller.resilient": False}
+    ).materialize()
+    with pytest.raises(PlacementError) as excinfo:
+        run_scenario(unguarded)
+    assert planted == [node_id]
+    assert str(excinfo.value) == cause
+    assert len(causes) == 1
 
 
 # ----------------------------------------------------------------------
@@ -370,6 +522,19 @@ def _nudge_series(monkeypatch, prefix):
 def test_digest_sees_one_ulp_in_a_simulated_sample(monkeypatch, perfbench_run, smoke_result):
     before = perfbench_run.outcome_digest(smoke_result)
     _nudge_series(monkeypatch, "lr_utility")
+    assert perfbench_run.outcome_digest(smoke_result) != before
+
+
+def test_digest_sees_a_changed_summary_metric(monkeypatch, perfbench_run, smoke_result):
+    before = perfbench_run.outcome_digest(smoke_result)
+    summary_metrics = ExperimentResult.summary_metrics
+
+    def one_more_disruptive_action(result):
+        metrics = summary_metrics(result)
+        metrics["disruptive_actions"] += 1
+        return metrics
+
+    monkeypatch.setattr(ExperimentResult, "summary_metrics", one_more_disruptive_action)
     assert perfbench_run.outcome_digest(smoke_result) != before
 
 

@@ -7,9 +7,9 @@ These properties pin it against the frozen plain bisection
 (``reference_arbiter.py``): random single apps and two-app aggregates
 under both long-running metrics and any ``rt_tolerance``, every split of
 short runs of three registered scenarios (one of them also with an
-``rt_tolerance`` below the default, where an aggregate's utility is not
-monotone and the split must not trust a prediction), and the same splits
-under a deliberately wrong prediction.  Each side gets its own fresh
+``rt_tolerance`` below the default, where an app's share once dropped at
+its ceiling), and the same splits under a deliberately wrong
+prediction.  Each side gets its own fresh
 curves.  The probe count on ``paper`` is pinned too, as a count: the
 exact long-running evaluations per equalized split.
 """
@@ -302,20 +302,26 @@ def test_aggregate_is_flat_above_its_plateau():
 
 
 @pytest.mark.parametrize("rt_tolerance", [0.001, 0.01, 0.049, 0.05, 0.2])
-def test_an_aggregate_whose_share_drops_at_a_ceiling_does_not_invert(rt_tolerance):
-    """Below the default 5% tolerance an app's demand exceeds its
-    allocation for its ceiling utility, so the aggregate's level
-    bisection runs on a curve that drops there; the app alone still
-    inverts."""
+def test_an_app_share_does_not_drop_at_its_ceiling_and_the_aggregate_inverts(rt_tolerance):
+    """At any ``rt_tolerance`` an app's allocation does not decrease
+    through its ceiling utility, where it is the app's own demand, so the
+    aggregate's level bisection runs on a non-decreasing curve, its
+    utility does not fall, and it inverts."""
     apps = [_closed_curve(210.0, rt_tolerance=rt_tolerance), _closed_curve(90.0, 0.8)]
     ceiling = apps[0].max_utility()
     below = apps[0].allocation_for_utility(math.nextafter(ceiling, 0.0))
     at = apps[0].allocation_for_utility(ceiling)
-    drops = rt_tolerance < 0.05
-    assert (below > at) == drops
-    assert (at < apps[0].max_utility_demand) == drops
+    assert below <= at == apps[0].max_utility_demand
+    assert apps[0].allocation_for_utility(ceiling + 0.1) == at
+    aggregate = TransactionalAggregateCurve(apps)
+    levels = np.linspace(ceiling - 0.2, max(c.max_utility() for c in apps) + 0.05, 401)
+    consumed = [aggregate._consumed(level) for level in levels]
+    assert consumed == sorted(consumed)
+    grid = np.linspace(0.0, 1.1 * aggregate.max_utility_demand, 401)
+    utilities = [aggregate.utility(allocation) for allocation in grid]
+    assert utilities == sorted(utilities)
     assert apps[0].inverse(0.1) is not None
-    assert (TransactionalAggregateCurve(apps).inverse(0.1) is None) == drops
+    assert aggregate.inverse(0.1) is not None
 
 
 def test_a_curve_that_cannot_invert_says_so():
