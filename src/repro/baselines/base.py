@@ -28,7 +28,7 @@ from ..core.job_scheduler import JobRequest
 from ..core.placement_solver import PlacementSolution, PlacementSolver
 from ..perf.jobmodel import snapshot_jobs
 from ..types import Mhz, Seconds
-from ..workloads.jobs import Job, JobPhase
+from ..workloads.jobs import Job, JobPhase, JobRows
 
 
 class BaselinePolicy(UtilityDrivenController):
@@ -62,6 +62,7 @@ class BaselinePolicy(UtilityDrivenController):
         current_placement: Placement,
         app_nodes: Mapping[str, frozenset[str]],
     ) -> ControlDecision:
+        jobs = JobRows.of(jobs)
         population = snapshot_jobs(jobs, t)
         tx_curves = self._tx_curves()
         tx_demand = sum(c.max_utility_demand for c in tx_curves)

@@ -11,7 +11,9 @@ CPU share changes of VMs that stay put come last, as one
 
 The diff is one VM-id-ordered pass over the two placements' columns
 (:meth:`~repro.cluster.placement.Placement.columns`), reading each VM's
-node and grant by row; no entry is built.  A version that mapped the
+node and grant by row; no entry is built.  An entering VM's job is found
+through the job handle's VM-id -> row map and its phase read from the
+job table, so no pass over the jobs is made.  A version that mapped the
 rows in one C-level pass and compared node and CPU as arrays measured
 no faster on 1000-node placements and up to 1.75x slower on small ones:
 the sort, the id lookups and the action records cost the same either
@@ -20,7 +22,6 @@ way, and the array conversions come on top.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Iterable
 
 from ..cluster.actions import (
@@ -35,12 +36,10 @@ from ..cluster.actions import (
 from ..cluster.placement import Placement
 from ..errors import PlacementError
 from ..types import WorkloadKind
-from ..workloads.jobs import Job, JobPhase
+from ..workloads.jobs import PENDING_CODE, PHASES, SUSPENDED_CODE, Job, JobRows
 
 #: CPU adjustments smaller than this (MHz) are not worth an action.
 _ADJUST_EPS = 1e-6
-
-_vm_id_of = attrgetter("vm_id")
 
 
 def plan_actions(
@@ -57,10 +56,13 @@ def plan_actions(
     desired:
         The solver's new placement.
     jobs:
-        The jobs whose VMs either placement may hold.  A job's phase is
-        read only when its VM enters the desired placement, to tell a
-        first ``Start`` from a ``Resume`` of a suspended VM.  A VM that
-        enters with no job (a new web instance) starts.
+        The jobs whose VMs either placement may hold, as a
+        :class:`~repro.workloads.jobs.JobRows` handle (any other job
+        sequence is converted once).  A job's phase is read, from its
+        table row, only when its VM enters the desired placement, to tell
+        a first ``Start`` from a ``Resume`` of a suspended VM.  A VM that
+        enters with no job in the handle's VM map (a new web instance)
+        starts.
 
     Returns
     -------
@@ -82,7 +84,9 @@ def plan_actions(
     starts: list[PlacementAction] = []
     grant_vms: list[str] = []
     grant_mhz: list[float] = []
-    jobs_by_vm = None
+    jobs = JobRows.of(jobs)
+    job_row = jobs.vm_rows.get
+    phase = jobs.table.phase
 
     # VMs entering or changing within the placement, in one id-ordered
     # pass over the desired rows.
@@ -99,18 +103,16 @@ def plan_actions(
                 grant_vms.append(vm_id)
                 grant_mhz.append(new_cpu[row])
             continue
-        if jobs_by_vm is None:
-            jobs_by_vm = dict(zip(map(_vm_id_of, jobs), jobs))
-        job = jobs_by_vm.get(vm_id)
-        state = JobPhase.PENDING if job is None else job.phase
-        if state is JobPhase.SUSPENDED:
+        job = job_row(vm_id)
+        code = PENDING_CODE if job is None else phase.item(job)
+        if code == SUSPENDED_CODE:
             resumes.append(ResumeVm(vm_id, new_nodes[row], new_cpu[row]))
-        elif state is JobPhase.PENDING:
+        elif code == PENDING_CODE:
             starts.append(StartVm(vm_id, new_nodes[row], new_cpu[row]))
         else:
             raise PlacementError(
                 f"vm {vm_id}: desired placement requires state PENDING or "
-                f"SUSPENDED, found {state}"
+                f"SUSPENDED, found {PHASES[code]}"
             )
 
     # VMs leaving the placement: any incumbent VM that did not stay.

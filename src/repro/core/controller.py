@@ -48,7 +48,7 @@ from ..perf.jobmodel import JobPopulation, snapshot_jobs
 from ..types import Mhz, Seconds
 from ..utility.base import UtilityFunction
 from ..utility.transactional import TransactionalUtility
-from ..workloads.jobs import SUSPENDED_CODE, Job, gather
+from ..workloads.jobs import SUSPENDED_CODE, Job, JobRows, gather
 from ..workloads.transactional import TransactionalAppSpec
 from .actions_planner import plan_actions
 from .arbiter import ArbiterResult, make_arbiter
@@ -66,8 +66,7 @@ from .backends import SolverBackend, make_solver
 from .job_scheduler import AppRequest, JobRequests
 from .placement_solver import PlacementSolution
 
-_job_id_of = attrgetter("spec.job_id")
-_vm_id_of = attrgetter("vm_id")
+_host_of = attrgetter("_node_id")
 
 
 @dataclass(frozen=True, slots=True)
@@ -335,7 +334,9 @@ class UtilityDrivenController:
             (converted once).
         jobs:
             The live jobs: submitted, not completed or cancelled, in
-            trace order.  Any other job is filtered out.
+            trace order, as a :class:`~repro.workloads.jobs.JobRows`
+            handle (any other job sequence is converted once).  Any
+            other job is filtered out.
         current_placement:
             Ground-truth placement currently in force (owned by the
             runner, which reflects completions and failures).
@@ -344,8 +345,8 @@ class UtilityDrivenController:
         """
         t0 = perf_counter()
         nodes = NodeTable.of(nodes)
-        included: list[Job] = []
-        population = snapshot_jobs(jobs, t, included=included)
+        jobs = JobRows.of(jobs)
+        population = snapshot_jobs(jobs, t)
         tx_curves = self._tx_curves(app_nodes)
         tx_curve = (
             tx_curves[0]
@@ -365,14 +366,14 @@ class UtilityDrivenController:
 
         app_targets = self._app_targets(tx_curves, tx_curve, split)
         app_requests = self._app_requests(app_targets, app_nodes, nodes)
-        job_requests = self._job_requests(included, population, hypothetical)
+        job_requests = self._job_requests(population.jobs, population, hypothetical)
         t4 = perf_counter()
 
         solution = self._solver.solve(
             nodes, app_requests, job_requests, lr_target=split.lr_allocation
         )
         t5 = perf_counter()
-        actions = plan_actions(current_placement, solution.placement, included)
+        actions = plan_actions(current_placement, solution.placement, jobs)
         t6 = perf_counter()
 
         # Background optimality oracle -- after the decision is final,
@@ -539,18 +540,22 @@ class UtilityDrivenController:
     ) -> JobRequests:
         """The snapshot's requests as one columnar record, in snapshot order.
 
-        ``included`` is the job list :func:`snapshot_jobs` collected, so
-        it is index-aligned with the population columns and the
-        hypothetical rates: the targets and remaining work are those
-        arrays, the other numbers one gather of the job table's columns.
+        ``included`` holds the snapshot's jobs (its ``jobs`` handle, or
+        any sequence of them, converted once), so it is index-aligned with
+        the population columns and the hypothetical rates: the targets and
+        remaining work are those arrays, the ids and other numbers one
+        fancy index each of the job table's columns, and the hosts the
+        views' attributes.
         """
+        jobs = JobRows.of(included)
+        table, rows = jobs.table, jobs.rows
         cap, memory, submit, importance, rank, phase = gather(
-            included, ("cap", "memory", "submit", "importance", "rank", "phase")
+            jobs, ("cap", "memory", "submit", "importance", "rank", "phase")
         )
         return JobRequests(
-            job_id=list(map(_job_id_of, included)),
-            vm_id=list(map(_vm_id_of, included)),
-            current_node=[job._node_id for job in included],
+            job_id=table.job_ids[rows].tolist(),
+            vm_id=table.vm_ids[rows].tolist(),
+            current_node=list(map(_host_of, jobs)),
             target_rate=hypothetical.rates,
             speed_cap=cap,
             memory_mb=memory,

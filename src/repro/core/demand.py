@@ -96,6 +96,7 @@ class TransactionalCurve:
     ) -> None:
         self._model = model
         self._utility = utility_fn
+        self._rt_tolerance = rt_tolerance
         self._demand = model.max_utility_demand(rt_tolerance)
         self._invertible = utility_fn.invertible and model.float_monotone
         self._ceiling: float | None = None
@@ -122,13 +123,18 @@ class TransactionalCurve:
     def allocation_for_utility(self, target: float) -> Mhz:
         """Smallest allocation reaching ``target`` utility (capped at demand).
 
-        At or above :meth:`max_utility` that is the curve's own demand, at
-        its ``rt_tolerance``: the allocation never drops at the ceiling.
+        At or above :meth:`max_utility`, and just below it where the
+        response-time target rounds to the floor, that is the curve's own
+        demand, at its ``rt_tolerance``: the allocation never drops at the
+        ceiling.
         """
         if target >= self.max_utility() and self._utility.invertible:
             return self._demand
         return min(
-            self._utility.allocation_for_utility(self._model, target), self._demand
+            self._utility.allocation_for_utility(
+                self._model, target, self._rt_tolerance
+            ),
+            self._demand,
         )
 
     def max_utility(self) -> float:

@@ -50,7 +50,7 @@ from ..netmodel.context import NetworkContext
 from ..perf.jobmodel import snapshot_jobs
 from ..types import Mhz, Seconds
 from ..utility.base import UtilityFunction
-from ..workloads.jobs import Job, JobPhase
+from ..workloads.jobs import Job, JobPhase, JobRows
 from ..workloads.transactional import TransactionalAppSpec
 from .controller import (
     ControlDecision,
@@ -243,7 +243,7 @@ class ShardedController:
 
     def _partition_jobs(
         self, t: Seconds, jobs: Sequence[Job], shard_nodes: list[list[NodeSpec]]
-    ) -> tuple[list[list[Job]], ShardSplit, bool]:
+    ) -> tuple[list[JobRows], ShardSplit, bool]:
         """Partition jobs by sticky route, pricing shards only on arrivals.
 
         A job's shard never changes once set (its shard's solver only
@@ -252,15 +252,18 @@ class ShardedController:
         equalizers, consumed-curve bisection -- is only recomputed when
         there are new jobs to route (or nothing is cached yet); cycles
         without arrivals reuse the last split, whose levels/headrooms are
-        then telemetry-stale but route nothing.  Returns the partition,
-        the (possibly reused) split, and whether it ran this cycle.
+        then telemetry-stale but route nothing.  Returns each shard's jobs
+        as rows of the handed jobs' table, the (possibly reused) split,
+        and whether it ran this cycle.
         """
         shards = len(self._controllers)
         node_shard = self._node_shard
         routes = self._routes
-        shard_jobs: list[list[Job]] = [[] for _ in range(shards)]
-        unrouted: list[Job] = []
-        for job in jobs:
+        jobs = JobRows.of(jobs)
+        # Positions in ``jobs`` per shard, in input order.
+        shard_at: list[list[int]] = [[] for _ in range(shards)]
+        unrouted: list[tuple[int, Job]] = []
+        for i, job in enumerate(jobs):
             shard = routes.get(job.job_id)
             if shard is None:
                 # First sighting: a job already hosted on a known node
@@ -271,12 +274,12 @@ class ShardedController:
                     shard = node_shard[node_id]
                     routes[job.job_id] = shard
                 else:
-                    unrouted.append(job)
+                    unrouted.append((i, job))
                     continue
-            shard_jobs[shard].append(job)
+            shard_at[shard].append(i)
         routable = [
-            job
-            for job in unrouted
+            (i, job)
+            for i, job in unrouted
             if job.spec.submit_time <= t and job.phase in _ROUTABLE_PHASES
         ]
         split = self.last_split
@@ -288,16 +291,16 @@ class ShardedController:
                 )
                 for ns in shard_nodes
             ]
-            populations = [snapshot_jobs(js, t) for js in shard_jobs]
+            populations = [snapshot_jobs(jobs.take(at), t) for at in shard_at]
             split = self._arbiter.split(budgets, populations)
         if routable:
             assignment = route_by_headroom(
-                [job.spec.speed_cap_mhz for job in routable], split.headrooms
+                [job.spec.speed_cap_mhz for _, job in routable], split.headrooms
             )
-            for job, shard in zip(routable, assignment):
+            for (i, job), shard in zip(routable, assignment):
                 routes[job.job_id] = shard
-                shard_jobs[shard].append(job)
-        return shard_jobs, split, split_ran
+                shard_at[shard].append(i)
+        return [jobs.take(at) for at in shard_at], split, split_ran
 
     def _partition_placement(
         self,

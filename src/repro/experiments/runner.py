@@ -58,7 +58,7 @@ from ..sim.rng import RngRegistry
 from ..types import Seconds
 from ..utility.longrunning import JobUtility
 from ..utility.transactional import TransactionalUtility
-from ..workloads.jobs import LIVE_CODES, RUNNING_CODE, Job, JobPhase, JobTable
+from ..workloads.jobs import LIVE_CODES, RUNNING_CODE, Job, JobPhase, JobRows, JobTable
 from ..workloads.transactional import TransactionalApp
 from .scenario import Scenario
 
@@ -401,7 +401,11 @@ class ExperimentRunner:
     completion predictions, phase counts and the plan's
     :class:`~repro.cluster.actions.CpuGrants` are one vector pass over the
     table, element by element the arithmetic of the scalar
-    :class:`~repro.workloads.jobs.Job` methods.
+    :class:`~repro.workloads.jobs.Job` methods.  ``decide()`` and the
+    recording step get the live jobs as a
+    :class:`~repro.workloads.jobs.JobRows` handle built from the mask (the
+    table, the live rows, the views by row and the VM-id -> row map):
+    no pass over the jobs.
     """
 
     def __init__(
@@ -440,7 +444,7 @@ class ExperimentRunner:
         self._table = table = JobTable(specs)
         jobs = [Job(spec, table, row) for row, spec in enumerate(specs)]
         self._jobs: dict[str, Job] = {job.spec.job_id: job for job in jobs}
-        # The jobs by row, for C-level gathers of the live ones.
+        # The jobs by row: the live jobs' handle reads its views here.
         self._jobs_by_row = np.empty(len(jobs), dtype=object)
         self._jobs_by_row[:] = jobs
         self._vm_rows: dict[str, int] = {job.vm_id: job.row for job in jobs}
@@ -562,9 +566,11 @@ class ExperimentRunner:
         self._live[rows] = self._table.phase[rows] < LIVE_CODES
         self._next_arrival = end
 
-    def _live_jobs(self) -> list[Job]:
-        """The live jobs, in trace order."""
-        return self._jobs_by_row[self._live].tolist()
+    def _live_jobs(self) -> JobRows:
+        """The live jobs, in trace order, as rows of the run's table."""
+        return JobRows(
+            self._table, self._live.nonzero()[0], self._jobs_by_row, self._vm_rows
+        )
 
     def _running_rows(self) -> np.ndarray:
         """Rows of the live RUNNING jobs, in trace order."""

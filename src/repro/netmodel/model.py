@@ -77,8 +77,16 @@ class NetworkAwareModel:
         # The inner model raises ModelError when the queueing share of
         # the target dips below its floor, with its own edge semantics
         # (closed admits the exact floor, open does not) -- delegate so
-        # the wrapped model keeps them.
-        return self.inner.allocation_for_rt(rt_target - self.network_delay)
+        # the wrapped model keeps them.  A target above this model's
+        # floor has a queueing share above the inner floor; the
+        # subtraction can round it onto or below that floor, so it is
+        # kept at least one ulp above.
+        queueing = rt_target - self.network_delay
+        if rt_target > self.min_response_time:
+            queueing = max(
+                queueing, math.nextafter(self.inner.min_response_time, math.inf)
+            )
+        return self.inner.allocation_for_rt(queueing)
 
     def max_utility_demand(
         self, rt_tolerance: float = DEFAULT_RT_TOLERANCE

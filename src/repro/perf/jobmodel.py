@@ -5,20 +5,20 @@ the paper) operates on the whole incomplete-job population every control
 cycle.  To keep that O(n) with numpy instead of a Python loop per job,
 this module extracts the population state into a column-oriented
 :class:`JobPopulation` snapshot, gathered from the jobs'
-:class:`~repro.workloads.jobs.JobTable` rows.
+:class:`~repro.workloads.jobs.JobTable` rows by one fancy index per
+column of a :class:`~repro.workloads.jobs.JobRows` handle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterable, Optional
 
 import numpy as np
 
 from ..errors import ModelError
 from ..types import Seconds
-from ..workloads.jobs import LIVE_CODES, Job, gather
+from ..workloads.jobs import LIVE_CODES, Job, JobRows, gather
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,10 @@ class JobPopulation:
         SLA goal lengths (relative goals), seconds.
     importance:
         Utility aggregation weights.
+    jobs:
+        The snapshot's jobs as table rows, in column order (set by
+        :func:`snapshot_jobs`; ``None`` for a population built from
+        arrays).
     """
 
     time: Seconds
@@ -50,6 +54,7 @@ class JobPopulation:
     goals_abs: np.ndarray
     goal_lengths: np.ndarray
     importance: np.ndarray
+    jobs: Optional[JobRows] = None
 
     def __post_init__(self) -> None:
         n = len(self.job_ids)
@@ -108,32 +113,31 @@ def snapshot_jobs(
 
     Jobs are advanced conceptually to ``t`` (progress since their last
     update is accounted for without mutating them).  Completed, cancelled
-    and not-yet-submitted jobs are excluded.  The columns are gathered
-    from the jobs' :class:`~repro.workloads.jobs.JobTable` rows, one
-    gather per column when the jobs share a table; the projection
+    and not-yet-submitted jobs are excluded.  The columns are one fancy
+    index each of the :class:`~repro.workloads.jobs.JobRows` handle's
+    table (any other job sequence is converted once); the projection
     ``max(remaining - rate * (t - last_update), 0)`` is the scalar
     arithmetic, element by element.
 
-    When ``included`` is given, the :class:`Job` objects that made it
-    into the snapshot are appended to it, in snapshot (column) order --
-    callers that need the jobs alongside the columns (the controller's
-    request builder) then avoid a second filtered pass keyed by id.
+    The kept rows come back as the population's ``jobs`` handle, in
+    column order.  When ``included`` is given, their :class:`Job` views
+    are appended to it too.
     """
-    if not isinstance(jobs, (list, tuple)):
-        jobs = list(jobs)
+    jobs = JobRows.of(jobs)
     columns = gather(jobs, _SNAPSHOT_COLUMNS)
     submit, phase = columns[0], columns[1]
     kept = ~(submit > t) & (phase < LIVE_CODES)
     if np.count_nonzero(kept) < len(jobs):
         index = kept.nonzero()[0]
-        jobs = [jobs[i] for i in index.tolist()]
+        jobs = jobs.take(index)
         columns = [column[index] for column in columns]
     submit, _, last_update, remaining, rate, caps, goal_lengths, importance = columns
+    job_ids = jobs.job_ids
     late = t < last_update
     if np.count_nonzero(late):
         i = int(late.argmax())
         raise ModelError(
-            f"job {jobs[i].job_id}: snapshot time {t} precedes last update "
+            f"job {job_ids[i]}: snapshot time {t} precedes last update "
             f"{last_update.item(i)}"
         )
     remaining = remaining - rate * (t - last_update)
@@ -142,12 +146,13 @@ def snapshot_jobs(
         included.extend(jobs)
     return JobPopulation(
         time=t,
-        job_ids=tuple(map(_job_id_of, jobs)),
+        job_ids=tuple(job_ids.tolist()),
         remaining=remaining,
         caps=caps,
         goals_abs=submit + goal_lengths,
         goal_lengths=goal_lengths,
         importance=importance,
+        jobs=jobs,
     )
 
 
@@ -156,4 +161,3 @@ _SNAPSHOT_COLUMNS = (
     "submit", "phase", "last_update", "remaining", "rate", "cap", "goal_len",
     "importance",
 )
-_job_id_of = attrgetter("spec.job_id")

@@ -5,6 +5,10 @@ broken first by an explicit integer ``order`` (lower runs first -- used to
 run e.g. job completions before the control cycle at the same instant) and
 then by insertion sequence, which makes every run deterministic.
 
+The heap holds ``(time, order, seq, event)`` tuples, so ``heapq``
+compares them in C; ``seq`` is unique, so a compare never reaches the
+event.
+
 Cancellation is *lazy*: :meth:`Event.cancel` marks the event and the queue
 discards it when popped, which keeps the heap operations O(log n).  To
 stop long runs with heavy rescheduling (a caller that cancels and
@@ -82,12 +86,6 @@ class Event:
         if self._queue is not None:
             self._queue._note_cancelled()
 
-    def _sort_key(self) -> tuple[Seconds, int, int]:
-        return (self.time, self.order, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        return self._sort_key() < other._sort_key()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "cancelled" if self._cancelled else ("fired" if self._fired else "pending")
         return f"Event(t={self.time:.3f}, order={self.order}, tag={self.tag!r}, {state})"
@@ -99,7 +97,7 @@ class EventQueue:
     __slots__ = ("_heap", "_counter", "_live", "_cancelled_in_heap")
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[Seconds, int, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
         self._cancelled_in_heap = 0
@@ -110,23 +108,24 @@ class EventQueue:
 
     def push(self, time: Seconds, action: EventAction, *, order: int = 0, tag: str = "") -> Event:
         """Queue ``action`` to fire at absolute ``time`` and return its handle."""
-        event = Event(time, order, next(self._counter), action, tag)
+        seq = next(self._counter)
+        event = Event(time, order, seq, action, tag)
         event._queue = self
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, order, seq, event))
         self._live += 1
         return event
 
     def peek_time(self) -> Optional[Seconds]:
         """Time of the next live event, or ``None`` when empty."""
         self._drop_cancelled()
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def pop(self) -> Optional[Event]:
         """Remove and return the next live event, or ``None`` when empty."""
         self._drop_cancelled()
         if not self._heap:
             return None
-        event = heapq.heappop(self._heap)
+        event = heapq.heappop(self._heap)[3]
         self._live -= 1
         # Detach: the event left the heap, so a later cancel() (legal
         # until the action fires) must not touch the queue's accounting.
@@ -143,12 +142,12 @@ class EventQueue:
         self._cancelled_in_heap += 1
         heap = self._heap
         if len(heap) >= _COMPACT_MIN_HEAP and self._cancelled_in_heap * 2 > len(heap):
-            self._heap = [event for event in heap if not event._cancelled]
+            self._heap = [entry for entry in heap if not entry[3]._cancelled]
             heapq.heapify(self._heap)
             self._cancelled_in_heap = 0
 
     def _drop_cancelled(self) -> None:
         heap = self._heap
-        while heap and heap[0]._cancelled:
-            heapq.heappop(heap)._queue = None
+        while heap and heap[0][3]._cancelled:
+            heapq.heappop(heap)[3]._queue = None
             self._cancelled_in_heap -= 1

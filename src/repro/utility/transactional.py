@@ -8,7 +8,7 @@ gives the *utility-versus-allocation* curve the arbiter bisects on.
 from __future__ import annotations
 
 from ..errors import ConfigurationError
-from ..perf.queueing import TransactionalPerfModel
+from ..perf.queueing import DEFAULT_RT_TOLERANCE, TransactionalPerfModel
 from ..types import Mhz, Seconds
 from .base import LinearUtility, UtilityFunction, relative_slack
 
@@ -44,12 +44,19 @@ class TransactionalUtility:
         return self.of_response_time(model.response_time(allocation))
 
     def allocation_for_utility(
-        self, model: TransactionalPerfModel, utility: float
+        self,
+        model: TransactionalPerfModel,
+        utility: float,
+        rt_tolerance: float = DEFAULT_RT_TOLERANCE,
     ) -> Mhz:
         """Smallest allocation predicted to achieve ``utility``.
 
         Only meaningful for utilities below the model's plateau; utilities
-        at or above the plateau return the max-utility demand.
+        at or above the plateau return the max-utility demand at
+        ``rt_tolerance``.  So does a utility just below the plateau whose
+        response-time target rounds to the model's floor, which no
+        allocation reaches (the open model) or only the knee does (the
+        closed one): the inversion is total.
 
         Requires the linear shape (the default), whose inverse is trivial;
         other shapes raise :class:`ConfigurationError`.
@@ -58,11 +65,10 @@ class TransactionalUtility:
             raise ConfigurationError(
                 "allocation_for_utility requires the linear utility shape"
             )
-        ceiling = self.max_utility(model)
-        if utility >= ceiling:
-            return model.max_utility_demand()
         # slack = utility  =>  RT = goal * (1 - utility)
         rt_target = self.rt_goal * (1.0 - max(utility, self.shape.floor))
+        if utility >= self.max_utility(model) or rt_target <= model.min_response_time:
+            return model.max_utility_demand(rt_tolerance)
         return model.allocation_for_rt(rt_target)
 
     @property

@@ -11,7 +11,7 @@ from .arrivals import (
     nhpp_arrival_times,
     piecewise_exponential_arrival_times,
 )
-from .jobs import Job, JobPhase, JobSpec, JobStats, JobTable
+from .jobs import Job, JobPhase, JobRows, JobSpec, JobStats, JobTable
 from .profiles import (
     ConstantProfile,
     DiurnalProfile,
@@ -34,6 +34,7 @@ __all__ = [
     "JobPhase",
     "JobSpec",
     "JobStats",
+    "JobRows",
     "JobTable",
     "JobTemplate",
     "PAPER_JOB_TEMPLATE",

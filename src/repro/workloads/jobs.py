@@ -14,7 +14,8 @@ holding every job of a run, so the runner integrates progress, predicts
 completions and applies CPU grants in one vector pass over many rows.
 :class:`Job` is a view of its row; ``Job(spec)`` makes a one-row table.
 The vector passes do, element by element, the IEEE operations of the
-scalar methods.
+scalar methods.  :class:`JobRows` hands many jobs around as rows of one
+table, so a reader gathers their columns by one fancy index each.
 
 The lifecycle::
 
@@ -33,9 +34,10 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -146,6 +148,10 @@ LIVE_CODES = COMPLETED_CODE
 class JobTable:
     """The numeric state of many jobs: one row per job, one numpy column per field.
 
+    Id columns: ``job_ids``, the specs' own job-id strings, and ``vm_ids``,
+    each job's VM id (``vm-<job id>``), the string its :class:`Job` view
+    holds as :attr:`Job.vm_id`; both are object arrays, so one fancy
+    index gathers many rows' ids.
     Static columns: ``submit``, ``cap``, ``goal_len``, ``importance`` and
     ``memory`` (the specs' submit time, speed cap, goal length, importance
     and memory footprint), and ``rank``, each row's position in job-id
@@ -161,15 +167,17 @@ class JobTable:
     """
 
     __slots__ = (
-        "job_ids", "submit", "cap", "goal_len", "importance", "memory", "rank",
-        "remaining", "rate", "last_update", "cpu_integral", "phase",
+        "job_ids", "vm_ids", "submit", "cap", "goal_len", "importance", "memory",
+        "rank", "remaining", "rate", "last_update", "cpu_integral", "phase",
         "started_at", "completed_at", "suspensions", "migrations", "work_lost",
     )
 
     def __init__(self, specs: Iterable[JobSpec]) -> None:
         specs = list(specs)
         n = len(specs)
-        self.job_ids = tuple([spec.job_id for spec in specs])
+        job_ids = [spec.job_id for spec in specs]
+        self.job_ids = np.array(job_ids, dtype=object)
+        self.vm_ids = np.array([f"vm-{job_id}" for job_id in job_ids], dtype=object)
         # One pass over the specs; the transpose's rows are contiguous.
         static = np.array(
             [
@@ -185,7 +193,7 @@ class JobTable:
             self.submit, self.remaining, self.cap, self.goal_len,
             self.importance, self.memory,
         ) = static
-        self.rank = id_rank(self.job_ids)
+        self.rank = id_rank(job_ids)
         self.last_update = self.submit.copy()
         self.rate = np.zeros(n)
         self.cpu_integral = np.zeros(n)
@@ -287,33 +295,107 @@ def id_rank(job_ids: Sequence[str]) -> np.ndarray:
     return rank
 
 
-#: The views' table and row, read in C by :func:`gather`.
-_table_of = attrgetter("table")
-_row_of = attrgetter("row")
-_job_id_of = attrgetter("spec.job_id")
 _NO_JOBS = JobTable(())
 
 
-def gather(jobs: Sequence[Job], names: Sequence[str]) -> list[np.ndarray]:
-    """The ``names`` columns of ``jobs``' rows, in list order.
+#: The state columns of a row: what :meth:`JobRows.of` copies when it
+#: stacks the rows of several tables into one.
+_STATE_COLUMNS = (
+    "remaining", "rate", "last_update", "cpu_integral", "phase", "started_at",
+    "completed_at", "suspensions", "migrations", "work_lost",
+)
+_table_of = attrgetter("table")
+_row_of = attrgetter("row")
+_vm_id_of = attrgetter("vm_id")
 
-    One fancy-index gather per column when the jobs share a table, as
-    every runner list does; one row at a time otherwise (hand-built lists
-    of ``Job(spec)``, each a one-row table).  A table's ``rank`` orders
-    only its own rows, so across several tables the jobs' ranks come
-    from sorting their ids.
+
+class JobRows(SequenceABC):
+    """Jobs as rows of one :class:`JobTable`: a read-only sequence of :class:`Job` views.
+
+    ``table`` holds the numbers and ids, ``rows`` the jobs' rows in
+    sequence order, ``views`` each table row's :class:`Job` (an object
+    array indexed by row; only the handle's rows need one) and
+    ``vm_rows`` maps a VM id to its job's row.  The runner builds a
+    handle over its own table, views and VM map from the live mask, with
+    no pass over the jobs, and hands it to ``decide()``.  Readers index
+    the columns by ``rows``: :func:`gather`, the population snapshot,
+    the request builder and the planner's phase lookups.  ``jobs[i]`` and
+    iteration give the views; a slice or :meth:`take` gives a handle.
     """
-    tables = set(map(_table_of, jobs))
-    if len(tables) <= 1:
-        table = tables.pop() if tables else _NO_JOBS
-        rows = np.fromiter(map(_row_of, jobs), np.intp, len(jobs))
-        return [getattr(table, name)[rows] for name in names]
-    return [
-        id_rank(list(map(_job_id_of, jobs)))
-        if name == "rank"
-        else np.array([getattr(job.table, name)[job.row] for job in jobs])
-        for name in names
-    ]
+
+    __slots__ = ("table", "rows", "views", "vm_rows")
+
+    def __init__(
+        self,
+        table: JobTable,
+        rows: np.ndarray,
+        views: np.ndarray,
+        vm_rows: Mapping[str, int],
+    ) -> None:
+        self.table = table
+        self.rows = rows
+        self.views = views
+        self.vm_rows = vm_rows
+
+    @classmethod
+    def of(cls, jobs: Iterable[Job]) -> "JobRows":
+        """``jobs`` as rows (a handle is returned as it is).
+
+        Jobs that share one table, as every runner list does, are rows of
+        that table.  Jobs of several tables (hand-built lists of
+        ``Job(spec)``, each a one-row table) are copied into one new
+        table, row by row in list order; the views stay the given jobs.
+        ``vm_rows`` maps the given jobs' VM ids.
+        """
+        if isinstance(jobs, JobRows):
+            return jobs
+        jobs = list(jobs)
+        tables = set(map(_table_of, jobs))
+        if len(tables) <= 1:
+            table = tables.pop() if tables else _NO_JOBS
+            rows = np.fromiter(map(_row_of, jobs), np.intp, len(jobs))
+        else:
+            table = JobTable([job.spec for job in jobs])
+            for name in _STATE_COLUMNS:
+                getattr(table, name)[:] = [
+                    getattr(job.table, name)[job.row] for job in jobs
+                ]
+            rows = np.arange(len(jobs))
+        views = np.empty(len(table.job_ids), dtype=object)
+        views[rows] = jobs
+        return cls(table, rows, views, dict(zip(map(_vm_id_of, jobs), rows.tolist())))
+
+    def take(self, index) -> "JobRows":
+        """The handle's rows at positions ``index``, in that order."""
+        return JobRows(self.table, self.rows[index], self.views, self.vm_rows)
+
+    @property
+    def job_ids(self) -> np.ndarray:
+        """The rows' job ids (an object array of the specs' strings)."""
+        return self.table.job_ids[self.rows]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(i)
+        return self.views[self.rows[i]]
+
+    def __iter__(self) -> Iterator[Job]:
+        return iter(self.views[self.rows].tolist())
+
+
+def gather(jobs: Sequence[Job], names: Sequence[str]) -> list[np.ndarray]:
+    """The ``names`` columns of ``jobs``' rows, in sequence order.
+
+    One fancy index per column of the :class:`JobRows` handle's table;
+    any other job sequence is converted once (:meth:`JobRows.of`).  A
+    table's ``rank`` orders its own rows, so only its order counts.
+    """
+    jobs = JobRows.of(jobs)
+    table, rows = jobs.table, jobs.rows
+    return [getattr(table, name)[rows] for name in names]
 
 
 class JobStats:
@@ -366,8 +448,8 @@ class Job:
     """A long-running job: its VM's record, a view of row ``row`` of ``table``.
 
     ``Job(spec)`` makes a one-row table of its own.  The spec, the VM id
-    and the host are Python attributes; every other property and mutator
-    reads and writes the row.  Reads return Python scalars
+    (the table's string) and the host are Python attributes; every other
+    property and mutator reads and writes the row.  Reads return Python scalars
     (``ndarray.item``), so the scalar methods do Python float arithmetic
     and raise Python's errors.
     """
@@ -384,7 +466,7 @@ class Job:
                 f"job {spec.job_id}: row {row} of its table holds {table.job_ids[row]}"
             )
         self.spec = spec
-        self.vm_id = f"vm-{spec.job_id}"
+        self.vm_id = table.vm_ids[row]
         self._node_id: Optional[str] = None
         self.table = table
         self.row = row

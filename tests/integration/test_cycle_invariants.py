@@ -86,7 +86,7 @@ class CheckedRunner(ExperimentRunner):
 
     def _check_events(self, t):
         pending = {"complete": {}, "rate": {}}
-        for event in self._sim.queue._heap:
+        for *_, event in self._sim.queue._heap:
             kind, _, job_id = event.tag.partition(":")
             if event.cancelled or kind not in pending:
                 continue

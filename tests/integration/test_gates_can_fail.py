@@ -12,8 +12,9 @@ that the gate fails on it, and how:
 * :class:`CheckedRunner` (``test_cycle_invariants.py``) names the
   invariant a planted bookkeeping bug breaks -- a host off its entry, an
   entry left on a failed node, a missing instance, work lost by a
-  skipped advance, a stale completion event -- also one that a node
-  failure's handler leaves for the next decision to heal;
+  skipped advance, a stale completion event, a live-job handle that
+  drops or swaps a row -- also one that a node failure's handler leaves
+  for the next decision to heal;
 * the feasibility guard (:class:`~repro.core.resilient.ResilientController`)
   degrades a cycle whose solver overcommits one node by one ulp past the
   tolerance, naming the node, and without the guard the runner's
@@ -289,6 +290,31 @@ def test_checked_runner_checks_right_after_a_node_failure(monkeypatch, at):
         AssertionError, match=rf"t={at}: \S+ is placed on node000, which is not active"
     ):
         run_checked(scenario)
+
+
+@pytest.mark.parametrize(
+    "defect",
+    [
+        pytest.param(lambda at: at[:-1], id="drop"),
+        pytest.param(lambda at: np.concatenate([at[1::-1], at[2:]]), id="swap"),
+    ],
+)
+def test_checked_runner_sees_a_live_handle_that_drops_or_swaps_a_row(
+    monkeypatch, defect
+):
+    """A live-job handle that loses its last row, or swaps its first
+    two, no longer hands ``decide()`` the live set in trace order."""
+    original = ExperimentRunner._live_jobs
+
+    def planted(runner):
+        jobs = original(runner)
+        return jobs.take(defect(np.arange(len(jobs)))) if len(jobs) > 1 else jobs
+
+    monkeypatch.setattr(ExperimentRunner, "_live_jobs", planted)
+    with pytest.raises(
+        AssertionError, match=r"decide\(\) got \d+ jobs, not the live trace-order set"
+    ):
+        run_checked(_smoke())
 
 
 # ----------------------------------------------------------------------

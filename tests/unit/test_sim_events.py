@@ -1,9 +1,11 @@
 """Unit tests for events and the pending-event queue."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.events import EventQueue
+from repro.sim.events import Event, EventQueue
 
 
 def noop(t):
@@ -142,3 +144,61 @@ class TestCompaction:
         assert len(q) == 1
         assert q.pop() is second
         assert len(q) == 0
+
+
+#: One queue operation: push at (time, order), cancel the k-th live event,
+#: or pop.  Few distinct times and orders make ties the common case.
+_OPS = st.one_of(
+    st.tuples(st.just("push"), st.integers(0, 5), st.sampled_from([-20, 0, 10])),
+    st.tuples(st.just("cancel"), st.integers(0, 10**6)),
+    st.tuples(st.just("pop")),
+)
+
+
+class TestHeapOrder:
+    """The heap holds ``(time, order, seq, event)`` tuples that ``heapq``
+    compares in C; events themselves do not compare."""
+
+    def test_events_do_not_compare(self):
+        q = EventQueue()
+        a, b = q.push(1.0, noop), q.push(1.0, noop)
+        with pytest.raises(TypeError):
+            a < b  # noqa: B015 - the comparison itself is the test
+        assert not hasattr(Event, "_sort_key")
+
+    @given(st.lists(_OPS, max_size=400))
+    @settings(max_examples=200, deadline=None)
+    def test_random_pushes_cancels_and_compactions_pop_in_key_order(self, ops):
+        q = EventQueue()
+        live = []
+        for op in ops:
+            if op[0] == "push":
+                live.append(q.push(float(op[1]), noop, order=op[2]))
+            elif op[0] == "cancel" and live:
+                live.pop(op[1] % len(live)).cancel()
+            elif op[0] == "pop":
+                event = q.pop()
+                if not live:
+                    assert event is None
+                    continue
+                first = min(live, key=lambda e: (e.time, e.order, e.seq))
+                assert event is first
+                live.remove(first)
+            assert len(q) == len(live)
+        key = sorted((e.time, e.order, e.seq) for e in live)
+        drained = []
+        while (event := q.pop()) is not None:
+            drained.append((event.time, event.order, event.seq))
+        assert drained == key
+
+    def test_compaction_keeps_the_key_order(self):
+        q = EventQueue()
+        events = [q.push(float(i % 5), noop, order=(i * 7) % 3) for i in range(300)]
+        for event in events[::3] + events[1::3]:
+            event.cancel()
+        survivors = events[2::3]
+        assert len(q._heap) < 300  # compacted
+        got = []
+        while (event := q.pop()) is not None:
+            got.append(event)
+        assert got == sorted(survivors, key=lambda e: (e.time, e.order, e.seq))

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError, LifecycleError
-from repro.workloads import JobPhase
+from repro.workloads import Job, JobPhase, JobTable
 
 from ..conftest import make_job, make_job_spec
 
@@ -203,3 +203,16 @@ class TestSlaOutcomes:
         job = make_job()
         assert job.flow_time is None
         assert job.tardiness is None
+
+
+class TestIdColumns:
+    def test_the_id_columns_hold_the_specs_own_strings(self):
+        specs = [make_job_spec(job_id=f"job{i}") for i in (10000, 9999, 7)]
+        table = JobTable(specs)
+        assert table.job_ids.dtype == object and table.vm_ids.dtype == object
+        assert all(table.job_ids[row] is spec.job_id for row, spec in enumerate(specs))
+        assert table.vm_ids.tolist() == ["vm-job10000", "vm-job9999", "vm-job7"]
+        # A view's VM id is its row's string, not a copy.
+        views = [Job(spec, table, row) for row, spec in enumerate(specs)]
+        assert all(job.vm_id is table.vm_ids[job.row] for job in views)
+        assert make_job(job_id="solo").vm_id == "vm-solo"
